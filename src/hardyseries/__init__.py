@@ -55,7 +55,6 @@ from .series import (
 )
 from .special import (
     KappaConstants,
-    ZetaEvalConfig,
     hurwitz_zeta,
     kappa_constants,
     lambert_w0,

@@ -345,13 +345,6 @@ def nonvanishing_cap(norm2_tail: float, c: float, k: float, xi: float) -> float:
     return max(c, max(0.0, math.log(arg)) / k if arg > 0 else 0.0)
 
 
-def bounded_coeff_printed_caps(c: float, lambda1: float, xi: float) -> float:
-    """max(C, lambda_1^-1 log+(2/(1-xi))) as printed for the bounded-coefficient
-    variant; reported for comparison with the exact root, not asserted as a
-    bound in either direction (the printed inequality direction is doubtful)."""
-    return max(c, max(0.0, math.log(2.0 / (1.0 - xi))) / lambda1)
-
-
 # ---------------------------------------------------------------------------
 # short-interval log bounds
 # ---------------------------------------------------------------------------

@@ -276,8 +276,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_minmax(args) -> int:
     cfg = hn.ExperimentConfig(
-        "minmax", seed=args.seed, deltas=(args.delta,), m_norm=args.m,
-        threads=args.threads, out=args.out,
+        "minmax", seed=args.seed, deltas=(args.delta,), m_norm=args.m, out=args.out,
     )
     return _result_to_exit(hn.dispatch(cfg))
 
@@ -381,7 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--m", type=float, default=3.0, help="prescribed l2 norm")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_minmax)
 

@@ -37,7 +37,6 @@ __all__ = [
     "run_hurwitz_scan",
     "run_lerch_scan",
     "run_minmax_explorer",
-    "run_riemann_asymptotic",
     "run_soundness_sweep",
 ]
 
@@ -48,7 +47,6 @@ EXPERIMENTS = (
     "log_bound_sweep",
     "hurwitz_scan",
     "lerch_scan",
-    "riemann_asymptotic",
     "minmax",
 )
 
@@ -542,27 +540,6 @@ def run_lerch_scan(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult("lerch_scan", columns, rows, summary, passed)
 
 
-def run_riemann_asymptotic(config: ExperimentConfig) -> ExperimentResult:
-    """The sharp small-window asymptotic e^(-gamma) pi^2 delta^2 / 24."""
-    t0 = time.time()
-    rows = []
-    for delta in config.deltas:
-        target = math.exp(-sp.EULER_GAMMA) * math.pi ** 2 / 24.0 * delta ** 2
-        if delta == 0.05:
-            margin = 1e-7 - abs(target - 5.772e-4)
-            ok = margin >= 0
-        else:
-            margin, ok = 0.0, True
-        rows.append((delta, target, 5.772e-4 if delta == 0.05 else float("nan"),
-                     margin, ok))
-    columns = ["delta", "asymptotic_target", "printed_value", "margin", "pass"]
-    passed = all(r[-1] for r in rows)
-    return ExperimentResult(
-        "riemann_asymptotic", columns, rows,
-        {"runtime_s": time.time() - t0}, passed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # min-max explorer
 # ---------------------------------------------------------------------------
@@ -673,7 +650,6 @@ _RUNNERS: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
     "log_bound_sweep": run_soundness_sweep,
     "hurwitz_scan": run_hurwitz_scan,
     "lerch_scan": run_lerch_scan,
-    "riemann_asymptotic": run_riemann_asymptotic,
     "minmax": run_minmax_explorer,
 }
 

@@ -8,18 +8,19 @@ Everything downstream that needs a zeta value gets it from here:
 * ``lerch_phi``       sum e^(2 pi i n alpha) (n+beta)^-s, Re(s) >= 1
 * ``kappa_constants`` the named constants used by the weighted log bounds
 
-The Euler-Maclaurin remainder after M Bernoulli terms with cutoff N is
-enveloped by the first omitted term times |s + 2M + 1| / (sigma + 2M + 1);
-cutoffs are doubled until the bound closes, so every returned value carries
-an explicit error budget.  Bernoulli numbers B_2 .. B_60 are generated
-exactly once at import time from the integer recurrence.
+The Euler-Maclaurin remainder after M = 14 Bernoulli terms with cutoff N is
+enveloped by the first omitted term times |s + 2M + 1| / (sigma + 2M + 1).
+That bound is C (N + alpha)^-(sigma + 2M + 1), so the cutoff N is picked
+from it, as the smallest N >= 16 that meets the tolerance, before any term
+is summed; every returned value carries that error budget.  Bernoulli
+numbers B_2 .. B_60 are generated exactly once at import time from the
+integer recurrence.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,7 +35,6 @@ from .errors import (
 __all__ = [
     "BERNOULLI_B2K",
     "KappaConstants",
-    "ZetaEvalConfig",
     "bernoulli_b2k",
     "hurwitz_zeta",
     "hurwitz_zeta_grid",
@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 _MAX_BERNOULLI_TERMS = 30  # B_2 through B_60
+_EM_TERMS = 14  # Bernoulli corrections M in every Euler-Maclaurin closure
+_MIN_CUTOFF = 16
+_MAX_CUTOFF = 2 ** 21
+_EM_CHUNK = 1 << 21  # head-sum matrix entries per block (points x terms)
 
 
 def _bernoulli_even() -> tuple[float, ...]:
@@ -61,10 +65,10 @@ def _bernoulli_even() -> tuple[float, ...]:
 BERNOULLI_B2K: tuple[float, ...] = _bernoulli_even()
 
 # B_2k / (2k)! precomputed alongside, used in every Euler-Maclaurin sum.
-_B2K_OVER_FACT: tuple[float, ...] = tuple(
+_B2K_OVER_FACT: np.ndarray = np.array([
     BERNOULLI_B2K[k - 1] / math.factorial(2 * k)
     for k in range(1, _MAX_BERNOULLI_TERMS + 1)
-)
+])
 
 
 def bernoulli_b2k(k: int) -> float:
@@ -72,26 +76,6 @@ def bernoulli_b2k(k: int) -> float:
     if not 1 <= k <= _MAX_BERNOULLI_TERMS:
         raise InvalidParameterError(f"B_2k available for 1 <= k <= 30, got k={k}")
     return BERNOULLI_B2K[k - 1]
-
-
-@dataclass(frozen=True)
-class ZetaEvalConfig:
-    """Cutoff / correction-depth knobs for the Euler-Maclaurin evaluators."""
-
-    cutoff: int = 64
-    bernoulli_terms: int = 14
-    target_error: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.cutoff < 10:
-            raise InvalidParameterError("cutoff N must be >= 10")
-        if not 1 <= self.bernoulli_terms <= _MAX_BERNOULLI_TERMS:
-            raise InvalidParameterError("bernoulli_terms M must be in [1, 30]")
-        if not self.target_error > 0:
-            raise InvalidParameterError("target_error must be positive")
-
-
-_DEFAULT_CONFIG = ZetaEvalConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -132,43 +116,86 @@ def lambert_w0(x: float) -> float:
 # Euler-Maclaurin core
 # ---------------------------------------------------------------------------
 
-def _hurwitz_em_raw(s: complex, alpha: float, n_cutoff: int, m_terms: int):
-    """One Euler-Maclaurin pass; returns (value, remainder_bound)."""
-    n = np.arange(n_cutoff)
-    head = np.sum((n + alpha) ** (-s))
-    na = n_cutoff + alpha
-    value = head + na ** (1 - s) / (s - 1) + 0.5 * na ** (-s)
-    rising = s  # (s)_1; updated to (s)_{2k+1} at the end of each loop pass
-    for k in range(1, m_terms + 1):
-        value += _B2K_OVER_FACT[k - 1] * rising * na ** (-s - 2 * k + 1)
-        rising = rising * (s + 2 * k - 1) * (s + 2 * k)
+def _em_bound(worst: complex, alpha: float, m_terms: int = _EM_TERMS):
+    """The remainder bound at s = ``worst`` as a function of the cutoff N.
+
+    |first omitted term| |s+2M+1| / (sigma+2M+1) = C (N + alpha)^-(sigma+2M+1),
+    with log C summed once so large |t| cannot overflow.  At fixed sigma it
+    grows with |t|, so its value at the largest |Im s| covers a whole line.
+    """
     k = m_terms + 1
-    omitted = abs(_B2K_OVER_FACT[k - 1]) * abs(rising) * na ** (-s.real - 2 * k + 1)
-    envelope = abs(s + 2 * m_terms + 1) / (s.real + 2 * m_terms + 1)
-    return complex(value), float(omitted * envelope)
+    power = worst.real + 2 * k - 1
+    log_c = math.log(abs(_B2K_OVER_FACT[k - 1]) * abs(worst + 2 * k - 1) / power)
+    log_c += sum(math.log(abs(worst + j)) for j in range(2 * k - 1))
+    return lambda n_cutoff: math.exp(log_c - power * math.log(n_cutoff + alpha))
 
 
-def hurwitz_zeta(
-    s: complex,
-    alpha: float,
-    target_error: float = 1e-12,
-    config: ZetaEvalConfig | None = None,
-) -> complex:
+def _em_cutoff(worst: complex, alpha: float, tol: float, start: int = 0) -> int:
+    """Smallest N >= max(start, 16) whose remainder bound at ``worst`` meets ``tol``.
+
+    Bisects on the closed-form bound, which falls monotonically in N, so no
+    head term is summed while searching.
+    """
+    if not tol > 0:
+        raise InvalidParameterError(f"target_error must be positive, got {tol}")
+    bound = _em_bound(worst, alpha)
+    lo = max(start, _MIN_CUTOFF) - 1  # below the floor, or fails the bound
+    hi = max(lo + 1, _MAX_CUTOFF)  # meets the bound
+    if not bound(hi) <= tol:  # also catches a NaN ordinate
+        raise PrecisionError(
+            f"Euler-Maclaurin bound {bound(hi):.3e} > target {tol:.3e} at N = {hi}"
+        )
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _hurwitz_em_raw(s, alpha: float, n_cutoff: int, m_terms: int = _EM_TERMS,
+                    start: int = 0):
+    """sum_{n >= start} (n + alpha)^-s by Euler-Maclaurin with cutoff N.
+
+    ``s`` is one complex number or an array of them on one vertical line.
+    The head start..N-1 is summed directly, the tail closed by M Bernoulli
+    corrections.  Returns (value, bound) with one bound, taken at the largest
+    |Im s|, that covers every point.
+    """
+    sv = np.asarray(s, dtype=complex).ravel()
+    log_n = np.log(np.arange(start, n_cutoff) + alpha)
+    head = np.empty(sv.shape, dtype=complex)
+    chunk = max(1, _EM_CHUNK // max(log_n.size, 1))
+    for lo in range(0, sv.size, chunk):
+        terms = np.multiply.outer(-sv[lo:lo + chunk], log_n)
+        head[lo:lo + chunk] = np.exp(terms, out=terms).sum(axis=1)
+    na = n_cutoff + alpha
+    # (s)_{2k-1} na^(1-2k), k = 1..M: every other partial product of (s+j)/na
+    rising = np.cumprod((sv[:, None] + np.arange(2 * m_terms - 1)) / na, axis=1)
+    corrections = rising[:, ::2] @ _B2K_OVER_FACT[:m_terms]
+    value = head + na ** (-sv) * (na / (sv - 1) + 0.5 + corrections)
+    worst = complex(sv[0].real, np.max(np.abs(sv.imag)))
+    bound = _em_bound(worst, alpha, m_terms)(n_cutoff)
+    if np.ndim(s) == 0:
+        return complex(value[0]), bound
+    return value.reshape(np.shape(s)), bound
+
+
+def hurwitz_zeta(s: complex, alpha: float, target_error: float = 1e-12) -> complex:
     """zeta(s, alpha) = sum_{n>=0} (n+alpha)^-s for Re(s) > 0, s != 1.
 
-    Raises PoleError at s = 1 and PrecisionError if the remainder bound
-    cannot be pushed below ``target_error`` (cutoff capped at 2^21).
+    Raises PoleError at s = 1 and PrecisionError if meeting ``target_error``
+    would need a cutoff above 2^21.
     """
-    value, _ = hurwitz_zeta_with_error(s, alpha, target_error, config)
+    value, _ = hurwitz_zeta_with_error(s, alpha, target_error)
     return value
 
 
 def hurwitz_zeta_with_error(
-    s: complex,
-    alpha: float,
-    target_error: float = 1e-12,
-    config: ZetaEvalConfig | None = None,
+    s: complex, alpha: float, target_error: float = 1e-12
 ) -> tuple[complex, float]:
+    """zeta(s, alpha) and its remainder bound, which is at most ``target_error``."""
     s = complex(s)
     if not 0 < alpha <= 1:
         raise InvalidParameterError(f"alpha must lie in (0, 1], got {alpha}")
@@ -176,29 +203,12 @@ def hurwitz_zeta_with_error(
         raise InvalidParameterError(f"Euler-Maclaurin path needs Re(s) > 0, got {s}")
     if s == 1:
         raise PoleError("zeta(s, alpha) has its pole at s = 1")
-    cfg = config or _DEFAULT_CONFIG
-    tol = min(target_error, cfg.target_error)
-    n_cutoff = max(cfg.cutoff, 16)
-    m = cfg.bernoulli_terms
-    for _ in range(22):
-        value, bound = _hurwitz_em_raw(s, alpha, n_cutoff, m)
-        if bound <= tol:
-            return value, bound
-        n_cutoff *= 2
-        if n_cutoff > 2 ** 21:
-            break
-    raise PrecisionError(
-        f"hurwitz_zeta: remainder bound {bound:.3e} > target {tol:.3e} at s={s}"
-    )
+    return _hurwitz_em_raw(s, alpha, _em_cutoff(s, alpha, target_error))
 
 
-def riemann_zeta(
-    s: complex,
-    target_error: float = 1e-12,
-    config: ZetaEvalConfig | None = None,
-) -> complex:
+def riemann_zeta(s: complex, target_error: float = 1e-12) -> complex:
     """zeta(s) for Re(s) > 0, s != 1 (Euler-Maclaurin, alpha = 1)."""
-    return hurwitz_zeta(s, 1.0, target_error, config)
+    return hurwitz_zeta(s, 1.0, target_error)
 
 
 def hurwitz_tail_sum(
@@ -215,26 +225,8 @@ def hurwitz_tail_sum(
     w = complex(w)
     if w.real <= 1:
         raise InvalidParameterError(f"tail sum diverges for Re(w) = {w.real}")
-    m = 14
-    n_cutoff = max(start, 32)
-    for _ in range(18):
-        na = n_cutoff + alpha
-        closure = na ** (1 - w) / (w - 1) + 0.5 * na ** (-w)
-        rising = w
-        for k in range(1, m + 1):
-            closure += _B2K_OVER_FACT[k - 1] * rising * na ** (-w - 2 * k + 1)
-            rising = rising * (w + 2 * k - 1) * (w + 2 * k)
-        k = m + 1
-        omitted = abs(_B2K_OVER_FACT[k - 1]) * abs(rising) * na ** (-w.real - 2 * k + 1)
-        bound = float(omitted * abs(w + 2 * m + 1) / (w.real + 2 * m + 1))
-        if bound <= target_error:
-            n = np.arange(start, n_cutoff)
-            head = np.sum((n + alpha) ** (-w)) if n.size else 0j
-            return complex(head + closure), bound
-        n_cutoff *= 2
-    raise PrecisionError(
-        f"hurwitz_tail_sum: bound {bound:.3e} > target {target_error:.3e}"
-    )
+    n_cutoff = _em_cutoff(w, alpha, target_error, start)
+    return _hurwitz_em_raw(w, alpha, n_cutoff, start=start)
 
 
 def hurwitz_zeta_grid(
@@ -245,9 +237,9 @@ def hurwitz_zeta_grid(
 ) -> np.ndarray:
     """Vectorized zeta(sigma + i t, alpha) on an array of ordinates.
 
-    Picks a single (N, M) pair sized for the worst |t| in the block and
-    verifies the remainder envelope there; inputs with sigma + i t == 1 are
-    rejected.  Used by the scan harness where millions of values are needed.
+    One cutoff, sized for the worst |t| in the block, serves every point;
+    inputs with sigma + i t == 1 are rejected.  Used by the scan harness
+    where millions of values are needed.
     """
     ts = np.asarray(ts, dtype=float)
     if not 0 < alpha <= 1:
@@ -256,35 +248,10 @@ def hurwitz_zeta_grid(
         raise InvalidParameterError("sigma must be positive")
     if sigma == 1.0 and np.any(ts == 0.0):
         raise PoleError("grid contains the pole s = 1")
-    tmax = float(np.max(np.abs(ts))) if ts.size else 0.0
-    m = 14
-    n_cutoff = max(64, int(math.ceil(0.55 * (tmax + 2 * m + 1))))
-    worst = complex(sigma, tmax)
-    for _ in range(8):
-        _, bound = _hurwitz_em_raw(worst, alpha, n_cutoff, m)
-        if bound <= target_error:
-            break
-        n_cutoff *= 2
-    else:
-        raise PrecisionError("hurwitz_zeta_grid could not close the error bound")
-
-    s = sigma + 1j * ts
-    n = np.arange(n_cutoff)
-    # chunk the outer product so the (points x cutoff) matrix stays modest
-    out = np.empty(ts.shape, dtype=complex)
-    chunk = max(1, int(4_000_000 // max(n_cutoff, 1)))
-    na = n_cutoff + alpha
-    for lo in range(0, ts.size, chunk):
-        sv = s[lo:lo + chunk, None]
-        head = np.sum((n[None, :] + alpha) ** (-sv), axis=1)
-        sv = s[lo:lo + chunk]
-        val = head + na ** (1 - sv) / (sv - 1) + 0.5 * na ** (-sv)
-        rising = sv.copy()
-        for k in range(1, m + 1):
-            val += _B2K_OVER_FACT[k - 1] * rising * na ** (-sv - 2 * k + 1)
-            rising = rising * (sv + 2 * k - 1) * (sv + 2 * k)
-        out[lo:lo + chunk] = val
-    return out
+    if ts.size == 0:
+        return np.empty(ts.shape, dtype=complex)
+    n_cutoff = _em_cutoff(complex(sigma, np.max(np.abs(ts))), alpha, target_error)
+    return _hurwitz_em_raw(sigma + 1j * ts, alpha, n_cutoff)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +369,6 @@ def kappa_constants() -> KappaConstants:
     c0 = kappa_half + math.log(1.0 + 3.0 * math.pi) + math.log(2.0)
     return KappaConstants(kappa_half, kappa_printed, kappa_alt, c0)
 
-
-#: Alternative window-split constant including the one-half factor.
-KAPPA_ALT_HALF: float = 0.5 * math.log(1.0 / math.tanh(math.pi) + 1.0 / math.pi)
 
 #: Euler-Mascheroni constant (used by the sharp short-interval asymptotic).
 EULER_GAMMA: float = 0.5772156649015329

@@ -115,6 +115,7 @@ def test_usage_errors(capsys, tmp_path):
     assert cli.main(["norms", "--series", str(tmp_path / "missing.json")]) == 2
     assert cli.main(["verify"]) == 2
     assert cli.main(["definitely-not-a-command"]) == 2
+    assert cli.main(["minmax", "--threads", "2"]) == 2
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys):

@@ -104,13 +104,6 @@ def test_lerch_scan_spot():
     assert len(result.rows) == 2 * 2 * 3
 
 
-def test_riemann_asymptotic():
-    result = hn.dispatch(_small("riemann_asymptotic", deltas=(0.05, 0.02)))
-    assert result.passed
-    row = next(r for r in result.rows if r[0] == 0.05)
-    assert abs(row[1] - 5.772e-4) <= 1e-7
-
-
 def test_minmax_small():
     cfg = _small("minmax", deltas=(0.1,), orders=(1, 2), restarts=1)
     result = hn.dispatch(cfg)

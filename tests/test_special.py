@@ -2,7 +2,8 @@
 
 Expected values either come from closed forms, from independent brute-force
 oracles implemented inline (plain partial sums with crude tail corrections),
-or from the printed decimals the constants must reproduce.
+from mpmath at 20 digits, or from the printed decimals the constants must
+reproduce.
 """
 
 import math
@@ -87,6 +88,8 @@ def test_zeta_pole_and_domain():
         sp.riemann_zeta(1.0)
     with pytest.raises(InvalidParameterError):
         sp.riemann_zeta(-0.5)
+    with pytest.raises(InvalidParameterError):
+        sp.riemann_zeta(2.0, target_error=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +140,40 @@ def test_hurwitz_em_stability_under_refinement():
         assert abs(v1 - v2) <= b1 + b2 + 5e-14 * max(1.0, abs(v1))
 
 
+def test_hurwitz_cutoff_rule_against_mpmath():
+    # a loose request gets a loose (cheap) bound, not a 1e-12 one
+    _, bound = sp.hurwitz_zeta_with_error(1 + 1000j, 1.0, 1e-6)
+    assert 1e-12 < bound <= 1e-6
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2015)
+    for _ in range(24):
+        s = complex(rng.uniform(0.25, 3.0), rng.uniform(0.0, 1000.0))
+        alpha = rng.uniform(0.01, 1.0)
+        tol = 10.0 ** rng.uniform(-12.0, -6.0)
+        value, bound = sp.hurwitz_zeta_with_error(s, alpha, tol)
+        # the cutoff is the smallest one whose bound meets tol
+        n_cutoff = sp._em_cutoff(s, alpha, tol)
+        remainder = sp._em_bound(s, alpha)
+        assert bound == remainder(n_cutoff) <= tol
+        assert n_cutoff == 16 or remainder(n_cutoff - 1) > tol
+        with mpmath.workdps(20):
+            ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), alpha))
+        assert abs(value - ref) <= bound + 1e-12 * max(1.0, abs(ref))
+
+
 def test_hurwitz_grid_matches_scalar():
     ts = np.array([0.5, 10.0, 123.0, 1000.0])
     vals = sp.hurwitz_zeta_grid(0.7, ts, sigma=1.0, target_error=1e-10)
     for t, v in zip(ts, vals):
         assert abs(v - sp.hurwitz_zeta(1 + 1j * t, 0.7, 1e-11)) < 1e-9
+    # one scan band: 4000 nodes at h = delta / 8 ending near t = 1000
+    mpmath = pytest.importorskip("mpmath")
+    ts = 975.0 + (0.05 / 8) * np.arange(4000)
+    vals = sp.hurwitz_zeta_grid(0.3, ts, sigma=1.0, target_error=1e-9)
+    for j in (0, 2000, 3999):
+        with mpmath.workdps(20):
+            ref = complex(mpmath.zeta(mpmath.mpc(1.0, ts[j]), 0.3))
+        assert abs(vals[j] - ref) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +250,3 @@ def test_bernoulli_values():
     assert sp.bernoulli_b2k(7) == pytest.approx(7 / 6)
     with pytest.raises(InvalidParameterError):
         sp.bernoulli_b2k(31)
-
-
-def test_zeta_eval_config_validation():
-    with pytest.raises(InvalidParameterError):
-        sp.ZetaEvalConfig(cutoff=5)
-    with pytest.raises(InvalidParameterError):
-        sp.ZetaEvalConfig(bernoulli_terms=0)
-    with pytest.raises(InvalidParameterError):
-        sp.ZetaEvalConfig(target_error=0.0)
