@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -282,23 +283,18 @@ def _cmd_minmax(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # an explicit flag overrides the config document; an absent one keeps it
+    overrides = {name: getattr(args, name)
+                 for name in ("experiment", "seed", "threads", "out")
+                 if getattr(args, name) is not None}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = hn.ExperimentConfig.from_json(fh.read())
-        if args.experiment and args.experiment != cfg.experiment:
-            cfg = hn.ExperimentConfig.from_json(json.dumps(
-                {**json.loads(cfg.to_json()), "experiment": args.experiment}
-            ))
+            cfg = replace(hn.ExperimentConfig.from_json(fh.read()), **overrides)
     elif args.experiment:
-        cfg = hn.ExperimentConfig(args.experiment, seed=args.seed,
-                                  threads=args.threads)
+        cfg = hn.ExperimentConfig(**overrides)
     else:
         print("verify needs --experiment or --config", file=sys.stderr)
         return 2
-    if args.out:
-        cfg = hn.ExperimentConfig.from_json(json.dumps(
-            {**json.loads(cfg.to_json()), "out": args.out}
-        ))
     return _result_to_exit(hn.dispatch(cfg))
 
 
@@ -387,8 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", choices=hn.EXPERIMENTS)
     p.add_argument("--config", help="ExperimentConfig JSON path")
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--seed", type=int, help="overrides the config's seed (default 42)")
+    p.add_argument("--threads", type=int,
+                   help="overrides the config's threads (default 1)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

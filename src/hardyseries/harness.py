@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -51,6 +51,7 @@ EXPERIMENTS = (
 )
 
 _SCAN_EXPERIMENTS = ("hurwitz_scan", "lerch_scan")
+_SCAN_SUBDIV = 8  # grid intervals of a hurwitz_scan window
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,22 @@ class ExperimentConfig:
             )
         if not self.alphas or not self.deltas:
             raise InvalidParameterError("alpha and delta grids must be non-empty")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise InvalidParameterError(f"config field {f.name!r} must be finite")
         if self.experiment in _SCAN_EXPERIMENTS:
             if any(d <= 0 or d > 0.05 for d in self.deltas):
                 raise InvalidParameterError("scan deltas must lie in (0, 0.05]")
         if self.t_step <= 0 or self.t_stop < self.t_start:
             raise InvalidParameterError("bad T range")
+        if self.experiment == "hurwitz_scan":
+            for h in (d / _SCAN_SUBDIV for d in self.deltas):
+                if abs(max(1, round(self.t_step / h)) * h - self.t_step) > 1e-12:
+                    raise InvalidParameterError(
+                        f"hurwitz_scan t_step {self.t_step:g} must be a whole "
+                        f"multiple of delta/{_SCAN_SUBDIV} = {h:g}")
         if self.tolerance <= 0:
             raise InvalidParameterError("tolerance must be positive")
         if self.threads < 1:
@@ -187,12 +199,6 @@ def _random_classical(
     return se.classical_polynomial(coeffs, sigma)
 
 
-def _grid_moduli(series: se.DirichletSeries, sigma1: float, ts: np.ndarray) -> np.ndarray:
-    lam = series.lambdas
-    weights = series.coefficients * np.exp(-lam * sigma1)
-    return np.abs(np.exp(-1j * np.outer(ts, lam)) @ weights)
-
-
 # ---------------------------------------------------------------------------
 # constants experiment
 # ---------------------------------------------------------------------------
@@ -285,7 +291,8 @@ def _nonvanishing_rows(config: ExperimentConfig, rng) -> list:
                 ("L13", bounded, bd.nonvanishing_abscissa(1.0, p.c, p.lambda1, xi, "BoundedCoeff"), "BoundedCoeff", 1.0),
             ]
             for tid, target_series, x, variant, norm in cases:
-                mods = _grid_moduli(target_series, 0.5 + x, ts)
+                sigma1 = 0.5 + x
+                mods = np.abs(se.line_evaluator(target_series, sigma1)(sigma1 + 1j * ts))
                 lo = float(np.min(mods))
                 hi = float(np.max(mods))
                 resid = (
@@ -430,12 +437,9 @@ def _window_integrals(mods: np.ndarray, nodes_per_window: int, stride: int, h: f
 
 def _scan_alpha(alpha: float, delta: float, config: ExperimentConfig):
     """Windowed integrals of |zeta(1+it, alpha)| over sliding T windows."""
-    subdiv = 8  # grid intervals per window; t_step must align
+    subdiv = _SCAN_SUBDIV
     h = delta / subdiv
-    stride = int(round(config.t_step / h))
-    if abs(stride * h - config.t_step) > 1e-12:
-        h = config.t_step / max(1, stride)
-        stride = int(round(config.t_step / h))
+    stride = int(round(config.t_step / h))  # whole, checked with the config
     n_windows = int(math.floor((config.t_stop - config.t_start) / config.t_step)) + 1
     n_nodes = (n_windows - 1) * stride + subdiv + 1
     ts = config.t_start + h * np.arange(n_nodes)
@@ -521,13 +525,14 @@ def run_lerch_scan(config: ExperimentConfig) -> ExperimentResult:
     spots = np.arange(config.t_start, config.t_stop + 1e-12, config.t_step)
     for alpha in config.alphas:
         for beta in config.betas:
+
+            def ev(s_val: np.ndarray) -> np.ndarray:
+                return np.array([sp.lerch_phi(alpha, beta, complex(1.0, t), 1e-9)
+                                 for t in s_val.imag])
+
             for delta in config.deltas:
                 lb = bd.hurwitz_lower_bound(beta, delta, "HurwitzLerch")
                 for t_lo in spots:
-
-                    def ev(s_val: complex) -> complex:
-                        return sp.lerch_phi(alpha, beta, complex(1.0, s_val.imag), 1e-9)
-
                     val = qd.integrate_abs_pow(
                         ev, 1.0, (float(t_lo), float(t_lo) + delta), 1, 1e-8
                     ).value

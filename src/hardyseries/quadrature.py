@@ -1,8 +1,17 @@
 """Adaptive integration of |L|^p, log+/-|L|, and Poisson-weighted logs.
 
-Plain adaptive Simpson with the 15-fold Richardson acceptance test per
-panel, maximum recursion depth 20, and a hard cap of 2^20 panels.  The
-integrands are analytic except for isolated log singularities at zeros of
+Evaluator contract: an evaluator maps a complex ndarray of points s on the
+line Re s = sigma to the complex ndarray of values L(s), of the same shape
+(``series.line_evaluator`` builds one).
+
+Adaptive Simpson with the 15-fold Richardson acceptance test per panel, the
+per-panel tolerance halved at each level, maximum depth 20 (where a failing
+panel is accepted and the result flagged), and a hard cap of 2^20 panels.
+Panels are refined depth-first in batches of at most 256, so one evaluator
+call gets the two quarter points of each panel of a batch, at most 512
+points; longer point lists (base pre-split, sup grid) go in calls of 512.
+
+The integrands are analytic except for isolated log singularities at zeros of
 L; there |L| itself stays continuous, so only the log needs a floor:
 modulus below 1e-300 is clamped (log ~ -690.8, far below any bound of
 interest) and the result is flagged.
@@ -31,11 +40,12 @@ __all__ = [
 ]
 
 _MODULUS_FLOOR = 1e-300
-_LOG_FLOOR = -math.log(_MODULUS_FLOOR)  # 690.77...
 _MAX_DEPTH = 20
 _PANEL_LIMIT = 2 ** 20
+_BATCH_PANELS = 256  # panels refined per evaluator call
+_BATCH_POINTS = 2 * _BATCH_PANELS  # points per evaluator call, at most
 
-Evaluator = Callable[[complex], complex]
+Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -51,73 +61,67 @@ class IntegralResult:
             raise QuadratureError("non-finite error estimate")
 
 
-class _Panels:
-    __slots__ = ("count", "flagged")
-
-    def __init__(self) -> None:
-        self.count = 1
-        self.flagged = False
+def _modulus(evaluator: Evaluator, sigma: float):
+    """t-array -> |L(sigma + i t)|."""
+    return lambda t: np.abs(evaluator(sigma + 1j * t))
 
 
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
+def _sample(f, ts: np.ndarray) -> np.ndarray:
+    """f on the ordinates ts, in calls of at most 512 points."""
+    return np.concatenate(
+        [f(ts[lo:lo + _BATCH_POINTS]) for lo in range(0, ts.size, _BATCH_POINTS)]
+    )
+
+
+def _simpson(fa, fm, fb, h):
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    fa: float,
-    fm: float,
-    fb: float,
-    whole: float,
-    tol: float,
-    depth: int,
-    panels: _Panels,
-) -> tuple[float, float]:
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol or depth >= _MAX_DEPTH:
-        if depth >= _MAX_DEPTH and abs(delta) > 15.0 * tol:
-            panels.flagged = True
-        return left + right + delta / 15.0, abs(delta) / 15.0
-    panels.count += 1
-    if panels.count > _PANEL_LIMIT:
-        raise QuadratureError("adaptive Simpson exceeded the panel limit")
-    lv, le = _adaptive(f, a, m, fa, flm, fm, left, tol / 2.0, depth + 1, panels)
-    rv, re_ = _adaptive(f, m, b, fm, frm, fb, right, tol / 2.0, depth + 1, panels)
-    return lv + rv, le + re_
-
-
-def _integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
-    min_panels: int | None = None,
-):
+def _integrate(f, a: float, b: float, tol: float, min_panels: int | None = None):
+    """Adaptive Simpson of the t-array integrand f over [a, b]: (value,
+    error estimate, panel count = 1 + number of splits, flagged)."""
     # Pre-split on roughly the unit scale: the Simpson acceptance test can
     # alias on panels holding many oscillation periods, and the Dirichlet
     # frequencies in play are O(1).  Adaptivity then refines within panels.
     if min_panels is None:
         min_panels = max(8, min(4096, int(math.ceil(b - a))))
-    panels = _Panels()
     edges = np.linspace(a, b, min_panels + 1)
-    value = 0.0
-    err = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        fa, fm, fb = f(lo), f(0.5 * (lo + hi)), f(hi)
-        whole = _simpson(fa, fm, fb, hi - lo)
-        v, e = _adaptive(
-            f, lo, hi, fa, fm, fb, whole, tol * (hi - lo) / (b - a), 0, panels
-        )
-        value += v
-        err += e
-    return value, err, panels
+    lo, hi = edges[:-1], edges[1:]
+    fs = _sample(f, np.concatenate([edges, 0.5 * (lo + hi)]))
+    fa, fm, fb = fs[:min_panels], fs[min_panels + 1:], fs[1:min_panels + 1]
+    # one column per panel: ends, f at the ends and midpoint, Simpson value,
+    # tolerance
+    panels = np.stack([lo, hi, fa, fm, fb, _simpson(fa, fm, fb, hi - lo),
+                       tol * (hi - lo) / (b - a)])
+    stack = [(0, panels[:, i:i + _BATCH_PANELS])
+             for i in reversed(range(0, min_panels, _BATCH_PANELS))]
+    value = err = 0.0
+    count, flagged = 1, False
+    while stack:
+        depth, (pa, pb, fa, fm, fb, whole, ptol) = stack.pop()
+        m = 0.5 * (pa + pb)
+        quarter = f(np.concatenate([0.5 * (pa + m), 0.5 * (m + pb)]))
+        flm, frm = quarter[:m.size], quarter[m.size:]
+        left = _simpson(fa, flm, fm, m - pa)
+        right = _simpson(fm, frm, fb, pb - m)
+        delta = left + right - whole
+        done = np.abs(delta) <= 15.0 * ptol
+        if depth >= _MAX_DEPTH:
+            flagged = flagged or not done.all()
+            done[:] = True
+        value += float(np.sum((left + right + delta / 15.0)[done]))
+        err += float(np.sum(np.abs(delta[done]) / 15.0))
+        split = ~done
+        count += int(np.count_nonzero(split))
+        if count > _PANEL_LIMIT:
+            raise QuadratureError("adaptive Simpson exceeded the panel limit")
+        halves = np.concatenate([
+            np.stack([pa, m, fa, flm, fm, left, ptol / 2.0])[:, split],
+            np.stack([m, pb, fm, frm, fb, right, ptol / 2.0])[:, split],
+        ], axis=1)
+        stack.extend((depth + 1, halves[:, i:i + _BATCH_PANELS])
+                     for i in reversed(range(0, halves.shape[1], _BATCH_PANELS)))
+    return value, err, count, flagged
 
 
 def _check_interval(interval, tol: float) -> tuple[float, float]:
@@ -140,12 +144,27 @@ def integrate_abs_pow(
     a, b = _check_interval(interval, tol)
     if p < 1:
         raise InvalidParameterError("p must be >= 1")
+    modulus = _modulus(evaluator, sigma)
+    value, err, count, flagged = _integrate(lambda t: modulus(t) ** p, a, b, tol)
+    return IntegralResult(value, err, count, flagged=flagged)
 
-    def f(t: float) -> float:
-        return abs(evaluator(complex(sigma, t))) ** p
 
-    value, err, panels = _integrate(f, a, b, tol)
-    return IntegralResult(value, err, panels.count, flagged=panels.flagged)
+def _log_integrand(evaluator: Evaluator, sigma: float, sign: str):
+    """t-array -> log+|L| or log-|L| = max(0, -log|L|), the modulus floored at
+    1e-300; the returned one-element list turns True once the floor is hit."""
+    if sign not in ("plus", "minus"):
+        raise InvalidParameterError("sign must be 'plus' or 'minus'")
+    modulus = _modulus(evaluator, sigma)
+    hit_floor = [False]
+
+    def f(t: np.ndarray) -> np.ndarray:
+        mod = modulus(t)
+        if np.any(mod < _MODULUS_FLOOR):
+            hit_floor[0] = True
+        lg = np.log(np.maximum(mod, _MODULUS_FLOOR))
+        return np.maximum(0.0, lg if sign == "plus" else -lg)
+
+    return f, hit_floor
 
 
 def integrate_log(
@@ -162,22 +181,9 @@ def integrate_log(
     value (<= panel_width * 690.8) and mark the result as flagged.
     """
     a, b = _check_interval(interval, tol)
-    if sign not in ("plus", "minus"):
-        raise InvalidParameterError("sign must be 'plus' or 'minus'")
-    hit_floor = [False]
-
-    def f(t: float) -> float:
-        mod = abs(evaluator(complex(sigma, t)))
-        if mod < _MODULUS_FLOOR:
-            hit_floor[0] = True
-            mod = _MODULUS_FLOOR
-        lg = math.log(mod)
-        return max(0.0, lg) if sign == "plus" else max(0.0, -lg)
-
-    value, err, panels = _integrate(f, a, b, tol)
-    return IntegralResult(
-        value, err, panels.count, flagged=panels.flagged or hit_floor[0]
-    )
+    f, hit_floor = _log_integrand(evaluator, sigma, sign)
+    value, err, count, flagged = _integrate(f, a, b, tol)
+    return IntegralResult(value, err, count, flagged=flagged or hit_floor[0])
 
 
 def poisson_log_integral(
@@ -202,22 +208,14 @@ def poisson_log_integral(
         raise InvalidParameterError("D must be positive")
     if tol <= 0:
         raise InvalidParameterError("tolerance must be positive")
-    if sign not in ("plus", "minus"):
-        raise InvalidParameterError("sign must be 'plus' or 'minus'")
+    log_part, hit_floor = _log_integrand(evaluator, sigma, sign)
     if sign == "minus" and minus_tail_bound is None:
         raise InvalidParameterError(
             "minus sign needs minus_tail_bound (an anchor-based total bound)"
         )
-    hit_floor = [False]
 
-    def f(t: float) -> float:
-        mod = abs(evaluator(complex(sigma, t)))
-        if mod < _MODULUS_FLOOR:
-            hit_floor[0] = True
-            mod = _MODULUS_FLOOR
-        lg = math.log(mod)
-        part = max(0.0, lg) if sign == "plus" else max(0.0, -lg)
-        return d / math.pi * part / (d * d + t * t)
+    def f(t: np.ndarray) -> np.ndarray:
+        return d / math.pi * log_part(t) / (d * d + t * t)
 
     log_plus_norm = max(0.0, math.log(l1_norm)) if l1_norm > 0 else 0.0
     t_max = 8.0 * d
@@ -236,7 +234,7 @@ def poisson_log_integral(
     subdivisions = 0
     flagged = False
     # symmetric octave panels: the kernel varies boundedly on each, so the
-    # depth-limited recursion resolves even a very distant truncation point
+    # depth-limited refinement resolves even a very distant truncation point
     cuts = [0.0, 0.5 * d]
     while cuts[-1] < t_max:
         cuts.append(min(2.0 * cuts[-1], t_max))
@@ -246,13 +244,13 @@ def poisson_log_integral(
         mass = (math.atan(hi / d) - math.atan(lo / d)) / math.pi
         base = max(8, min(512, int(math.ceil(hi - lo)), int(math.ceil(3000.0 * mass))))
         for seg in ((lo, hi), (-hi, -lo)):
-            v, e, panels = _integrate(
+            v, e, count, seg_flagged = _integrate(
                 f, seg[0], seg[1], tol / (2 * len(cuts)), min_panels=base
             )
             value += v
             err += e
-            subdivisions += panels.count
-            flagged = flagged or panels.flagged
+            subdivisions += count
+            flagged = flagged or seg_flagged
     if sign == "minus":
         tail = max(0.0, minus_tail_bound - value)
     return IntegralResult(
@@ -269,26 +267,21 @@ def interval_sup(
 ) -> float:
     """Grid maximum of |L(sigma+it)| on [a, b], refined around the argmax.
 
-    Two rounds of golden-section-style local refinement around the best
-    grid point; the result is a lower bound for the true supremum.
+    The grid goes to the evaluator in one call (calls of 512 for larger
+    grids), then two rounds of golden-section-style local refinement around
+    the best grid point take two points per call; the result is a lower
+    bound for the true supremum.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise InvalidParameterError("interval must satisfy b > a")
     if grid_n < 16:
         raise InvalidParameterError("grid_n must be >= 16")
-
-    def f(t: float) -> float:
-        return abs(evaluator(complex(sigma, t)))
-
+    modulus = _modulus(evaluator, sigma)
     h = (b - a) / grid_n
-    best_t, best = a, f(a)
-    t = a
-    for i in range(1, grid_n + 1):
-        t = a + i * h
-        v = f(t)
-        if v > best:
-            best_t, best = t, v
+    grid = _sample(modulus, a + np.arange(grid_n + 1) * h)
+    k = int(np.argmax(grid))
+    best_t, best = a + k * h, float(grid[k])
     lo, hi = max(a, best_t - h), min(b, best_t + h)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     for _ in range(2):
@@ -296,11 +289,11 @@ def interval_sup(
         for _ in range(24):
             x1 = hi - invphi * (hi - lo)
             x2 = lo + invphi * (hi - lo)
-            f1, f2 = f(x1), f(x2)
+            f1, f2 = modulus(np.array([x1, x2]))
             if f1 > best:
-                best, best_t = f1, x1
+                best, best_t = float(f1), x1
             if f2 > best:
-                best, best_t = f2, x2
+                best, best_t = float(f2), x2
             if f1 < f2:
                 lo = x1
             else:

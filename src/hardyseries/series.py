@@ -41,7 +41,6 @@ __all__ = [
     "classical_polynomial",
     "evaluate",
     "hurwitz_family",
-    "hurwitz_log_family",
     "l1_norm_at",
     "l2_norm",
     "line_evaluator",
@@ -56,11 +55,8 @@ __all__ = [
 
 CLASSICAL = "classical"
 HURWITZ = "hurwitz"
-HURWITZ_LOG = "hurwitz_log"
 LINEAR = "linear"
 EXPLICIT = "explicit"
-
-_JSON_KINDS = (CLASSICAL, HURWITZ, LINEAR, EXPLICIT)
 
 
 @dataclass(frozen=True)
@@ -69,8 +65,6 @@ class ExponentSequence:
 
     kinds: classical  lambda_n = log(n+1)
            hurwitz    lambda_n = log(n+alpha) - log(alpha),  0 < alpha <= 1
-           hurwitz_log same exponents as hurwitz; carries the complex weight
-                       order z used by the log-weighted zeta family
            linear     lambda_n = c n,  c > 0
            explicit   a finite strictly increasing list starting at 0
     """
@@ -79,13 +73,12 @@ class ExponentSequence:
     alpha: float | None = None
     c: float | None = None
     values: tuple[float, ...] | None = None
-    z: complex | None = None
     scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.scale <= 0 or not math.isfinite(self.scale):
             raise InvalidParameterError("exponent scale must be positive")
-        if self.kind in (HURWITZ, HURWITZ_LOG):
+        if self.kind == HURWITZ:
             if self.alpha is None or not 0 < self.alpha <= 1:
                 raise InvalidParameterError("hurwitz exponents need 0 < alpha <= 1")
         elif self.kind == LINEAR:
@@ -111,10 +104,6 @@ class ExponentSequence:
         return cls(HURWITZ, alpha=alpha)
 
     @classmethod
-    def hurwitz_log(cls, alpha: float, z: complex) -> "ExponentSequence":
-        return cls(HURWITZ_LOG, alpha=alpha, z=complex(z))
-
-    @classmethod
     def linear(cls, c: float) -> "ExponentSequence":
         return cls(LINEAR, c=c)
 
@@ -137,7 +126,7 @@ class ExponentSequence:
             lam = np.asarray(self.values[:count])
         elif self.kind == CLASSICAL:
             lam = np.log(np.arange(count) + 1.0)
-        elif self.kind in (HURWITZ, HURWITZ_LOG):
+        elif self.kind == HURWITZ:
             lam = np.log(np.arange(count) + self.alpha) - math.log(self.alpha)
         else:  # linear
             lam = self.c * np.arange(count, dtype=float)
@@ -266,22 +255,6 @@ def hurwitz_family(alpha: float, n_terms: int = 64, include_tail: bool = True) -
     coeffs = np.sqrt(alpha / (n + alpha)).astype(complex)
     tail = HurwitzTail(alpha, n_terms) if include_tail else None
     return DirichletSeries(ExponentSequence.hurwitz(alpha), coeffs, 0.5, tail)
-
-
-def hurwitz_log_family(alpha: float, z: complex, n_terms: int = 64) -> DirichletSeries:
-    """Log-weighted zeta family: coefficients (log(n+alpha))^-z, half-line scale.
-
-    Needs 0 < alpha < 1 so log(alpha) != 0 keeps the n = 0 weight finite;
-    the weight of a negative log uses the principal complex power.
-    """
-    if not 0 < alpha < 1:
-        raise InvalidParameterError("hurwitz_log_family needs 0 < alpha < 1")
-    z = complex(z)
-    n = np.arange(n_terms)
-    logs = np.log(n + alpha).astype(complex)
-    weights = np.exp(-z * np.log(logs))
-    coeffs = weights * np.sqrt(alpha / (n + alpha))
-    return DirichletSeries(ExponentSequence.hurwitz_log(alpha, z), coeffs, 0.5)
 
 
 def one_minus_two_power_series(order: int, sigma: float = 0.5) -> DirichletSeries:
@@ -429,19 +402,18 @@ def normalize_leading(series: DirichletSeries) -> DirichletSeries:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _tail_value(tail: HurwitzTail, s: complex, target_error: float) -> EvalResult:
+def _tail_value(tail: HurwitzTail, s, target_error: float) -> EvalResult:
+    """The analytic tail at s: one complex number or an array on one vertical line."""
     # tail terms are alpha^w (n+alpha)^-w with w = coeff_power + lambda_scale s
-    w = tail.coeff_power + tail.lambda_scale * complex(s)
-    if w.real <= 1:
-        raise DivergenceError(
-            f"tail diverges at Re(s) = {complex(s).real}: effective exponent "
-            f"{w.real:.4f} <= 1"
-        )
-    pref = tail.alpha ** w
+    w = tail.coeff_power + tail.lambda_scale * np.asarray(s, dtype=complex)
+    w_re = float(np.ravel(w)[0].real)
+    if w_re <= 1:
+        raise DivergenceError(f"tail diverges: effective exponent {w_re:.4f} <= 1")
+    pref_mod = tail.alpha ** w_re  # |alpha^w|, the same at every point of the line
     raw, bound = special.hurwitz_tail_sum(
-        w, tail.alpha, tail.start, target_error / max(abs(pref), 1e-300)
+        w, tail.alpha, tail.start, target_error / max(pref_mod, 1e-300)
     )
-    return EvalResult(pref * raw, float(abs(pref) * bound))
+    return EvalResult(tail.alpha ** w * raw, float(pref_mod * bound))
 
 
 def evaluate(series: DirichletSeries, s: complex, target_error: float = 1e-12) -> EvalResult:
@@ -459,30 +431,46 @@ def evaluate(series: DirichletSeries, s: complex, target_error: float = 1e-12) -
     if target_error <= 0:
         raise InvalidParameterError("target_error must be positive")
     tail_val = _tail_value(series.tail, s, target_error)
-    return EvalResult(value + tail_val.value, tail_val.error_bound)
+    return EvalResult(value + complex(tail_val.value), tail_val.error_bound)
+
+
+_EVAL_BLOCK = 1 << 13  # head-sum matrix entries (points x terms) per block
 
 
 def line_evaluator(
     series: DirichletSeries, sigma1: float, tail_tol: float = 1e-10
-) -> Callable[[complex], complex]:
-    """Evaluator for s on the vertical line Re(s) = sigma1.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluator for points s on the vertical line Re(s) = sigma1.
 
-    Finite series precompute the damped weights a_n e^(-lambda_n sigma1);
-    tailed families add a per-point analytic tail closure at ``tail_tol``.
-    The returned callable accepts sigma1 + i t (the real part is ignored).
+    The returned function maps a complex array of points sigma1 + i t to the
+    array of values L(s), of the same shape; points off the line are refused.
+    The head sum exp(-i t lambda) . a_n e^(-lambda_n sigma1) is built in
+    blocks of at most 2^13 matrix entries and summed per row, in the order
+    of the one-point sum in ``evaluate`` (a BLAS product adds in another);
+    tailed families close the tail of the whole array with one
+    Euler-Maclaurin call at ``tail_tol``.
     """
     lam = series.lambdas
     weights = series.coefficients * np.exp(-lam * sigma1)
     tail = series.tail
     if tail is not None and tail.power_at(sigma1) <= 1.0:
         raise DivergenceError("line lies at or below the tail abscissa")
+    rows = max(1, _EVAL_BLOCK // lam.size)
 
-    def ev(s: complex) -> complex:
-        t = complex(s).imag
-        head = complex(np.sum(weights * np.exp(-1j * lam * t)))
-        if tail is None:
-            return head
-        return head + _tail_value(tail, complex(sigma1, t), tail_tol).value
+    def ev(s: np.ndarray) -> np.ndarray:
+        s = np.asarray(s, dtype=complex)
+        if np.any(s.real != sigma1):
+            raise InvalidParameterError(f"points off the line Re(s) = {sigma1}")
+        t = s.imag
+        flat = t.ravel()
+        out = np.empty(flat.shape, dtype=complex)
+        for lo in range(0, flat.size, rows):
+            phases = np.exp(-1j * np.outer(flat[lo:lo + rows], lam))
+            out[lo:lo + rows] = np.sum(weights * phases, axis=1)
+        out = out.reshape(t.shape)
+        if tail is not None and t.size:
+            out += _tail_value(tail, sigma1 + 1j * t, tail_tol).value
+        return out
 
     return ev
 
@@ -490,6 +478,17 @@ def line_evaluator(
 # ---------------------------------------------------------------------------
 # JSON interface
 # ---------------------------------------------------------------------------
+
+def _finite(value, field: str) -> float:
+    """A finite float from a JSON value, or an error naming the field."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise InvalidSeriesError(f"series field {field!r} must be a number, got {value!r}")
+    if not math.isfinite(x):
+        raise InvalidSeriesError(f"series field {field!r} must be finite, got {x}")
+    return x
+
 
 def _exponents_from_json(obj: dict) -> ExponentSequence:
     if not isinstance(obj, dict):
@@ -504,22 +503,23 @@ def _exponents_from_json(obj: dict) -> ExponentSequence:
     if kind == HURWITZ:
         if "alpha" not in obj:
             raise InvalidSeriesError("hurwitz exponents need 'alpha'")
-        return ExponentSequence.hurwitz(float(obj["alpha"]))
+        return ExponentSequence.hurwitz(_finite(obj["alpha"], "alpha"))
     if kind == LINEAR:
         if "c" not in obj:
             raise InvalidSeriesError("linear exponents need 'c'")
-        return ExponentSequence.linear(float(obj["c"]))
+        return ExponentSequence.linear(_finite(obj["c"], "c"))
     if kind == EXPLICIT:
-        if "values" not in obj:
-            raise InvalidSeriesError("explicit exponents need 'values'")
-        return ExponentSequence.explicit(obj["values"])
+        if not isinstance(obj.get("values"), list):
+            raise InvalidSeriesError("explicit exponents need a 'values' list")
+        return ExponentSequence.explicit([_finite(v, "values") for v in obj["values"]])
     raise InvalidSeriesError(f"unknown exponent kind {kind!r}")
 
 
 def series_from_json(text: str) -> DirichletSeries:
     """Parse {"exponents": {...}, "coefficients": [[re, im], ...], "sigma": x}.
 
-    Unknown fields anywhere in the document are rejected.
+    Unknown fields anywhere in the document are rejected, and so are
+    non-finite numbers (JSON NaN / Infinity), with the field named.
     """
     obj = json.loads(text)
     if not isinstance(obj, dict):
@@ -538,15 +538,16 @@ def series_from_json(text: str) -> DirichletSeries:
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 2):
             raise InvalidSeriesError("each coefficient must be a [re, im] pair")
-        coeffs.append(complex(float(entry[0]), float(entry[1])))
-    return DirichletSeries(exponents, np.asarray(coeffs), float(obj["sigma"]))
+        coeffs.append(complex(_finite(entry[0], "coefficients"),
+                              _finite(entry[1], "coefficients")))
+    return DirichletSeries(exponents, np.asarray(coeffs), _finite(obj["sigma"], "sigma"))
 
 
 def series_to_json(series: DirichletSeries) -> str:
     if series.tail is not None:
         raise InvalidSeriesError("tailed families have no JSON form")
     exp = series.exponents
-    if exp.kind in _JSON_KINDS and exp.scale == 1.0:
+    if exp.scale == 1.0:
         if exp.kind == CLASSICAL:
             eobj: dict = {"kind": CLASSICAL}
         elif exp.kind == HURWITZ:
@@ -556,7 +557,7 @@ def series_to_json(series: DirichletSeries) -> str:
         else:
             eobj = {"kind": EXPLICIT, "values": list(exp.values)}
     else:
-        # rescaled or log-weighted: materialize the exponents
+        # rescaled: materialize the exponents
         eobj = {"kind": EXPLICIT, "values": [float(v) for v in series.lambdas]}
     return json.dumps(
         {

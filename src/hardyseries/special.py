@@ -212,20 +212,22 @@ def riemann_zeta(s: complex, target_error: float = 1e-12) -> complex:
 
 
 def hurwitz_tail_sum(
-    w: complex,
+    w,
     alpha: float,
     start: int,
     target_error: float = 1e-12,
-) -> tuple[complex, float]:
+):
     """sum_{n >= start} (n + alpha)^-w with a certified bound, Re(w) > 1.
 
-    Direct terms up to a cutoff, then the same Euler-Maclaurin closure as
-    the zeta evaluators.  Used for the analytic tails of built-in series.
+    ``w`` is one complex number or an array on one vertical line; one cutoff,
+    sized at the largest |Im w|, and the Euler-Maclaurin closure of the zeta
+    evaluators serve every point.  Used for the tails of built-in series.
     """
-    w = complex(w)
-    if w.real <= 1:
-        raise InvalidParameterError(f"tail sum diverges for Re(w) = {w.real}")
-    n_cutoff = _em_cutoff(w, alpha, target_error, start)
+    wv = np.asarray(w, dtype=complex)
+    worst = complex(np.ravel(wv)[0].real, np.max(np.abs(wv.imag)))
+    if worst.real <= 1:
+        raise InvalidParameterError(f"tail sum diverges for Re(w) = {worst.real}")
+    n_cutoff = _em_cutoff(worst, alpha, target_error, start)
     return _hurwitz_em_raw(w, alpha, n_cutoff, start=start)
 
 

@@ -137,3 +137,58 @@ def test_help_mentions_catalog(capsys):
     assert cli.main(["bound", "--help"]) == 0
     out = capsys.readouterr().out
     assert "T4" in out and "T27" in out
+
+
+def test_verify_flags_override_config(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"experiment": "local_l2_sweep", "n_series": 3,
+                                    "d_values": [1.0], "seed": 7}))
+
+    def run(*flags):
+        out = tmp_path / "out.csv"
+        assert cli.main(["verify", "--config", str(cfg_path), "--out", str(out),
+                         *flags]) == 0
+        return out.read_bytes()
+
+    seed1, seed2 = run("--seed", "1"), run("--seed", "2")
+    assert seed1 != seed2
+    assert run() == run("--seed", "7")  # no flag keeps the config's seed
+    assert cli.main(["verify", "--config", str(cfg_path), "--threads", "0"]) == 2
+
+
+_NAN, _INF = float("nan"), float("inf")
+_SERIES = {"exponents": {"kind": "classical"}, "coefficients": [[1.0, 0.0], [0.5, 0.0]],
+           "sigma": 0.5}
+
+
+@pytest.mark.parametrize("command, field, doc", [
+    ("norms", "sigma", {**_SERIES, "sigma": _NAN}),
+    ("norms", "alpha", {**_SERIES, "exponents": {"kind": "hurwitz", "alpha": _NAN}}),
+    ("norms", "c", {**_SERIES, "exponents": {"kind": "linear", "c": _NAN}}),
+    ("norms", "values", {**_SERIES, "exponents": {"kind": "explicit",
+                                                  "values": [0.0, _INF]}}),
+    ("norms", "coefficients", {**_SERIES, "coefficients": [[1.0, 0.0], [_NAN, 0.0]]}),
+    ("verify", "tolerance", {"experiment": "constants", "tolerance": _NAN}),
+    ("verify", "t_step", {"experiment": "lerch_scan", "t_step": _NAN}),
+    ("verify", "t_stop", {"experiment": "lerch_scan", "t_stop": _INF}),
+    ("verify", "alphas", {"experiment": "hurwitz_scan", "alphas": [0.5, _NAN]}),
+    ("verify", "d_values", {"experiment": "local_l2_sweep", "d_values": [-_INF]}),
+])
+def test_nonfinite_input_names_field(tmp_path, capsys, command, field, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))  # json writes NaN / Infinity literals
+    flag = "--series" if command == "norms" else "--config"
+    assert cli.main([command, flag, str(path)]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_hurwitz_scan_step_must_align(tmp_path, capsys):
+    # windows are 8 grid steps of delta/8 and t_step must be a whole number
+    # of grid steps: 0.03 is not a multiple of 0.05/8
+    cfg_path = tmp_path / "scan.json"
+    doc = {"experiment": "hurwitz_scan", "alphas": [1.0], "t_stop": 1.0}
+    cfg_path.write_text(json.dumps({**doc, "t_step": 0.03}))
+    assert cli.main(["verify", "--config", str(cfg_path)]) == 2
+    assert "t_step" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps(doc))  # default delta 0.05, t_step 0.025
+    assert cli.main(["verify", "--config", str(cfg_path)]) == 0

@@ -7,11 +7,11 @@ import pytest
 
 from hardyseries import quadrature as qd
 from hardyseries import series as se
-from hardyseries.errors import InvalidParameterError
+from hardyseries.errors import InvalidParameterError, QuadratureError
 
 
 def _const(c):
-    return lambda s: c
+    return lambda s: np.full(np.shape(s), c, dtype=complex)
 
 
 def _two_term_eval():
@@ -199,3 +199,60 @@ def test_mean_value_long_interval():
     # the diagonal; widen D until the residual oscillation is inside 5%
     r2 = qd.integrate_abs_pow(ev, 0.5, (0.0, 4000.0), 2, tol=0.4)
     assert r2.value / 4000.0 == pytest.approx(diag, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# flags, the panel cap and the batch size
+# ---------------------------------------------------------------------------
+
+def test_modulus_floor_flag():
+    floor_log = -math.log(1e-300)
+    r = qd.integrate_log(_const(0.0), 0.0, (0.0, 0.5), "minus", 1e-8)
+    assert r.flagged
+    assert r.value == pytest.approx(0.5 * floor_log, rel=1e-12)
+    assert qd.integrate_log(_const(0.0), 0.0, (0.0, 0.5), "plus", 1e-8).flagged
+    r = qd.poisson_log_integral(_const(0.0), 0.0, 1.0, "minus", 1e-6, l1_norm=1.0,
+                                minus_tail_bound=floor_log)
+    assert r.flagged
+    assert r.value + r.truncation_tail == pytest.approx(floor_log, rel=1e-6)
+    assert not qd.integrate_log(_const(0.5), 0.0, (0.0, 0.5), "minus", 1e-8).flagged
+
+
+def test_depth_limit_flag():
+    # a jump never passes the Richardson test, so its panel is refined to
+    # depth 20 and accepted there with the flag set
+    def step(s):
+        return np.where(s.imag > 1.0 / 3.0, 2.0, 1.0).astype(complex)
+
+    r = qd.integrate_abs_pow(step, 0.0, (0.0, 1.0), 1, 1e-10)
+    assert r.flagged
+    assert r.value == pytest.approx(5.0 / 3.0, abs=1e-6)
+    assert r.subdivisions < 100
+    assert not qd.integrate_abs_pow(_two_term_eval(), 0.0, (0.0, 1.0), 1, 1e-10).flagged
+
+
+def test_panel_limit():
+    # the chirp sin(1e12 t^2) keeps many periods in every panel down to depth
+    # 20, so panels keep failing the test and splitting runs into the 2^20 cap
+    def fast(s):
+        return 2.0 + np.sin(1e12 * s.imag ** 2) + 0j
+
+    with pytest.raises(QuadratureError):
+        qd.integrate_abs_pow(fast, 0.0, (0.0, 1.0), 1, 1e-6)
+
+
+def test_evaluator_calls_at_most_512_points():
+    sizes = []
+    s = se.classical_polynomial([1.0, 0.7, -0.4, 0.25, 0.1], 0.5)
+    line = se.line_evaluator(s, 0.5)
+
+    def ev(points):
+        sizes.append(points.size)
+        assert np.all(points.real == 0.5)
+        return line(points)
+
+    qd.integrate_abs_pow(ev, 0.5, (0.0, 2000.0), 2, 1e-3)
+    qd.integrate_log(ev, 0.5, (0.0, 1200.0), "plus", 1e-4)
+    qd.poisson_log_integral(ev, 0.5, 1.0, "plus", 1e-6, l1_norm=se.l1_norm_at(s, 0.5))
+    qd.interval_sup(ev, 0.5, (0.0, 100.0), grid_n=3000)
+    assert max(sizes) == 512

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardyseries import quadrature as qd
 from hardyseries import series as se
 from hardyseries import special as sp
 from hardyseries.errors import (
@@ -265,6 +266,27 @@ def test_line_evaluator_matches_evaluate():
     for t in (0.0, 0.3, 2.0):
         direct, _ = se.evaluate(s, 0.5 + 1j * t)
         assert abs(ev(0.5 + 1j * t) - direct) < 1e-12
+    # the line is fixed: a quadrature on another line cannot silently use it
+    with pytest.raises(InvalidParameterError):
+        ev(np.array([0.5 + 1j, 0.6 + 1j]))
+    with pytest.raises(InvalidParameterError):
+        qd.integrate_abs_pow(ev, 2.0, (0.0, 1.0), 2, 1e-9)
+
+
+def test_tailed_line_evaluator_array_matches_evaluate():
+    # the whole array shares one tail cutoff, sized at its largest |t|; every
+    # point still meets tail_tol against a tighter scalar evaluation
+    tail_tol = 1e-10
+    fam = se.hurwitz_family(0.4, n_terms=24)
+    sigma1 = 0.75
+    ev = se.line_evaluator(fam, sigma1, tail_tol=tail_tol)
+    ts = np.array([[0.0, 0.3, -2.0], [17.5, 150.0, -400.0]])
+    values = ev(sigma1 + 1j * ts)
+    assert values.shape == ts.shape
+    for t, value in zip(ts.ravel(), values.ravel()):
+        direct, bound = se.evaluate(fam, complex(sigma1, t), target_error=1e-3 * tail_tol)
+        assert bound <= 1e-3 * tail_tol
+        assert abs(value - direct) <= tail_tol
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +396,3 @@ def test_class_params_invariants():
         se.ClassParams(c=1.0, sigma=0.5, lambda1=0.5, k=0.8)
     with pytest.raises(InvalidParameterError):
         se.ClassParams(c=2.0, sigma=0.0, lambda1=1.0, k=0.9)
-
-
-def test_hurwitz_log_family_monotone_exponents():
-    fam = se.hurwitz_log_family(0.5, 1 + 0.5j, n_terms=16)
-    lam = fam.lambdas
-    assert lam[0] == 0.0
-    assert np.all(np.diff(lam) > 0)
-    assert np.all(np.isfinite(fam.coefficients))
