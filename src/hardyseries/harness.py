@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
@@ -58,21 +59,21 @@ _SCAN_SUBDIV = 8  # grid intervals of a hurwitz_scan window
 class ExperimentConfig:
     experiment: str
     seed: int = 42
-    alphas: tuple = (0.3, 0.5, 1.0)
-    betas: tuple = (0.3, 0.7)
-    deltas: tuple = (0.05,)
+    alphas: tuple[float, ...] = (0.3, 0.5, 1.0)
+    betas: tuple[float, ...] = (0.3, 0.7)
+    deltas: tuple[float, ...] = (0.05,)
     t_start: float = 0.0
     t_stop: float = 1000.0
     t_step: float = 0.025
     tolerance: float = 1e-6
     n_series: int = 50
     n_terms: int = 20
-    d_values: tuple = (1.0, 10.0)
-    xis: tuple = (0.25, 0.5)
-    p_values: tuple = (1.0, 2.0)
+    d_values: tuple[float, ...] = (1.0, 10.0)
+    xis: tuple[float, ...] = (0.25, 0.5)
+    p_values: tuple[float, ...] = (1.0, 2.0)
     m_norm: float = 3.0
     search_terms: int = 16
-    orders: tuple = (1, 2, 3)
+    orders: tuple[int, ...] = (1, 2, 3)
     restarts: int = 4
     threads: int = 1
     out: str | None = None
@@ -114,9 +115,8 @@ class ExperimentConfig:
         unknown = set(obj) - known
         if unknown:
             raise InvalidParameterError(f"unknown config fields: {sorted(unknown)}")
-        for key in ("alphas", "betas", "deltas", "d_values", "xis", "p_values", "orders"):
-            if key in obj:
-                obj[key] = tuple(obj[key])
+        for key in obj:
+            obj[key] = _json_value(key, obj[key], _CONFIG_TYPES[key])
         return cls(**obj)
 
     def to_json(self) -> str:
@@ -125,6 +125,26 @@ class ExperimentConfig:
             if isinstance(value, tuple):
                 doc[key] = list(value)
         return json.dumps(doc, indent=2)
+
+
+_CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)  # field name -> annotation
+
+
+def _json_value(name: str, value, hint):
+    """A JSON config value checked against its field's annotation, with the
+    field named on a mismatch; a list becomes a tuple, and an int is a float."""
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise InvalidParameterError(f"config field {name!r} must be a list")
+        return tuple(_json_value(name, v, typing.get_args(hint)[0]) for v in value)
+    allowed = typing.get_args(hint) or (hint,)  # str | None -> (str, NoneType)
+    if float in allowed:
+        allowed += (int,)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise InvalidParameterError(
+            f"config field {name!r} must be "
+            f"{' or '.join(t.__name__ for t in allowed)}, got {value!r}")
+    return value
 
 
 def _fmt(value) -> str:
@@ -527,17 +547,19 @@ def run_lerch_scan(config: ExperimentConfig) -> ExperimentResult:
         for beta in config.betas:
 
             def ev(s_val: np.ndarray) -> np.ndarray:
-                return np.array([sp.lerch_phi(alpha, beta, complex(1.0, t), 1e-9)
-                                 for t in s_val.imag])
+                return sp.lerch_phi(alpha, beta, s_val, 1e-9)
 
             for delta in config.deltas:
                 lb = bd.hurwitz_lower_bound(beta, delta, "HurwitzLerch")
                 for t_lo in spots:
-                    val = qd.integrate_abs_pow(
+                    r = qd.integrate_abs_pow(
                         ev, 1.0, (float(t_lo), float(t_lo) + delta), 1, 1e-8
-                    ).value
+                    )
+                    val = r.value
                     margin = math.log(val) - lb if val > 0 else -math.inf
-                    ok = math.isfinite(margin) and margin >= -config.tolerance
+                    # a depth-limited integral is no measurement to pass on
+                    ok = (math.isfinite(margin) and margin >= -config.tolerance
+                          and not r.flagged)
                     passed = passed and ok
                     rows.append((alpha, beta, delta, float(t_lo), val, lb, margin, ok))
     columns = ["alpha", "beta", "delta", "t", "measured", "log_bound", "margin", "pass"]

@@ -15,6 +15,15 @@ from it, as the smallest N >= 16 that meets the tolerance, before any term
 is summed; every returned value carries that error budget.  Bernoulli
 numbers B_2 .. B_60 are generated exactly once at import time from the
 integer recurrence.
+
+The array evaluators (``hurwitz_tail_sum``, ``hurwitz_zeta_grid`` and
+``lerch_phi``) take one complex s or an array of points on one vertical
+line, and refuse points off it.  Every bound grows with |t| at fixed sigma,
+so one cutoff, sized at the largest |Im s|, serves the whole array: the
+Euler-Maclaurin N, and for twisted sums the Abel-summation plan (N, K),
+where N is the smallest cutoff >= 64 whose truncation + roundoff bound
+meets the tolerance.  The head sums of both families go through one
+blocked kernel, ``_head_sum``.
 """
 
 from __future__ import annotations
@@ -48,7 +57,9 @@ _MAX_BERNOULLI_TERMS = 30  # B_2 through B_60
 _EM_TERMS = 14  # Bernoulli corrections M in every Euler-Maclaurin closure
 _MIN_CUTOFF = 16
 _MAX_CUTOFF = 2 ** 21
-_EM_CHUNK = 1 << 21  # head-sum matrix entries per block (points x terms)
+_HEAD_BLOCK = 1 << 16  # head-sum matrix entries per block (points x terms), 1 MiB
+_LERCH_MIN_CUTOFF = 64
+_LERCH_ORDERS = (16, 12, 8, 5, 3, 2)  # Abel difference orders K, tried in turn
 
 
 def _bernoulli_even() -> tuple[float, ...]:
@@ -130,12 +141,21 @@ def _em_bound(worst: complex, alpha: float, m_terms: int = _EM_TERMS):
     return lambda n_cutoff: math.exp(log_c - power * math.log(n_cutoff + alpha))
 
 
-def _em_cutoff(worst: complex, alpha: float, tol: float, start: int = 0) -> int:
-    """Smallest N >= max(start, 16) whose remainder bound at ``worst`` meets ``tol``.
+def _smallest_cutoff(bound, lo: int, hi: int, tol: float) -> int:
+    """Smallest N in (lo, hi] with bound(N) <= tol, for a bound that falls
+    monotonically in N and meets tol at hi: bisection, so no head term is
+    summed while searching."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
-    Bisects on the closed-form bound, which falls monotonically in N, so no
-    head term is summed while searching.
-    """
+
+def _em_cutoff(worst: complex, alpha: float, tol: float, start: int = 0) -> int:
+    """Smallest N >= max(start, 16) whose remainder bound at ``worst`` meets ``tol``."""
     if not tol > 0:
         raise InvalidParameterError(f"target_error must be positive, got {tol}")
     bound = _em_bound(worst, alpha)
@@ -145,13 +165,36 @@ def _em_cutoff(worst: complex, alpha: float, tol: float, start: int = 0) -> int:
         raise PrecisionError(
             f"Euler-Maclaurin bound {bound(hi):.3e} > target {tol:.3e} at N = {hi}"
         )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bound(mid) <= tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _smallest_cutoff(bound, lo, hi, tol)
+
+
+def _line_worst(sv: np.ndarray) -> complex:
+    """The point of largest |Im s| on the vertical line that holds every
+    point of the complex array ``sv``; points off one line are refused."""
+    sigma = sv.flat[0].real
+    if np.any(sv.real != sigma):
+        raise InvalidParameterError(
+            f"points must lie on one vertical line, got Re(s) from "
+            f"{np.min(sv.real)} to {np.max(sv.real)}"
+        )
+    return complex(sigma, np.max(np.abs(sv.imag)))
+
+
+def _head_sum(sv: np.ndarray, log_n: np.ndarray, twist=None) -> np.ndarray:
+    """sum_n exp(-s log_n[n] + twist[n]) for each s of the 1-d array ``sv``.
+
+    The terms are built in blocks of 2^16 matrix entries (points x terms),
+    or of one row where a row is longer, and summed per row; without a
+    twist the sum is exactly the Euler-Maclaurin head sum_n (n + alpha)^-s.
+    """
+    head = np.empty(sv.shape, dtype=complex)
+    rows = max(1, _HEAD_BLOCK // max(log_n.size, 1))
+    for lo in range(0, sv.size, rows):
+        terms = np.multiply.outer(-sv[lo:lo + rows], log_n)
+        if twist is not None:
+            terms += twist
+        head[lo:lo + rows] = np.exp(terms, out=terms).sum(axis=1)
+    return head
 
 
 def _hurwitz_em_raw(s, alpha: float, n_cutoff: int, m_terms: int = _EM_TERMS,
@@ -164,18 +207,13 @@ def _hurwitz_em_raw(s, alpha: float, n_cutoff: int, m_terms: int = _EM_TERMS,
     |Im s|, that covers every point.
     """
     sv = np.asarray(s, dtype=complex).ravel()
-    log_n = np.log(np.arange(start, n_cutoff) + alpha)
-    head = np.empty(sv.shape, dtype=complex)
-    chunk = max(1, _EM_CHUNK // max(log_n.size, 1))
-    for lo in range(0, sv.size, chunk):
-        terms = np.multiply.outer(-sv[lo:lo + chunk], log_n)
-        head[lo:lo + chunk] = np.exp(terms, out=terms).sum(axis=1)
+    worst = _line_worst(sv)
+    head = _head_sum(sv, np.log(np.arange(start, n_cutoff) + alpha))
     na = n_cutoff + alpha
     # (s)_{2k-1} na^(1-2k), k = 1..M: every other partial product of (s+j)/na
     rising = np.cumprod((sv[:, None] + np.arange(2 * m_terms - 1)) / na, axis=1)
     corrections = rising[:, ::2] @ _B2K_OVER_FACT[:m_terms]
     value = head + na ** (-sv) * (na / (sv - 1) + 0.5 + corrections)
-    worst = complex(sv[0].real, np.max(np.abs(sv.imag)))
     bound = _em_bound(worst, alpha, m_terms)(n_cutoff)
     if np.ndim(s) == 0:
         return complex(value[0]), bound
@@ -223,8 +261,7 @@ def hurwitz_tail_sum(
     sized at the largest |Im w|, and the Euler-Maclaurin closure of the zeta
     evaluators serve every point.  Used for the tails of built-in series.
     """
-    wv = np.asarray(w, dtype=complex)
-    worst = complex(np.ravel(wv)[0].real, np.max(np.abs(wv.imag)))
+    worst = _line_worst(np.asarray(w, dtype=complex))
     if worst.real <= 1:
         raise InvalidParameterError(f"tail sum diverges for Re(w) = {worst.real}")
     n_cutoff = _em_cutoff(worst, alpha, target_error, start)
@@ -260,86 +297,110 @@ def hurwitz_zeta_grid(
 # Lerch zeta
 # ---------------------------------------------------------------------------
 
-def _lerch_tail_plan(s: complex, beta: float, gap: float, tol: float):
-    """Choose (N, K) for the oscillatory tail so truncation + roundoff close.
+def _lerch_bound(worst: complex, beta: float, gap: float, k_order: int):
+    """(truncation, roundoff) of the Abel-folded tail at s = ``worst``, each
+    as a function of the head cutoff N.
 
-    Truncation after K difference orders with head cutoff N is bounded by
-    |(s)_K| ((N)^(-sigma-K) + (N)^(-sigma-K+1)/(sigma+K-1)) / gap^K, and the
-    finite differences lose roughly C(K, K/2) eps / gap^(K+1) in absolute
-    terms, so small gaps |1 - e^(2 pi i alpha)| force small K and large N.
+    Truncation after K difference orders is bounded by
+    |(s)_K| ((N+beta)^(-sigma-K) + (N+beta)^(-sigma-K+1)/(sigma+K-1)) / gap^K,
+    and the finite differences lose roughly C(K, K/2) eps / gap^(K+1) in
+    absolute terms, so small gaps |1 - e^(2 pi i alpha)| force small K and
+    large N.  Both fall monotonically in N; at fixed sigma the truncation
+    grows with |t| and the roundoff does not depend on t, so the bound at the
+    largest |Im s| covers a whole line.
     """
-    sigma = s.real
-    smag = abs(s)
-    for k_order in (16, 12, 8, 5, 3, 2):
-        n_cutoff = 64
-        while n_cutoff <= 2 ** 21:
-            rising = 1.0
-            for j in range(k_order):
-                rising *= abs(s + j) if j else max(smag, 1e-300)
-            nb = n_cutoff + beta
-            trunc = (
-                rising
-                * (nb ** (-sigma - k_order) + nb ** (-sigma - k_order + 1) / (sigma + k_order - 1))
-                / gap ** k_order
-            )
-            roundoff = (
-                math.comb(k_order, k_order // 2)
-                * 2.3e-16
-                * nb ** (-sigma)
-                / gap ** (k_order + 1)
-            )
-            if trunc + roundoff <= tol:
-                return n_cutoff, k_order, trunc + roundoff
-            if roundoff > tol:
-                break  # more head terms cannot fix the difference roundoff
-            n_cutoff *= 2
+    sigma = worst.real
+    rising = 1.0
+    for j in range(k_order):
+        rising *= abs(worst + j) if j else max(abs(worst), 1e-300)
+
+    def trunc(n_cutoff):
+        nb = n_cutoff + beta
+        return (
+            rising
+            * (nb ** (-sigma - k_order) + nb ** (-sigma - k_order + 1) / (sigma + k_order - 1))
+            / gap ** k_order
+        )
+
+    def roundoff(n_cutoff):
+        return (
+            math.comb(k_order, k_order // 2)
+            * 2.3e-16
+            * (n_cutoff + beta) ** (-sigma)
+            / gap ** (k_order + 1)
+        )
+
+    return trunc, roundoff
+
+
+def _lerch_tail_plan(worst: complex, beta: float, gap: float, tol: float):
+    """(N, K, bound) for the oscillatory tail at s = ``worst``.
+
+    K runs down the orders 16, 12, 8, 5, 3, 2.  An order whose roundoff
+    alone exceeds ``tol`` at N = 64, or whose bound misses ``tol`` even at
+    N = 2^21, gives way to the next, lower one; for the first order that
+    stays, N is the smallest cutoff >= 64 with truncation + roundoff <= tol.
+    """
+    for k_order in _LERCH_ORDERS:
+        trunc, roundoff = _lerch_bound(worst, beta, gap, k_order)
+
+        def total(n_cutoff):
+            return trunc(n_cutoff) + roundoff(n_cutoff)
+
+        if roundoff(_LERCH_MIN_CUTOFF) > tol or not total(_MAX_CUTOFF) <= tol:
+            continue
+        n_cutoff = _smallest_cutoff(total, _LERCH_MIN_CUTOFF - 1, _MAX_CUTOFF, tol)
+        return n_cutoff, k_order, total(n_cutoff)
     raise PrecisionError(
         f"lerch_phi: cannot reach target error {tol:.2e} for gap {gap:.3e}"
     )
 
 
-def lerch_phi(
-    alpha: float,
-    beta: float,
-    s: complex,
-    target_error: float = 1e-10,
-) -> complex:
+def lerch_phi(alpha: float, beta: float, s, target_error: float = 1e-10):
     """phi(alpha, beta; s) = sum_{n>=0} e^(2 pi i n alpha) (n+beta)^-s.
 
-    Valid for 0 < alpha, beta <= 1 and Re(s) >= 1, excluding the pole at
+    ``s`` is one complex number, which gives a complex, or an array of points
+    on one vertical line, which gives an array of the same shape.  Valid for
+    0 < alpha, beta <= 1 and Re(s) >= 1, excluding the pole at
     (alpha, s) = (1, 1).  For alpha = 1 the twist is trivial and the value
-    is zeta(s, beta).  Otherwise the head is summed directly and the tail
-    sum_{m} z^m g(m) is folded by iterated Abel summation,
+    is zeta(s, beta), with one Euler-Maclaurin cutoff at the largest |Im s|.
+    Otherwise the head is summed directly and the tail sum_{m} z^m g(m) is
+    folded by iterated Abel summation,
 
         sum = sum_{k<K} z^k D^k g(0) / (1-z)^(k+1) + remainder,
 
-    whose remainder carries the explicit bound from ``_lerch_tail_plan``.
+    whose remainder carries the explicit bound from ``_lerch_tail_plan``,
+    planned once at the largest |Im s| for the whole array.
     """
-    s = complex(s)
     if not (0 < alpha <= 1 and 0 < beta <= 1):
         raise InvalidParameterError("lerch_phi needs 0 < alpha, beta <= 1")
-    if s.real < 1:
-        raise InvalidParameterError(f"lerch_phi implemented for Re(s) >= 1, got {s}")
+    sv = np.asarray(s, dtype=complex).ravel()
+    worst = _line_worst(sv)
+    if worst.real < 1:
+        raise InvalidParameterError(
+            f"lerch_phi implemented for Re(s) >= 1, got Re(s) = {worst.real}"
+        )
     if alpha == 1:
-        if s == 1:
+        if np.any(sv == 1):
             raise PoleError("phi(1, beta; s) has a pole at s = 1")
-        return hurwitz_zeta(s, beta, target_error)
-
-    z = cmath.exp(2j * math.pi * alpha)
-    gap = abs(1 - z)
-    n_cutoff, k_order, _ = _lerch_tail_plan(s, beta, gap, target_error)
-
-    n = np.arange(n_cutoff)
-    head = np.sum(np.exp(2j * math.pi * alpha * n) * (n + beta) ** (-s))
-    g = (np.arange(k_order + 1) + n_cutoff + beta) ** (-s)
-    tail = 0j
-    diff = g.astype(complex)
-    zp = 1.0 + 0j
-    for k in range(k_order):
-        tail += zp * diff[0] / (1 - z) ** (k + 1)
-        zp *= z
-        diff = diff[1:] - diff[:-1]
-    return complex(head + z ** n_cutoff * tail)
+        value = _hurwitz_em_raw(sv, beta, _em_cutoff(worst, beta, target_error))[0]
+    else:
+        z = cmath.exp(2j * math.pi * alpha)
+        n_cutoff, k_order, _ = _lerch_tail_plan(worst, beta, abs(1 - z), target_error)
+        n = np.arange(n_cutoff)
+        head = _head_sum(sv, np.log(n + beta), 2j * math.pi * alpha * n)
+        # g(m) = (m + N + beta)^-s, m = 0..K, one row per point
+        diff = np.exp(-np.multiply.outer(sv, np.log(np.arange(k_order + 1) + n_cutoff + beta)))
+        tail = np.zeros(sv.shape, dtype=complex)
+        zp = 1.0 + 0j
+        for k in range(k_order):
+            tail += zp * diff[:, 0] / (1 - z) ** (k + 1)
+            zp *= z
+            diff = diff[:, 1:] - diff[:, :-1]
+        value = head + z ** n_cutoff * tail
+    if np.ndim(s) == 0:
+        return complex(value[0])
+    return value.reshape(np.shape(s))
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,22 @@ def test_nonfinite_input_names_field(tmp_path, capsys, command, field, doc):
     assert f"'{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", "abc"),
+    ("n_series", "2"),
+    ("seed", True),
+    ("alphas", [[0.3], 0.5]),
+    ("deltas", 0.05),
+    ("tolerance", "1e-6"),
+    ("experiment", 3),
+])
+def test_wrong_json_type_names_field(tmp_path, capsys, field, value):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"experiment": "local_l2_sweep", field: value}))
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
 def test_hurwitz_scan_step_must_align(tmp_path, capsys):
     # windows are 8 grid steps of delta/8 and t_step must be a whole number
     # of grid steps: 0.03 is not a multiple of 0.05/8

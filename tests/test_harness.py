@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from hardyseries import harness as hn
+from hardyseries import quadrature as qd
+from hardyseries import special as sp
 from hardyseries.errors import InvalidParameterError
 
 
@@ -102,6 +104,34 @@ def test_lerch_scan_spot():
     result = hn.dispatch(cfg)
     assert result.passed
     assert len(result.rows) == 2 * 2 * 3
+
+
+def test_lerch_scan_spots_near_t_1000():
+    # at t ~ 1000 the Abel plan needs N ~ 1900 head terms; each measured
+    # window must match composite Simpson on one-point lerch_phi values
+    cfg = _small("lerch_scan", alphas=(0.3, 0.5, 1.0), betas=(0.7,),
+                 t_start=992.0, t_stop=1000.0, t_step=4.0)
+    result = hn.dispatch(cfg)
+    assert result.passed and len(result.rows) == 3 * 3
+    assert hn.dispatch(cfg).rows == result.rows
+    weights = np.ones(129)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    for alpha, beta, delta, t_lo, measured, *_ in result.rows[::4]:
+        ts = t_lo + np.linspace(0.0, delta, 129)
+        mods = [abs(sp.lerch_phi(alpha, beta, complex(1.0, t), 1e-10)) for t in ts]
+        assert measured == pytest.approx(weights @ mods * delta / 384, abs=1e-8)
+
+
+def test_lerch_scan_flagged_integral_fails_row(monkeypatch):
+    # next to the pole of phi(1, beta; s) at t = 0 the Richardson test needs
+    # refinement; with the depth limit at 0 the integral comes back flagged
+    cfg = _small("lerch_scan", alphas=(1.0,), betas=(0.3,),
+                 t_start=0.05, t_stop=0.05, t_step=0.25)
+    assert hn.dispatch(cfg).passed
+    monkeypatch.setattr(qd, "_MAX_DEPTH", 0)
+    result = hn.dispatch(cfg)
+    assert not result.passed
+    assert result.rows[0][-1] is False and result.rows[0][-2] > 0  # margin alone passes
 
 
 def test_minmax_small():

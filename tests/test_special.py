@@ -228,6 +228,87 @@ def test_lerch_pole_and_domain():
         sp.lerch_phi(0.5, 0.5, 0.5)
     with pytest.raises(InvalidParameterError):
         sp.lerch_phi(1.5, 0.5, 2.0)
+    # arrays: the pole anywhere in an alpha = 1 array, a line left of Re s = 1
+    with pytest.raises(PoleError):
+        sp.lerch_phi(1.0, 0.5, np.array([1 + 2j, 1 + 0j]))
+    with pytest.raises(InvalidParameterError):
+        sp.lerch_phi(0.3, 0.5, np.array([0.5 + 1j, 0.5 + 2j]))
+
+
+def test_array_points_must_share_one_line():
+    # one cutoff and one divergence check serve the whole line, so a point
+    # off it (here the divergent Re w = 0.5) must be refused, not summed
+    with pytest.raises(InvalidParameterError):
+        sp.hurwitz_tail_sum(np.array([3, 1.05, 0.5 + 10j]), 0.5, 0)
+    with pytest.raises(InvalidParameterError):
+        sp.hurwitz_tail_sum(np.array([1 + 1j, 1 + 2j]), 0.5, 0)
+    with pytest.raises(InvalidParameterError):
+        sp._hurwitz_em_raw(np.array([2 + 1j, 1.5 + 1j]), 0.5, 64)
+    for alpha in (0.3, 1.0):
+        with pytest.raises(InvalidParameterError):
+            sp.lerch_phi(alpha, 0.5, np.array([[1 + 1j, 1 + 2j], [2 + 1j, 1 + 3j]]))
+
+
+def _lerch_mpmath(alpha: float, beta: float, t: float) -> complex:
+    """phi(alpha, beta; 1 + it) for rational alpha = p/q from q Hurwitz zetas:
+    sum_r e^(2 pi i r p/q) q^-s zeta(s, (r + beta)/q), via mpmath."""
+    import mpmath
+    from fractions import Fraction
+
+    frac = Fraction(alpha).limit_denominator(100)
+    p, q = frac.numerator, frac.denominator
+    with mpmath.workdps(20):
+        s = mpmath.mpc(1.0, t)
+        total = mpmath.mpc(0)
+        for r in range(q):
+            total += (mpmath.expjpi(2 * mpmath.mpf(r * p) / q)
+                      * mpmath.zeta(s, (r + mpmath.mpf(beta)) / q))
+        return complex(total * mpmath.power(q, -s))
+
+
+def test_lerch_array_matches_scalar_and_mpmath():
+    pytest.importorskip("mpmath")
+    tol = 1e-9
+    rng = np.random.default_rng(1988)
+    for alpha in (0.3, 0.5, 1.0):
+        beta = float(rng.uniform(0.05, 1.0))
+        s = 1.0 + 1j * np.sort(rng.uniform(0.5, 1000.0, 6)).reshape(2, 3)
+        values = sp.lerch_phi(alpha, beta, s, tol)
+        assert values.shape == (2, 3) and values.dtype == complex
+        # the 1-d array has the same plan and the same head blocks
+        assert np.array_equal(sp.lerch_phi(alpha, beta, s.ravel(), tol), values.ravel())
+        for j, (s_j, value) in enumerate(zip(s.ravel(), values.ravel())):
+            scalar = sp.lerch_phi(alpha, beta, complex(s_j), tol)
+            assert isinstance(scalar, complex)
+            assert sp.lerch_phi(alpha, beta, np.asarray(s_j), tol) == scalar  # 0-d
+            assert abs(value - scalar) <= 2 * tol  # each within tol of phi
+            if j % 2:  # mpmath at three points, the largest |t| among them
+                assert abs(value - _lerch_mpmath(alpha, beta, s_j.imag)) <= tol
+
+
+def test_lerch_plan_is_minimal():
+    gap = abs(1 - np.exp(0.6j * np.pi))  # alpha = 0.3
+    plans = [sp._lerch_tail_plan(complex(1.0, t), 0.7, gap, 1e-9)
+             for t in (200.0, 392.0, 600.0, 1000.0)]
+    assert [(n, k) for n, k, _ in plans] == [(381, 16), (745, 16), (1140, 16), (1899, 16)]
+    # near-degenerate twist: order 8 meets 1e-8 only from N ~ 1e5 on, order 5 at 1198
+    near = sp._lerch_tail_plan(1.0 + 0j, 0.5, abs(1 - np.exp(1.98j * np.pi)), 1e-8)
+    assert near[:2] == (1198, 5)
+    rng = np.random.default_rng(1999)
+    cases = [(0.99, 0.5, 1.0 + 0j, 1e-8)] + [
+        (rng.uniform(0.01, 0.99), rng.uniform(0.01, 1.0),
+         complex(rng.uniform(1.0, 3.0), rng.uniform(0.0, 1000.0)),
+         10.0 ** rng.uniform(-12.0, -6.0)) for _ in range(24)]
+    for alpha, beta, s, tol in cases:
+        gap = abs(1 - np.exp(2j * np.pi * alpha))
+        n_cutoff, k_order, bound = sp._lerch_tail_plan(s, beta, gap, tol)
+        trunc, roundoff = sp._lerch_bound(s, beta, gap, k_order)
+        assert bound == trunc(n_cutoff) + roundoff(n_cutoff) <= tol
+        assert n_cutoff == 64 or trunc(n_cutoff - 1) + roundoff(n_cutoff - 1) > tol
+        # every higher order was dropped for one of the two stated reasons
+        for k_high in sp._LERCH_ORDERS[:sp._LERCH_ORDERS.index(k_order)]:
+            trunc, roundoff = sp._lerch_bound(s, beta, gap, k_high)
+            assert roundoff(64) > tol or trunc(2 ** 21) + roundoff(2 ** 21) > tol
 
 
 # ---------------------------------------------------------------------------
