@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import quadrature as qd
 from . import series as se
 from . import special as sp
 from .errors import (
@@ -51,6 +50,7 @@ __all__ = [
     "nonvanishing_abscissa",
     "nonvanishing_cap",
     "nonvanishing_residual",
+    "riemann_window_asymptotic",
     "short_interval_log_bounds",
     "supnorm_lp_lower_bound",
 ]
@@ -58,7 +58,7 @@ __all__ = [
 THEOREM_IDS = (
     "T4", "T6", "T7", "T8", "T9", "T10", "T11", "T12", "T13", "T14",
     "T15", "T16", "T17", "T18", "T19", "T20", "T21", "T22", "T23", "T24",
-    "T25", "T26", "L13", "L14",
+    "T25", "T26", "T27", "T28", "T29", "T30", "L13", "L14",
 )
 
 #: Separation constant of the classical exponents at the half-line,
@@ -95,18 +95,19 @@ class BoundReport:
             return math.exp(self.bound_value)
         return None
 
+    def as_dict(self) -> dict:
+        return {
+            "theorem_id": self.theorem_id,
+            "inputs": self.inputs,
+            "bound_value": self.bound_value,
+            "log_space": self.log_space,
+            "side": self.side,
+            "valid": self.valid,
+            "notes": self.notes,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "theorem_id": self.theorem_id,
-                "inputs": self.inputs,
-                "bound_value": self.bound_value,
-                "log_space": self.log_space,
-                "side": self.side,
-                "valid": self.valid,
-                "notes": self.notes,
-            }
-        )
+        return json.dumps(self.as_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +350,11 @@ def nonvanishing_cap(norm2_tail: float, c: float, k: float, xi: float) -> float:
 # short-interval log bounds
 # ---------------------------------------------------------------------------
 
-def theorem21_constants(
-    c: float, k: float, delta: float, quarter_over_d: bool = False
-) -> tuple[float, float]:
-    """K0 = pi (max(C, log4/K) + delta^2/(4C)) and K1 = C0 K0.
-
-    ``quarter_over_d`` switches the last term to delta^2/(4 D) with
-    D = max(C, log4/K), the variant the derivation suggests; the printed
-    form divides by 4C.  Both are exposed, the printed one is the default.
-    """
+def theorem21_constants(c: float, k: float, delta: float) -> tuple[float, float]:
+    """K0 = pi (max(C, log4/K) + delta^2/(4C)) and K1 = C0 K0, as printed."""
     if delta <= 0:
         raise InvalidParameterError("delta must be positive")
-    dval = max(c, math.log(4.0) / k)
-    denom = dval if quarter_over_d else c
-    k0 = math.pi * (dval + delta ** 2 / (4.0 * denom))
+    k0 = math.pi * (max(c, math.log(4.0) / k) + delta ** 2 / (4.0 * c))
     k1 = sp.kappa_constants().c0 * k0
     return k0, k1
 
@@ -379,7 +371,6 @@ def short_interval_log_bounds(
     c: float | None = None,
     k: float | None = None,
     lambda1: float | None = None,
-    quarter_over_d: bool = False,
     xi: float | None = None,
 ) -> tuple[float, Optional[float]]:
     """(log- bound, log+ bound or None) for int_T^(T+delta) log+-|L| dt.
@@ -442,12 +433,12 @@ def short_interval_log_bounds(
     if variant == "T21":
         if norm2 is None or c is None or k is None:
             raise InvalidParameterError("T21 needs norm2, C and K")
-        k0, k1 = theorem21_constants(c, k, delta, quarter_over_d)
+        k0, k1 = theorem21_constants(c, k, delta)
         return k0 + k1 * math.log(norm2), None
     if variant == "T22":
         if norm1 is None or c is None or k is None:
             raise InvalidParameterError("T22 needs norm1, C and K")
-        k0, _ = theorem21_constants(c, k, delta, quarter_over_d)
+        k0, _ = theorem21_constants(c, k, delta)
         return k0 * (LOG2 + math.log(norm1)), None
     raise InvalidParameterError(f"unknown variant {variant!r}")
 
@@ -464,7 +455,6 @@ def supnorm_lp_lower_bound(
     c: float | None = None,
     k: float | None = None,
     lambda1: float | None = None,
-    quarter_over_d: bool = False,
 ) -> float:
     """Natural log of the lower bound for inf_T of the window sup or the
     normalized L^p mean (delta^-1 int |L|^p)^(1/p); the bound itself does
@@ -493,12 +483,12 @@ def supnorm_lp_lower_bound(
     if variant in ("T23", "T25"):
         if norm2 is None or c is None or k is None:
             raise InvalidParameterError(f"{variant} needs norm2, C and K")
-        k0, _ = theorem21_constants(c, k, delta, quarter_over_d)
+        k0, _ = theorem21_constants(c, k, delta)
         return -(k0 / delta) * math.log(24.0 * norm2)
     if variant in ("T24", "T26"):
         if norm1 is None or c is None or k is None:
             raise InvalidParameterError(f"{variant} needs norm1, C and K")
-        k0, _ = theorem21_constants(c, k, delta, quarter_over_d)
+        k0, _ = theorem21_constants(c, k, delta)
         return -(k0 / delta) * math.log(2.0 * norm1)
     raise InvalidParameterError(f"unknown variant {variant!r}")
 
@@ -551,6 +541,12 @@ def hurwitz_lower_bound(
             - 16.0 / delta
         )
     raise InvalidParameterError(f"unknown variant {variant!r}")
+
+
+def riemann_window_asymptotic(delta: float) -> float:
+    """e^-gamma pi^2 delta^2 / 24, the sharp short-interval asymptote of
+    inf_T int_T^(T+delta) |zeta(1+it)| dt (5.772e-4 at delta = 0.05)."""
+    return math.exp(-sp.EULER_GAMMA) * math.pi ** 2 / 24.0 * delta ** 2
 
 
 def consistency_fractions() -> dict:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import replace
@@ -24,7 +23,6 @@ from . import bounds as bd
 from . import harness as hn
 from . import quadrature as qd
 from . import series as se
-from . import special as sp
 from .errors import HardySeriesError, InvalidParameterError, InvalidSeriesError
 
 log = logging.getLogger("hardyseries")
@@ -67,28 +65,11 @@ def _write_out(path: str | None, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_constants(args) -> int:
-    kc = sp.kappa_constants()
-    chain = bd.hurwitz_anchor_chain()
-    ab2 = bd.ab2_constants()
-    rows = [
-        ("classical_separation_constant", bd.CLASSICAL_C),
-        ("kappa_half", kc.kappa_half),
-        ("kappa_printed", kc.kappa_printed),
-        ("kappa_alt", kc.kappa_alt),
-        ("c0", kc.c0),
-        ("exp_c0", math.exp(kc.c0)),
-        ("zeta_1p7378", chain["zeta_1_plus_d"]),
-        ("anchor_margin", chain["anchor_margin"]),
-        ("anchor_chain_product", chain["product"]),
-        ("ab2_plain", ab2["plain"]),
-        ("ab2_folded", ab2["folded"]),
-        ("riemann_window_asymptotic_d0.05",
-         math.exp(-sp.EULER_GAMMA) * math.pi ** 2 / 24.0 * 0.05 ** 2),
-    ]
-    width = max(len(name) for name, _ in rows)
-    for name, value in rows:
+    table = hn.named_constants()
+    width = max(len(name) for name in table)
+    for name, value in table.items():
         print(f"{name:<{width}}  {_fmt(value)}")
-    _write_out(args.out, {name: value for name, value in rows})
+    _write_out(args.out, table)
     return 0
 
 
@@ -110,17 +91,11 @@ def _cmd_norms(args) -> int:
     return 0
 
 
-def _series_params(args, series):
+def _series_params(series):
     p = bd.class_params(series)
     l1 = se.l1_norm_at(series, series.sigma)
     norm1 = l1.upper if isinstance(l1, se.Interval) else l1
     return p, norm1, se.l2_norm(series)
-
-
-def _write_report(path: str | None, report: bd.BoundReport) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
 
 
 def _cmd_bound(args) -> int:
@@ -133,7 +108,6 @@ def _cmd_bound(args) -> int:
     if variant in ("t27", "t28", "t29", "t30", "l14"):
         mapping = {"t27": "HurwitzLerch", "t28": "HurwitzLerch",
                    "t29": "Uniform", "t30": "Uniform", "l14": "DirichletL14"}
-        kwargs = {}
         inputs = {"alpha": args.alpha, "delta": delta}
         if variant == "l14":
             if args.series is None:
@@ -141,63 +115,53 @@ def _cmd_bound(args) -> int:
                 return 2
             series = _load_series(args.series)
             n = np.arange(1, len(series))
-            kwargs["coeff_sum"] = float(np.sum(
+            inputs["coeff_sum"] = float(np.sum(
                 np.abs(series.coefficients[1:]) ** 2 / (n + args.alpha)
             ))
-            inputs["coeff_sum"] = kwargs["coeff_sum"]
-        value = bd.hurwitz_lower_bound(args.alpha, delta, mapping[variant], **kwargs)
+        value = bd.hurwitz_lower_bound(args.alpha, delta, mapping[variant],
+                                       coeff_sum=inputs.get("coeff_sum"))
+        report = bd.BoundReport(variant.upper(), inputs, value, "lower", log_space=True)
         print(f"{variant}_lower_bound  {_fmt_log(value)}")
-        if variant == "l14":
-            _write_report(args.out, bd.BoundReport(
-                "L14", inputs, value, "lower", log_space=True))
-        else:
-            # the zeta-family window bounds sit outside the report id enum
-            _write_out(args.out, {"variant": variant, "inputs": inputs,
-                                  "bound_value": value, "log_space": True,
-                                  "side": "lower"})
-        return 0
-    if args.series is None:
+    elif args.series is None:
         print(f"{variant} needs --series", file=sys.stderr)
         return 2
-    series = _load_series(args.series)
-    p, norm1, norm2 = _series_params(args, series)
-    inputs = {"sigma": series.sigma, "C": p.c, "lambda1": p.lambda1, "K": p.k,
-              "delta": delta, "norm1": norm1, "norm2": norm2}
-    if variant == "t4":
-        value = bd.local_l2_bound(norm2, p.c, args.d)
-        report = bd.BoundReport("T4", {"D": args.d, "C": p.c, "norm2": norm2},
-                                value, "upper")
-        print(f"t4_upper_bound  {_fmt(value)}")
-        _write_report(args.out, report)
-        return 0
-    if variant in ("t15", "t16", "t21", "t22"):
-        minus, plus = bd.short_interval_log_bounds(
-            variant.upper(), delta, norm1=norm1, norm2=norm2,
-            c=p.c, k=p.k, lambda1=p.lambda1, xi=args.xi,
-        )
-        report = bd.BoundReport(variant.upper(), inputs, minus, "upper",
-                                notes="log-minus window integral bound")
-        print(f"{variant}_logminus_bound  {_fmt(minus)}")
-        if plus is not None:
-            print(f"{variant}_logplus_bound   {_fmt(plus)}")
-        _write_report(args.out, report)
-        return 0
-    value = bd.supnorm_lp_lower_bound(
-        variant.upper(), delta, norm1=norm1, norm2=norm2,
-        c=p.c, k=p.k, lambda1=p.lambda1,
-    )
-    inputs["p"] = args.p
-    report = bd.BoundReport(variant.upper(), inputs, value, "lower",
-                            log_space=True)
-    print(f"{variant}_lower_bound  {_fmt_log(value)}")
-    _write_report(args.out, report)
+    else:
+        series = _load_series(args.series)
+        p, norm1, norm2 = _series_params(series)
+        inputs = {"sigma": series.sigma, "C": p.c, "lambda1": p.lambda1, "K": p.k,
+                  "delta": delta, "norm1": norm1, "norm2": norm2}
+        if variant == "t4":
+            value = bd.local_l2_bound(norm2, p.c, args.d)
+            report = bd.BoundReport("T4", {"D": args.d, "C": p.c, "norm2": norm2},
+                                    value, "upper")
+            print(f"t4_upper_bound  {_fmt(value)}")
+        elif variant in ("t15", "t16", "t21", "t22"):
+            minus, plus = bd.short_interval_log_bounds(
+                variant.upper(), delta, norm1=norm1, norm2=norm2,
+                c=p.c, k=p.k, lambda1=p.lambda1, xi=args.xi,
+            )
+            report = bd.BoundReport(variant.upper(), inputs, minus, "upper",
+                                    notes="log-minus window integral bound")
+            print(f"{variant}_logminus_bound  {_fmt(minus)}")
+            if plus is not None:
+                print(f"{variant}_logplus_bound   {_fmt(plus)}")
+        else:
+            value = bd.supnorm_lp_lower_bound(
+                variant.upper(), delta, norm1=norm1, norm2=norm2,
+                c=p.c, k=p.k, lambda1=p.lambda1,
+            )
+            inputs["p"] = args.p
+            report = bd.BoundReport(variant.upper(), inputs, value, "lower",
+                                    log_space=True)
+            print(f"{variant}_lower_bound  {_fmt_log(value)}")
+    _write_out(args.out, report.as_dict())
     return 0
 
 
 def _cmd_nonvanishing(args) -> int:
     series = _load_series(args.series)
     series = se.normalize_leading(series)
-    p, norm1, norm2 = _series_params(args, series)
+    p, norm1, norm2 = _series_params(series)
     variant = args.variant or "H2"
     if variant not in ("H2", "L1", "BoundedCoeff"):
         print("variant must be H2, L1 or BoundedCoeff", file=sys.stderr)

@@ -76,7 +76,6 @@ def _smoothstep(v: np.ndarray) -> np.ndarray:
 class BumpFunction:
     """The concrete plateau bump; immutable, evaluate with ``value``."""
 
-    support: tuple[float, float] = (0.0, SUPPORT_END)
     peak: float = PEAK
     edge: float = EDGE_FRACTION
 

@@ -15,7 +15,6 @@ All values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, replace
@@ -132,9 +131,6 @@ class ExponentSequence:
             lam = self.c * np.arange(count, dtype=float)
         return self.scale * lam
 
-    def lam(self, n: int) -> float:
-        return float(self.lambdas(n + 1)[-1])
-
     def rescaled(self, a: float) -> "ExponentSequence":
         return replace(self, scale=self.scale * a)
 
@@ -168,11 +164,6 @@ class HurwitzTail:
         integral = a ** p * (n0 + a) ** (1 - p) / (p - 1)
         first = (a / (n0 + a)) ** p
         return Interval(integral, integral + first)
-
-    def term(self, n: int, s: complex) -> complex:
-        lam = self.lambda_scale * (math.log(n + self.alpha) - math.log(self.alpha))
-        mag = (self.alpha / (n + self.alpha)) ** self.coeff_power
-        return mag * cmath.exp(-lam * s)
 
 
 class Interval(NamedTuple):

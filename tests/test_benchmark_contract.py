@@ -1,0 +1,38 @@
+"""The benchmark's hold on the package: the entry points its span tracer
+patches, the config documents it writes and the verdict it reads back.  A
+renamed entry point fails here rather than in a benchmark run."""
+
+import importlib
+import json
+import os
+
+import pytest
+
+from hardyseries import cli
+from hardyseries import harness as hn
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+
+
+@pytest.fixture()
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    return importlib.import_module("spans"), importlib.import_module("workloads")
+
+
+def test_traced_constants_verdict(tmp_path, bench):
+    spans, workloads = bench
+    originals = (cli.main, hn.dispatch, hn.ExperimentResult.write_csv)
+    item = workloads._cli_item(str(tmp_path), "constants", {"experiment": "constants"})
+    assert json.loads((tmp_path / "constants.json").read_text())["threads"] == 1
+    tracer = spans.Tracer()
+    tracer.install()  # looks up every patched name
+    try:
+        rc, _ = tracer.run_root(item.run)
+    finally:
+        tracer.uninstall()
+    assert (cli.main, hn.dispatch, hn.ExperimentResult.write_csv) == originals
+    assert rc == 0
+    assert tracer.rows == 13 and tracer.calls["harness"] == 1
+    outcome = item.outcome(rc)
+    assert (outcome.rows, outcome.failed_rows) == (13, 0)

@@ -265,8 +265,6 @@ def test_theorem21_constants():
     assert k1 == pytest.approx(sp.kappa_constants().c0 * k0, rel=1e-14)
     # log4 / K sits at 2.0000 thanks to the K ~ log 2 coincidence
     assert abs(math.log(4.0) / 0.6932 - 2.0) < 2e-4
-    k0d, _ = bd.theorem21_constants(1.02014, 0.6932, 0.05, quarter_over_d=True)
-    assert k0d <= k0
 
 
 def test_short_interval_minus_sound_on_random_series():

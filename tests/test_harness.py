@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hardyseries import cli
 from hardyseries import harness as hn
 from hardyseries import quadrature as qd
 from hardyseries import special as sp
@@ -38,7 +39,7 @@ def test_config_json_round_trip():
 
 
 def test_constants_experiment_passes():
-    result = hn.run_constants(_small("constants"))
+    result = hn.dispatch(_small("constants"))
     assert result.passed
     assert all(row[-1] for row in result.rows)
     names = [row[0] for row in result.rows]
@@ -165,3 +166,34 @@ def test_csv_seed_changes_rows(tmp_path):
     hn.dispatch(cfg1)
     hn.dispatch(cfg2)
     assert (tmp_path / "s1.csv").read_text() != (tmp_path / "s2.csv").read_text()
+
+
+def test_sweep_flagged_integral_fails_row(monkeypatch):
+    # window sups use no integral; every other sweep row rests on one
+    configs = (_small("local_l2_sweep", n_series=2, d_values=(1.0,)),
+               _small("log_bound_sweep", n_series=1))
+    assert all(hn.dispatch(cfg).passed for cfg in configs)
+    integrate = qd._integrate
+    monkeypatch.setattr(qd, "_integrate", lambda *a, **k: (*integrate(*a, **k)[:3], True))
+    for cfg in configs:
+        result = hn.dispatch(cfg)
+        assert not result.passed
+        assert result.summary["failures"] == sum(not r[0].endswith("_sup") for r in result.rows)
+        assert all(bool(r[-1]) == r[0].endswith("_sup") for r in result.rows)
+
+
+def test_lerch_scan_pole_window_diverges(tmp_path, monkeypatch, capsys):
+    # |phi(1, beta; 1+it)| ~ 1/|t|, so the window [0, delta] diverges
+    doc = {"experiment": "lerch_scan", "alphas": [1.0], "betas": [0.3],
+           "t_stop": 0.5, "t_step": 0.25}
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--config", str(path)]) == 0
+    cfg = hn.ExperimentConfig.from_json(json.dumps(doc))
+    rows = hn.dispatch(cfg).rows
+    assert rows[0][4] == math.inf and rows[0][-1]
+    assert all(math.isfinite(r[4]) and r[-1] for r in rows[1:])
+    for value in (0.0, math.nan):  # a measured 0 or NaN still fails
+        monkeypatch.setattr(qd, "_integrate", lambda *a, v=value, **k: (v, 0.0, 1, False))
+        rows = hn.dispatch(cfg).rows
+        assert rows[0][-1] and not any(r[-1] for r in rows[1:])
