@@ -4,8 +4,11 @@ Each experiment measures a quantity by quadrature or sampling and compares
 it against the corresponding explicit bound, producing one CSV row per grid
 point with the measured value, the bound (log space where the bound lives
 there), the margin, and a pass flag.  Margins are defined so that pass
-means margin >= -tolerance, and every margin is finite: comparisons against
-astronomically small lower bounds happen in natural-log space.
+means margin >= -tolerance.  Comparisons against astronomically small lower
+bounds happen in natural-log space, so a margin is finite except where no
+slack exists to measure: an exact identity of ``constants`` carries +inf
+when it holds and -inf when it does not, and a ``lerch_scan`` window holding
+the pole at t = 0 measures +inf.
 
 Experiments are deterministic functions of (seed, config): reruns produce
 bit-identical CSV files (runtime lives only in the JSON summary).
@@ -77,8 +80,16 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}"
             )
-        if not self.alphas or not self.deltas:
-            raise InvalidParameterError("alpha and delta grids must be non-empty")
+        for name in ("alphas", "betas", "deltas", "d_values", "xis", "p_values",
+                     "orders"):
+            if not getattr(self, name):
+                raise InvalidParameterError(f"config field {name!r} must be non-empty")
+        # a sweep over no series passes vacuously; a series needs a term
+        # beyond a_0 to draw, and a search a coordinate to move
+        for name, least in (("n_series", 1), ("n_terms", 2), ("search_terms", 2),
+                            ("restarts", 1), ("threads", 1)):
+            if getattr(self, name) < least:
+                raise InvalidParameterError(f"config field {name!r} must be >= {least}")
         for f in fields(self):
             value = getattr(self, f.name)
             if any(isinstance(v, float) and not math.isfinite(v)
@@ -97,8 +108,6 @@ class ExperimentConfig:
                         f"multiple of delta/{_SCAN_SUBDIV} = {h:g}")
         if self.tolerance <= 0:
             raise InvalidParameterError("tolerance must be positive")
-        if self.threads < 1:
-            raise InvalidParameterError("threads must be >= 1")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -234,7 +243,8 @@ def named_constants() -> dict:
 
 def _constants_rows(config: ExperimentConfig):
     """Check the named constants against their printed values; two-sided rows
-    carry |value - target| margins, one-sided rows the signed slack."""
+    carry |value - target| margins, one-sided rows the signed slack, and exact
+    identities +inf when they hold, -inf when they do not."""
     c = named_constants()
     frac = bd.consistency_fractions()
     rows = []
@@ -247,7 +257,8 @@ def _constants_rows(config: ExperimentConfig):
         rows.append((name, value, floor_v, 0.0, value - floor_v, value >= floor_v))
 
     def holds(name, identity):
-        rows.append((name, 1.0 if identity else 0.0, 1.0, 0.0, 0.0, identity))
+        rows.append((name, 1.0 if identity else 0.0, 1.0, 0.0,
+                     math.inf if identity else -math.inf, identity))
 
     close("classical_separation", c["classical_separation_constant"], 1.02014, 1e-5)
     close("kappa_log_full", c["kappa_printed"], 0.2735187155, 1e-9)
@@ -623,8 +634,7 @@ def _minmax_rows(config: ExperimentConfig):
         margin = math.log(best) - lb
         rows.append(("search_sup", restart, best, lb, margin, margin >= -config.tolerance))
     columns = ["check", "index", "measured", "reference", "margin", "pass"]
-    summary = {"search_best": min((r[2] for r in rows if r[0] == "search_sup"),
-                                  default=float("nan")),
+    summary = {"search_best": min(r[2] for r in rows if r[0] == "search_sup"),
                "t18_log_bound": lb}
     return columns, rows, summary, True
 

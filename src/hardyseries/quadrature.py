@@ -16,9 +16,13 @@ L; there |L| itself stays continuous, so only the log needs a floor:
 modulus below 1e-300 is clamped (log ~ -690.8, far below any bound of
 interest) and the result is flagged.
 
-``interval_sup`` is a grid-plus-refinement maximum and is reported as a
-certified *lower* bound for the true supremum, which is the sound
-direction for every inequality checked by this package.
+``interval_sup`` samples a grid of ``grid_n + 1`` points (one call, or calls
+of 512), then zooms in on the running maximum in 4 rounds of one call of 33
+evenly spaced points each, every later window reaching one spacing of the
+round before either side of the best sample: 1 + 4 calls per sup for grids
+of up to 512 points.  Each value is a sampled |L|, so the result is a *lower* bound for
+the true supremum, which is the sound direction for every inequality
+checked by this package.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ _MAX_DEPTH = 20
 _PANEL_LIMIT = 2 ** 20
 _BATCH_PANELS = 256  # panels refined per evaluator call
 _BATCH_POINTS = 2 * _BATCH_PANELS  # points per evaluator call, at most
+_ZOOM_ROUNDS = 4  # interval_sup refinement calls after the grid
+_ZOOM_POINTS = 33  # points per refinement call
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -267,10 +273,14 @@ def interval_sup(
 ) -> float:
     """Grid maximum of |L(sigma+it)| on [a, b], refined around the argmax.
 
-    The grid goes to the evaluator in one call (calls of 512 for larger
-    grids), then two rounds of golden-section-style local refinement around
-    the best grid point take two points per call; the result is a lower
-    bound for the true supremum.
+    The grid of ``grid_n + 1`` points goes to the evaluator in one call
+    (calls of 512 for larger grids).  Then 4 zoom rounds each sample 33
+    evenly spaced points of [best_t - w, best_t + w], clipped to [a, b], in
+    one call; w starts at the grid step h and shrinks 16-fold per round, to
+    one spacing of the round before, so the last spacing is h / 2^16.  The
+    best value changes only when a sample beats it: the result is at least
+    the grid maximum and, being a sampled value, a lower bound for the true
+    supremum.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
@@ -282,21 +292,12 @@ def interval_sup(
     grid = _sample(modulus, a + np.arange(grid_n + 1) * h)
     k = int(np.argmax(grid))
     best_t, best = a + k * h, float(grid[k])
-    lo, hi = max(a, best_t - h), min(b, best_t + h)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(2):
-        # golden-section shrink of [lo, hi] around the running maximum
-        for _ in range(24):
-            x1 = hi - invphi * (hi - lo)
-            x2 = lo + invphi * (hi - lo)
-            f1, f2 = modulus(np.array([x1, x2]))
-            if f1 > best:
-                best, best_t = float(f1), x1
-            if f2 > best:
-                best, best_t = float(f2), x2
-            if f1 < f2:
-                lo = x1
-            else:
-                hi = x2
-        lo, hi = max(a, best_t - (hi - lo)), min(b, best_t + (hi - lo))
+    w = h
+    for _ in range(_ZOOM_ROUNDS):
+        ts = np.linspace(max(a, best_t - w), min(b, best_t + w), _ZOOM_POINTS)
+        values = modulus(ts)
+        j = int(np.argmax(values))
+        if values[j] > best:
+            best, best_t = float(values[j]), float(ts[j])
+        w /= (_ZOOM_POINTS - 1) // 2
     return best

@@ -198,6 +198,26 @@ def test_wrong_json_type_names_field(tmp_path, capsys, field, value):
     assert f"'{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"experiment": "local_l2_sweep", "n_series": -3}, "n_series"),
+    ({"experiment": "local_l2_sweep", "n_series": 0}, "n_series"),
+    ({"experiment": "local_l2_sweep", "n_terms": 1}, "n_terms"),
+    ({"experiment": "minmax", "restarts": 0}, "restarts"),
+    ({"experiment": "minmax", "search_terms": 1}, "search_terms"),
+    ({"experiment": "minmax", "orders": []}, "orders"),
+    ({"experiment": "local_l2_sweep", "d_values": []}, "d_values"),
+    ({"experiment": "nonvanishing_sweep", "xis": []}, "xis"),
+    ({"experiment": "log_bound_sweep", "p_values": []}, "p_values"),
+    ({"experiment": "lerch_scan", "betas": []}, "betas"),
+])
+def test_degenerate_config_names_field(tmp_path, capsys, doc, field):
+    # no series, term, restart or grid value to check is no verdict to pass
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
 def test_hurwitz_scan_step_must_align(tmp_path, capsys):
     # windows are 8 grid steps of delta/8 and t_step must be a whole number
     # of grid steps: 0.03 is not a multiple of 0.05/8

@@ -47,6 +47,15 @@ def test_constants_experiment_passes():
     assert "anchor_chain_product" in names
 
 
+def test_constants_min_margin_is_numeric_slack():
+    # exact identities carry +inf when they hold, so the minimum is the
+    # smallest slack among the numeric checks
+    result = hn.dispatch(_small("constants"))
+    margins = {row[0]: row[4] for row in result.rows}
+    assert margins.pop("fraction_7_6") == margins.pop("fraction_1400_87") == math.inf
+    assert result.summary["min_margin"] == min(margins.values()) > 0
+
+
 def test_local_l2_small_sweep():
     result = hn.dispatch(_small("local_l2_sweep", n_series=8, d_values=(1.0,)))
     assert result.passed

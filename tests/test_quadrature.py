@@ -137,7 +137,7 @@ def test_interval_sup_constant():
 def test_interval_sup_two_term_peak():
     period = 2 * math.pi / math.log(2)
     val = qd.interval_sup(_two_term_eval(), 0.0, (-period / 2, period / 2), grid_n=128)
-    assert val == pytest.approx(2.0, abs=1e-6)
+    assert val == pytest.approx(2.0, abs=1e-12)
 
 
 def test_interval_sup_zero_order_scaling():
@@ -157,6 +157,52 @@ def test_interval_sup_is_lower_bound():
     val = qd.interval_sup(ev, 0.0, (0.0, 1.0), grid_n=32)
     dense = max(abs(ev(1j * t)) for t in np.linspace(0, 1, 20001))
     assert val <= dense + 1e-12
+
+
+def _reference_sup(ev, sigma, a, b):
+    """max |L| on [a, b] without interval_sup: the best of a 20 001-point
+    grid, then bounded Brent in the offset from its argmax (so xatol, not
+    the size of t, sets the resolution); returns (max, argmax)."""
+    optimize = pytest.importorskip("scipy.optimize")
+    ts = np.linspace(a, b, 20001)
+    mods = np.abs(ev(sigma + 1j * ts))
+    k = int(np.argmax(mods))
+    tk, step = ts[k], ts[1] - ts[0]
+    res = optimize.minimize_scalar(
+        lambda u: -abs(ev(np.array([sigma + 1j * (tk + u)]))[0]),
+        bounds=(max(a - tk, -step), min(b - tk, step)), method="bounded",
+        options={"xatol": 1e-13})
+    if -res.fun > mods[k]:
+        return -res.fun, tk + res.x
+    return mods[k], tk
+
+
+def test_interval_sup_matches_independent_maximum():
+    # seeded classical series of up to 16 terms on sigma = 1/2; odd cases
+    # centre the window near a local maximum of |L|, so peaks sit inside
+    rng = np.random.default_rng(2012)
+    ts = np.linspace(0.0, 40.0, 40001)
+    interior = 0
+    for case in range(30):
+        n = int(rng.integers(2, 17))
+        coeffs = np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * math.pi * rng.uniform(0, 1, n))
+        coeffs[0] = 1.0
+        ev = se.line_evaluator(se.classical_polynomial(coeffs, 0.5), 0.5)
+        delta, grid_n = (0.05, 0.1)[case % 2], (32, 64)[case // 2 % 2]
+        if case % 2:
+            mods = np.abs(ev(0.5 + 1j * ts))
+            peaks = np.flatnonzero((mods[1:-1] > mods[:-2]) & (mods[1:-1] > mods[2:])) + 1
+            a = ts[rng.choice(peaks)] - delta * rng.uniform(0.2, 0.8)
+        else:
+            a = rng.uniform(0.0, 40.0)
+        b = a + delta
+        val = qd.interval_sup(ev, 0.5, (a, b), grid_n=grid_n)
+        grid = np.abs(ev(0.5 + 1j * (a + np.arange(grid_n + 1) * (b - a) / grid_n)))
+        ref, t_ref = _reference_sup(ev, 0.5, a, b)
+        assert val >= grid.max(), case
+        assert val == pytest.approx(ref, rel=1e-12), case
+        interior += a + 1e-9 < t_ref < b - 1e-9
+    assert interior >= 15
 
 
 # ---------------------------------------------------------------------------
@@ -256,3 +302,19 @@ def test_evaluator_calls_at_most_512_points():
     qd.poisson_log_integral(ev, 0.5, 1.0, "plus", 1e-6, l1_norm=se.l1_norm_at(s, 0.5))
     qd.interval_sup(ev, 0.5, (0.0, 100.0), grid_n=3000)
     assert max(sizes) == 512
+
+
+@pytest.mark.parametrize("grid_n", [16, 64, 511, 3000])
+def test_interval_sup_call_budget(grid_n):
+    # the grid in calls of at most 512 points, then one call for each of
+    # the 4 zoom rounds
+    sizes = []
+    line = se.line_evaluator(se.classical_polynomial([1.0, 0.7, -0.4, 0.25], 0.5), 0.5)
+
+    def ev(points):
+        sizes.append(points.size)
+        return line(points)
+
+    qd.interval_sup(ev, 0.5, (0.0, 10.0), grid_n=grid_n)
+    assert len(sizes) == math.ceil((grid_n + 1) / 512) + 4
+    assert max(sizes) <= 512
