@@ -41,7 +41,6 @@ from .series import (
     ExponentSequence,
     Interval,
     classical_polynomial,
-    evaluate,
     hurwitz_family,
     l1_norm_at,
     l2_norm,

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from . import series as se
 from . import special as sp
 from .errors import (
@@ -56,7 +58,7 @@ __all__ = [
 ]
 
 THEOREM_IDS = (
-    "T4", "T6", "T7", "T8", "T9", "T10", "T11", "T12", "T13", "T14",
+    "T4", "T6", "T7", "T9", "T10", "T11", "T12", "T13", "T14",
     "T15", "T16", "T17", "T18", "T19", "T20", "T21", "T22", "T23", "T24",
     "T25", "T26", "T27", "T28", "T29", "T30", "L13", "L14",
 )
@@ -199,7 +201,9 @@ def log_minus_weighted_bound(
     The anchor L(sigma + D) is evaluated numerically; moduli below 1e-12
     raise NearZeroAnchorError.
     """
-    anchor = se.evaluate(series, series.sigma + d, target_error).value
+    x = series.sigma + d
+    ev = se.line_evaluator(series, x, tail_tol=target_error)
+    anchor = complex(ev(np.array(x + 0j)))
     if abs(anchor) <= _ANCHOR_FLOOR:
         raise NearZeroAnchorError(
             f"|L(sigma + D)| = {abs(anchor):.3e} too small for a log bound"

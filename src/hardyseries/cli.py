@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: norms, constants, bound, nonvanishing, integrate, scan,
-minmax, verify.  All numeric output uses 12 significant digits; values that
-live in natural-log space are printed with a ``log:`` prefix.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 numerical failure.
+Subcommands: constants, norms, bound, nonvanishing, integrate, verify.
+Every experiment, the zeta-family scans and the minmax explorer included,
+runs through ``verify`` from an ExperimentConfig JSON document.  All numeric
+output uses 12 significant digits; values that live in natural-log space
+are printed with a ``log:`` prefix.  Exit codes: 0 success, 1 verification
+failure, 2 usage error, 3 numerical failure.
 The HD_LOG_LEVEL environment variable (error | info | debug) controls the
 package logger.
 """
@@ -223,29 +225,6 @@ def _result_to_exit(result: hn.ExperimentResult) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_scan(args) -> int:
-    experiment = "lerch_scan" if args.variant == "lerch" else "hurwitz_scan"
-    cfg = hn.ExperimentConfig(
-        experiment,
-        seed=args.seed,
-        alphas=(args.alpha,) if args.alpha is not None else (0.3, 0.5, 1.0),
-        deltas=(args.delta,),
-        t_start=args.t0,
-        t_stop=args.t1,
-        t_step=args.step,
-        threads=args.threads,
-        out=args.out,
-    )
-    return _result_to_exit(hn.dispatch(cfg))
-
-
-def _cmd_minmax(args) -> int:
-    cfg = hn.ExperimentConfig(
-        "minmax", seed=args.seed, deltas=(args.delta,), m_norm=args.m, out=args.out,
-    )
-    return _result_to_exit(hn.dispatch(cfg))
-
-
 def _cmd_verify(args) -> int:
     # an explicit flag overrides the config document; an absent one keeps it
     overrides = {name: getattr(args, name)
@@ -323,25 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("abs", "logplus", "logminus", "sup"),
                    help="integrand: |L|^p, log+|L|, log-|L|, or the window sup")
     p.set_defaults(func=_cmd_integrate)
-
-    p = sub.add_parser("scan", help="sliding-window zeta-family scans (T27-T30)")
-    p.add_argument("--variant", default="hurwitz", choices=("hurwitz", "lerch"))
-    p.add_argument("--alpha", type=float, help="single shift parameter")
-    p.add_argument("--delta", type=float, default=0.05, help="window length")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=10.0)
-    p.add_argument("--step", type=float, default=0.025)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", help="CSV output path")
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("minmax", help="window-sup minimization explorer (T18 floor)")
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--m", type=float, default=3.0, help="prescribed l2 norm")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_minmax)
 
     p = sub.add_parser("verify", help="run a verification experiment")
     p.add_argument("--experiment", choices=hn.EXPERIMENTS)

@@ -173,10 +173,21 @@ class ExperimentResult:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
     def write_summary(self, path: str) -> None:
+        """Strict JSON: a non-finite float is written as its CSV spelling."""
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"experiment": self.experiment, "passed": self.passed,
-                       "summary": self.summary}, fh, indent=2, default=float)
+                       "summary": _strict(self.summary)}, fh, indent=2,
+                      default=float, allow_nan=False)
             fh.write("\n")
+
+
+def _strict(value):
+    """``value`` with every non-finite float, nested dicts included, as text."""
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return _fmt(float(value))
+    return value
 
 
 # ---------------------------------------------------------------------------

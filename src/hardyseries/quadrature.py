@@ -20,9 +20,9 @@ interest) and the result is flagged.
 of 512), then zooms in on the running maximum in 4 rounds of one call of 33
 evenly spaced points each, every later window reaching one spacing of the
 round before either side of the best sample: 1 + 4 calls per sup for grids
-of up to 512 points.  Each value is a sampled |L|, so the result is a *lower* bound for
-the true supremum, which is the sound direction for every inequality
-checked by this package.
+of up to 512 points.  Each value is a sampled |L|, so the result is a
+*lower* bound for the true supremum, which is the sound direction for
+every inequality checked by this package.
 """
 
 from __future__ import annotations

@@ -33,12 +33,10 @@ from .errors import (
 __all__ = [
     "ClassParams",
     "DirichletSeries",
-    "EvalResult",
     "ExponentSequence",
     "HurwitzTail",
     "Interval",
     "classical_polynomial",
-    "evaluate",
     "hurwitz_family",
     "l1_norm_at",
     "l2_norm",
@@ -179,11 +177,6 @@ class Interval(NamedTuple):
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-
-class EvalResult(NamedTuple):
-    value: complex
-    error_bound: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,38 +386,6 @@ def normalize_leading(series: DirichletSeries) -> DirichletSeries:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _tail_value(tail: HurwitzTail, s, target_error: float) -> EvalResult:
-    """The analytic tail at s: one complex number or an array on one vertical line."""
-    # tail terms are alpha^w (n+alpha)^-w with w = coeff_power + lambda_scale s
-    w = tail.coeff_power + tail.lambda_scale * np.asarray(s, dtype=complex)
-    w_re = float(np.ravel(w)[0].real)
-    if w_re <= 1:
-        raise DivergenceError(f"tail diverges: effective exponent {w_re:.4f} <= 1")
-    pref_mod = tail.alpha ** w_re  # |alpha^w|, the same at every point of the line
-    raw, bound = special.hurwitz_tail_sum(
-        w, tail.alpha, tail.start, target_error / max(pref_mod, 1e-300)
-    )
-    return EvalResult(tail.alpha ** w * raw, float(pref_mod * bound))
-
-
-def evaluate(series: DirichletSeries, s: complex, target_error: float = 1e-12) -> EvalResult:
-    """Truncated value of L(s) with a rigorous tail bound.
-
-    Finite series are exact (error 0); the built-in analytic tail is closed
-    out with the Euler-Maclaurin machinery, so slowly converging abscissas
-    still meet ``target_error``.
-    """
-    s = complex(s)
-    lam = series.lambdas
-    value = complex(np.sum(series.coefficients * np.exp(-lam * s)))
-    if series.tail is None:
-        return EvalResult(value, 0.0)
-    if target_error <= 0:
-        raise InvalidParameterError("target_error must be positive")
-    tail_val = _tail_value(series.tail, s, target_error)
-    return EvalResult(value + complex(tail_val.value), tail_val.error_bound)
-
-
 _EVAL_BLOCK = 1 << 13  # head-sum matrix entries (points x terms) per block
 
 
@@ -436,16 +397,23 @@ def line_evaluator(
     The returned function maps a complex array of points sigma1 + i t to the
     array of values L(s), of the same shape; points off the line are refused.
     The head sum exp(-i t lambda) . a_n e^(-lambda_n sigma1) is built in
-    blocks of at most 2^13 matrix entries and summed per row, in the order
-    of the one-point sum in ``evaluate`` (a BLAS product adds in another);
-    tailed families close the tail of the whole array with one
-    Euler-Maclaurin call at ``tail_tol``.
+    blocks of at most 2^13 matrix entries.  Each row is added up by numpy's
+    pairwise sum over the terms in index order, exactly as a one-point sum
+    of the same terms would be (a BLAS product adds in another order).
+    Tailed families close the tail of the whole array with one
+    Euler-Maclaurin call: the terms alpha^w (n+alpha)^-w with
+    w = coeff_power + lambda_scale s, summed to ``tail_tol``.
     """
     lam = series.lambdas
     weights = series.coefficients * np.exp(-lam * sigma1)
     tail = series.tail
-    if tail is not None and tail.power_at(sigma1) <= 1.0:
-        raise DivergenceError("line lies at or below the tail abscissa")
+    if tail is not None:
+        w_re = tail.power_at(sigma1)  # Re w, the same at every point of the line
+        if w_re <= 1.0:
+            raise DivergenceError(
+                f"tail diverges: effective exponent {w_re:.4f} <= 1")
+        # the sum is scaled by alpha^w, of modulus alpha^Re(w) on the whole line
+        tail_target = tail_tol / max(tail.alpha ** w_re, 1e-300)
     rows = max(1, _EVAL_BLOCK // lam.size)
 
     def ev(s: np.ndarray) -> np.ndarray:
@@ -460,7 +428,9 @@ def line_evaluator(
             out[lo:lo + rows] = np.sum(weights * phases, axis=1)
         out = out.reshape(t.shape)
         if tail is not None and t.size:
-            out += _tail_value(tail, sigma1 + 1j * t, tail_tol).value
+            w = tail.coeff_power + tail.lambda_scale * (sigma1 + 1j * t)
+            raw, _ = special.hurwitz_tail_sum(w, tail.alpha, tail.start, tail_target)
+            out += tail.alpha ** w * raw
         return out
 
     return ev

@@ -158,7 +158,7 @@ def test_log_minus_bound_constant_series():
 def test_log_minus_bound_classical_pair():
     s = se.classical_polynomial([1.0, 0.5], 0.5)
     rep = bd.log_minus_weighted_bound(s, 1.0, "L1")
-    anchor = abs(se.evaluate(s, 1.5).value)
+    anchor = abs(1.0 + 0.5 * 2.0 ** -1.5)  # L(1.5) = 1 + 0.5 * 2^-1.5
     l1 = se.l1_norm_at(s, 0.5)
     assert rep.bound_value == pytest.approx(math.log(l1) - math.log(anchor), rel=1e-10)
     ev = se.line_evaluator(s, 0.5)
@@ -440,6 +440,8 @@ def test_bound_report_log_space_underflow():
 def test_bound_report_validation():
     with pytest.raises(InvalidParameterError):
         bd.BoundReport("T99", {}, 1.0, "upper")
+    with pytest.raises(InvalidParameterError):
+        bd.BoundReport("T8", {}, 1.0, "upper")  # an id without a formula
     with pytest.raises(InvalidParameterError):
         bd.BoundReport("T4", {}, math.inf, "upper")
 

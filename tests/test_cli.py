@@ -1,9 +1,12 @@
 """CLI: exit codes, output formatting, reproducibility."""
 
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import hardyseries
 from hardyseries import cli
 
 
@@ -79,8 +82,11 @@ def test_integrate_command(capsys, series_file):
 
 
 def test_scan_command(tmp_path, capsys):
+    cfg_path = tmp_path / "scan.json"
+    cfg_path.write_text(json.dumps(
+        {"experiment": "hurwitz_scan", "alphas": [1.0], "t_stop": 2.0}))
     out = tmp_path / "scan.csv"
-    rc = cli.main(["scan", "--alpha", "1.0", "--t1", "2.0", "--out", str(out)])
+    rc = cli.main(["verify", "--config", str(cfg_path), "--out", str(out)])
     assert rc == 0
     text = out.read_text()
     assert text.splitlines()[0].startswith("alpha,delta,t,measured")
@@ -115,7 +121,9 @@ def test_usage_errors(capsys, tmp_path):
     assert cli.main(["norms", "--series", str(tmp_path / "missing.json")]) == 2
     assert cli.main(["verify"]) == 2
     assert cli.main(["definitely-not-a-command"]) == 2
-    assert cli.main(["minmax", "--threads", "2"]) == 2
+    # experiments run only through verify: the old subcommands are gone
+    assert cli.main(["scan", "--alpha", "1.0"]) == 2
+    assert cli.main(["minmax"]) == 2
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys):
@@ -130,6 +138,19 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     rc = cli.main(["nonvanishing", "--series", str(path), "--xi", "0.5"])
     assert rc in (2, 3)  # gap 1e-308 gives a astronomically large C
+
+
+def test_public_names_resolve(capsys):
+    # a deleted function must take its exports and its subcommand with it
+    for info in pkgutil.iter_modules(hardyseries.__path__):
+        module = importlib.import_module(f"hardyseries.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    assert cli.main(["--help"]) == 0
+    usage = capsys.readouterr().out
+    listed = usage[usage.index("{") + 1:usage.index("}")].split(",")
+    assert listed == ["constants", "norms", "bound", "nonvanishing",
+                      "integrate", "verify"]
 
 
 def test_help_mentions_catalog(capsys):

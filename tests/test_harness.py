@@ -202,6 +202,18 @@ def test_lerch_scan_pole_window_diverges(tmp_path, monkeypatch, capsys):
     rows = hn.dispatch(cfg).rows
     assert rows[0][4] == math.inf and rows[0][-1]
     assert all(math.isfinite(r[4]) and r[-1] for r in rows[1:])
+    # the pole window alone: every margin is +inf, and the summary stays
+    # strict JSON with the CSV spelling of the infinity
+    path.write_text(json.dumps({**doc, "t_stop": 0.0}))
+    out = tmp_path / "pole.csv"
+    assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    text = (tmp_path / "pole.csv.summary.json").read_text()
+    summary = json.loads(text, parse_constant=reject)["summary"]
+    assert summary["min_margin"] == "inf" and summary["n_rows"] == 1
     for value in (0.0, math.nan):  # a measured 0 or NaN still fails
         monkeypatch.setattr(qd, "_integrate", lambda *a, v=value, **k: (v, 0.0, 1, False))
         rows = hn.dispatch(cfg).rows

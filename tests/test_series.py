@@ -1,5 +1,6 @@
 """Core series type: norms, separation constant, transforms, JSON round trip."""
 
+import cmath
 import json
 import math
 
@@ -237,35 +238,51 @@ def test_normalize_leading_random_monotone():
 # evaluation
 # ---------------------------------------------------------------------------
 
+def _term_sum(s: se.DirichletSeries, point: complex) -> complex:
+    """sum a_n e^(-lambda_n s) of a finite series, one cmath term at a time."""
+    return sum(complex(a) * cmath.exp(-float(lam) * point)
+               for a, lam in zip(s.coefficients, s.lambdas))
+
+
+def _one_point(s: se.DirichletSeries, point: complex, tail_tol: float = 1e-10) -> complex:
+    return complex(se.line_evaluator(s, point.real, tail_tol)(np.array(point)))
+
+
 def test_evaluate_finite_exact():
     one = se.classical_polynomial([1.0])
-    val, err = se.evaluate(one, 3 + 4j)
-    assert val == 1.0 and err == 0.0
+    assert _one_point(one, 3 + 4j) == 1.0
     s = se.classical_polynomial([1, 1])
-    val, err = se.evaluate(s, 1.0)
-    assert val == pytest.approx(1.5) and err == 0.0
+    assert _one_point(s, 1.0 + 0j) == pytest.approx(1.5)
+    assert _one_point(s, 1.0 + 0j) == _term_sum(s, 1.0)
 
 
 def test_evaluate_hurwitz_matches_zeta():
-    fam = se.hurwitz_family(1.0, n_terms=64)
-    res = se.evaluate(fam, 1.2378, target_error=1e-8)
-    ref = sp.riemann_zeta(1.7378, 1e-12)
-    assert abs(res.value - ref) <= res.error_bound + 1e-10
+    # the tailed family sums to alpha^w zeta(w, alpha) with w = s + 1/2
+    mpmath = pytest.importorskip("mpmath")
+    tail_tol = 1e-8
+    for alpha, n_terms, point in ((1.0, 64, 1.2378 + 0j), (0.4, 24, 0.75 + 17.5j),
+                                  (0.7, 16, 1.1 - 3.0j)):
+        fam = se.hurwitz_family(alpha, n_terms=n_terms)
+        value = _one_point(fam, point, tail_tol)
+        with mpmath.workdps(25):
+            w = mpmath.mpc(point.real + 0.5, point.imag)
+            ref = complex(mpmath.power(alpha, w) * mpmath.zeta(w, alpha))
+        assert abs(value - ref) <= tail_tol + 1e-12
 
 
 def test_evaluate_divergent_abscissa():
     fam = se.hurwitz_family(1.0, n_terms=16)
     with pytest.raises(DivergenceError):
-        se.evaluate(fam, 0.5)  # on the L^1 abscissa
+        se.line_evaluator(fam, 0.5)  # on the L^1 abscissa
 
 
-def test_line_evaluator_matches_evaluate():
+def test_line_evaluator_matches_term_sum():
     rng = np.random.default_rng(5)
     s = _random_series(rng)
     ev = se.line_evaluator(s, 0.5)
-    for t in (0.0, 0.3, 2.0):
-        direct, _ = se.evaluate(s, 0.5 + 1j * t)
-        assert abs(ev(0.5 + 1j * t) - direct) < 1e-12
+    ts = np.array([0.0, 0.3, 2.0])
+    for t, value in zip(ts, ev(0.5 + 1j * ts)):
+        assert abs(value - _term_sum(s, complex(0.5, t))) < 1e-12
     # the line is fixed: a quadrature on another line cannot silently use it
     with pytest.raises(InvalidParameterError):
         ev(np.array([0.5 + 1j, 0.6 + 1j]))
@@ -273,9 +290,9 @@ def test_line_evaluator_matches_evaluate():
         qd.integrate_abs_pow(ev, 2.0, (0.0, 1.0), 2, 1e-9)
 
 
-def test_tailed_line_evaluator_array_matches_evaluate():
+def test_tailed_line_evaluator_array_matches_one_point():
     # the whole array shares one tail cutoff, sized at its largest |t|; every
-    # point still meets tail_tol against a tighter scalar evaluation
+    # point still meets tail_tol against a 1000x tighter one-point call
     tail_tol = 1e-10
     fam = se.hurwitz_family(0.4, n_terms=24)
     sigma1 = 0.75
@@ -284,8 +301,7 @@ def test_tailed_line_evaluator_array_matches_evaluate():
     values = ev(sigma1 + 1j * ts)
     assert values.shape == ts.shape
     for t, value in zip(ts.ravel(), values.ravel()):
-        direct, bound = se.evaluate(fam, complex(sigma1, t), target_error=1e-3 * tail_tol)
-        assert bound <= 1e-3 * tail_tol
+        direct = _one_point(fam, complex(sigma1, t), 1e-3 * tail_tol)
         assert abs(value - direct) <= tail_tol
 
 
