@@ -450,12 +450,28 @@ def _window_integrals(mods: np.ndarray, nodes_per_window: int, stride: int, h: f
     return windows[::stride] @ weights
 
 
+def _scan_ordinates(config: ExperimentConfig) -> np.ndarray:
+    """The window starts of both scans, t_start + k t_step up to t_stop.
+
+    The step count (t_stop - t_start) / t_step gets a slack of
+    4 eps (|t_start| + |t_stop|) / t_step steps, the scale of the rounding
+    of t_start, t_stop, t_step and the quotient, so a t_stop that float
+    division puts just below a whole number of steps
+    (0.3 / 0.1 = 2.9999999999999996) keeps its window and any t_stop
+    further below a grid point does not."""
+    start, stop, step = config.t_start, config.t_stop, config.t_step
+    slack = 4 * np.finfo(float).eps * (abs(start) + abs(stop)) / step
+    count = math.floor((stop - start) / step + slack) + 1
+    return start + step * np.arange(count)
+
+
 def _scan_alpha(alpha: float, delta: float, config: ExperimentConfig):
     """Windowed integrals of |zeta(1+it, alpha)| over sliding T windows."""
     subdiv = _SCAN_SUBDIV
     h = delta / subdiv
     stride = int(round(config.t_step / h))  # whole, checked with the config
-    n_windows = int(math.floor((config.t_stop - config.t_start) / config.t_step)) + 1
+    t_values = _scan_ordinates(config)
+    n_windows = t_values.size
     n_nodes = (n_windows - 1) * stride + subdiv + 1
     ts = config.t_start + h * np.arange(n_nodes)
     # the integrand has a pole at t = 0; nudge that node so every window
@@ -482,7 +498,6 @@ def _scan_alpha(alpha: float, delta: float, config: ExperimentConfig):
         for lo in starts:
             mods[lo:lo + band] = eval_band(lo)
     integrals = _window_integrals(mods, subdiv + 1, stride, h)
-    t_values = config.t_start + config.t_step * np.arange(n_windows)
     return t_values, integrals[:n_windows]
 
 
@@ -533,7 +548,7 @@ def _lerch_scan_rows(config: ExperimentConfig):
     """Spot-grid of twisted-series window integrals against the shifted-
     parameter lower bound (the bound depends on the shift beta only)."""
     rows = []
-    spots = np.arange(config.t_start, config.t_stop + 1e-12, config.t_step)
+    spots = _scan_ordinates(config)
     for alpha in config.alphas:
         for beta in config.betas:
 

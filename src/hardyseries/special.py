@@ -23,12 +23,22 @@ so one cutoff, sized at the largest |Im s|, serves the whole array: the
 Euler-Maclaurin N, and for twisted sums the Abel-summation plan (N, K),
 where N is the smallest cutoff >= 64 whose truncation + roundoff bound
 meets the tolerance.  The head sums of both families go through one
-blocked kernel, ``_head_sum``.
+blocked kernel, ``_head_sum``.  An array of at least 128 points whose
+ordinates lie within 8 ulp of max|t| of a progression t_0 + j h (a scan
+band) is summed as one matrix product: block rows (n + alpha)^-s at every
+64th point times a 64 x N phase table e^(-i r h log(n + alpha)), built once
+per call.  A point and its block's first point each sit at most 8 ulp off
+the progression, so a term's phase moves by at most 16 ulp(T) log(N + alpha),
+the order of the rounding of t log n itself.  The product is an einsum,
+which sums in NumPy's own loop and never in BLAS, so its bits do not depend
+on the BLAS library or its thread count.  Every other array is summed with
+one complex exp per (point, term).
 """
 
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -53,11 +63,15 @@ __all__ = [
     "riemann_zeta",
 ]
 
+logger = logging.getLogger(__name__)
+
 _MAX_BERNOULLI_TERMS = 30  # B_2 through B_60
 _EM_TERMS = 14  # Bernoulli corrections M in every Euler-Maclaurin closure
 _MIN_CUTOFF = 16
 _MAX_CUTOFF = 2 ** 21
 _HEAD_BLOCK = 1 << 16  # head-sum matrix entries per block (points x terms), 1 MiB
+_PHASE_ROWS = 64  # points per block of the phase-matrix head sum
+_PHASE_TERMS = 4096  # terms per piece of the phase-matrix head sum, E at 4 MiB
 _LERCH_MIN_CUTOFF = 64
 _LERCH_ORDERS = (16, 12, 8, 5, 3, 2)  # Abel difference orders K, tried in turn
 
@@ -180,13 +194,52 @@ def _line_worst(sv: np.ndarray) -> complex:
     return complex(sigma, np.max(np.abs(sv.imag)))
 
 
-def _head_sum(sv: np.ndarray, log_n: np.ndarray, twist=None) -> np.ndarray:
-    """sum_n exp(-s log_n[n] + twist[n]) for each s of the 1-d array ``sv``.
+def _progression_step(ts: np.ndarray) -> float | None:
+    """The step h when the ordinates ``ts``, at least 2 x 64 of them, lie
+    within 8 ulp of max|t| of ts[0] + j h; otherwise None."""
+    if ts.size < 2 * _PHASE_ROWS:
+        return None
+    h = (ts[-1] - ts[0]) / (ts.size - 1)
+    slack = 8 * np.spacing(np.max(np.abs(ts)))
+    if not np.max(np.abs(ts - (ts[0] + h * np.arange(ts.size)))) <= slack:
+        return None
+    return float(h)
 
-    The terms are built in blocks of 2^16 matrix entries (points x terms),
-    or of one row where a row is longer, and summed per row; without a
-    twist the sum is exactly the Euler-Maclaurin head sum_n (n + alpha)^-s.
+
+def _head_sum(sv: np.ndarray, log_n: np.ndarray, twist=None) -> np.ndarray:
+    """sum_n exp(-s log_n[n] + twist[n]) for each s of the 1-d array ``sv``;
+    without a twist this is exactly the Euler-Maclaurin head sum_n (n + alpha)^-s.
+
+    Ordinates in arithmetic progression (``_progression_step``) are summed
+    as one matrix product: for blocks of 64 consecutive points, the row
+    V[b, n] = exp(-s_{64b} log_n[n] + twist[n]) at each block's first point
+    times the phase table E[r, n] = exp(-i r h log_n[n]), r < 64, both built
+    once per call in pieces of at most 4096 terms.  Point 64b + r then gets
+    the phase (t_{64b} + r h) log_n[n] in place of t_{64b+r} log_n[n]: with
+    both ordinates within 8 ulp of the progression, at most
+    16 ulp(T) log(N + alpha) apart per term, the order of the rounding of
+    t log n itself.  Every other array is built in blocks of
+    2^16 matrix entries (points x terms), or of one row where a row is
+    longer, and summed per row.  With debug logging on, each call logs its
+    point count, term count and path.
     """
+    step = _progression_step(sv.imag)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("head sum: %d points, %d terms, %s", sv.size, log_n.size,
+                     "per-row" if step is None else "phase-matrix")
+    if step is not None:
+        # einsum (without optimize) sums in its own loop, never in BLAS, so
+        # the bits do not depend on the BLAS library or its thread count
+        shifts = step * np.arange(_PHASE_ROWS)
+        head = np.zeros((-(-sv.size // _PHASE_ROWS), _PHASE_ROWS), dtype=complex)
+        for lo in range(0, log_n.size, _PHASE_TERMS):
+            part = log_n[lo:lo + _PHASE_TERMS]
+            anchors = np.multiply.outer(-sv[::_PHASE_ROWS], part)
+            if twist is not None:
+                anchors += twist[lo:lo + _PHASE_TERMS]
+            phases = np.exp(-1j * np.multiply.outer(shifts, part))
+            head += np.einsum("bn,rn->br", np.exp(anchors, out=anchors), phases)
+        return head.ravel()[:sv.size]
     head = np.empty(sv.shape, dtype=complex)
     rows = max(1, _HEAD_BLOCK // max(log_n.size, 1))
     for lo in range(0, sv.size, rows):
@@ -278,7 +331,9 @@ def hurwitz_zeta_grid(
 
     One cutoff, sized for the worst |t| in the block, serves every point;
     inputs with sigma + i t == 1 are rejected.  Used by the scan harness
-    where millions of values are needed.
+    where millions of values are needed.  With debug logging on, each call
+    logs one line from ``_head_sum``: the point count, the EM cutoff N (the
+    head's term count) and the head path.
     """
     ts = np.asarray(ts, dtype=float)
     if not 0 < alpha <= 1:

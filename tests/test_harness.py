@@ -1,5 +1,6 @@
 """Harness: determinism, config validation, experiment behavior on small grids."""
 
+import dataclasses
 import json
 import math
 
@@ -106,6 +107,45 @@ def test_hurwitz_scan_threads_identical():
     cfg4 = _small("hurwitz_scan", alphas=(0.3,), t_stop=2.0, threads=4)
     r1, r4 = hn.dispatch(cfg1), hn.dispatch(cfg4)
     assert r1.rows == r4.rows
+
+
+def test_hurwitz_scan_phase_matrix_bands_reproducible(tmp_path, caplog):
+    # t 100-130 is 4809 nodes: two bands, both summed by the phase matrix
+    caplog.set_level("DEBUG", logger="hardyseries.special")
+    cfg = _small("hurwitz_scan", alphas=(0.3,), t_start=100.0, t_stop=130.0)
+    r1 = hn.dispatch(cfg)
+    paths = [r.getMessage().rsplit(", ", 1)[1] for r in caplog.records]
+    assert paths == ["phase-matrix"] * 2
+    assert r1.passed and len(r1.rows) == 1201
+    assert hn.dispatch(dataclasses.replace(cfg, threads=4)).rows == r1.rows
+    csvs = []
+    for name in ("a.csv", "b.csv"):
+        hn.dispatch(dataclasses.replace(cfg, out=str(tmp_path / name)))
+        csvs.append((tmp_path / name).read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("t_stop", [0.3, 0.7, 2.3])
+def test_scans_end_at_t_stop(t_stop):
+    # t_stop / t_step rounds just below a whole number for each of these
+    common = dict(alphas=(0.5,), t_stop=t_stop, t_step=0.1)
+    hurwitz = hn.dispatch(_small("hurwitz_scan", **common))
+    lerch = hn.dispatch(_small("lerch_scan", betas=(0.7,), **common))
+    t_hurwitz = [row[2] for row in hurwitz.rows]
+    t_lerch = [row[3] for row in lerch.rows]
+    assert t_hurwitz == t_lerch
+    assert len(t_hurwitz) == round(t_stop / 0.1) + 1
+    assert t_hurwitz[-1] == pytest.approx(t_stop, abs=1e-12)
+
+
+def test_scan_ordinates_slack_is_float_rounding():
+    # 40 000 steps of 0.025: a t_stop a tenth of a step below the last grid
+    # point loses that window, one a few ulp below keeps it
+    cfg = _small("hurwitz_scan", t_start=0.0, t_stop=1000.0, t_step=0.025)
+    assert hn._scan_ordinates(cfg).size == 40001
+    for below, windows in ((1e-6, 40000), (2.5e-3, 40000), (4 * np.spacing(1000.0), 40001)):
+        short = dataclasses.replace(cfg, t_stop=1000.0 - below)
+        assert hn._scan_ordinates(short).size == windows
 
 
 def test_lerch_scan_spot():

@@ -305,6 +305,20 @@ def test_tailed_line_evaluator_array_matches_one_point():
         assert abs(value - direct) <= tail_tol
 
 
+def test_tailed_line_evaluator_on_even_grid_matches_one_point():
+    # 200 evenly spaced ordinates take the phase-matrix head of the tail sum;
+    # at t <= 10 the Euler-Maclaurin bound already holds at n = 64, so that
+    # head is empty
+    tail_tol = 1e-10
+    fam = se.hurwitz_family(0.5)
+    ev = se.line_evaluator(fam, 1.0, tail_tol=tail_tol)
+    ts = np.linspace(0.0, 10.0, 200)
+    values = ev(1.0 + 1j * ts)
+    for t, value in zip(ts, values):
+        direct = _one_point(fam, complex(1.0, t), 1e-3 * tail_tol)
+        assert abs(value - direct) <= tail_tol
+
+
 # ---------------------------------------------------------------------------
 # norm-decay inequalities on finite series
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ reproduce.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +177,108 @@ def test_hurwitz_grid_matches_scalar():
         with mpmath.workdps(20):
             ref = complex(mpmath.zeta(mpmath.mpc(1.0, ts[j]), 0.3))
         assert abs(vals[j] - ref) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# phase-matrix head sum on uniform grids
+# ---------------------------------------------------------------------------
+
+_SCAN_H = 0.05 / 8  # grid step of a hurwitz_scan band at delta = 0.05
+
+
+def _per_row_head(sv, log_n, twist=0.0):
+    # one complex exp per (point, term), summed per row
+    return np.exp(np.multiply.outer(-sv, log_n) + twist).sum(axis=1)
+
+
+def test_phase_matrix_head_matches_per_row_and_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1988)
+    for t0 in (100.0, 500.0, 996.0):
+        ts = t0 + _SCAN_H * np.arange(4000)
+        assert sp._progression_step(ts) == pytest.approx(_SCAN_H, rel=1e-12)
+        for alpha in (0.3, 0.5, 1.0):
+            n_cutoff = sp._em_cutoff(complex(1.0, ts[-1]), alpha, 1e-9)
+            log_n = np.log(np.arange(n_cutoff) + alpha)
+            head = sp._head_sum(1.0 + 1j * ts, log_n)
+            scale = np.sum(np.exp(-log_n))  # sum (n + alpha)^-sigma
+            deviation = np.abs(head - _per_row_head(1.0 + 1j * ts, log_n))
+            assert np.max(deviation) <= 1e-11 * scale
+            vals = sp.hurwitz_zeta_grid(alpha, ts, 1.0, 1e-9)
+            j = int(rng.integers(ts.size))
+            with mpmath.workdps(20):
+                ref = complex(mpmath.zeta(mpmath.mpc(1.0, ts[j]), alpha))
+            assert abs(vals[j] - ref) <= 1e-9 + 1e-11
+    # the twisted Lerch head: the twist is a per-term factor of each block row
+    alpha, beta = 0.3, 0.7
+    ts = 500.0 + _SCAN_H * np.arange(4000)
+    n = np.arange(sp._lerch_tail_plan(complex(1.0, ts[-1]), beta,
+                                      abs(1 - np.exp(2j * np.pi * alpha)), 1e-9)[0])
+    log_n, twist = np.log(n + beta), 2j * np.pi * alpha * n
+    head = sp._head_sum(1.0 + 1j * ts, log_n, twist)
+    deviation = np.abs(head - _per_row_head(1.0 + 1j * ts, log_n, twist))
+    assert np.max(deviation) <= 1e-11 * np.sum(np.exp(-log_n))
+    vals = sp.lerch_phi(alpha, beta, 1.0 + 1j * ts, 1e-9)
+    j = int(rng.integers(ts.size))
+    assert abs(vals[j] - _lerch_mpmath(alpha, beta, ts[j])) <= 1e-9 + 1e-11
+    # a head longer than one piece of 4096 terms, the twist cut with it
+    ts = 5000.0 + _SCAN_H * np.arange(200)
+    n = np.arange(9000)
+    log_n, twist = np.log(n + beta), 2j * np.pi * alpha * n
+    head = sp._head_sum(1.0 + 1j * ts, log_n, twist)
+    deviation = np.abs(head - _per_row_head(1.0 + 1j * ts, log_n, twist))
+    assert np.max(deviation) <= 1e-11 * np.sum(np.exp(-log_n))
+
+
+def test_off_progression_head_is_per_row_bit_for_bit():
+    log_n = np.log(np.arange(200) + 0.5)
+    ts = 500.0 + _SCAN_H * np.arange(4000)
+    off = ts.copy()
+    off[1234] += 1e-6
+    near = ts.copy()  # off by 64 ulp of max|t|, beyond the 8-ulp slack
+    near[1234] += 64 * np.spacing(ts[-1])
+    # the first scan band, whose t = 0 node is nudged to 1e-9
+    nudged = _SCAN_H * np.arange(4000)
+    nudged[0] = 1e-9
+    for grid in (off, near, nudged, ts[:2 * 64 - 1]):
+        assert sp._progression_step(grid) is None
+        sv = 1.0 + 1j * grid
+        assert np.array_equal(sp._head_sum(sv, log_n), _per_row_head(sv, log_n))
+
+
+def test_zeta_grid_logs_its_head_path(caplog):
+    caplog.set_level("DEBUG", logger="hardyseries.special")
+    sp.hurwitz_zeta_grid(1.0, 100.0 + _SCAN_H * np.arange(4000))
+    sp.hurwitz_zeta_grid(1.0, np.array([10.0, 20.0]))
+    lines = [r.getMessage() for r in caplog.records if r.name == "hardyseries.special"]
+    n_band = sp._em_cutoff(complex(1.0, 100.0 + _SCAN_H * 3999), 1.0, 1e-9)
+    n_pair = sp._em_cutoff(20j + 1.0, 1.0, 1e-9)
+    assert lines == [
+        f"head sum: 4000 points, {n_band} terms, phase-matrix",
+        f"head sum: 2 points, {n_pair} terms, per-row",
+    ]
+
+
+# one 4000-node band at t = 10^4; a BLAS product V @ E.T in place of the
+# einsum gives other last bits on two OpenBLAS threads than on one there
+_BAND_DIGEST = """
+import hashlib, numpy as np
+from hardyseries import special as sp
+ts = 1e4 + 0.05 / 8 * np.arange(4000)
+print(hashlib.sha256(sp.hurwitz_zeta_grid(0.3, ts).tobytes()).hexdigest())
+"""
+
+
+def test_phase_matrix_bits_do_not_depend_on_blas_threads():
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(sp.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": package_root}
+        run = subprocess.run([sys.executable, "-c", _BAND_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
