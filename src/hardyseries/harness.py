@@ -108,6 +108,10 @@ class ExperimentConfig:
                         f"multiple of delta/{_SCAN_SUBDIV} = {h:g}")
         if self.tolerance <= 0:
             raise InvalidParameterError("tolerance must be positive")
+        if min(self.p_values) < 1:
+            raise InvalidParameterError("config field 'p_values' must be >= 1")
+        if self.m_norm < 1:
+            raise InvalidParameterError("config field 'm_norm' must be >= 1")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -361,13 +365,13 @@ def _nonvanishing_rows(config: ExperimentConfig):
     return columns, rows, {}, True
 
 
-def _measurements_for(series, delta, tol):
+def _measurements_for(series, delta, tol, p_values):
     ev = se.line_evaluator(series, 0.5)
     window = (0.0, delta)
     log_minus = qd.integrate_log(ev, 0.5, window, "minus", tol)
     log_plus = qd.integrate_log(ev, 0.5, window, "plus", tol)
     sup = qd.interval_sup(ev, 0.5, window, grid_n=64)
-    lp = {p: qd.integrate_abs_pow(ev, 0.5, window, p, tol * delta) for p in (1.0, 2.0)}
+    lp = {p: qd.integrate_abs_pow(ev, 0.5, window, p, tol * delta) for p in p_values}
     return log_minus, log_plus, sup, lp
 
 
@@ -391,7 +395,8 @@ def _log_bound_rows(config: ExperimentConfig):
                 p = bd.class_params(s)
                 params = dict(norm1=se.l1_norm_at(s, 0.5), norm2=se.l2_norm(s),
                               c=p.c, k=p.k, lambda1=p.lambda1)
-                log_minus, log_plus, sup, lp = _measurements_for(s, delta, 1e-5)
+                log_minus, log_plus, sup, lp = _measurements_for(s, delta, 1e-5,
+                                                                  config.p_values)
                 log_ids, sup_ids, lp_ids = _LOG_BOUND_IDS[family]
                 for tid in log_ids:
                     minus_b, plus_b = bd.short_interval_log_bounds(tid, delta, **params)

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series as se
+from . import special as sp
 from .errors import InvalidParameterError
 
 __all__ = [
@@ -129,11 +130,11 @@ def bump_hat(x) -> complex | np.ndarray:
 
     Plateau segment integrated in closed form, edge layers by 64-point
     Gauss-Legendre (the phase across a layer stays below ~9 radians for
-    |x| <= 3e5, well inside the rule's accuracy range).
+    |x| <= 3e5, well inside the rule's accuracy range), summed by
+    ``special._head_sum``: one phase-matrix product on an evenly spaced grid.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    phases = np.exp(-1j * np.outer(x_arr, _LAYER_T))
-    vals = phases @ (_LAYER_W * _LAYER_PHI)
+    vals = sp._head_sum(1j * x_arr, _LAYER_T, _LAYER_W * _LAYER_PHI)
     small = np.abs(x_arr) * (_PLATEAU_HI - _PLATEAU_LO) < 1e-8
     with np.errstate(divide="ignore", invalid="ignore"):
         plateau = (

@@ -386,9 +386,6 @@ def normalize_leading(series: DirichletSeries) -> DirichletSeries:
 # evaluation
 # ---------------------------------------------------------------------------
 
-_EVAL_BLOCK = 1 << 13  # head-sum matrix entries (points x terms) per block
-
-
 def line_evaluator(
     series: DirichletSeries, sigma1: float, tail_tol: float = 1e-10
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -396,13 +393,13 @@ def line_evaluator(
 
     The returned function maps a complex array of points sigma1 + i t to the
     array of values L(s), of the same shape; points off the line are refused.
-    The head sum exp(-i t lambda) . a_n e^(-lambda_n sigma1) is built in
-    blocks of at most 2^13 matrix entries.  Each row is added up by numpy's
-    pairwise sum over the terms in index order, exactly as a one-point sum
-    of the same terms would be (a BLAS product adds in another order).
-    Tailed families close the tail of the whole array with one
-    Euler-Maclaurin call: the terms alpha^w (n+alpha)^-w with
-    w = coeff_power + lambda_scale s, summed to ``tail_tol``.
+    The head sum_n a_n e^(-lambda_n sigma1) e^(-i t lambda_n) goes through
+    ``special._head_sum``: per point, the terms are added in index order
+    exactly as a one-point sum would add them; an evenly spaced grid of at
+    least 128 points is one phase-matrix product.  Tailed families close
+    the tail of the whole array with one Euler-Maclaurin call: the terms
+    alpha^w (n+alpha)^-w with w = coeff_power + lambda_scale s, summed to
+    ``tail_tol``.
     """
     lam = series.lambdas
     weights = series.coefficients * np.exp(-lam * sigma1)
@@ -414,19 +411,13 @@ def line_evaluator(
                 f"tail diverges: effective exponent {w_re:.4f} <= 1")
         # the sum is scaled by alpha^w, of modulus alpha^Re(w) on the whole line
         tail_target = tail_tol / max(tail.alpha ** w_re, 1e-300)
-    rows = max(1, _EVAL_BLOCK // lam.size)
 
     def ev(s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=complex)
         if np.any(s.real != sigma1):
             raise InvalidParameterError(f"points off the line Re(s) = {sigma1}")
         t = s.imag
-        flat = t.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        for lo in range(0, flat.size, rows):
-            phases = np.exp(-1j * np.outer(flat[lo:lo + rows], lam))
-            out[lo:lo + rows] = np.sum(weights * phases, axis=1)
-        out = out.reshape(t.shape)
+        out = special._head_sum(1j * t.ravel(), lam, weights).reshape(t.shape)
         if tail is not None and t.size:
             w = tail.coeff_power + tail.lambda_scale * (sigma1 + 1j * t)
             raw, _ = special.hurwitz_tail_sum(w, tail.alpha, tail.start, tail_target)

@@ -22,17 +22,17 @@ line, and refuse points off it.  Every bound grows with |t| at fixed sigma,
 so one cutoff, sized at the largest |Im s|, serves the whole array: the
 Euler-Maclaurin N, and for twisted sums the Abel-summation plan (N, K),
 where N is the smallest cutoff >= 64 whose truncation + roundoff bound
-meets the tolerance.  The head sums of both families go through one
-blocked kernel, ``_head_sum``.  An array of at least 128 points whose
-ordinates lie within 8 ulp of max|t| of a progression t_0 + j h (a scan
-band) is summed as one matrix product: block rows (n + alpha)^-s at every
-64th point times a 64 x N phase table e^(-i r h log(n + alpha)), built once
-per call.  A point and its block's first point each sit at most 8 ulp off
-the progression, so a term's phase moves by at most 16 ulp(T) log(N + alpha),
-the order of the rounding of t log n itself.  The product is an einsum,
-which sums in NumPy's own loop and never in BLAS, so its bits do not depend
-on the BLAS library or its thread count.  Every other array is summed with
-one complex exp per (point, term).
+meets the tolerance.
+
+Every finite exponential sum sum_n w_n e^(-s x_n) of the package goes
+through one kernel, ``_head_sum``: the zeta heads (x_n = log(n + alpha);
+for Lerch, the weight w_n = e^(2 pi i n alpha)), the head of
+``series.line_evaluator`` and the edge layers of ``mollifier.bump_hat``.
+At least 128 points within 8 ulp of max|t| of a progression t_0 + j h are
+summed as one einsum: rows w_n e^(-s x_n) at every 64th point times a
+64 x N phase table e^(-i r h x_n), so a term's phase moves by at most
+16 ulp(T) max x_n and the bits never depend on BLAS.  Every other array
+takes one complex exp per (point, term), each row summed in term order.
 """
 
 from __future__ import annotations
@@ -206,47 +206,49 @@ def _progression_step(ts: np.ndarray) -> float | None:
     return float(h)
 
 
-def _head_sum(sv: np.ndarray, log_n: np.ndarray, twist=None) -> np.ndarray:
-    """sum_n exp(-s log_n[n] + twist[n]) for each s of the 1-d array ``sv``;
-    without a twist this is exactly the Euler-Maclaurin head sum_n (n + alpha)^-s.
+def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
+    """sum_n weights[n] exp(-s x[n]) for each s of the 1-d array ``sv`` (the
+    weights 1 when omitted), the only (points x terms) exponential matrix
+    of the package; x[n] = log(n + alpha) gives the Euler-Maclaurin head.
 
     Ordinates in arithmetic progression (``_progression_step``) are summed
     as one matrix product: for blocks of 64 consecutive points, the row
-    V[b, n] = exp(-s_{64b} log_n[n] + twist[n]) at each block's first point
-    times the phase table E[r, n] = exp(-i r h log_n[n]), r < 64, both built
+    V[b, n] = weights[n] exp(-s_{64b} x[n]) at each block's first point
+    times the phase table E[r, n] = exp(-i r h x[n]), r < 64, both built
     once per call in pieces of at most 4096 terms.  Point 64b + r then gets
-    the phase (t_{64b} + r h) log_n[n] in place of t_{64b+r} log_n[n]: with
-    both ordinates within 8 ulp of the progression, at most
-    16 ulp(T) log(N + alpha) apart per term, the order of the rounding of
-    t log n itself.  Every other array is built in blocks of
-    2^16 matrix entries (points x terms), or of one row where a row is
-    longer, and summed per row.  With debug logging on, each call logs its
-    point count, term count and path.
+    the phase (t_{64b} + r h) x[n] in place of t_{64b+r} x[n]: with both
+    ordinates within 8 ulp of the progression, at most 16 ulp(T) max|x|
+    apart per term, the order of the rounding of t x itself.  Every other
+    array is built in blocks of 2^16 matrix entries (points x terms), or of
+    one row where a row is longer, and each row weights * exp(-s x), the
+    weights first, is summed in term order.  With debug logging on, each
+    call logs its point count, term count and path.
     """
     step = _progression_step(sv.imag)
     if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("head sum: %d points, %d terms, %s", sv.size, log_n.size,
+        logger.debug("head sum: %d points, %d terms, %s", sv.size, x.size,
                      "per-row" if step is None else "phase-matrix")
     if step is not None:
         # einsum (without optimize) sums in its own loop, never in BLAS, so
         # the bits do not depend on the BLAS library or its thread count
         shifts = step * np.arange(_PHASE_ROWS)
         head = np.zeros((-(-sv.size // _PHASE_ROWS), _PHASE_ROWS), dtype=complex)
-        for lo in range(0, log_n.size, _PHASE_TERMS):
-            part = log_n[lo:lo + _PHASE_TERMS]
-            anchors = np.multiply.outer(-sv[::_PHASE_ROWS], part)
-            if twist is not None:
-                anchors += twist[lo:lo + _PHASE_TERMS]
+        for lo in range(0, x.size, _PHASE_TERMS):
+            part = x[lo:lo + _PHASE_TERMS]
+            anchors = np.exp(np.multiply.outer(-sv[::_PHASE_ROWS], part))
+            if weights is not None:
+                np.multiply(weights[lo:lo + _PHASE_TERMS], anchors, out=anchors)
             phases = np.exp(-1j * np.multiply.outer(shifts, part))
-            head += np.einsum("bn,rn->br", np.exp(anchors, out=anchors), phases)
+            head += np.einsum("bn,rn->br", anchors, phases)
         return head.ravel()[:sv.size]
     head = np.empty(sv.shape, dtype=complex)
-    rows = max(1, _HEAD_BLOCK // max(log_n.size, 1))
+    rows = max(1, _HEAD_BLOCK // max(x.size, 1))
     for lo in range(0, sv.size, rows):
-        terms = np.multiply.outer(-sv[lo:lo + rows], log_n)
-        if twist is not None:
-            terms += twist
-        head[lo:lo + rows] = np.exp(terms, out=terms).sum(axis=1)
+        terms = np.multiply.outer(-sv[lo:lo + rows], x)
+        np.exp(terms, out=terms)
+        if weights is not None:
+            np.multiply(weights, terms, out=terms)
+        head[lo:lo + rows] = terms.sum(axis=1)
     return head
 
 
@@ -443,7 +445,7 @@ def lerch_phi(alpha: float, beta: float, s, target_error: float = 1e-10):
         z = cmath.exp(2j * math.pi * alpha)
         n_cutoff, k_order, _ = _lerch_tail_plan(worst, beta, abs(1 - z), target_error)
         n = np.arange(n_cutoff)
-        head = _head_sum(sv, np.log(n + beta), 2j * math.pi * alpha * n)
+        head = _head_sum(sv, np.log(n + beta), np.exp(2j * math.pi * alpha * n))
         # g(m) = (m + N + beta)^-s, m = 0..K, one row per point
         diff = np.exp(-np.multiply.outer(sv, np.log(np.arange(k_order + 1) + n_cutoff + beta)))
         tail = np.zeros(sv.shape, dtype=complex)

@@ -230,6 +230,8 @@ def test_wrong_json_type_names_field(tmp_path, capsys, field, value):
     ({"experiment": "nonvanishing_sweep", "xis": []}, "xis"),
     ({"experiment": "log_bound_sweep", "p_values": []}, "p_values"),
     ({"experiment": "lerch_scan", "betas": []}, "betas"),
+    ({"experiment": "log_bound_sweep", "p_values": [1.0, 0.5]}, "p_values"),
+    ({"experiment": "minmax", "m_norm": 0.5}, "m_norm"),
 ])
 def test_degenerate_config_names_field(tmp_path, capsys, doc, field):
     # no series, term, restart or grid value to check is no verdict to pass
@@ -237,6 +239,28 @@ def test_degenerate_config_names_field(tmp_path, capsys, doc, field):
     path.write_text(json.dumps(doc))
     assert cli.main(["verify", "--config", str(path)]) == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_log_bound_sweep_integrates_each_p(tmp_path, capsys):
+    # every p of p_values gets its own integral of |L|^p, not just 1 and 2
+    cfg_path = tmp_path / "lb.json"
+    cfg_path.write_text(json.dumps({"experiment": "log_bound_sweep", "n_series": 1,
+                                    "p_values": [1.0, 3.0]}))
+    out = tmp_path / "lb.csv"
+    assert cli.main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+    checks = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    lp_checks = sorted(c for c in checks if "_lp" in c)
+    assert lp_checks == [f"{tid}_lp{p}" for tid in ("T19", "T20", "T23", "T24")
+                         for p in (1, 3)]
+
+
+def test_minmax_unit_norm_runs(tmp_path, capsys):
+    # m_norm = 1 leaves only a_0 = 1 on the slice, the least norm it holds
+    cfg_path = tmp_path / "mm.json"
+    cfg_path.write_text(json.dumps({"experiment": "minmax", "m_norm": 1.0, "restarts": 1,
+                                    "orders": [1], "search_terms": 2}))
+    assert cli.main(["verify", "--config", str(cfg_path)]) == 0
+    assert "search_best: 1\n" in capsys.readouterr().out
 
 
 def test_hurwitz_scan_step_must_align(tmp_path, capsys):

@@ -50,6 +50,20 @@ def test_hat_conjugate_symmetry():
     )
 
 
+def test_hat_matches_outer_product_layer_sum(monkeypatch):
+    # the edge layers go through the shared exponential-sum kernel; the
+    # reference sums them as one exp per (point, node) and a BLAS product
+    rng = np.random.default_rng(175)
+    grid = np.linspace(0.0, 3.0e5, 100001)  # phase-matrix path
+    scattered = np.concatenate([rng.uniform(-2.0e3, 2.0e3, 500),  # per-row path
+                                rng.uniform(-3.0e5, 3.0e5, 500)])
+    values = [mo.bump_hat(grid), mo.bump_hat(scattered)]
+    monkeypatch.setattr(mo.sp, "_head_sum",
+                        lambda sv, t, w: np.exp(-1j * np.outer(sv.imag, t)) @ w)
+    for value, reference in zip(values, (mo.bump_hat(grid), mo.bump_hat(scattered))):
+        assert np.max(np.abs(value - reference)) <= 1e-15
+
+
 def test_parseval_own_convention():
     # int_R |hat-Phi|^2 = 2 pi int Phi^2 for hat-Phi(x) = int Phi e^(-ixt)
     y = 3.0e5

@@ -319,6 +319,61 @@ def test_tailed_line_evaluator_on_even_grid_matches_one_point():
         assert abs(value - direct) <= tail_tol
 
 
+def _head_reference(s: se.DirichletSeries, sigma1: float, ts: np.ndarray) -> np.ndarray:
+    # one complex exp per (point, term), weights first, summed per row
+    lam = s.lambdas
+    weights = s.coefficients * np.exp(-lam * sigma1)
+    return np.sum(weights * np.exp(-1j * np.outer(ts, lam)), axis=1)
+
+
+def _kernel_series(rng):
+    # classical, linear and explicit exponents, 2 to 600 terms
+    for n_terms in (2, 37, 600):
+        coeffs = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
+        gaps = rng.uniform(0.01, 1.0, n_terms - 1)
+        yield se.classical_polynomial(coeffs, 0.5)
+        yield se.DirichletSeries(se.ExponentSequence.linear(0.37), coeffs, 0.5)
+        yield se.DirichletSeries(
+            se.ExponentSequence.explicit(np.concatenate([[0.0], np.cumsum(gaps)])),
+            coeffs, 0.5)
+
+
+def test_line_evaluator_off_progression_is_the_term_sum_bit_for_bit():
+    rng = np.random.default_rng(1988)
+    for s in _kernel_series(rng):
+        ev = se.line_evaluator(s, 0.5)
+        for ts in (rng.uniform(-1e3, 1e3, 300), np.linspace(0.0, 5.0, 65),
+                   rng.uniform(0.0, 1.0, 1)):
+            assert np.array_equal(ev(0.5 + 1j * ts), _head_reference(s, 0.5, ts))
+
+
+def test_line_evaluator_on_even_grid_matches_the_term_sum():
+    # 4001 evenly spaced ordinates, a nonvanishing_sweep grid, take the
+    # phase-matrix head; the empty array gives an empty result
+    rng = np.random.default_rng(2012)
+    ts = np.linspace(0.0, 40.0, 4001)
+    for s in _kernel_series(rng):
+        ev = se.line_evaluator(s, 0.5)
+        scale = np.sum(np.abs(s.coefficients * np.exp(-0.5 * s.lambdas)))
+        deviation = np.abs(ev(0.5 + 1j * ts) - _head_reference(s, 0.5, ts))
+        assert np.max(deviation) <= 1e-13 * scale
+        empty = ev(np.empty(0, dtype=complex))
+        assert empty.shape == (0,) and empty.dtype == complex
+
+
+def test_line_evaluator_logs_its_head_path(caplog):
+    caplog.set_level("DEBUG", logger="hardyseries.special")
+    s = se.classical_polynomial(np.ones(20), 0.5)
+    ev = se.line_evaluator(s, 0.5)
+    ev(0.5 + 1j * np.linspace(0.0, 40.0, 4001))
+    ev(0.5 + 1j * np.array([0.0, 0.3, 2.0]))
+    lines = [r.getMessage() for r in caplog.records if r.name == "hardyseries.special"]
+    assert lines == [
+        f"head sum: 4001 points, {len(s)} terms, phase-matrix",
+        f"head sum: 3 points, {len(s)} terms, per-row",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # norm-decay inequalities on finite series
 # ---------------------------------------------------------------------------

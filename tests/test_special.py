@@ -186,9 +186,10 @@ def test_hurwitz_grid_matches_scalar():
 _SCAN_H = 0.05 / 8  # grid step of a hurwitz_scan band at delta = 0.05
 
 
-def _per_row_head(sv, log_n, twist=0.0):
-    # one complex exp per (point, term), summed per row
-    return np.exp(np.multiply.outer(-sv, log_n) + twist).sum(axis=1)
+def _per_row_head(sv, log_n, weights=None):
+    # one complex exp per (point, term), weighted and summed per row
+    terms = np.exp(np.multiply.outer(-sv, log_n))
+    return (terms if weights is None else weights * terms).sum(axis=1)
 
 
 def test_phase_matrix_head_matches_per_row_and_mpmath():
@@ -214,17 +215,17 @@ def test_phase_matrix_head_matches_per_row_and_mpmath():
     ts = 500.0 + _SCAN_H * np.arange(4000)
     n = np.arange(sp._lerch_tail_plan(complex(1.0, ts[-1]), beta,
                                       abs(1 - np.exp(2j * np.pi * alpha)), 1e-9)[0])
-    log_n, twist = np.log(n + beta), 2j * np.pi * alpha * n
+    log_n, twist = np.log(n + beta), np.exp(2j * np.pi * alpha * n)
     head = sp._head_sum(1.0 + 1j * ts, log_n, twist)
     deviation = np.abs(head - _per_row_head(1.0 + 1j * ts, log_n, twist))
     assert np.max(deviation) <= 1e-11 * np.sum(np.exp(-log_n))
     vals = sp.lerch_phi(alpha, beta, 1.0 + 1j * ts, 1e-9)
     j = int(rng.integers(ts.size))
     assert abs(vals[j] - _lerch_mpmath(alpha, beta, ts[j])) <= 1e-9 + 1e-11
-    # a head longer than one piece of 4096 terms, the twist cut with it
+    # a head longer than one piece of 4096 terms, the weights cut with it
     ts = 5000.0 + _SCAN_H * np.arange(200)
     n = np.arange(9000)
-    log_n, twist = np.log(n + beta), 2j * np.pi * alpha * n
+    log_n, twist = np.log(n + beta), np.exp(2j * np.pi * alpha * n)
     head = sp._head_sum(1.0 + 1j * ts, log_n, twist)
     deviation = np.abs(head - _per_row_head(1.0 + 1j * ts, log_n, twist))
     assert np.max(deviation) <= 1e-11 * np.sum(np.exp(-log_n))
