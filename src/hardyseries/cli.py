@@ -210,7 +210,7 @@ def _cmd_integrate(args) -> int:
 
 def _result_to_exit(result: hn.ExperimentResult) -> int:
     print(f"experiment {result.experiment}: "
-          f"{'PASS' if result.passed else 'FAIL'} ({len(result.rows)} rows)")
+          f"{'PASS' if result.passed else 'FAIL'} ({result.summary['n_rows']} rows)")
     for key, value in result.summary.items():
         if isinstance(value, float):
             print(f"  {key}: {_fmt(value)}")

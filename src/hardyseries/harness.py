@@ -16,6 +16,7 @@ bit-identical CSV files (runtime lives only in the JSON summary).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -162,19 +163,60 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_CSV_CHUNK = 4096  # rows of an array block rendered by one template
+
+
 @dataclass
 class ExperimentResult:
+    """One experiment's verdict.  ``blocks`` holds its rows as blocks: a
+    tuple with one entry per column.  A block whose ``pass`` entry is a
+    1-d array is a run of rows; its per-row columns are arrays of that
+    length (float or bool) and its constant columns scalars.  Any other
+    block is one row of scalars."""
+
     experiment: str
     columns: list
-    rows: list
+    blocks: list
     summary: dict = field(default_factory=dict)
     passed: bool = True
 
+    @property
+    def rows(self) -> list:
+        """The blocks expanded to one tuple of Python scalars per row."""
+        out = []
+        for block in self.blocks:
+            if isinstance(block[-1], np.ndarray):
+                n = len(block[-1])
+                out.extend(zip(*(v.tolist() if isinstance(v, np.ndarray)
+                                 else itertools.repeat(v, n) for v in block)))
+            else:
+                out.append(block)
+        return out
+
     def write_csv(self, path: str) -> None:
+        """One line per row, each cell as ``_fmt`` spells it.  An array
+        block is written through one ``%`` template per chunk of rows:
+        ``%.17g`` of a float is ``format(v, ".17g")``, inf and nan included."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            for block in self.blocks:
+                if not isinstance(block[-1], np.ndarray):
+                    fh.write(",".join(_fmt(v) for v in block) + "\n")
+                    continue
+                cells, arrays = [], []
+                for v in block:
+                    if isinstance(v, np.ndarray):
+                        cells.append("%s" if v.dtype == bool else "%.17g")
+                        arrays.append(v)
+                    else:
+                        cells.append(_fmt(v).replace("%", "%%"))
+                line = ",".join(cells) + "\n"
+                for lo in range(0, len(block[-1]), _CSV_CHUNK):
+                    parts = [a[lo:lo + _CSV_CHUNK] for a in arrays]
+                    values = [np.where(p, "true", "false").tolist() if p.dtype == bool
+                              else p.tolist() for p in parts]
+                    fh.write((line * len(parts[0]))
+                             % tuple(itertools.chain.from_iterable(zip(*values))))
 
     def write_summary(self, path: str) -> None:
         """Strict JSON: a non-finite float is written as its CSV spelling."""
@@ -508,9 +550,10 @@ def _scan_alpha(alpha: float, delta: float, config: ExperimentConfig):
 
 def _hurwitz_scan_rows(config: ExperimentConfig):
     """Sliding-window integrals of |zeta(1+it, alpha)| against the log-space
-    lower bounds, with the running minimum tracked per alpha; the alpha = 1,
-    delta = 0.05 running minimum must also land in its expected window."""
-    rows = []
+    lower bounds, one block of rows per (alpha, delta), with the running
+    minimum tracked per alpha; the alpha = 1, delta = 0.05 running minimum
+    must also land in its expected window."""
+    blocks = []
     summary: dict = {}
     in_windows = True
     for alpha in config.alphas:
@@ -518,19 +561,18 @@ def _hurwitz_scan_rows(config: ExperimentConfig):
             t_values, integrals = _scan_alpha(alpha, delta, config)
             lb_fixed = bd.hurwitz_lower_bound(alpha, delta, "HurwitzLerch")
             lb_uniform = bd.hurwitz_lower_bound(alpha, delta, "Uniform")
-            running = math.inf
-            for t, val in zip(t_values, integrals):
-                running = min(running, val)
-                log_meas = math.log(val) if val > 0 else -math.inf
-                m27 = log_meas - lb_fixed
-                m29 = log_meas - lb_uniform
-                ok = (
-                    math.isfinite(m27)
-                    and m27 >= -config.tolerance
-                    and m29 >= -config.tolerance
-                )
-                rows.append((alpha, delta, float(t), float(val), lb_fixed,
-                             lb_uniform, m27, m29, ok))
+            # math.log, not np.log: the two differ in the last bit on some
+            # windows, and the CSV keeps its bytes
+            log_meas = np.fromiter(
+                (math.log(v) if v > 0 else -math.inf for v in integrals.tolist()),
+                float, integrals.size)
+            m27 = log_meas - lb_fixed
+            m29 = log_meas - lb_uniform
+            ok = (np.isfinite(m27) & (m27 >= -config.tolerance)
+                  & (m29 >= -config.tolerance))
+            blocks.append((alpha, delta, t_values, integrals, lb_fixed, lb_uniform,
+                           m27, m29, ok))
+            running = np.min(integrals)
             key = f"alpha_{alpha:g}_delta_{delta:g}"
             summary[key] = {
                 "running_min": float(running),
@@ -546,7 +588,7 @@ def _hurwitz_scan_rows(config: ExperimentConfig):
                 in_windows = in_windows and in_window
     columns = ["alpha", "delta", "t", "measured", "log_bound_fixed",
                "log_bound_uniform", "margin", "margin_uniform", "pass"]
-    return columns, rows, summary, in_windows
+    return columns, blocks, summary, in_windows
 
 
 def _lerch_scan_rows(config: ExperimentConfig):
@@ -674,8 +716,9 @@ def _minmax_rows(config: ExperimentConfig):
 # dispatch
 # ---------------------------------------------------------------------------
 
-# experiment -> row builder: (columns, rows, summary entries of its own, the
-# one summary-level check the rows cannot carry); "pass" is the last column
+# experiment -> row builder: (columns, blocks of rows, summary entries of its
+# own, the one summary-level check the rows cannot carry); "pass" is the last
+# column
 _RUNNERS = {
     "constants": _constants_rows,
     "local_l2_sweep": _local_l2_rows,
@@ -690,15 +733,26 @@ _RUNNERS = {
 def dispatch(config: ExperimentConfig) -> ExperimentResult:
     """Run one experiment: it passes when every row passes and its summary
     check holds.  With ``config.out`` set, the CSV goes there and the JSON
-    summary next to it."""
+    summary next to it.  ``min_margin`` is nan when any margin is."""
     t0 = time.time()
-    columns, rows, extra, check = _RUNNERS[config.experiment](config)
+    columns, blocks, extra, check = _RUNNERS[config.experiment](config)
     margin = columns.index("margin")
-    failures = sum(0 if row[-1] else 1 for row in rows)
-    summary = {"runtime_s": time.time() - t0, "n_rows": len(rows),
-               "min_margin": min((row[margin] for row in rows), default=math.inf),
-               "failures": failures, **extra}
-    result = ExperimentResult(config.experiment, columns, rows, summary,
+    n_rows = failures = 0
+    min_margin = math.inf
+    for block in blocks:
+        ok, m = block[-1], block[margin]
+        if isinstance(ok, np.ndarray):
+            n_rows += ok.size
+            failures += ok.size - int(np.count_nonzero(ok))
+            m = float(np.min(m))  # nan when any cell is
+        else:
+            n_rows += 1
+            failures += not ok
+        if m < min_margin or m != m:  # a nan, once in, stays
+            min_margin = m
+    summary = {"runtime_s": time.time() - t0, "n_rows": n_rows,
+               "min_margin": min_margin, "failures": failures, **extra}
+    result = ExperimentResult(config.experiment, columns, blocks, summary,
                               failures == 0 and check)
     if config.out:
         result.write_csv(config.out)

@@ -36,3 +36,19 @@ def test_traced_constants_verdict(tmp_path, bench):
     assert tracer.rows == 13 and tracer.calls["harness"] == 1
     outcome = item.outcome(rc)
     assert (outcome.rows, outcome.failed_rows) == (13, 0)
+
+
+def test_traced_scan_counts_every_row(tmp_path, bench):
+    # the tracer counts len(result.rows), which expands the scan's row blocks
+    spans, workloads = bench
+    doc = {"experiment": "hurwitz_scan", "alphas": [0.3, 1.0], "t_stop": 20.0}
+    item = workloads._cli_item(str(tmp_path), "scan", doc)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rc, _ = tracer.run_root(item.run)
+    finally:
+        tracer.uninstall()
+    summary = json.loads((tmp_path / "scan.csv.summary.json").read_text())["summary"]
+    assert rc == 0 and summary["n_rows"] == 2 * 801
+    assert tracer.rows == summary["n_rows"] == item.outcome(rc).rows

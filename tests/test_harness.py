@@ -3,9 +3,12 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyseries import cli
 from hardyseries import harness as hn
@@ -258,3 +261,112 @@ def test_lerch_scan_pole_window_diverges(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(qd, "_integrate", lambda *a, v=value, **k: (v, 0.0, 1, False))
         rows = hn.dispatch(cfg).rows
         assert rows[0][-1] and not any(r[-1] for r in rows[1:])
+
+
+@pytest.mark.parametrize("nan_first", [True, False])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_min_margin_is_nan_when_any_margin_is(tmp_path, monkeypatch, nan_first, as_array):
+    # min() over the margins kept or dropped a NaN depending on row order
+    margins = [math.nan, 1.0] if nan_first else [1.0, math.nan]
+    if as_array:
+        blocks = [("x", np.array(margins), np.array([False, True]))]
+    else:
+        blocks = [("x", m, m == m) for m in margins]
+    monkeypatch.setitem(hn._RUNNERS, "constants",
+                        lambda config: (["check", "margin", "pass"], blocks, {}, True))
+    out = tmp_path / "nan.csv"
+    result = hn.dispatch(_small("constants", out=str(out)))
+    assert math.isnan(result.summary["min_margin"])
+    assert (result.summary["n_rows"], result.summary["failures"]) == (2, 1)
+    assert not result.passed
+    summary = json.loads((tmp_path / "nan.csv.summary.json").read_text())["summary"]
+    assert summary["min_margin"] == "nan"
+
+
+def _oracle_csv(columns, blocks) -> str:
+    """The per-row rendering the block writer replaces."""
+    lines = [",".join(columns)]
+    for block in blocks:
+        if isinstance(block[-1], np.ndarray):
+            rows = [tuple(v[i] if isinstance(v, np.ndarray) else v for v in block)
+                    for i in range(len(block[-1]))]
+        else:
+            rows = [block]
+        lines.extend(",".join(hn._fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308, 0.1, 1 / 3]
+_SCALARS = st.one_of(
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(width=64).map(np.float64),
+    st.integers(-10**6, 10**6),
+    st.booleans().map(np.bool_),
+    st.sampled_from(["T4", "50%", "a,b", "%s", "%%d,%.17g"]),
+)
+
+
+@st.composite
+def _blocks(draw, n_columns):
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            cells = [draw(_SCALARS) for _ in range(n_columns - 1)]
+            blocks.append((*cells, draw(st.booleans().map(np.bool_) | st.booleans())))
+            continue
+        n = draw(st.sampled_from([1, 2, 17, 4095, 4096, 4097]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cells = []
+        for _ in range(n_columns - 1):
+            if draw(st.booleans()):
+                cells.append(draw(_SCALARS))
+            else:
+                col = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-320, 309, n)
+                picks = rng.random(n) < 0.2
+                col[picks] = rng.choice(_SPECIAL_FLOATS, picks.sum())
+                cells.append(col)
+        blocks.append((*cells, rng.random(n) < 0.5))
+    return blocks
+
+
+@given(data=st.data(), n_columns=st.integers(2, 6))
+@settings(max_examples=40, deadline=None)
+def test_block_writer_matches_per_row_rendering(tmp_path_factory, data, n_columns):
+    columns = [f"c{j}" for j in range(n_columns - 1)] + ["pass"]
+    blocks = data.draw(_blocks(n_columns))
+    path = tmp_path_factory.mktemp("csv") / "blocks.csv"
+    hn.ExperimentResult("constants", columns, blocks).write_csv(str(path))
+    assert path.read_text(encoding="utf-8") == _oracle_csv(columns, blocks)
+
+
+def test_hurwitz_scan_bytes_and_margins(tmp_path, monkeypatch):
+    # t = 0 holds the nudged pole node
+    cfg = _small("hurwitz_scan", alphas=(0.3, 1.0), deltas=(0.05, 0.025),
+                 t_step=0.025, t_start=0.0, t_stop=50.0, out=str(tmp_path / "scan.csv"))
+    result = hn.dispatch(cfg)
+    assert result.passed and len(result.rows) == 4 * 2001
+    assert (tmp_path / "scan.csv").read_text() == _oracle_csv(result.columns, result.rows)
+    for alpha, delta, t, measured, lb_fixed, lb_uniform, m27, m29, ok in result.rows:
+        assert m27 == math.log(measured) - lb_fixed
+        assert m29 == math.log(measured) - lb_uniform
+    # a bound near -485 absorbs a last-bit change of the log, so with the
+    # bounds at 0 the margin is the log itself; np.log parts from math.log in
+    # the last bit at the alpha = 1, delta = 0.05 window t = 39 (x86-64, AVX-512)
+    monkeypatch.setattr(hn.bd, "hurwitz_lower_bound", lambda *args: 0.0)
+    for row in hn.dispatch(dataclasses.replace(cfg, out=None)).rows:
+        assert row[6] == row[7] == math.log(row[3])
+
+
+def test_scan_result_memory_per_row():
+    cfg = _small("hurwitz_scan", alphas=(1.0,), t_stop=250.0)
+    hn.dispatch(cfg)  # fills every cache first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = hn.dispatch(cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.summary["n_rows"] == 10001
+    assert held <= 64 * 10001, f"{held / 10001:.0f} bytes per row"
