@@ -7,8 +7,14 @@ there), the margin, and a pass flag.  Margins are defined so that pass
 means margin >= -tolerance.  Comparisons against astronomically small lower
 bounds happen in natural-log space, so a margin is finite except where no
 slack exists to measure: an exact identity of ``constants`` carries +inf
-when it holds and -inf when it does not, and a ``lerch_scan`` window holding
-the pole at t = 0 measures +inf.
+when it holds and -inf when it does not, and a scan window holding the pole
+at t = 0 measures +inf.
+
+Both zeta scans measure a window the same way, since phi(1, beta; s) is
+zeta(s, beta): 9-node Simpson on a grid of step delta/8 over the window,
+the nodes evaluated in bands of 4000 ordinates by ``hurwitz_zeta_grid``
+(``hurwitz_scan``) or ``lerch_phi`` (``lerch_scan``), whose head sums take
+the phase-matrix path on evenly spaced bands.
 
 Experiments are deterministic functions of (seed, config): reruns produce
 bit-identical CSV files (runtime lives only in the JSON summary).
@@ -50,7 +56,8 @@ EXPERIMENTS = (
 )
 
 _SCAN_EXPERIMENTS = ("hurwitz_scan", "lerch_scan")
-_SCAN_SUBDIV = 8  # grid intervals of a hurwitz_scan window
+_SCAN_SUBDIV = 8  # grid intervals of a scan window
+_SCAN_BAND = 4000  # scan nodes per evaluator call
 
 
 @dataclass(frozen=True)
@@ -96,16 +103,15 @@ class ExperimentConfig:
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in (value if isinstance(value, tuple) else (value,))):
                 raise InvalidParameterError(f"config field {f.name!r} must be finite")
+        if self.t_step <= 0 or self.t_stop < self.t_start:
+            raise InvalidParameterError("bad T range")
         if self.experiment in _SCAN_EXPERIMENTS:
             if any(d <= 0 or d > 0.05 for d in self.deltas):
                 raise InvalidParameterError("scan deltas must lie in (0, 0.05]")
-        if self.t_step <= 0 or self.t_stop < self.t_start:
-            raise InvalidParameterError("bad T range")
-        if self.experiment == "hurwitz_scan":
             for h in (d / _SCAN_SUBDIV for d in self.deltas):
                 if abs(max(1, round(self.t_step / h)) * h - self.t_step) > 1e-12:
                     raise InvalidParameterError(
-                        f"hurwitz_scan t_step {self.t_step:g} must be a whole "
+                        f"{self.experiment} t_step {self.t_step:g} must be a whole "
                         f"multiple of delta/{_SCAN_SUBDIV} = {h:g}")
         if self.tolerance <= 0:
             raise InvalidParameterError("tolerance must be positive")
@@ -488,15 +494,6 @@ def _lemma14_rows(config: ExperimentConfig) -> list:
 # zeta-family scans
 # ---------------------------------------------------------------------------
 
-def _window_integrals(mods: np.ndarray, nodes_per_window: int, stride: int, h: float):
-    weights = np.ones(nodes_per_window)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights *= h / 3.0
-    windows = np.lib.stride_tricks.sliding_window_view(mods, nodes_per_window)
-    return windows[::stride] @ weights
-
-
 def _scan_ordinates(config: ExperimentConfig) -> np.ndarray:
     """The window starts of both scans, t_start + k t_step up to t_stop.
 
@@ -512,26 +509,36 @@ def _scan_ordinates(config: ExperimentConfig) -> np.ndarray:
     return start + step * np.arange(count)
 
 
-def _scan_alpha(alpha: float, delta: float, config: ExperimentConfig):
-    """Windowed integrals of |zeta(1+it, alpha)| over sliding T windows."""
-    subdiv = _SCAN_SUBDIV
-    h = delta / subdiv
+def _scan_windows(values, delta: float, config: ExperimentConfig, pole: bool):
+    """(t_values, integrals): at each window start t of the scan, the
+    9-node Simpson integral of |values| over [t, t + delta].
+
+    ``values`` maps an array of ordinates to the complex values on Re s = 1.
+    The nodes lie on the grid t_start + h j, h = delta/8.  Windows at most
+    8 grid steps apart share one run of contiguous nodes; windows further
+    apart get 9 nodes each, back to back, so no node between windows is
+    evaluated.  Nodes are evaluated in bands of 4000.  With ``pole`` the
+    line holds the pole at t = 0: a window whose closed interval holds it
+    measures +inf, and a node at t = 0 is moved to 1e-9 only so that its
+    band can be evaluated."""
+    h = delta / _SCAN_SUBDIV
     stride = int(round(config.t_step / h))  # whole, checked with the config
+    nodes = _SCAN_SUBDIV + 1
     t_values = _scan_ordinates(config)
     n_windows = t_values.size
-    n_nodes = (n_windows - 1) * stride + subdiv + 1
-    ts = config.t_start + h * np.arange(n_nodes)
-    # the integrand has a pole at t = 0; nudge that node so every window
-    # integral (a lower bound for the true, possibly divergent, value) is finite
-    ts = np.where(np.abs(ts) < 1e-12, 1e-9, ts)
-    mods = np.empty(n_nodes)
-    band = 4000
-    starts = list(range(0, n_nodes, band))
+    shared = stride <= _SCAN_SUBDIV  # windows share their nodes
+    if shared:
+        steps = np.arange((n_windows - 1) * stride + nodes)
+    else:
+        steps = np.add.outer(stride * np.arange(n_windows), np.arange(nodes)).ravel()
+    ts = config.t_start + h * steps
+    if pole:
+        ts[ts == 0.0] = 1e-9
+    mods = np.empty(ts.size)
+    starts = range(0, ts.size, _SCAN_BAND)
 
     def eval_band(lo: int) -> np.ndarray:
-        return np.abs(
-            sp.hurwitz_zeta_grid(alpha, ts[lo:lo + band], sigma=1.0, target_error=1e-9)
-        )
+        return np.abs(values(ts[lo:lo + _SCAN_BAND]))
 
     if config.threads > 1:
         # bands are independent; merging by band index keeps the result
@@ -540,12 +547,33 @@ def _scan_alpha(alpha: float, delta: float, config: ExperimentConfig):
 
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             for lo, chunk in zip(starts, pool.map(eval_band, starts)):
-                mods[lo:lo + band] = chunk
+                mods[lo:lo + _SCAN_BAND] = chunk
     else:
         for lo in starts:
-            mods[lo:lo + band] = eval_band(lo)
-    integrals = _window_integrals(mods, subdiv + 1, stride, h)
-    return t_values, integrals[:n_windows]
+            mods[lo:lo + _SCAN_BAND] = eval_band(lo)
+    if shared:
+        windows = np.lib.stride_tricks.sliding_window_view(mods, nodes)[::stride]
+    else:
+        windows = mods.reshape(n_windows, nodes)
+    weights = np.ones(nodes)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= h / 3.0
+    integrals = windows @ weights
+    if pole:
+        # |values| ~ 1/|t| near the pole, so the window diverges and meets
+        # every lower bound
+        integrals[(t_values <= 0.0) & (t_values + delta >= 0.0)] = math.inf
+    return t_values, integrals
+
+
+def _log_measured(integrals: np.ndarray) -> np.ndarray:
+    """The log of each window integral, -inf where it is 0 or nan, so that
+    such a window fails every margin check."""
+    # math.log, not np.log: the two differ in the last bit on some windows,
+    # and the CSV keeps its bytes
+    return np.fromiter((math.log(v) if v > 0 else -math.inf for v in integrals.tolist()),
+                       float, integrals.size)
 
 
 def _hurwitz_scan_rows(config: ExperimentConfig):
@@ -558,18 +586,15 @@ def _hurwitz_scan_rows(config: ExperimentConfig):
     in_windows = True
     for alpha in config.alphas:
         for delta in config.deltas:
-            t_values, integrals = _scan_alpha(alpha, delta, config)
+            t_values, integrals = _scan_windows(
+                lambda ts: sp.hurwitz_zeta_grid(alpha, ts, 1.0, 1e-9), delta, config,
+                pole=True)
             lb_fixed = bd.hurwitz_lower_bound(alpha, delta, "HurwitzLerch")
             lb_uniform = bd.hurwitz_lower_bound(alpha, delta, "Uniform")
-            # math.log, not np.log: the two differ in the last bit on some
-            # windows, and the CSV keeps its bytes
-            log_meas = np.fromiter(
-                (math.log(v) if v > 0 else -math.inf for v in integrals.tolist()),
-                float, integrals.size)
+            log_meas = _log_measured(integrals)
             m27 = log_meas - lb_fixed
             m29 = log_meas - lb_uniform
-            ok = (np.isfinite(m27) & (m27 >= -config.tolerance)
-                  & (m29 >= -config.tolerance))
+            ok = (m27 >= -config.tolerance) & (m29 >= -config.tolerance)
             blocks.append((alpha, delta, t_values, integrals, lb_fixed, lb_uniform,
                            m27, m29, ok))
             running = np.min(integrals)
@@ -592,34 +617,23 @@ def _hurwitz_scan_rows(config: ExperimentConfig):
 
 
 def _lerch_scan_rows(config: ExperimentConfig):
-    """Spot-grid of twisted-series window integrals against the shifted-
-    parameter lower bound (the bound depends on the shift beta only)."""
-    rows = []
-    spots = _scan_ordinates(config)
+    """Sliding-window integrals of |phi(alpha, beta; 1+it)| against the
+    shifted-parameter lower bound (the bound depends on the shift beta
+    only), one block of rows per (alpha, beta, delta); twist alpha = 1 is
+    zeta(s, beta), with its pole at t = 0."""
+    blocks = []
     for alpha in config.alphas:
         for beta in config.betas:
-
-            def ev(s_val: np.ndarray) -> np.ndarray:
-                return sp.lerch_phi(alpha, beta, s_val, 1e-9)
-
             for delta in config.deltas:
+                t_values, integrals = _scan_windows(
+                    lambda ts: sp.lerch_phi(alpha, beta, 1 + 1j * ts, 1e-9), delta,
+                    config, pole=alpha == 1.0)
                 lb = bd.hurwitz_lower_bound(beta, delta, "HurwitzLerch")
-                for t_lo in spots:
-                    t_hi = float(t_lo) + delta
-                    if alpha == 1.0 and t_lo <= 0.0 <= t_hi:
-                        # |phi(1, beta; 1+it)| ~ 1/|t|: a window holding t = 0
-                        # diverges, so it meets every lower bound
-                        val, flagged = math.inf, False
-                    else:
-                        r = qd.integrate_abs_pow(ev, 1.0, (float(t_lo), t_hi), 1, 1e-8)
-                        val, flagged = r.value, r.flagged
-                    margin = math.log(val) - lb if val > 0 else -math.inf
-                    # a depth-limited integral is no measurement to pass on,
-                    # and a measured 0 or NaN gives a margin of -inf
-                    ok = margin >= -config.tolerance and not flagged
-                    rows.append((alpha, beta, delta, float(t_lo), val, lb, margin, ok))
+                margin = _log_measured(integrals) - lb
+                blocks.append((alpha, beta, delta, t_values, integrals, lb, margin,
+                               margin >= -config.tolerance))
     columns = ["alpha", "beta", "delta", "t", "measured", "log_bound", "margin", "pass"]
-    return columns, rows, {}, True
+    return columns, blocks, {}, True
 
 
 # ---------------------------------------------------------------------------

@@ -220,9 +220,10 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
     ordinates within 8 ulp of the progression, at most 16 ulp(T) max|x|
     apart per term, the order of the rounding of t x itself.  Every other
     array is built in blocks of 2^16 matrix entries (points x terms), or of
-    one row where a row is longer, and each row weights * exp(-s x), the
-    weights first, is summed in term order.  With debug logging on, each
-    call logs its point count, term count and path.
+    one row where a row is longer, each block in the same buffer, and each
+    row weights * exp(-s x), the weights first, is summed in term order.
+    With debug logging on, each call logs its point count, term count and
+    path.
     """
     step = _progression_step(sv.imag)
     if logger.isEnabledFor(logging.DEBUG):
@@ -243,8 +244,12 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
         return head.ravel()[:sv.size]
     head = np.empty(sv.shape, dtype=complex)
     rows = max(1, _HEAD_BLOCK // max(x.size, 1))
+    # one buffer for every block, so a block's matrix is never alive
+    # beside the one that replaces it
+    block = np.empty((min(rows, sv.size), x.size), dtype=complex)
     for lo in range(0, sv.size, rows):
-        terms = np.multiply.outer(-sv[lo:lo + rows], x)
+        terms = block[:min(rows, sv.size - lo)]
+        np.multiply.outer(-sv[lo:lo + rows], x, out=terms)
         np.exp(terms, out=terms)
         if weights is not None:
             np.multiply(weights, terms, out=terms)

@@ -168,8 +168,8 @@ def test_criterion_7_hurwitz_lerch_scans():
     print(f"  alpha=1 running min {running:.6g}, asymptotic target {target:.7g} "
           f"(ratio {running / target:.2f})")
     lerch_cfg = hn.ExperimentConfig(
-        "lerch_scan", seed=42, alphas=(0.3, 0.7), betas=(0.3, 0.7),
-        deltas=(0.05,), t_start=0.0, t_stop=1.0, t_step=0.25,
+        "lerch_scan", seed=42, alphas=(0.3, 0.5, 1.0), betas=(0.3, 0.7),
+        deltas=(0.05,), t_start=0.0, t_stop=1000.0, t_step=0.025,
     )
     lerch = hn.dispatch(lerch_cfg)
     ok = ok and lerch.passed
@@ -177,7 +177,7 @@ def test_criterion_7_hurwitz_lerch_scans():
     ok = ok and elapsed < 600.0
     _report("7-zeta-scans", ok,
             f"{len(result.rows)} windows x3 alphas + {len(lerch.rows)} "
-            f"twisted spots, t={elapsed:.1f}s")
+            f"twisted windows, t={elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -52,3 +52,16 @@ def test_traced_scan_counts_every_row(tmp_path, bench):
     summary = json.loads((tmp_path / "scan.csv.summary.json").read_text())["summary"]
     assert rc == 0 and summary["n_rows"] == 2 * 801
     assert tracer.rows == summary["n_rows"] == item.outcome(rc).rows
+
+
+def test_lerch_scan_meets_twisted_references(bench):
+    # the twisted_spots gate in the suite: each recorded window, measured
+    # alone, agrees with its reference within the recorded tolerance
+    _, workloads = bench
+    refs = workloads._load_references("twisted_spots")
+    assert len(refs) == 16
+    for ref in refs:
+        doc = {**workloads.LERCH_SCAN, "alphas": [ref["alpha"]], "betas": [ref["beta"]],
+               "t_start": ref["t"], "t_stop": ref["t"]}
+        (row,) = hn.dispatch(hn.ExperimentConfig.from_json(json.dumps(doc))).rows
+        assert abs(row[4] - ref["value"]) <= ref["tol"], ref["label"]

@@ -263,11 +263,12 @@ def test_minmax_unit_norm_runs(tmp_path, capsys):
     assert "search_best: 1\n" in capsys.readouterr().out
 
 
-def test_hurwitz_scan_step_must_align(tmp_path, capsys):
+@pytest.mark.parametrize("experiment", ["hurwitz_scan", "lerch_scan"])
+def test_hurwitz_scan_step_must_align(tmp_path, capsys, experiment):
     # windows are 8 grid steps of delta/8 and t_step must be a whole number
     # of grid steps: 0.03 is not a multiple of 0.05/8
     cfg_path = tmp_path / "scan.json"
-    doc = {"experiment": "hurwitz_scan", "alphas": [1.0], "t_stop": 1.0}
+    doc = {"experiment": experiment, "alphas": [1.0], "t_stop": 1.0}
     cfg_path.write_text(json.dumps({**doc, "t_step": 0.03}))
     assert cli.main(["verify", "--config", str(cfg_path)]) == 2
     assert "t_step" in capsys.readouterr().err

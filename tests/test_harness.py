@@ -94,8 +94,11 @@ def test_hurwitz_scan_small():
     meas = [row[3] for row in result.rows]
     running = np.minimum.accumulate(meas)
     assert running[-1] == min(meas)
-    # margins all finite
-    assert all(math.isfinite(row[6]) for row in result.rows)
+    # the window at t = 0 holds the pole: it measures +inf and passes, and
+    # every other margin is finite
+    pole, *rest = result.rows
+    assert pole[2] == 0.0 and pole[3] == pole[6] == pole[7] == math.inf and pole[-1]
+    assert all(math.isfinite(row[6]) and math.isfinite(row[7]) for row in rest)
 
 
 def test_hurwitz_scan_running_min_monotone_under_extension():
@@ -105,10 +108,11 @@ def test_hurwitz_scan_running_min_monotone_under_extension():
     assert longer.summary[key]["running_min"] <= base.summary[key]["running_min"] + 1e-15
 
 
-def test_hurwitz_scan_threads_identical():
-    cfg1 = _small("hurwitz_scan", alphas=(0.3,), t_stop=2.0, threads=1)
-    cfg4 = _small("hurwitz_scan", alphas=(0.3,), t_stop=2.0, threads=4)
-    r1, r4 = hn.dispatch(cfg1), hn.dispatch(cfg4)
+@pytest.mark.parametrize("experiment", ["hurwitz_scan", "lerch_scan"])
+def test_hurwitz_scan_threads_identical(experiment):
+    # t 0-30 is 4809 nodes: two bands
+    cfg1 = _small(experiment, alphas=(0.3,), betas=(0.7,), t_stop=30.0, threads=1)
+    r1, r4 = hn.dispatch(cfg1), hn.dispatch(dataclasses.replace(cfg1, threads=4))
     assert r1.rows == r4.rows
 
 
@@ -139,6 +143,27 @@ def test_scans_end_at_t_stop(t_stop):
     assert t_hurwitz == t_lerch
     assert len(t_hurwitz) == round(t_stop / 0.1) + 1
     assert t_hurwitz[-1] == pytest.approx(t_stop, abs=1e-12)
+
+
+@pytest.mark.parametrize("t_start, t_stop, t_step, poles", [
+    (0.0, 30.0, 0.025, 1),  # windows share nodes, two bands
+    (100.0, 900.0, 8.0, 0),  # 9 nodes per window, back to back
+    (-1.0, 1.0, 0.025, 3),  # windows cross the pole at t = 0
+])
+def test_twist_one_lerch_scan_is_hurwitz_scan(t_start, t_stop, t_step, poles):
+    # phi(1, beta; s) = zeta(s, beta), and both scans measure it on one path
+    common = dict(t_start=t_start, t_stop=t_stop, t_step=t_step)
+    for shift in (0.3, 1.0):
+        hurwitz = hn.dispatch(_small("hurwitz_scan", alphas=(shift,), **common))
+        lerch = hn.dispatch(_small("lerch_scan", alphas=(1.0,), betas=(shift,), **common))
+        (_, _, t_hurwitz, m_hurwitz, *_), = hurwitz.blocks
+        (_, _, _, t_lerch, m_lerch, *_), = lerch.blocks
+        assert t_hurwitz.tobytes() == t_lerch.tobytes()
+        assert m_hurwitz.tobytes() == m_lerch.tobytes()
+        assert lerch.passed and all(row[-1] for row in hurwitz.rows)
+        pole = (t_lerch <= 0.0) & (t_lerch + 0.05 >= 0.0)
+        assert np.isinf(m_lerch[pole]).all() and np.isfinite(m_lerch[~pole]).all()
+        assert np.count_nonzero(pole) == poles
 
 
 def test_scan_ordinates_slack_is_float_rounding():
@@ -173,18 +198,6 @@ def test_lerch_scan_spots_near_t_1000():
         ts = t_lo + np.linspace(0.0, delta, 129)
         mods = [abs(sp.lerch_phi(alpha, beta, complex(1.0, t), 1e-10)) for t in ts]
         assert measured == pytest.approx(weights @ mods * delta / 384, abs=1e-8)
-
-
-def test_lerch_scan_flagged_integral_fails_row(monkeypatch):
-    # next to the pole of phi(1, beta; s) at t = 0 the Richardson test needs
-    # refinement; with the depth limit at 0 the integral comes back flagged
-    cfg = _small("lerch_scan", alphas=(1.0,), betas=(0.3,),
-                 t_start=0.05, t_stop=0.05, t_step=0.25)
-    assert hn.dispatch(cfg).passed
-    monkeypatch.setattr(qd, "_MAX_DEPTH", 0)
-    result = hn.dispatch(cfg)
-    assert not result.passed
-    assert result.rows[0][-1] is False and result.rows[0][-2] > 0  # margin alone passes
 
 
 def test_minmax_small():
@@ -258,7 +271,8 @@ def test_lerch_scan_pole_window_diverges(tmp_path, monkeypatch, capsys):
     summary = json.loads(text, parse_constant=reject)["summary"]
     assert summary["min_margin"] == "inf" and summary["n_rows"] == 1
     for value in (0.0, math.nan):  # a measured 0 or NaN still fails
-        monkeypatch.setattr(qd, "_integrate", lambda *a, v=value, **k: (v, 0.0, 1, False))
+        monkeypatch.setattr(sp, "lerch_phi",
+                            lambda alpha, beta, s, tol, v=value: np.full(s.shape, v, complex))
         rows = hn.dispatch(cfg).rows
         assert rows[0][-1] and not any(r[-1] for r in rows[1:])
 

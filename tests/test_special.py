@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,23 @@ def test_off_progression_head_is_per_row_bit_for_bit():
         assert sp._progression_step(grid) is None
         sv = 1.0 + 1j * grid
         assert np.array_equal(sp._head_sum(sv, log_n), _per_row_head(sv, log_n))
+
+
+def test_per_row_head_builds_one_block_at_a_time():
+    # 300 points off any progression times 1000 terms: five blocks of 65
+    # rows, so the peak is one block of 2^16 complex entries, not two
+    rng = np.random.default_rng(16)
+    sv = 1.0 + 1j * np.sort(rng.uniform(900.0, 1000.0, 300))
+    log_n = np.log(np.arange(1000) + 0.5)
+    assert sp._progression_step(sv.imag) is None
+    tracemalloc.start()
+    try:
+        head = sp._head_sum(sv, log_n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sp._HEAD_BLOCK * 16, f"peak {peak} bytes"
+    assert np.array_equal(head, _per_row_head(sv, log_n))
 
 
 def test_zeta_grid_logs_its_head_path(caplog):
