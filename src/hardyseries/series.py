@@ -396,7 +396,8 @@ def line_evaluator(
     The head sum_n a_n e^(-lambda_n sigma1) e^(-i t lambda_n) goes through
     ``special._head_sum``: per point, the terms are added in index order
     exactly as a one-point sum would add them; an evenly spaced grid of at
-    least 128 points is one phase-matrix product.  Tailed families close
+    least 128 points is one phase-matrix product, and so is a 2-d array
+    whose rows are progressions of one step.  Tailed families close
     the tail of the whole array with one Euler-Maclaurin call: the terms
     alpha^w (n+alpha)^-w with w = coeff_power + lambda_scale s, summed to
     ``tail_tol``.
@@ -417,7 +418,7 @@ def line_evaluator(
         if np.any(s.real != sigma1):
             raise InvalidParameterError(f"points off the line Re(s) = {sigma1}")
         t = s.imag
-        out = special._head_sum(1j * t.ravel(), lam, weights).reshape(t.shape)
+        out = special._head_sum(1j * t, lam, weights)
         if tail is not None and t.size:
             w = tail.coeff_power + tail.lambda_scale * (sigma1 + 1j * t)
             raw, _ = special.hurwitz_tail_sum(w, tail.alpha, tail.start, tail_target)

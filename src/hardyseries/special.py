@@ -28,11 +28,15 @@ Every finite exponential sum sum_n w_n e^(-s x_n) of the package goes
 through one kernel, ``_head_sum``: the zeta heads (x_n = log(n + alpha);
 for Lerch, the weight w_n = e^(2 pi i n alpha)), the head of
 ``series.line_evaluator`` and the edge layers of ``mollifier.bump_hat``.
-At least 128 points within 8 ulp of max|t| of a progression t_0 + j h are
-summed as one einsum: rows w_n e^(-s x_n) at every 64th point times a
-64 x N phase table e^(-i r h x_n), so a term's phase moves by at most
-16 ulp(T) max x_n and the bits never depend on BLAS.  Every other array
-takes one complex exp per (point, term), each row summed in term order.
+Rows of points whose ordinates lie within 8 ulp of max|t| of progressions
+t_b + r h with one step h are summed by einsum: the anchor rows
+w_n e^(-s_b x_n) times an R x N phase table e^(-i r h x_n), so a term's
+phase moves by at most 16 ulp(T) max x_n and the bits never depend on
+BLAS.  The rows of a 2-d array count when at least 2 long, such as the 9
+nodes of each scan window (R = 9); a 1-d array counts as one row of at
+least 128 points.  Rows longer than 64 are cut into runs of R = 64.  Every
+other array takes one complex exp per (point, term), each row summed in
+term order.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ _EM_TERMS = 14  # Bernoulli corrections M in every Euler-Maclaurin closure
 _MIN_CUTOFF = 16
 _MAX_CUTOFF = 2 ** 21
 _HEAD_BLOCK = 1 << 16  # head-sum matrix entries per block (points x terms), 1 MiB
-_PHASE_ROWS = 64  # points per block of the phase-matrix head sum
+_PHASE_ROWS = 64  # phase-matrix head sum: most points per run, runs per anchor block
 _PHASE_TERMS = 4096  # terms per piece of the phase-matrix head sum, E at 4 MiB
 _LERCH_MIN_CUTOFF = 64
 _LERCH_ORDERS = (16, 12, 8, 5, 3, 2)  # Abel difference orders K, tried in turn
@@ -195,28 +199,40 @@ def _line_worst(sv: np.ndarray) -> complex:
 
 
 def _progression_step(ts: np.ndarray) -> float | None:
-    """The step h when the ordinates ``ts``, at least 2 x 64 of them, lie
-    within 8 ulp of max|t| of ts[0] + j h; otherwise None."""
-    if ts.size < 2 * _PHASE_ROWS:
+    """The common step h when every row of the ordinates ``ts`` lies within
+    8 ulp of max|t| of its first ordinate plus j h; otherwise None.  The
+    rows of a 2-d array count when at least 2 long; any other array is one
+    row, which counts when at least 2 x 64 long."""
+    if ts.ndim == 2:
+        rows, least = ts, 2
+    else:
+        rows, least = ts.reshape(1, -1), 2 * _PHASE_ROWS
+    width = rows.shape[1]
+    if width < least or rows.size == 0:
         return None
-    h = (ts[-1] - ts[0]) / (ts.size - 1)
+    h = (rows[0, -1] - rows[0, 0]) / (width - 1)
     slack = 8 * np.spacing(np.max(np.abs(ts)))
-    if not np.max(np.abs(ts - (ts[0] + h * np.arange(ts.size)))) <= slack:
+    if not np.max(np.abs(rows - (rows[:, :1] + h * np.arange(width)))) <= slack:
         return None
     return float(h)
 
 
 def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
-    """sum_n weights[n] exp(-s x[n]) for each s of the 1-d array ``sv`` (the
-    weights 1 when omitted), the only (points x terms) exponential matrix
-    of the package; x[n] = log(n + alpha) gives the Euler-Maclaurin head.
+    """sum_n weights[n] exp(-s x[n]) for each s of the array ``sv`` (the
+    weights 1 when omitted), in the shape of ``sv``; the only (points x
+    terms) exponential matrix of the package.  x[n] = log(n + alpha) gives
+    the Euler-Maclaurin head.
 
-    Ordinates in arithmetic progression (``_progression_step``) are summed
-    as one matrix product: for blocks of 64 consecutive points, the row
-    V[b, n] = weights[n] exp(-s_{64b} x[n]) at each block's first point
-    times the phase table E[r, n] = exp(-i r h x[n]), r < 64, both built
-    once per call in pieces of at most 4096 terms.  Point 64b + r then gets
-    the phase (t_{64b} + r h) x[n] in place of t_{64b+r} x[n]: with both
+    Rows of ordinates in arithmetic progression with one step h
+    (``_progression_step``) are summed as matrix products.  Each row is cut
+    into runs of R = min(row length, 64) points; a 1-d array is one row.
+    The anchor V[b, n] = weights[n] exp(-s_b x[n]) at the first point s_b of
+    each run times the phase table E[r, n] = exp(-i r h x[n]), r < R, gives
+    the run's points.  E is built once per piece of at most 4096 terms, and
+    V for at most 64 runs at a time, both in place.  A 2-d array of scan
+    windows, one window of 9 nodes per row, thus pays one exp per (window,
+    term) and 9 per term for E, in place of 9 per (window, term).  Point
+    s_b + i r h gets the phase (t_b + r h) x[n] in place of t x[n]: with both
     ordinates within 8 ulp of the progression, at most 16 ulp(T) max|x|
     apart per term, the order of the rounding of t x itself.  Every other
     array is built in blocks of 2^16 matrix entries (points x terms), or of
@@ -230,31 +246,47 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
         logger.debug("head sum: %d points, %d terms, %s", sv.size, x.size,
                      "per-row" if step is None else "phase-matrix")
     if step is not None:
-        # einsum (without optimize) sums in its own loop, never in BLAS, so
-        # the bits do not depend on the BLAS library or its thread count
-        shifts = step * np.arange(_PHASE_ROWS)
-        head = np.zeros((-(-sv.size // _PHASE_ROWS), _PHASE_ROWS), dtype=complex)
+        grid = sv if sv.ndim == 2 else sv.reshape(1, -1)
+        run = min(grid.shape[1], _PHASE_ROWS)
+        starts = grid[:, ::run].ravel()
+        head = np.zeros((starts.size, run), dtype=complex)
+        shifts = -1j * (step * np.arange(run))
+        piece = min(x.size, _PHASE_TERMS)
+        # one buffer per table, filled in place piece by piece; a table is
+        # a contiguous view, so the einsum loop does not depend on the piece
+        table = np.empty(run * piece, dtype=complex)
+        anchor = np.empty(min(starts.size, _PHASE_ROWS) * piece, dtype=complex)
         for lo in range(0, x.size, _PHASE_TERMS):
             part = x[lo:lo + _PHASE_TERMS]
-            anchors = np.exp(np.multiply.outer(-sv[::_PHASE_ROWS], part))
-            if weights is not None:
-                np.multiply(weights[lo:lo + _PHASE_TERMS], anchors, out=anchors)
-            phases = np.exp(-1j * np.multiply.outer(shifts, part))
-            head += np.einsum("bn,rn->br", anchors, phases)
-        return head.ravel()[:sv.size]
-    head = np.empty(sv.shape, dtype=complex)
+            phases = table[:run * part.size].reshape(run, part.size)
+            np.multiply.outer(shifts, part, out=phases)
+            np.exp(phases, out=phases)
+            for b in range(0, starts.size, _PHASE_ROWS):
+                first = starts[b:b + _PHASE_ROWS]
+                anchors = anchor[:first.size * part.size].reshape(first.size, part.size)
+                np.multiply.outer(-first, part, out=anchors)
+                np.exp(anchors, out=anchors)
+                if weights is not None:
+                    np.multiply(weights[lo:lo + _PHASE_TERMS], anchors, out=anchors)
+                # einsum (without optimize) sums in its own loop, never in
+                # BLAS, so the bits do not depend on the BLAS library or its
+                # thread count
+                head[b:b + _PHASE_ROWS] += np.einsum("bn,rn->br", anchors, phases)
+        return head.reshape(grid.shape[0], -1)[:, :grid.shape[1]].reshape(sv.shape)
+    flat = sv.ravel()
+    head = np.empty(flat.shape, dtype=complex)
     rows = max(1, _HEAD_BLOCK // max(x.size, 1))
     # one buffer for every block, so a block's matrix is never alive
     # beside the one that replaces it
-    block = np.empty((min(rows, sv.size), x.size), dtype=complex)
-    for lo in range(0, sv.size, rows):
-        terms = block[:min(rows, sv.size - lo)]
-        np.multiply.outer(-sv[lo:lo + rows], x, out=terms)
+    block = np.empty((min(rows, flat.size), x.size), dtype=complex)
+    for lo in range(0, flat.size, rows):
+        terms = block[:min(rows, flat.size - lo)]
+        np.multiply.outer(-flat[lo:lo + rows], x, out=terms)
         np.exp(terms, out=terms)
         if weights is not None:
             np.multiply(weights, terms, out=terms)
         head[lo:lo + rows] = terms.sum(axis=1)
-    return head
+    return head.reshape(sv.shape)
 
 
 def _hurwitz_em_raw(s, alpha: float, n_cutoff: int, m_terms: int = _EM_TERMS,
@@ -266,9 +298,10 @@ def _hurwitz_em_raw(s, alpha: float, n_cutoff: int, m_terms: int = _EM_TERMS,
     corrections.  Returns (value, bound) with one bound, taken at the largest
     |Im s|, that covers every point.
     """
-    sv = np.asarray(s, dtype=complex).ravel()
-    worst = _line_worst(sv)
-    head = _head_sum(sv, np.log(np.arange(start, n_cutoff) + alpha))
+    points = np.asarray(s, dtype=complex)
+    worst = _line_worst(points)
+    head = _head_sum(points, np.log(np.arange(start, n_cutoff) + alpha)).ravel()
+    sv = points.ravel()
     na = n_cutoff + alpha
     # (s)_{2k-1} na^(1-2k), k = 1..M: every other partial product of (s+j)/na
     rising = np.cumprod((sv[:, None] + np.arange(2 * m_terms - 1)) / na, axis=1)
@@ -436,7 +469,8 @@ def lerch_phi(alpha: float, beta: float, s, target_error: float = 1e-10):
     """
     if not (0 < alpha <= 1 and 0 < beta <= 1):
         raise InvalidParameterError("lerch_phi needs 0 < alpha, beta <= 1")
-    sv = np.asarray(s, dtype=complex).ravel()
+    points = np.asarray(s, dtype=complex)
+    sv = points.ravel()
     worst = _line_worst(sv)
     if worst.real < 1:
         raise InvalidParameterError(
@@ -445,21 +479,20 @@ def lerch_phi(alpha: float, beta: float, s, target_error: float = 1e-10):
     if alpha == 1:
         if np.any(sv == 1):
             raise PoleError("phi(1, beta; s) has a pole at s = 1")
-        value = _hurwitz_em_raw(sv, beta, _em_cutoff(worst, beta, target_error))[0]
-    else:
-        z = cmath.exp(2j * math.pi * alpha)
-        n_cutoff, k_order, _ = _lerch_tail_plan(worst, beta, abs(1 - z), target_error)
-        n = np.arange(n_cutoff)
-        head = _head_sum(sv, np.log(n + beta), np.exp(2j * math.pi * alpha * n))
-        # g(m) = (m + N + beta)^-s, m = 0..K, one row per point
-        diff = np.exp(-np.multiply.outer(sv, np.log(np.arange(k_order + 1) + n_cutoff + beta)))
-        tail = np.zeros(sv.shape, dtype=complex)
-        zp = 1.0 + 0j
-        for k in range(k_order):
-            tail += zp * diff[:, 0] / (1 - z) ** (k + 1)
-            zp *= z
-            diff = diff[:, 1:] - diff[:, :-1]
-        value = head + z ** n_cutoff * tail
+        return _hurwitz_em_raw(points, beta, _em_cutoff(worst, beta, target_error))[0]
+    z = cmath.exp(2j * math.pi * alpha)
+    n_cutoff, k_order, _ = _lerch_tail_plan(worst, beta, abs(1 - z), target_error)
+    n = np.arange(n_cutoff)
+    head = _head_sum(points, np.log(n + beta), np.exp(2j * math.pi * alpha * n))
+    # g(m) = (m + N + beta)^-s, m = 0..K, one row per point
+    diff = np.exp(-np.multiply.outer(sv, np.log(np.arange(k_order + 1) + n_cutoff + beta)))
+    tail = np.zeros(sv.shape, dtype=complex)
+    zp = 1.0 + 0j
+    for k in range(k_order):
+        tail += zp * diff[:, 0] / (1 - z) ** (k + 1)
+        zp *= z
+        diff = diff[:, 1:] - diff[:, :-1]
+    value = head.ravel() + z ** n_cutoff * tail
     if np.ndim(s) == 0:
         return complex(value[0])
     return value.reshape(np.shape(s))

@@ -110,10 +110,14 @@ def test_hurwitz_scan_running_min_monotone_under_extension():
 
 @pytest.mark.parametrize("experiment", ["hurwitz_scan", "lerch_scan"])
 def test_hurwitz_scan_threads_identical(experiment):
-    # t 0-30 is 4809 nodes: two bands
-    cfg1 = _small(experiment, alphas=(0.3,), betas=(0.7,), t_stop=30.0, threads=1)
-    r1, r4 = hn.dispatch(cfg1), hn.dispatch(dataclasses.replace(cfg1, threads=4))
-    assert r1.rows == r4.rows
+    for t_stop, t_step in (
+        (30.0, 0.025),  # 4809 shared nodes: two bands
+        (50.0, 0.1),  # 501 windows of 9 nodes each: bands of 444 and 57 windows
+    ):
+        cfg1 = _small(experiment, alphas=(0.3,), betas=(0.7,), t_stop=t_stop,
+                      t_step=t_step, threads=1)
+        r1, r4 = hn.dispatch(cfg1), hn.dispatch(dataclasses.replace(cfg1, threads=4))
+        assert r1.rows == r4.rows
 
 
 def test_hurwitz_scan_phase_matrix_bands_reproducible(tmp_path, caplog):
@@ -130,6 +134,46 @@ def test_hurwitz_scan_phase_matrix_bands_reproducible(tmp_path, caplog):
         hn.dispatch(dataclasses.replace(cfg, out=str(tmp_path / name)))
         csvs.append((tmp_path / name).read_bytes())
     assert csvs[0] == csvs[1]
+
+
+def test_disjoint_scan_bands_log_phase_matrix(caplog):
+    # t 0-100 at t_step 0.1 is 1001 windows of 9 nodes: bands of 444, 444
+    # and 113 windows, each one (windows, 9) array; only the band holding
+    # the nudged t = 0 node leaves the progression
+    caplog.set_level("DEBUG", logger="hardyseries.special")
+    common = dict(t_start=0.0, t_stop=100.0, t_step=0.1)
+    phase = ["phase-matrix"] * 3
+    for cfg, paths in (
+        (_small("hurwitz_scan", alphas=(0.3,), **common), ["per-row"] + phase[1:]),
+        (_small("lerch_scan", alphas=(1.0,), betas=(0.3,), **common),
+         ["per-row"] + phase[1:]),
+        (_small("lerch_scan", alphas=(0.3,), betas=(0.7,), **common), phase),
+    ):
+        caplog.clear()
+        assert hn.dispatch(cfg).passed
+        lines = [r.getMessage() for r in caplog.records]
+        assert [line.rsplit(", ", 1)[1] for line in lines] == paths
+        assert [int(line.split()[2]) for line in lines] == [444 * 9, 444 * 9, 113 * 9]
+
+
+def test_disjoint_windows_match_gauss_legendre():
+    # 9-node Simpson sits within 1.4e-10 of a 20-node Gauss-Legendre rule on
+    # 1e-12 values at these windows, and 5-node Simpson up to 2.1e-9 off
+    common = dict(t_start=200.0, t_stop=1000.0, t_step=200.0)
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    hurwitz = hn.dispatch(_small("hurwitz_scan", alphas=(0.3, 1.0), **common))
+    lerch = hn.dispatch(_small("lerch_scan", alphas=(0.3,), betas=(0.7,), **common))
+    scans = [(lambda ts, a=alpha: [sp.hurwitz_zeta(1.0 + 1j * u, a, 1e-12) for u in ts],
+              delta, t, measured) for alpha, delta, t, measured, *_ in hurwitz.blocks]
+    (alpha, beta, delta, t, measured, *_), = lerch.blocks
+    scans.append((lambda ts: sp.lerch_phi(alpha, beta, 1.0 + 1j * ts, 1e-12),
+                  delta, t, measured))
+    for values, delta, t, measured in scans:
+        assert measured.size == 5
+        for t_lo, value in zip(t, measured):
+            ts = t_lo + 0.5 * delta * (nodes + 1.0)
+            reference = 0.5 * delta * (weights @ np.abs(values(ts)))
+            assert value == pytest.approx(reference, abs=5e-10)
 
 
 @pytest.mark.parametrize("t_stop", [0.3, 0.7, 2.3])
@@ -149,6 +193,7 @@ def test_scans_end_at_t_stop(t_stop):
     (0.0, 30.0, 0.025, 1),  # windows share nodes, two bands
     (100.0, 900.0, 8.0, 0),  # 9 nodes per window, back to back
     (-1.0, 1.0, 0.025, 3),  # windows cross the pole at t = 0
+    (0.0, 50.0, 0.1, 1),  # 501 windows of 9 nodes: two bands of whole windows
 ])
 def test_twist_one_lerch_scan_is_hurwitz_scan(t_start, t_stop, t_step, poles):
     # phi(1, beta; s) = zeta(s, beta), and both scans measure it on one path

@@ -242,10 +242,58 @@ def test_off_progression_head_is_per_row_bit_for_bit():
     # the first scan band, whose t = 0 node is nudged to 1e-9
     nudged = _SCAN_H * np.arange(4000)
     nudged[0] = 1e-9
-    for grid in (off, near, nudged, ts[:2 * 64 - 1]):
+    # rows of 9 window nodes: one row off the progression, the first band
+    # of a scan from t = 0 with its nudged node, and rows of one point
+    windows = np.add.outer(0.1 * np.arange(444), _SCAN_H * np.arange(9))
+    off_row = 500.0 + windows
+    off_row[123, 4] += 1e-6
+    nudged_row = windows.copy()
+    nudged_row[0, 0] = 1e-9
+    grids = (off, near, nudged, ts[:2 * 64 - 1], off_row, nudged_row,
+             500.0 + windows[:, :1])
+    for grid in grids:
         assert sp._progression_step(grid) is None
         sv = 1.0 + 1j * grid
-        assert np.array_equal(sp._head_sum(sv, log_n), _per_row_head(sv, log_n))
+        expected = _per_row_head(sv.ravel(), log_n).reshape(grid.shape)
+        assert np.array_equal(sp._head_sum(sv, log_n), expected)
+
+
+@pytest.mark.parametrize("width", [9, 2])
+def test_row_phase_head_matches_per_row_and_mpmath(width):
+    # 25 rows t_b + r h with one step h, as the 9 nodes of each window of a
+    # scan whose t_step exceeds delta: one anchor row per window times a
+    # width-row phase table
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(1988 + width)
+    alpha, beta = 0.3, 0.7
+    gap = abs(1 - np.exp(2j * np.pi * alpha))
+    for t0 in (100.0, 1000.0, 1e4):
+        ts = t0 + np.add.outer(8.0 * np.arange(25), _SCAN_H * np.arange(width))
+        assert sp._progression_step(ts) == pytest.approx(_SCAN_H, rel=1e-9)
+        sv = 1.0 + 1j * ts
+        # the zeta head, then the twisted Lerch head; at t = 10^4 the Lerch
+        # head is longer than one piece of 4096 terms
+        n_zeta = np.arange(sp._em_cutoff(complex(1.0, ts.max()), alpha, 1e-9))
+        n_lerch = np.arange(sp._lerch_tail_plan(complex(1.0, ts.max()), beta, gap,
+                                                1e-9)[0])
+        for log_n, twist in ((np.log(n_zeta + alpha), None),
+                             (np.log(n_lerch + beta),
+                              np.exp(2j * np.pi * alpha * n_lerch))):
+            head = sp._head_sum(sv, log_n, twist)
+            assert head.shape == ts.shape
+            deviation = np.abs(head - _per_row_head(sv.ravel(), log_n, twist)
+                               .reshape(ts.shape))
+            assert np.max(deviation) <= 1e-11 * np.sum(np.exp(-log_n))
+        if t0 == 1e4:
+            assert n_lerch.size > sp._PHASE_TERMS
+        b, r = int(rng.integers(ts.shape[0])), int(rng.integers(width))
+        zeta = sp.hurwitz_zeta_grid(alpha, ts, 1.0, 1e-9)
+        with mpmath.workdps(20):
+            ref = complex(mpmath.zeta(mpmath.mpc(1.0, ts[b, r]), alpha))
+        assert abs(zeta[b, r] - ref) <= 1e-9 + 1e-11
+        if t0 < 1e4:  # mpmath's Lerch sum takes seconds at t = 10^4
+            phi = sp.lerch_phi(alpha, beta, sv, 1e-9)
+            assert abs(phi[b, r] - _lerch_mpmath(alpha, beta, ts[b, r])) <= 1e-9 + 1e-11
 
 
 def test_per_row_head_builds_one_block_at_a_time():
