@@ -229,7 +229,7 @@ def _result_to_exit(result: hn.ExperimentResult) -> int:
 def _cmd_verify(args) -> int:
     # an explicit flag overrides the config document; an absent one keeps it
     overrides = {name: getattr(args, name)
-                 for name in ("experiment", "seed", "threads", "out")
+                 for name in ("experiment", "seed", "out")
                  if getattr(args, name) is not None}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -312,8 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="ExperimentConfig JSON path")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--seed", type=int, help="overrides the config's seed (default 42)")
-    p.add_argument("--threads", type=int,
-                   help="overrides the config's threads (default 1)")
     p.set_defaults(func=_cmd_verify)
 
     return parser

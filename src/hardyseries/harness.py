@@ -59,6 +59,7 @@ EXPERIMENTS = (
 _SCAN_EXPERIMENTS = ("hurwitz_scan", "lerch_scan")
 _SCAN_SUBDIV = 8  # grid intervals of a scan window
 _SCAN_BAND = 4000  # scan nodes per evaluator call
+_MAX_ORDER = 20  # minmax witness order: 2^20 coefficients, 16 MiB
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,14 @@ class ExperimentConfig:
             if not getattr(self, name):
                 raise InvalidParameterError(f"config field {name!r} must be non-empty")
         # a sweep over no series passes vacuously; a series needs a term
-        # beyond a_0 to draw, and a search a coordinate to move
+        # beyond a_0 to draw, a search a coordinate to move, and numpy a
+        # non-negative seed
         for name, least in (("n_series", 1), ("n_terms", 2), ("search_terms", 2),
-                            ("restarts", 1), ("threads", 1)):
+                            ("restarts", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise InvalidParameterError(f"config field {name!r} must be >= {least}")
+        if self.threads != 1:  # kept only so that older config documents load
+            raise InvalidParameterError("config field 'threads' must be 1")
         for f in fields(self):
             value = getattr(self, f.name)
             if any(isinstance(v, float) and not math.isfinite(v)
@@ -106,9 +110,21 @@ class ExperimentConfig:
                 raise InvalidParameterError(f"config field {f.name!r} must be finite")
         if self.t_step <= 0 or self.t_stop < self.t_start:
             raise InvalidParameterError("bad T range")
+        # checked here, not where an integral or a bound would refuse them
+        # with a message about its own parameter
+        for name in ("deltas", "d_values"):
+            if min(getattr(self, name)) <= 0:
+                raise InvalidParameterError(f"config field {name!r} must be positive")
+        if not all(0 < xi < 1 for xi in self.xis):
+            raise InvalidParameterError("config field 'xis' must lie in (0, 1)")
+        # one_minus_two_power_series holds 2^order coefficients
+        if not all(1 <= order <= _MAX_ORDER for order in self.orders):
+            raise InvalidParameterError(
+                f"config field 'orders' must lie in [1, {_MAX_ORDER}]")
         if self.experiment in _SCAN_EXPERIMENTS:
-            if any(d <= 0 or d > 0.05 for d in self.deltas):
-                raise InvalidParameterError("scan deltas must lie in (0, 0.05]")
+            if max(self.deltas) > 0.05:
+                raise InvalidParameterError("config field 'deltas' must lie in (0, 0.05] "
+                                            "for a scan")
             for h in (d / _SCAN_SUBDIV for d in self.deltas):
                 if abs(max(1, round(self.t_step / h)) * h - self.t_step) > 1e-12:
                     raise InvalidParameterError(
@@ -176,10 +192,9 @@ _CSV_CHUNK = 4096  # rows of an array block rendered by one template
 @dataclass
 class ExperimentResult:
     """One experiment's verdict.  ``blocks`` holds its rows as blocks: a
-    tuple with one entry per column.  A block whose ``pass`` entry is a
-    1-d array is a run of rows; its per-row columns are arrays of that
-    length (float or bool) and its constant columns scalars.  Any other
-    block is one row of scalars."""
+    tuple with one entry per column, whose ``pass`` entry is a 1-d bool
+    array over the block's rows.  Every other per-row column is an array of
+    that length, and a column constant over the block may be a scalar."""
 
     experiment: str
     columns: list
@@ -192,28 +207,23 @@ class ExperimentResult:
         """The blocks expanded to one tuple of Python scalars per row."""
         out = []
         for block in self.blocks:
-            if isinstance(block[-1], np.ndarray):
-                n = len(block[-1])
-                out.extend(zip(*(v.tolist() if isinstance(v, np.ndarray)
-                                 else itertools.repeat(v, n) for v in block)))
-            else:
-                out.append(block)
+            n = len(block[-1])
+            out.extend(zip(*(v.tolist() if isinstance(v, np.ndarray)
+                             else itertools.repeat(v, n) for v in block)))
         return out
 
     def write_csv(self, path: str) -> None:
-        """One line per row, each cell as ``_fmt`` spells it.  An array
-        block is written through one ``%`` template per chunk of rows:
-        ``%.17g`` of a float is ``format(v, ".17g")``, inf and nan included."""
+        """One line per row, each cell as ``_fmt`` spells it.  A block is
+        written through one ``%`` template per chunk of rows: ``%.17g`` of a
+        float is ``format(v, ".17g")``, inf and nan included, and ``%s`` of
+        an int or a string is ``str(v)``."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(self.columns) + "\n")
             for block in self.blocks:
-                if not isinstance(block[-1], np.ndarray):
-                    fh.write(",".join(_fmt(v) for v in block) + "\n")
-                    continue
                 cells, arrays = [], []
                 for v in block:
                     if isinstance(v, np.ndarray):
-                        cells.append("%s" if v.dtype == bool else "%.17g")
+                        cells.append("%.17g" if v.dtype.kind == "f" else "%s")
                         arrays.append(v)
                     else:
                         cells.append(_fmt(v).replace("%", "%%"))
@@ -241,6 +251,13 @@ def _strict(value):
     if isinstance(value, (float, np.floating)) and not math.isfinite(value):
         return _fmt(float(value))
     return value
+
+
+def _block(rows: list) -> tuple:
+    """Rows of scalars as one block: one array per column.  A column of ints
+    stays int, strings and bools keep their kind, and ints beside floats
+    become floats, whose ``%.17g`` is ``str`` of every int below 10^17."""
+    return tuple(np.array(column) for column in zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +358,7 @@ def _constants_rows(config: ExperimentConfig):
     close("riemann_window_asymptotic", c["riemann_window_asymptotic_d0.05"],
           5.772e-4, 1e-7)
     columns = ["check", "measured", "target", "tolerance", "margin", "pass"]
-    return columns, rows, {}, True
+    return columns, [_block(rows)], {}, True
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +389,7 @@ def _local_l2_rows(config: ExperimentConfig):
         rows.append(("T4", -1, d, r.value, bound, bound - r.value,
                      r.value <= bound * (1 + 1e-6) and not r.flagged))
     columns = ["check", "series_id", "d", "measured", "bound", "margin", "pass"]
-    return columns, rows, {}, True
+    return columns, [_block(rows)], {}, True
 
 
 def _nonvanishing_rows(config: ExperimentConfig):
@@ -411,7 +428,7 @@ def _nonvanishing_rows(config: ExperimentConfig):
                 rows.append((tid, idx, xi, x, lo, hi, resid, lo - (xi - 1e-6), ok))
     columns = ["check", "series_id", "xi", "x_xi", "sampled_min", "sampled_max",
                "residual", "margin", "pass"]
-    return columns, rows, {}, True
+    return columns, [_block(rows)], {}, True
 
 
 def _measurements_for(series, delta, tol, p_values):
@@ -470,7 +487,7 @@ def _log_bound_rows(config: ExperimentConfig):
                                      margin >= -config.tolerance and not r.flagged))
     rows.extend(_lemma14_rows(config))
     columns = ["check", "series_id", "delta", "measured", "bound", "margin", "pass"]
-    return columns, rows, {}, True
+    return columns, [_block(rows)], {}, True
 
 
 def _lemma14_rows(config: ExperimentConfig) -> list:
@@ -540,22 +557,8 @@ def _scan_windows(values, delta: float, config: ExperimentConfig, pole: bool):
     if pole:
         ts[ts == 0.0] = 1e-9
     mods = np.empty(ts.shape)
-    starts = range(0, len(ts), band)
-
-    def eval_band(lo: int) -> np.ndarray:
-        return np.abs(values(ts[lo:lo + band]))
-
-    if config.threads > 1:
-        # bands are independent; merging by band index keeps the result
-        # identical to the sequential order regardless of scheduling
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            for lo, chunk in zip(starts, pool.map(eval_band, starts)):
-                mods[lo:lo + band] = chunk
-    else:
-        for lo in starts:
-            mods[lo:lo + band] = eval_band(lo)
+    for lo in range(0, len(ts), band):
+        mods[lo:lo + band] = np.abs(values(ts[lo:lo + band]))
     if shared:
         windows = np.lib.stride_tricks.sliding_window_view(mods, nodes)[::stride]
     else:
@@ -728,7 +731,7 @@ def _minmax_rows(config: ExperimentConfig):
     columns = ["check", "index", "measured", "reference", "margin", "pass"]
     summary = {"search_best": min(r[2] for r in rows if r[0] == "search_sup"),
                "t18_log_bound": lb}
-    return columns, rows, summary, True
+    return columns, [_block(rows)], summary, True
 
 
 # ---------------------------------------------------------------------------
@@ -759,14 +762,10 @@ def dispatch(config: ExperimentConfig) -> ExperimentResult:
     n_rows = failures = 0
     min_margin = math.inf
     for block in blocks:
-        ok, m = block[-1], block[margin]
-        if isinstance(ok, np.ndarray):
-            n_rows += ok.size
-            failures += ok.size - int(np.count_nonzero(ok))
-            m = float(np.min(m))  # nan when any cell is
-        else:
-            n_rows += 1
-            failures += not ok
+        ok = block[-1]
+        n_rows += ok.size
+        failures += ok.size - int(np.count_nonzero(ok))
+        m = float(np.min(block[margin]))  # nan when any cell is
         if m < min_margin or m != m:  # a nan, once in, stays
             min_margin = m
     summary = {"runtime_s": time.perf_counter() - t0, "n_rows": n_rows,

@@ -22,7 +22,11 @@ line, and refuse points off it.  Every bound grows with |t| at fixed sigma,
 so one cutoff, sized at the largest |Im s|, serves the whole array: the
 Euler-Maclaurin N, and for twisted sums the Abel-summation plan (N, K),
 where N is the smallest cutoff >= 64 whose truncation + roundoff bound
-meets the tolerance.
+meets the tolerance.  Every Euler-Maclaurin value (``hurwitz_zeta``,
+``hurwitz_tail_sum``, ``hurwitz_zeta_grid`` and ``lerch_phi`` at twist 1)
+enters the kernel through one checked call, ``_em_sum``: it refuses points
+off one line, alpha outside (0, 1] and Re s <= 0, raises the one PoleError
+at s = 1, sizes the cutoff, and gives an empty array for an empty one.
 
 Every finite exponential sum sum_n w_n e^(-s x_n) of the package goes
 through one kernel, ``_head_sum``: the zeta heads (x_n = log(n + alpha);
@@ -313,6 +317,26 @@ def _hurwitz_em_raw(s, alpha: float, n_cutoff: int, m_terms: int = _EM_TERMS,
     return value.reshape(np.shape(s)), bound
 
 
+def _em_sum(s, alpha: float, tol: float, start: int = 0):
+    """(value, bound) of sum_{n >= start} (n + alpha)^-s, Re s > 0, within
+    ``tol``: the one checked entry into ``_hurwitz_em_raw``.  Refuses alpha
+    outside (0, 1] and points off one line, raises PoleError at s = 1 and
+    sizes the cutoff at the largest |Im s|; an empty array gives an empty one."""
+    points = np.asarray(s, dtype=complex)
+    if not 0 < alpha <= 1:
+        raise InvalidParameterError(f"alpha must lie in (0, 1], got {alpha}")
+    if points.size == 0:
+        return np.empty(points.shape, dtype=complex), 0.0
+    worst = _line_worst(points)
+    if worst.real <= 0:
+        raise InvalidParameterError(
+            f"Euler-Maclaurin path needs Re(s) > 0, got Re(s) = {worst.real}")
+    if np.any(points == 1):
+        raise PoleError("zeta(s, alpha) has its pole at s = 1")
+    return _hurwitz_em_raw(points, alpha, _em_cutoff(worst, alpha, tol, start),
+                           start=start)
+
+
 def hurwitz_zeta(s: complex, alpha: float, target_error: float = 1e-12) -> complex:
     """zeta(s, alpha) = sum_{n>=0} (n+alpha)^-s for Re(s) > 0, s != 1.
 
@@ -327,14 +351,7 @@ def hurwitz_zeta_with_error(
     s: complex, alpha: float, target_error: float = 1e-12
 ) -> tuple[complex, float]:
     """zeta(s, alpha) and its remainder bound, which is at most ``target_error``."""
-    s = complex(s)
-    if not 0 < alpha <= 1:
-        raise InvalidParameterError(f"alpha must lie in (0, 1], got {alpha}")
-    if s.real <= 0:
-        raise InvalidParameterError(f"Euler-Maclaurin path needs Re(s) > 0, got {s}")
-    if s == 1:
-        raise PoleError("zeta(s, alpha) has its pole at s = 1")
-    return _hurwitz_em_raw(s, alpha, _em_cutoff(s, alpha, target_error))
+    return _em_sum(s, alpha, target_error)
 
 
 def riemann_zeta(s: complex, target_error: float = 1e-12) -> complex:
@@ -354,11 +371,9 @@ def hurwitz_tail_sum(
     sized at the largest |Im w|, and the Euler-Maclaurin closure of the zeta
     evaluators serve every point.  Used for the tails of built-in series.
     """
-    worst = _line_worst(np.asarray(w, dtype=complex))
-    if worst.real <= 1:
-        raise InvalidParameterError(f"tail sum diverges for Re(w) = {worst.real}")
-    n_cutoff = _em_cutoff(worst, alpha, target_error, start)
-    return _hurwitz_em_raw(w, alpha, n_cutoff, start=start)
+    if np.any(np.real(w) <= 1):
+        raise InvalidParameterError(f"tail sum diverges for Re(w) = {np.min(np.real(w))}")
+    return _em_sum(w, alpha, target_error, start)
 
 
 def hurwitz_zeta_grid(
@@ -375,17 +390,7 @@ def hurwitz_zeta_grid(
     logs one line from ``_head_sum``: the point count, the EM cutoff N (the
     head's term count) and the head path.
     """
-    ts = np.asarray(ts, dtype=float)
-    if not 0 < alpha <= 1:
-        raise InvalidParameterError(f"alpha must lie in (0, 1], got {alpha}")
-    if sigma <= 0:
-        raise InvalidParameterError("sigma must be positive")
-    if sigma == 1.0 and np.any(ts == 0.0):
-        raise PoleError("grid contains the pole s = 1")
-    if ts.size == 0:
-        return np.empty(ts.shape, dtype=complex)
-    n_cutoff = _em_cutoff(complex(sigma, np.max(np.abs(ts))), alpha, target_error)
-    return _hurwitz_em_raw(sigma + 1j * ts, alpha, n_cutoff)[0]
+    return _em_sum(sigma + 1j * np.asarray(ts, dtype=float), alpha, target_error)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +475,16 @@ def lerch_phi(alpha: float, beta: float, s, target_error: float = 1e-10):
     if not (0 < alpha <= 1 and 0 < beta <= 1):
         raise InvalidParameterError("lerch_phi needs 0 < alpha, beta <= 1")
     points = np.asarray(s, dtype=complex)
-    sv = points.ravel()
-    worst = _line_worst(sv)
-    if worst.real < 1:
+    if np.any(points.real < 1):
         raise InvalidParameterError(
-            f"lerch_phi implemented for Re(s) >= 1, got Re(s) = {worst.real}"
+            f"lerch_phi implemented for Re(s) >= 1, got Re(s) = {np.min(points.real)}"
         )
     if alpha == 1:
-        if np.any(sv == 1):
-            raise PoleError("phi(1, beta; s) has a pole at s = 1")
-        return _hurwitz_em_raw(points, beta, _em_cutoff(worst, beta, target_error))[0]
+        return _em_sum(points, beta, target_error)[0]
+    if points.size == 0:
+        return np.empty(points.shape, dtype=complex)
+    sv = points.ravel()
+    worst = _line_worst(sv)
     z = cmath.exp(2j * math.pi * alpha)
     n_cutoff, k_order, _ = _lerch_tail_plan(worst, beta, abs(1 - z), target_error)
     n = np.arange(n_cutoff)

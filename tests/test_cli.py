@@ -174,7 +174,7 @@ def test_verify_flags_override_config(tmp_path, capsys):
     seed1, seed2 = run("--seed", "1"), run("--seed", "2")
     assert seed1 != seed2
     assert run() == run("--seed", "7")  # no flag keeps the config's seed
-    assert cli.main(["verify", "--config", str(cfg_path), "--threads", "0"]) == 2
+    assert cli.main(["verify", "--config", str(cfg_path), "--threads", "1"]) == 2  # no such flag
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -232,6 +232,19 @@ def test_wrong_json_type_names_field(tmp_path, capsys, field, value):
     ({"experiment": "lerch_scan", "betas": []}, "betas"),
     ({"experiment": "log_bound_sweep", "p_values": [1.0, 0.5]}, "p_values"),
     ({"experiment": "minmax", "m_norm": 0.5}, "m_norm"),
+    ({"experiment": "constants", "threads": 2}, "threads"),
+    # rejected before numpy or an integral sees them
+    ({"experiment": "local_l2_sweep", "seed": -1}, "seed"),
+    ({"experiment": "minmax", "orders": [70]}, "orders"),
+    ({"experiment": "minmax", "orders": [2, 21]}, "orders"),
+    ({"experiment": "minmax", "orders": [0]}, "orders"),
+    ({"experiment": "log_bound_sweep", "deltas": [0.05, 0.0]}, "deltas"),
+    ({"experiment": "minmax", "deltas": [-0.1]}, "deltas"),
+    ({"experiment": "local_l2_sweep", "d_values": [1.0, -1.0]}, "d_values"),
+    ({"experiment": "local_l2_sweep", "d_values": [0]}, "d_values"),
+    ({"experiment": "nonvanishing_sweep", "xis": [0.0]}, "xis"),
+    ({"experiment": "nonvanishing_sweep", "xis": [0.5, 1.0]}, "xis"),
+    ({"experiment": "nonvanishing_sweep", "xis": [-0.5]}, "xis"),
 ])
 def test_degenerate_config_names_field(tmp_path, capsys, doc, field):
     # no series, term, restart or grid value to check is no verdict to pass

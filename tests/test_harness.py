@@ -30,8 +30,9 @@ def test_config_validation():
         hn.ExperimentConfig("constants", deltas=())
     with pytest.raises(InvalidParameterError):
         hn.ExperimentConfig("constants", tolerance=0.0)
-    with pytest.raises(InvalidParameterError):
-        hn.ExperimentConfig("constants", threads=0)
+    for threads in (0, 2):  # the field loads only with its one value
+        with pytest.raises(InvalidParameterError, match="'threads'"):
+            hn.ExperimentConfig("constants", threads=threads)
 
 
 def test_config_json_round_trip():
@@ -108,18 +109,6 @@ def test_hurwitz_scan_running_min_monotone_under_extension():
     assert longer.summary[key]["running_min"] <= base.summary[key]["running_min"] + 1e-15
 
 
-@pytest.mark.parametrize("experiment", ["hurwitz_scan", "lerch_scan"])
-def test_hurwitz_scan_threads_identical(experiment):
-    for t_stop, t_step in (
-        (30.0, 0.025),  # 4809 shared nodes: two bands
-        (50.0, 0.1),  # 501 windows of 9 nodes each: bands of 444 and 57 windows
-    ):
-        cfg1 = _small(experiment, alphas=(0.3,), betas=(0.7,), t_stop=t_stop,
-                      t_step=t_step, threads=1)
-        r1, r4 = hn.dispatch(cfg1), hn.dispatch(dataclasses.replace(cfg1, threads=4))
-        assert r1.rows == r4.rows
-
-
 def test_hurwitz_scan_phase_matrix_bands_reproducible(tmp_path, caplog):
     # t 100-130 is 4809 nodes: two bands, both summed by the phase matrix
     caplog.set_level("DEBUG", logger="hardyseries.special")
@@ -128,7 +117,6 @@ def test_hurwitz_scan_phase_matrix_bands_reproducible(tmp_path, caplog):
     paths = [r.getMessage().rsplit(", ", 1)[1] for r in caplog.records]
     assert paths == ["phase-matrix"] * 2
     assert r1.passed and len(r1.rows) == 1201
-    assert hn.dispatch(dataclasses.replace(cfg, threads=4)).rows == r1.rows
     csvs = []
     for name in ("a.csv", "b.csv"):
         hn.dispatch(dataclasses.replace(cfg, out=str(tmp_path / name)))
@@ -325,12 +313,13 @@ def test_lerch_scan_pole_window_diverges(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("nan_first", [True, False])
 @pytest.mark.parametrize("as_array", [False, True])
 def test_min_margin_is_nan_when_any_margin_is(tmp_path, monkeypatch, nan_first, as_array):
-    # min() over the margins kept or dropped a NaN depending on row order
+    # min() over the margins kept or dropped a NaN depending on row order;
+    # the rows come as one array block, or as one block per row
     margins = [math.nan, 1.0] if nan_first else [1.0, math.nan]
     if as_array:
         blocks = [("x", np.array(margins), np.array([False, True]))]
     else:
-        blocks = [("x", m, m == m) for m in margins]
+        blocks = [hn._block([("x", m, m == m)]) for m in margins]
     monkeypatch.setitem(hn._RUNNERS, "constants",
                         lambda config: (["check", "margin", "pass"], blocks, {}, True))
     out = tmp_path / "nan.csv"
@@ -342,37 +331,51 @@ def test_min_margin_is_nan_when_any_margin_is(tmp_path, monkeypatch, nan_first, 
     assert summary["min_margin"] == "nan"
 
 
-def _oracle_csv(columns, blocks) -> str:
-    """The per-row rendering the block writer replaces."""
-    lines = [",".join(columns)]
-    for block in blocks:
-        if isinstance(block[-1], np.ndarray):
-            rows = [tuple(v[i] if isinstance(v, np.ndarray) else v for v in block)
-                    for i in range(len(block[-1]))]
-        else:
-            rows = [block]
-        lines.extend(",".join(hn._fmt(v) for v in row) for row in rows)
+def _oracle_csv(columns, rows) -> str:
+    """The per-cell rendering the block writer replaces."""
+    lines = [",".join(columns)] + [",".join(hn._fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
+def _block_rows(block) -> list:
+    """The rows of an array block, each cell a numpy or Python scalar."""
+    return [tuple(v[i] if isinstance(v, np.ndarray) else v for v in block)
+            for i in range(len(block[-1]))]
+
+
 _SPECIAL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308, 0.1, 1 / 3]
+_STRINGS = st.sampled_from(["T4", "50%", "a,b", "%s", "%%d,%.17g"])
 _SCALARS = st.one_of(
     st.sampled_from(_SPECIAL_FLOATS),
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(width=64).map(np.float64),
     st.integers(-10**6, 10**6),
     st.booleans().map(np.bool_),
-    st.sampled_from(["T4", "50%", "a,b", "%s", "%%d,%.17g"]),
+    _STRINGS,
+)
+# the cells of one column of a row builder: ints (series ids), ints beside
+# floats (a d_values entry 1 from JSON beside 10.5), strings, bools, floats
+_COLUMN_CELLS = (
+    st.integers(-10**18, 10**18),  # "%.17g" would write 1e+18
+    st.one_of(st.integers(-10**6, 10**6), st.sampled_from(_SPECIAL_FLOATS), st.floats()),
+    _STRINGS,
+    st.booleans() | st.booleans().map(np.bool_),
+    st.sampled_from(_SPECIAL_FLOATS) | st.floats() | st.floats(width=64).map(np.float64),
 )
 
 
 @st.composite
 def _blocks(draw, n_columns):
-    blocks = []
+    """(blocks, rows): row-builder blocks made by ``hn._block`` from rows
+    of scalars, or scan-style blocks of arrays and constants."""
+    blocks, rows = [], []
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
-            cells = [draw(_SCALARS) for _ in range(n_columns - 1)]
-            blocks.append((*cells, draw(st.booleans().map(np.bool_) | st.booleans())))
+            kinds = [draw(st.sampled_from(_COLUMN_CELLS)) for _ in range(n_columns - 1)]
+            block_rows = [(*(draw(kind) for kind in kinds), draw(st.booleans()))
+                          for _ in range(draw(st.integers(1, 5)))]
+            blocks.append(hn._block(block_rows))
+            rows.extend(block_rows)
             continue
         n = draw(st.sampled_from([1, 2, 17, 4095, 4096, 4097]))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -386,17 +389,18 @@ def _blocks(draw, n_columns):
                 col[picks] = rng.choice(_SPECIAL_FLOATS, picks.sum())
                 cells.append(col)
         blocks.append((*cells, rng.random(n) < 0.5))
-    return blocks
+        rows.extend(_block_rows(blocks[-1]))
+    return blocks, rows
 
 
 @given(data=st.data(), n_columns=st.integers(2, 6))
 @settings(max_examples=40, deadline=None)
 def test_block_writer_matches_per_row_rendering(tmp_path_factory, data, n_columns):
     columns = [f"c{j}" for j in range(n_columns - 1)] + ["pass"]
-    blocks = data.draw(_blocks(n_columns))
+    blocks, rows = data.draw(_blocks(n_columns))
     path = tmp_path_factory.mktemp("csv") / "blocks.csv"
     hn.ExperimentResult("constants", columns, blocks).write_csv(str(path))
-    assert path.read_text(encoding="utf-8") == _oracle_csv(columns, blocks)
+    assert path.read_text(encoding="utf-8") == _oracle_csv(columns, rows)
 
 
 def test_hurwitz_scan_bytes_and_margins(tmp_path, monkeypatch):
@@ -429,3 +433,18 @@ def test_scan_result_memory_per_row():
         tracemalloc.stop()
     assert result.summary["n_rows"] == 10001
     assert held <= 64 * 10001, f"{held / 10001:.0f} bytes per row"
+
+
+def test_every_runner_returns_array_blocks():
+    # one block kind: every block's pass column is a bool array, and every
+    # per-row column an array of its length
+    small = {"n_series": 1, "restarts": 1, "search_terms": 2, "orders": (1,),
+             "alphas": (1.0,), "betas": (0.7,), "t_stop": 0.5, "t_step": 0.25}
+    for experiment in hn.EXPERIMENTS:
+        columns, blocks, _, _ = hn._RUNNERS[experiment](_small(experiment, **small))
+        assert blocks and columns[-1] == "pass"
+        for block in blocks:
+            ok = block[-1]
+            assert isinstance(ok, np.ndarray) and ok.dtype == bool and ok.ndim == 1
+            assert len(block) == len(columns)
+            assert all(v.shape == ok.shape for v in block if isinstance(v, np.ndarray))

@@ -407,6 +407,19 @@ def test_lerch_pole_and_domain():
         sp.lerch_phi(0.3, 0.5, np.array([0.5 + 1j, 0.5 + 2j]))
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda pts: sp.hurwitz_zeta_grid(0.5, pts.imag),
+    lambda pts: sp.hurwitz_tail_sum(pts + 1, 0.5, 3)[0],
+    lambda pts: sp.lerch_phi(0.3, 0.5, pts),
+    lambda pts: sp.lerch_phi(1.0, 0.5, pts),
+], ids=["zeta_grid", "tail_sum", "lerch", "lerch_twist_1"])
+@pytest.mark.parametrize("shape", [(0,), (0, 9)])
+def test_empty_array_gives_empty_array(evaluate, shape):
+    # an empty array holds no line to size a cutoff on, so none is sized
+    out = evaluate(np.empty(shape, dtype=complex))
+    assert out.shape == shape and out.dtype == complex
+
+
 def test_array_points_must_share_one_line():
     # one cutoff and one divergence check serve the whole line, so a point
     # off it (here the divergent Re w = 0.5) must be refused, not summed
