@@ -22,7 +22,12 @@ evenly spaced points each, every later window reaching one spacing of the
 round before either side of the best sample: 1 + 4 calls per sup for grids
 of up to 512 points.  Each value is a sampled |L|, so the result is a
 *lower* bound for the true supremum, which is the sound direction for
-every inequality checked by this package.
+every inequality checked by this package.  It also takes a stacked
+evaluator of K functions (``series.classical_stack_evaluator`` builds one):
+points of shape (n,) or (K, n) in, the (K, n) values out, row k those of
+function k.  Then it returns the K sups from the same 1 + 4 calls, the grid
+shared by every row and each zoom round a (K, 33) array of per-row
+windows; no row's result depends on another row.
 """
 
 from __future__ import annotations
@@ -73,10 +78,11 @@ def _modulus(evaluator: Evaluator, sigma: float):
 
 
 def _sample(f, ts: np.ndarray) -> np.ndarray:
-    """f on the ordinates ts, in calls of at most 512 points."""
+    """f on the ordinates ts, in calls of at most 512 points, joined along
+    the last axis of f's values."""
     return np.concatenate(
-        [f(ts[lo:lo + _BATCH_POINTS]) for lo in range(0, ts.size, _BATCH_POINTS)]
-    )
+        [f(ts[lo:lo + _BATCH_POINTS]) for lo in range(0, ts.size, _BATCH_POINTS)],
+        axis=-1)
 
 
 def _simpson(fa, fm, fb, h):
@@ -265,12 +271,25 @@ def poisson_log_integral(
     )
 
 
+def _zoom_windows(lo, hi) -> np.ndarray:
+    """33 evenly spaced ordinates from each lo to its hi, in a trailing axis:
+    ``np.linspace(lo, hi, 33)`` for each pair on its own, with its formula."""
+    div = _ZOOM_POINTS - 1
+    lo, hi = lo[..., None], hi[..., None]
+    y = np.arange(_ZOOM_POINTS, dtype=float)
+    step = (hi - lo) / div
+    # linspace's branch for a step that underflows to 0, taken per window
+    ts = np.where(step == 0, y / div * (hi - lo), y * step) + lo
+    ts[..., -1] = hi[..., 0]
+    return ts
+
+
 def interval_sup(
     evaluator: Evaluator,
     sigma: float,
     interval,
     grid_n: int = 64,
-) -> float:
+) -> float | np.ndarray:
     """Grid maximum of |L(sigma+it)| on [a, b], refined around the argmax.
 
     The grid of ``grid_n + 1`` points goes to the evaluator in one call
@@ -280,7 +299,13 @@ def interval_sup(
     one spacing of the round before, so the last spacing is h / 2^16.  The
     best value changes only when a sample beats it: the result is at least
     the grid maximum and, being a sampled value, a lower bound for the true
-    supremum.
+    supremum.  A float for an evaluator of the module contract.
+
+    A stacked evaluator, which maps points of shape (n,) or (K, n) to the
+    (K, n) values of K functions, row k those of function k, gives the (K,)
+    array of their sups in the same 1 + 4 calls: the grid goes out as one
+    (n,) array, and each zoom round as a (K, 33) array of per-row windows.
+    Entry k is the bits of the sup of function k alone.
     """
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
@@ -290,14 +315,16 @@ def interval_sup(
     modulus = _modulus(evaluator, sigma)
     h = (b - a) / grid_n
     grid = _sample(modulus, a + np.arange(grid_n + 1) * h)
-    k = int(np.argmax(grid))
-    best_t, best = a + k * h, float(grid[k])
+    # max along the last axis is the entry at argmax, a nan included
+    best_t, best = a + np.argmax(grid, axis=-1) * h, np.max(grid, axis=-1)
     w = h
     for _ in range(_ZOOM_ROUNDS):
-        ts = np.linspace(max(a, best_t - w), min(b, best_t + w), _ZOOM_POINTS)
+        ts = _zoom_windows(np.maximum(a, best_t - w), np.minimum(b, best_t + w))
         values = modulus(ts)
-        j = int(np.argmax(values))
-        if values[j] > best:
-            best, best_t = float(values[j]), float(ts[j])
+        j = np.argmax(values, axis=-1)[..., None]
+        top = np.max(values, axis=-1)
+        better = top > best
+        best = np.where(better, top, best)
+        best_t = np.where(better, np.take_along_axis(ts, j, axis=-1)[..., 0], best_t)
         w /= (_ZOOM_POINTS - 1) // 2
-    return best
+    return float(best) if best.ndim == 0 else best

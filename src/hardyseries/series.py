@@ -37,6 +37,7 @@ __all__ = [
     "HurwitzTail",
     "Interval",
     "classical_polynomial",
+    "classical_stack_evaluator",
     "hurwitz_family",
     "l1_norm_at",
     "l2_norm",
@@ -414,16 +415,46 @@ def line_evaluator(
         tail_target = tail_tol / max(tail.alpha ** w_re, 1e-300)
 
     def ev(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=complex)
-        if np.any(s.real != sigma1):
-            raise InvalidParameterError(f"points off the line Re(s) = {sigma1}")
-        t = s.imag
+        t = _ordinates(s, sigma1)
         out = special._head_sum(1j * t, lam, weights)
         if tail is not None and t.size:
             w = tail.coeff_power + tail.lambda_scale * (sigma1 + 1j * t)
             raw, _ = special.hurwitz_tail_sum(w, tail.alpha, tail.start, tail_target)
             out += tail.alpha ** w * raw
         return out
+
+    return ev
+
+
+def _ordinates(s, sigma1: float) -> np.ndarray:
+    """Im s of the points s, refused unless every one lies on Re(s) = sigma1."""
+    s = np.asarray(s, dtype=complex)
+    if np.any(s.real != sigma1):
+        raise InvalidParameterError(f"points off the line Re(s) = {sigma1}")
+    return s.imag
+
+
+def classical_stack_evaluator(
+    coefficients, sigma1: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluator of K finite classical series at once, one per row of the
+    (K, terms) ``coefficients``, on the line Re(s) = sigma1.
+
+    The returned function maps points of shape (n,), shared by every series,
+    or (K, n), row k for series k, to the (K, n) values, row k those of
+    series k; points off the line are refused.  Row k holds the bits of
+    ``line_evaluator(classical_polynomial(coefficients[k]), sigma1)`` on a
+    1-d array of fewer than 128 points: ``special._head_sum`` with a weight
+    stack, where rows of equal points share one exponential table.  No
+    ``DirichletSeries`` is built.
+    """
+    coeffs = np.asarray(coefficients, dtype=complex)
+    lam = ExponentSequence.classical().lambdas(coeffs.shape[1])
+    weights = coeffs * np.exp(-lam * sigma1)
+
+    def ev(s: np.ndarray) -> np.ndarray:
+        t = np.broadcast_to(_ordinates(s, sigma1), (len(weights), np.shape(s)[-1]))
+        return special._head_sum(1j * t, lam, weights)
 
     return ev
 

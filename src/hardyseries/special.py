@@ -24,9 +24,10 @@ Euler-Maclaurin N, and for twisted sums the Abel-summation plan (N, K),
 where N is the smallest cutoff >= 64 whose truncation + roundoff bound
 meets the tolerance.  Every Euler-Maclaurin value (``hurwitz_zeta``,
 ``hurwitz_tail_sum``, ``hurwitz_zeta_grid`` and ``lerch_phi`` at twist 1)
-enters the kernel through one checked call, ``_em_sum``: it refuses points
-off one line, alpha outside (0, 1] and Re s <= 0, raises the one PoleError
-at s = 1, sizes the cutoff, and gives an empty array for an empty one.
+enters the kernel through one checked call, ``_em_sum``: it refuses
+non-finite points, points off one line, alpha outside (0, 1] and
+Re s <= 0, raises the one PoleError at s = 1, sizes the cutoff, and gives
+an empty array for an empty one.
 
 Every finite exponential sum sum_n w_n e^(-s x_n) of the package goes
 through one kernel, ``_head_sum``: the zeta heads (x_n = log(n + alpha);
@@ -40,7 +41,8 @@ BLAS.  The rows of a 2-d array count when at least 2 long, such as the 9
 nodes of each scan window (R = 9); a 1-d array counts as one row of at
 least 128 points.  Rows longer than 64 are cut into runs of R = 64.  Every
 other array takes one complex exp per (point, term), each row summed in
-term order.
+term order; so does a (K, terms) weight stack, one weight row per row of
+points, where rows of equal points share their exponentials.
 """
 
 from __future__ import annotations
@@ -192,7 +194,12 @@ def _em_cutoff(worst: complex, alpha: float, tol: float, start: int = 0) -> int:
 
 def _line_worst(sv: np.ndarray) -> complex:
     """The point of largest |Im s| on the vertical line that holds every
-    point of the complex array ``sv``; points off one line are refused."""
+    point of the complex array ``sv``; non-finite points and points off one
+    line are refused."""
+    finite = np.isfinite(sv)
+    if not finite.all():
+        raise InvalidParameterError(
+            f"points must be finite, got the non-finite point {sv[~finite].flat[0]}")
     sigma = sv.flat[0].real
     if np.any(sv.real != sigma):
         raise InvalidParameterError(
@@ -242,13 +249,31 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
     array is built in blocks of 2^16 matrix entries (points x terms), or of
     one row where a row is longer, each block in the same buffer, and each
     row weights * exp(-s x), the weights first, is summed in term order.
+
+    A (K, terms) weight stack goes with (K, n) points, weight row k with
+    point row k, such as K candidate series sampled on their windows.  A
+    stack always takes the per-row path, with no blocking: point rows with
+    equal bytes share one (n, terms) exponential table, which each of their
+    weight rows multiplies.  Every (point, term) entry, and so every sum, is
+    then the bits the per-row path gives a 1-d call with that point row and
+    weight row.  The stack holds K n terms complex entries at once.
+
     With debug logging on, each call logs its point count, term count and
     path.
     """
-    step = _progression_step(sv.imag)
+    stacked = weights is not None and weights.ndim == 2
+    step = None if stacked else _progression_step(sv.imag)
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("head sum: %d points, %d terms, %s", sv.size, x.size,
                      "per-row" if step is None else "phase-matrix")
+    if stacked:
+        slot: dict = {}
+        shared = np.array([slot.setdefault(row.tobytes(), len(slot)) for row in sv])
+        distinct = np.empty(len(slot), dtype=int)
+        distinct[shared] = np.arange(shared.size)  # any row of a slot: same bytes
+        terms = np.exp(np.multiply.outer(-sv[distinct], x))[shared]
+        np.multiply(weights[:, None, :], terms, out=terms)
+        return terms.sum(axis=-1)
     if step is not None:
         grid = sv if sv.ndim == 2 else sv.reshape(1, -1)
         run = min(grid.shape[1], _PHASE_ROWS)

@@ -245,6 +245,8 @@ def test_wrong_json_type_names_field(tmp_path, capsys, field, value):
     ({"experiment": "nonvanishing_sweep", "xis": [0.0]}, "xis"),
     ({"experiment": "nonvanishing_sweep", "xis": [0.5, 1.0]}, "xis"),
     ({"experiment": "nonvanishing_sweep", "xis": [-0.5]}, "xis"),
+    # the search runs at one delta, so a second would be dropped unchecked
+    ({"experiment": "minmax", "deltas": [0.05, 0.1]}, "deltas"),
 ])
 def test_degenerate_config_names_field(tmp_path, capsys, doc, field):
     # no series, term, restart or grid value to check is no verdict to pass

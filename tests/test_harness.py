@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hardyseries import cli
 from hardyseries import harness as hn
 from hardyseries import quadrature as qd
+from hardyseries import series as se
 from hardyseries import special as sp
 from hardyseries.errors import InvalidParameterError
 
@@ -242,6 +243,82 @@ def test_minmax_small():
     assert norms[2] == pytest.approx(math.sqrt(33.0))
     sup_rows = [row for row in result.rows if row[0] == "search_sup"]
     assert sup_rows and all(row[-1] for row in sup_rows)
+
+
+def _project_one(coeffs, m_norm):
+    # the one-series projection the batched search replaced
+    out = coeffs.copy()
+    out[0] = 1.0
+    tail = math.sqrt(m_norm ** 2 - 1.0)
+    cur = np.sqrt(np.sum(np.abs(out[1:]) ** 2))
+    if cur == 0.0:
+        out[1] = tail
+    else:
+        out[1:] *= tail / cur
+    return out
+
+
+def _search_one_move_at_a_time(config, rng, delta):
+    """The coordinate descent measuring one candidate per interval_sup call,
+    through a DirichletSeries and a line_evaluator each."""
+    results = []
+    for restart in range(config.restarts):
+        coeffs = _project_one(
+            np.concatenate([[1.0], hn._disc_samples(rng, config.search_terms - 1)]),
+            config.m_norm,
+        )
+
+        def sup_of(c):
+            ev = se.line_evaluator(se.classical_polynomial(c, 0.5), 0.5)
+            return qd.interval_sup(ev, 0.5, (0.0, delta), grid_n=32)
+
+        best = sup_of(coeffs)
+        step = 0.4
+        for _ in range(6):
+            improved = False
+            for j in range(1, config.search_terms):
+                for direction in (1.0, -1.0, 1.0j, -1.0j):
+                    cand = coeffs.copy()
+                    cand[j] = cand[j] + direction * step
+                    cand = _project_one(cand, config.m_norm)
+                    val = sup_of(cand)
+                    if val < best:
+                        best, coeffs, improved = val, cand, True
+            if not improved:
+                step *= 0.5
+        results.append((restart, best))
+    return results
+
+
+@pytest.mark.parametrize("search_terms, m_norm, delta", [
+    (2, 1.0, 0.05), (2, 3.0, 0.1), (5, 2.0, 0.05), (5, 1.0, 0.1), (16, 3.0, 0.1),
+    (16, 2.0, 0.05),
+])
+def test_batched_search_is_the_one_move_search(search_terms, m_norm, delta):
+    # moves measured 12 at a time, accepted in order: the same (restart,
+    # best) tuples, bit for bit, as measuring one move per call
+    for seed in (7, 2012):
+        cfg = _small("minmax", seed=seed, search_terms=search_terms, m_norm=m_norm,
+                     deltas=(delta,), restarts=2)
+        batched = hn._search_min_sup(cfg, np.random.default_rng(seed), delta)
+        one = _search_one_move_at_a_time(cfg, np.random.default_rng(seed), delta)
+        assert batched == one
+        assert all(isinstance(best, float) for _, best in batched)
+
+
+def test_project_rows_are_the_one_series_projection():
+    # every row keeps its own branch: a row with a zero tail gets a_1 = the
+    # tail norm, which no search move reaches (a move adds a nonzero step)
+    rng = np.random.default_rng(14)
+    coeffs = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
+    coeffs[2, 1:] = 0.0
+    coeffs[4, 1:] = -0.0
+    for m_norm in (1.0, 3.0):
+        rows = hn._project(coeffs, m_norm)
+        for k in range(5):
+            assert np.array_equal(rows[k], _project_one(coeffs[k], m_norm))
+            assert rows[k].tobytes() == _project_one(coeffs[k], m_norm).tobytes()
+        assert rows[2, 1] == math.sqrt(m_norm ** 2 - 1.0)
 
 
 def test_csv_determinism(tmp_path):

@@ -318,3 +318,44 @@ def test_interval_sup_call_budget(grid_n):
     qd.interval_sup(ev, 0.5, (0.0, 10.0), grid_n=grid_n)
     assert len(sizes) == math.ceil((grid_n + 1) / 512) + 4
     assert max(sizes) <= 512
+    # a stack of 12 series takes the same calls: the grid as one 1-d array,
+    # each zoom round as one (12, 33) array
+    shapes = []
+    coeffs = np.random.default_rng(grid_n).normal(size=(12, 4)) + 0j
+    stack = se.classical_stack_evaluator(coeffs, 0.5)
+
+    def stacked(points):
+        shapes.append(points.shape)
+        return stack(points)
+
+    assert qd.interval_sup(stacked, 0.5, (0.0, 10.0), grid_n=grid_n).shape == (12,)
+    assert len(shapes) == len(sizes)
+    assert max(shape[-1] for shape in shapes) <= 512
+    assert shapes[-4:] == [(12, 33)] * 4
+
+
+@pytest.mark.parametrize("grid_n", [32, 64, 600])
+def test_stacked_interval_sup_is_each_row_bit_for_bit(grid_n):
+    # each entry of a stacked sup is the 1-d sup of its row alone, with rows
+    # repeated and a stack of one.  Below 128 grid points the row's
+    # line_evaluator gives the same bits; a 1-d grid call of 128 or more
+    # evenly spaced points takes the phase-matrix head, which a stack never
+    # does, so there the row alone is a stack of one seen as 1-d
+    rng = np.random.default_rng(1404 + grid_n)
+    for k_rows, terms, delta in ((12, 16, 0.1), (1, 16, 0.05), (7, 5, 0.05)):
+        coeffs = rng.normal(size=(k_rows, terms)) + 1j * rng.normal(size=(k_rows, terms))
+        coeffs[:, 0] = 1.0
+        if k_rows > 2:
+            coeffs[2] = coeffs[0]
+        window = (3.0, 3.0 + delta)
+        sups = qd.interval_sup(se.classical_stack_evaluator(coeffs, 0.5), 0.5, window,
+                               grid_n=grid_n)
+        assert sups.shape == (k_rows,)
+        for k in range(k_rows):
+            if grid_n < 127:
+                ev = se.line_evaluator(se.classical_polynomial(coeffs[k], 0.5), 0.5)
+            else:
+                row = se.classical_stack_evaluator(coeffs[k:k + 1], 0.5)
+                ev = lambda points, row=row: row(points)[0]
+            one = qd.interval_sup(ev, 0.5, window, grid_n=grid_n)
+            assert isinstance(one, float) and sups[k] == one

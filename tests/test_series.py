@@ -361,6 +361,26 @@ def test_line_evaluator_on_even_grid_matches_the_term_sum():
         assert empty.shape == (0,) and empty.dtype == complex
 
 
+def test_classical_stack_evaluator_rows_are_line_evaluators():
+    # row k of a stack is series k on the line, bit for bit, for points
+    # shared by every row or one row of points per series
+    rng = np.random.default_rng(1405)
+    coeffs = rng.normal(size=(6, 16)) + 1j * rng.normal(size=(6, 16))
+    coeffs[4] = coeffs[1]
+    ev = se.classical_stack_evaluator(coeffs, 0.5)
+    shared = rng.uniform(0.0, 50.0, 33)
+    rows = rng.uniform(0.0, 50.0, (6, 33))
+    rows[3] = rows[0]
+    for ts in (shared, rows):
+        values = ev(0.5 + 1j * ts)
+        assert values.shape == (6, 33)
+        for k in range(6):
+            one = se.line_evaluator(se.classical_polynomial(coeffs[k], 0.5), 0.5)
+            assert np.array_equal(values[k], one(0.5 + 1j * np.broadcast_to(ts, (6, 33))[k]))
+    with pytest.raises(InvalidParameterError):
+        ev(0.25 + 1j * shared)
+
+
 def test_line_evaluator_logs_its_head_path(caplog):
     caplog.set_level("DEBUG", logger="hardyseries.special")
     s = se.classical_polynomial(np.ones(20), 0.5)

@@ -313,6 +313,45 @@ def test_per_row_head_builds_one_block_at_a_time():
     assert np.array_equal(head, _per_row_head(sv, log_n))
 
 
+def test_stacked_head_is_the_one_row_calls_bit_for_bit():
+    # a (K, terms) weight stack, one weight row per row of points: rows
+    # repeat (they share one exponential table), K = 1 included, and rows
+    # of 200 evenly spaced points stay per-row where a 1-d call would not
+    rng = np.random.default_rng(1405)
+    log_n = np.log(np.arange(16) + 1.0)
+    window = 0.05 * np.arange(33) / 32
+    for k_rows, width, spaced in ((12, 33, False), (1, 33, False), (5, 200, True)):
+        ts = (window[None] if width == 33 else np.linspace(0.0, 3.0, width)[None]) \
+            + rng.choice([0.0, 0.5, 9.0], size=(k_rows, 1))
+        if not spaced:
+            ts[::4, 7] += 1e-3  # some rows off the progression
+        weights = rng.normal(size=(k_rows, 16)) + 1j * rng.normal(size=(k_rows, 16))
+        sv = 1j * ts
+        head = sp._head_sum(sv, log_n, weights)
+        assert head.shape == ts.shape
+        for k in range(k_rows):
+            expected = _per_row_head(sv[k], log_n, weights[k])
+            assert np.array_equal(head[k], expected)
+            if not spaced:
+                assert np.array_equal(head[k], sp._head_sum(sv[k], log_n, weights[k]))
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda s: sp.hurwitz_zeta(s, 0.5),
+    lambda s: sp.hurwitz_zeta_grid(0.5, np.array([1.0, s.imag]), s.real),
+    lambda s: sp.hurwitz_tail_sum(np.array([s + 1, 2 + 1j]), 0.5, 3),
+    lambda s: sp.lerch_phi(0.3, 0.5, s),
+], ids=["hurwitz_zeta", "zeta_grid", "tail_sum", "lerch"])
+@pytest.mark.parametrize("point", [complex(math.nan, 1.0), complex(1.5, math.nan),
+                                   complex(1.5, math.inf)])
+def test_non_finite_point_is_named(evaluate, point):
+    # refused where the line is read, not as points off one line or as a
+    # cutoff bound of nan; 1j * inf is nan + inf j, so the grid warns first
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(InvalidParameterError, match="non-finite point"):
+        evaluate(point)
+
+
 def test_zeta_grid_logs_its_head_path(caplog):
     caplog.set_level("DEBUG", logger="hardyseries.special")
     sp.hurwitz_zeta_grid(1.0, 100.0 + _SCAN_H * np.arange(4000))
