@@ -543,8 +543,9 @@ def _scan_windows(values, delta: float, config: ExperimentConfig, pole: bool):
     array, evaluated in bands of 4000 // 9 = 444 whole windows, whose rows
     the head sum takes as progressions of one step h.  With ``pole`` the
     line holds the pole at t = 0: a window whose closed interval holds it
-    measures +inf, and a node at t = 0 is moved to 1e-9 only so that its
-    band can be evaluated."""
+    measures +inf, and only so that its band can be evaluated, a shared
+    node at t = 0 is moved to 1e-9, and a row of 9 nodes holding t = 0 is
+    moved by 1e-9 as a whole."""
     h = delta / _SCAN_SUBDIV
     stride = int(round(config.t_step / h))  # whole, checked with the config
     nodes = _SCAN_SUBDIV + 1
@@ -559,7 +560,10 @@ def _scan_windows(values, delta: float, config: ExperimentConfig, pole: bool):
         band = _SCAN_BAND // nodes
     ts = config.t_start + h * steps
     if pole:
-        ts[ts == 0.0] = 1e-9
+        # a row of 9 nodes moves as a whole, so it stays a progression of
+        # step h and its band keeps the phase-matrix head
+        zero = ts == 0.0
+        ts[zero if shared else zero.any(axis=1)] += 1e-9
     mods = np.empty(ts.shape)
     for lo in range(0, len(ts), band):
         mods[lo:lo + band] = np.abs(values(ts[lo:lo + band]))

@@ -6,10 +6,18 @@ line Re s = sigma to the complex ndarray of values L(s), of the same shape
 
 Adaptive Simpson with the 15-fold Richardson acceptance test per panel, the
 per-panel tolerance halved at each level, maximum depth 20 (where a failing
-panel is accepted and the result flagged), and a hard cap of 2^20 panels.
-Panels are refined depth-first in batches of at most 256, so one evaluator
-call gets the two quarter points of each panel of a batch, at most 512
-points; longer point lists (base pre-split, sup grid) go in calls of 512.
+panel is accepted and the result flagged), and a hard cap of 2^20 panels
+per pass.  One pass integrates a list of segments, each pre-split into equal
+base panels with its own tolerance; ``poisson_log_integral`` passes all of
+its octave segments at once, the other integrals one segment.  The base
+points of every segment go out together, and one stack refines the panels
+of every segment depth-first in entries of at most 512 panels, so the cap
+counts the splits of the whole pass.  Each panel keeps its segment's
+tolerance share and its own depth, so it is accepted or split as in a pass
+of its segment alone; only the order in which panel values are summed
+depends on the other segments.  Every point list (base points, the two
+quarter points of each panel of an entry, the sup grid) goes to the
+evaluator in calls of at most 512 points.
 
 The integrands are analytic except for isolated log singularities at zeros of
 L; there |L| itself stays continuous, so only the log needs a floor:
@@ -51,8 +59,8 @@ __all__ = [
 _MODULUS_FLOOR = 1e-300
 _MAX_DEPTH = 20
 _PANEL_LIMIT = 2 ** 20
-_BATCH_PANELS = 256  # panels refined per evaluator call
-_BATCH_POINTS = 2 * _BATCH_PANELS  # points per evaluator call, at most
+_BATCH_PANELS = 512  # panels of one stack entry
+_BATCH_POINTS = 512  # points per evaluator call, at most
 _ZOOM_ROUNDS = 4  # interval_sup refinement calls after the grid
 _ZOOM_POINTS = 33  # points per refinement call
 
@@ -80,6 +88,8 @@ def _modulus(evaluator: Evaluator, sigma: float):
 def _sample(f, ts: np.ndarray) -> np.ndarray:
     """f on the ordinates ts, in calls of at most 512 points, joined along
     the last axis of f's values."""
+    if ts.size <= _BATCH_POINTS:
+        return f(ts)
     return np.concatenate(
         [f(ts[lo:lo + _BATCH_POINTS]) for lo in range(0, ts.size, _BATCH_POINTS)],
         axis=-1)
@@ -89,30 +99,44 @@ def _simpson(fa, fm, fb, h):
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _integrate(f, a: float, b: float, tol: float, min_panels: int | None = None):
-    """Adaptive Simpson of the t-array integrand f over [a, b]: (value,
-    error estimate, panel count = 1 + number of splits, flagged)."""
-    # Pre-split on roughly the unit scale: the Simpson acceptance test can
-    # alias on panels holding many oscillation periods, and the Dirichlet
-    # frequencies in play are O(1).  Adaptivity then refines within panels.
-    if min_panels is None:
-        min_panels = max(8, min(4096, int(math.ceil(b - a))))
-    edges = np.linspace(a, b, min_panels + 1)
-    lo, hi = edges[:-1], edges[1:]
-    fs = _sample(f, np.concatenate([edges, 0.5 * (lo + hi)]))
-    fa, fm, fb = fs[:min_panels], fs[min_panels + 1:], fs[1:min_panels + 1]
-    # one column per panel: ends, f at the ends and midpoint, Simpson value,
-    # tolerance
-    panels = np.stack([lo, hi, fa, fm, fb, _simpson(fa, fm, fb, hi - lo),
-                       tol * (hi - lo) / (b - a)])
+def _unit_panels(a: float, b: float) -> int:
+    """Base panels on roughly the unit scale: the Simpson acceptance test can
+    alias on panels holding many oscillation periods, and the Dirichlet
+    frequencies in play are O(1).  Adaptivity then refines within panels."""
+    return max(8, min(4096, int(math.ceil(b - a))))
+
+
+def _integrate(f, segments):
+    """Adaptive Simpson of the t-array integrand f over the segments
+    ``(a, b, tol, min_panels)``, all refined in one pass: (value and error
+    estimate summed over the segments, panel count = sum over the segments
+    of 1 + number of splits, flagged).
+
+    A segment starts as min_panels equal panels, each with the tolerance
+    share tol (hi - lo) / (b - a), halved at each split.  One stack holds
+    the panels of every segment in entries of at most 512, the panels of an
+    entry at one depth; the quarter points of an entry go to f in calls of
+    at most 512 points."""
+    edges = [np.linspace(a, b, n + 1) for a, b, _, n in segments]
+    # each segment's n + 1 edges, then its n midpoints, in one sampling
+    fs = _sample(f, np.concatenate([x for e in edges for x in (e, 0.5 * (e[:-1] + e[1:]))]))
+    columns = []
+    for (a, b, tol, n), e in zip(segments, edges):
+        lo, hi = e[:-1], e[1:]
+        fa, fb, fm, fs = fs[:n], fs[1:n + 1], fs[n + 1:2 * n + 1], fs[2 * n + 1:]
+        # one column per panel: ends, f at the ends and midpoint, Simpson
+        # value, tolerance
+        columns.append(np.stack([lo, hi, fa, fm, fb, _simpson(fa, fm, fb, hi - lo),
+                                 tol * (hi - lo) / (b - a)]))
+    panels = np.concatenate(columns, axis=1)
     stack = [(0, panels[:, i:i + _BATCH_PANELS])
-             for i in reversed(range(0, min_panels, _BATCH_PANELS))]
+             for i in reversed(range(0, panels.shape[1], _BATCH_PANELS))]
     value = err = 0.0
-    count, flagged = 1, False
+    count, flagged = len(segments), False
     while stack:
         depth, (pa, pb, fa, fm, fb, whole, ptol) = stack.pop()
         m = 0.5 * (pa + pb)
-        quarter = f(np.concatenate([0.5 * (pa + m), 0.5 * (m + pb)]))
+        quarter = _sample(f, np.concatenate([0.5 * (pa + m), 0.5 * (m + pb)]))
         flm, frm = quarter[:m.size], quarter[m.size:]
         left = _simpson(fa, flm, fm, m - pa)
         right = _simpson(fm, frm, fb, pb - m)
@@ -131,17 +155,33 @@ def _integrate(f, a: float, b: float, tol: float, min_panels: int | None = None)
             np.stack([pa, m, fa, flm, fm, left, ptol / 2.0])[:, split],
             np.stack([m, pb, fm, frm, fb, right, ptol / 2.0])[:, split],
         ], axis=1)
-        stack.extend((depth + 1, halves[:, i:i + _BATCH_PANELS])
-                     for i in reversed(range(0, halves.shape[1], _BATCH_PANELS)))
+        if halves.shape[1] > _BATCH_PANELS:
+            # copies, so that a waiting entry does not keep all of halves alive
+            stack.extend((depth + 1, halves[:, i:i + _BATCH_PANELS].copy())
+                         for i in reversed(range(0, halves.shape[1], _BATCH_PANELS)))
+        elif halves.size:
+            stack.append((depth + 1, halves))
     return value, err, count, flagged
 
 
-def _check_interval(interval, tol: float) -> tuple[float, float]:
-    a, b = float(interval[0]), float(interval[1])
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _check_tol(tol) -> float:
+    tol = _finite("tol", tol)
+    if not tol > 0:
+        raise InvalidParameterError(f"tol must be positive, got {tol!r}")
+    return tol
+
+
+def _check_interval(interval) -> tuple[float, float]:
+    a, b = _finite("interval", interval[0]), _finite("interval", interval[1])
     if not b > a:
-        raise InvalidParameterError("integration interval must satisfy b > a")
-    if tol <= 0:
-        raise InvalidParameterError("tolerance must be positive")
+        raise InvalidParameterError("interval must satisfy b > a")
     return a, b
 
 
@@ -153,11 +193,13 @@ def integrate_abs_pow(
     tol: float,
 ) -> IntegralResult:
     """Adaptive value of int_a^b |L(sigma + i t)|^p dt."""
-    a, b = _check_interval(interval, tol)
-    if p < 1:
+    a, b = _check_interval(interval)
+    tol = _check_tol(tol)
+    if not _finite("p", p) >= 1:
         raise InvalidParameterError("p must be >= 1")
     modulus = _modulus(evaluator, sigma)
-    value, err, count, flagged = _integrate(lambda t: modulus(t) ** p, a, b, tol)
+    value, err, count, flagged = _integrate(lambda t: modulus(t) ** p,
+                                            [(a, b, tol, _unit_panels(a, b))])
     return IntegralResult(value, err, count, flagged=flagged)
 
 
@@ -192,9 +234,10 @@ def integrate_log(
     sample a modulus below the 1e-300 floor contribute through the clamped
     value (<= panel_width * 690.8) and mark the result as flagged.
     """
-    a, b = _check_interval(interval, tol)
+    a, b = _check_interval(interval)
+    tol = _check_tol(tol)
     f, hit_floor = _log_integrand(evaluator, sigma, sign)
-    value, err, count, flagged = _integrate(f, a, b, tol)
+    value, err, count, flagged = _integrate(f, [(a, b, tol, _unit_panels(a, b))])
     return IntegralResult(value, err, count, flagged=flagged or hit_floor[0])
 
 
@@ -211,15 +254,27 @@ def poisson_log_integral(
 
     The kernel integrates to one.  For the plus sign the tail beyond
     [-T, T] is bounded by log+(l1_norm) (1 - (2/pi) arctan(T/D)) and T
-    grows until that is below tol/2.  For the minus sign the caller must
-    supply ``minus_tail_bound``, an upper bound for the *whole* weighted
-    log- integral (the anchor bounds produce one); the tail is then at most
-    that bound minus the computed symmetric part, floored at zero.
+    grows from 8D by doubling until that is below tol/2.  For the minus
+    sign the caller must supply ``minus_tail_bound``, an upper bound for the
+    *whole* weighted log- integral (the anchor bounds produce one); the tail
+    is then at most that bound minus the computed symmetric part, floored at
+    zero.  ``d``, ``tol``, ``l1_norm`` (>= 0; 0 is the zero series) and a
+    given ``minus_tail_bound`` must be finite.
+
+    [-T, T] is cut at 0, +-D/2 and the octaves +-(D/2) 2^k, the last one
+    ending at +-T.  Each of these 2K segments gets tolerance tol / (2(K + 1))
+    and base panels in proportion to its share of the kernel mass, and all
+    of them are refined in one adaptive pass: ``subdivisions`` is the sum
+    over the segments of 1 + splits, and the 2^20 panel cap counts the
+    whole pass.
     """
-    if d <= 0:
-        raise InvalidParameterError("D must be positive")
-    if tol <= 0:
-        raise InvalidParameterError("tolerance must be positive")
+    if not _finite("d", d) > 0:
+        raise InvalidParameterError(f"d must be positive, got {d!r}")
+    tol = _check_tol(tol)
+    if not _finite("l1_norm", l1_norm) >= 0:
+        raise InvalidParameterError(f"l1_norm must be >= 0, got {l1_norm!r}")
+    if minus_tail_bound is not None:
+        _finite("minus_tail_bound", minus_tail_bound)
     log_part, hit_floor = _log_integrand(evaluator, sigma, sign)
     if sign == "minus" and minus_tail_bound is None:
         raise InvalidParameterError(
@@ -241,28 +296,20 @@ def poisson_log_integral(
         else:
             raise QuadratureError("plus-sign Poisson tail does not close")
         tail = log_plus_norm * (1.0 - 2.0 / math.pi * math.atan(t_max / d))
-    value = 0.0
-    err = 0.0
-    subdivisions = 0
-    flagged = False
     # symmetric octave panels: the kernel varies boundedly on each, so the
     # depth-limited refinement resolves even a very distant truncation point
     cuts = [0.0, 0.5 * d]
     while cuts[-1] < t_max:
         cuts.append(min(2.0 * cuts[-1], t_max))
+    segments = []
     for lo, hi in zip(cuts, cuts[1:]):
         # resolution proportional to the segment's share of the kernel mass:
         # distant octaves contribute O(D/T) and need few base panels
         mass = (math.atan(hi / d) - math.atan(lo / d)) / math.pi
         base = max(8, min(512, int(math.ceil(hi - lo)), int(math.ceil(3000.0 * mass))))
-        for seg in ((lo, hi), (-hi, -lo)):
-            v, e, count, seg_flagged = _integrate(
-                f, seg[0], seg[1], tol / (2 * len(cuts)), min_panels=base
-            )
-            value += v
-            err += e
-            subdivisions += count
-            flagged = flagged or seg_flagged
+        seg_tol = tol / (2 * len(cuts))
+        segments += [(lo, hi, seg_tol, base), (-hi, -lo, seg_tol, base)]
+    value, err, subdivisions, flagged = _integrate(f, segments)
     if sign == "minus":
         tail = max(0.0, minus_tail_bound - value)
     return IntegralResult(
@@ -307,9 +354,7 @@ def interval_sup(
     (n,) array, and each zoom round as a (K, 33) array of per-row windows.
     Entry k is the bits of the sup of function k alone.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not b > a:
-        raise InvalidParameterError("interval must satisfy b > a")
+    a, b = _check_interval(interval)
     if grid_n < 16:
         raise InvalidParameterError("grid_n must be >= 16")
     modulus = _modulus(evaluator, sigma)

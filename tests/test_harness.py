@@ -127,22 +127,37 @@ def test_hurwitz_scan_phase_matrix_bands_reproducible(tmp_path, caplog):
 
 def test_disjoint_scan_bands_log_phase_matrix(caplog):
     # t 0-100 at t_step 0.1 is 1001 windows of 9 nodes: bands of 444, 444
-    # and 113 windows, each one (windows, 9) array; only the band holding
-    # the nudged t = 0 node leaves the progression
+    # and 113 windows, each one (windows, 9) array; on a pole line the row
+    # holding t = 0 moves by 1e-9 as a whole, so its band stays on the
+    # progression too
     caplog.set_level("DEBUG", logger="hardyseries.special")
     common = dict(t_start=0.0, t_stop=100.0, t_step=0.1)
-    phase = ["phase-matrix"] * 3
-    for cfg, paths in (
-        (_small("hurwitz_scan", alphas=(0.3,), **common), ["per-row"] + phase[1:]),
-        (_small("lerch_scan", alphas=(1.0,), betas=(0.3,), **common),
-         ["per-row"] + phase[1:]),
-        (_small("lerch_scan", alphas=(0.3,), betas=(0.7,), **common), phase),
+    for cfg in (
+        _small("hurwitz_scan", alphas=(0.3,), **common),
+        _small("lerch_scan", alphas=(1.0,), betas=(0.3,), **common),
+        _small("lerch_scan", alphas=(0.3,), betas=(0.7,), **common),
     ):
         caplog.clear()
         assert hn.dispatch(cfg).passed
         lines = [r.getMessage() for r in caplog.records]
-        assert [line.rsplit(", ", 1)[1] for line in lines] == paths
+        assert [line.rsplit(", ", 1)[1] for line in lines] == ["phase-matrix"] * 3
         assert [int(line.split()[2]) for line in lines] == [444 * 9, 444 * 9, 113 * 9]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_disjoint_pole_band_matches_per_row(alpha, monkeypatch):
+    # t 0-1000 at t_step 8 is one band of 126 windows holding the pole row;
+    # its phase-matrix windows sit within 2e-13 of the per-row head sum
+    cfg = _small("hurwitz_scan", alphas=(alpha,), t_start=0.0, t_stop=1000.0, t_step=8.0)
+
+    def grid(ts):
+        return sp.hurwitz_zeta_grid(alpha, ts, 1.0, 1e-9)
+
+    t, band = hn._scan_windows(grid, 0.05, cfg, pole=True)
+    monkeypatch.setattr(sp, "_progression_step", lambda ts: None)
+    _, rows = hn._scan_windows(grid, 0.05, cfg, pole=True)
+    assert t.size == 126 and band[0] == rows[0] == math.inf
+    np.testing.assert_allclose(band[1:], rows[1:], rtol=2e-13, atol=0)
 
 
 def test_disjoint_windows_match_gauss_legendre():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hardyseries import bounds as bd
 from hardyseries import quadrature as qd
 from hardyseries import series as se
 from hardyseries.errors import InvalidParameterError, QuadratureError
@@ -124,6 +125,120 @@ def test_poisson_minus_constant():
         _const(c), 0.0, 1.0, "minus", 1e-7, l1_norm=1.0, minus_tail_bound=math.log(4.0)
     )
     assert r.value + r.truncation_tail == pytest.approx(math.log(4.0), abs=1e-6)
+
+
+def test_poisson_zero_l1_norm():
+    # the zero series: log+ vanishes everywhere, so there is no tail
+    r = qd.poisson_log_integral(_const(0.0), 0.0, 1.0, "plus", 1e-7, l1_norm=0.0)
+    assert r.value == 0.0 and r.truncation_tail == 0.0 and r.flagged
+
+
+def _per_segment_poisson(ev, sigma, d, sign, tol, l1_norm, minus_tail_bound):
+    """poisson_log_integral with one adaptive pass per octave segment and
+    side, as it was before the segments shared one pass: (value, error
+    estimate, subdivisions, flagged, tail).  Run it with stack entries of
+    256 panels, so that each entry's quarter points are one call."""
+    log_part, hit_floor = qd._log_integrand(ev, sigma, sign)
+
+    def f(t):
+        return d / math.pi * log_part(t) / (d * d + t * t)
+
+    log_plus_norm = max(0.0, math.log(l1_norm)) if l1_norm > 0 else 0.0
+    t_max = 8.0 * d
+    tail = 0.0
+    if sign == "plus":
+        while True:
+            tail = log_plus_norm * (1.0 - 2.0 / math.pi * math.atan(t_max / d))
+            if tail <= tol / 2.0 or log_plus_norm == 0.0:
+                break
+            t_max *= 2.0
+    cuts = [0.0, 0.5 * d]
+    while cuts[-1] < t_max:
+        cuts.append(min(2.0 * cuts[-1], t_max))
+    value = err = 0.0
+    subdivisions, flagged = 0, False
+    for lo, hi in zip(cuts, cuts[1:]):
+        mass = (math.atan(hi / d) - math.atan(lo / d)) / math.pi
+        base = max(8, min(512, int(math.ceil(hi - lo)), int(math.ceil(3000.0 * mass))))
+        for a, b in ((lo, hi), (-hi, -lo)):
+            v, e, count, seg_flagged = qd._integrate(f, [(a, b, tol / (2 * len(cuts)), base)])
+            value += v
+            err += e
+            subdivisions += count
+            flagged = flagged or seg_flagged
+    if sign == "minus":
+        tail = max(0.0, minus_tail_bound - value)
+    return value, err, subdivisions, flagged or hit_floor[0], tail
+
+
+@pytest.mark.parametrize("terms", [2, 4, 6, 8])
+def test_one_pass_poisson_matches_per_segment_passes(terms, monkeypatch):
+    # seeded classical series with tail moduli 2/3 on sigma = 1/2: the one
+    # pass over all octave segments splits the same panels, samples the same
+    # points and sums to the same value as a pass per segment, in fewer calls
+    rng = np.random.default_rng(1500 + terms)
+    coeffs = 2.0 / 3.0 * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, terms))
+    coeffs[0] = 1.0
+    s = se.classical_polynomial(coeffs, 0.5)
+    line = se.line_evaluator(s, 0.5)
+    l1 = se.l1_norm_at(s, 0.5)
+    for d in (1.0, 10.0):
+        total = bd.log_minus_weighted_bound(s, d, "L1").bound_value
+        for sign in ("plus", "minus"):
+            calls = {"pass": [], "oracle": []}
+
+            def recorder(key):
+                def ev(points):
+                    calls[key].append(points.copy())
+                    return line(points)
+                return ev
+
+            r = qd.poisson_log_integral(recorder("pass"), 0.5, d, sign, 1e-5, l1_norm=l1,
+                                        minus_tail_bound=total)
+            with monkeypatch.context() as m:
+                m.setattr(qd, "_BATCH_PANELS", 256)
+                value, err, count, flagged, tail = _per_segment_poisson(
+                    recorder("oracle"), 0.5, d, sign, 1e-5, l1, total)
+            assert (r.subdivisions, r.flagged) == (count, flagged)
+            assert r.value == pytest.approx(value, rel=1e-13)
+            assert r.error_estimate == pytest.approx(err, rel=1e-13)
+            assert r.truncation_tail == pytest.approx(tail, rel=1e-13, abs=1e-15)
+            points = [np.sort(np.concatenate(calls[key])) for key in ("pass", "oracle")]
+            assert points[0].tobytes() == points[1].tobytes()
+            if d == 10.0 and sign == "plus":
+                assert len(calls["pass"]) <= 0.6 * len(calls["oracle"])
+
+
+nan, inf = math.nan, math.inf
+
+
+@pytest.mark.parametrize("field, call", [
+    ("l1_norm", lambda: qd.poisson_log_integral(_const(2.0), 0.0, 1.0, "plus", 1e-6,
+                                                l1_norm=nan)),
+    ("l1_norm", lambda: qd.poisson_log_integral(_const(2.0), 0.0, 1.0, "plus", 1e-6,
+                                                l1_norm=inf)),
+    ("l1_norm", lambda: qd.poisson_log_integral(_const(2.0), 0.0, 1.0, "plus", 1e-6,
+                                                l1_norm=-1.0)),
+    ("minus_tail_bound", lambda: qd.poisson_log_integral(
+        _const(0.5), 0.0, 1.0, "minus", 1e-6, l1_norm=1.0, minus_tail_bound=nan)),
+    ("tol", lambda: qd.poisson_log_integral(_const(2.0), 0.0, 1.0, "plus", nan,
+                                            l1_norm=2.0)),
+    ("tol", lambda: qd.integrate_abs_pow(_const(1.0), 0.0, (0.0, 1.0), 1, nan)),
+    ("tol", lambda: qd.integrate_log(_const(2.0), 0.0, (0.0, 1.0), "plus", nan)),
+    ("d", lambda: qd.poisson_log_integral(_const(2.0), 0.0, nan, "plus", 1e-6,
+                                          l1_norm=2.0)),
+    ("d", lambda: qd.poisson_log_integral(_const(2.0), 0.0, inf, "plus", 1e-6,
+                                          l1_norm=2.0)),
+    ("interval", lambda: qd.integrate_abs_pow(_const(1.0), 0.0, (0.0, inf), 1, 1e-6)),
+    ("interval", lambda: qd.integrate_log(_const(2.0), 0.0, (-inf, 0.0), "plus", 1e-6)),
+    ("interval", lambda: qd.interval_sup(_const(1.0), 0.0, (0.0, inf))),
+    ("p", lambda: qd.integrate_abs_pow(_const(1.0), 0.0, (0.0, 1.0), nan, 1e-6)),
+])
+def test_non_finite_parameters_refused(field, call):
+    # each would otherwise pass a silent zero tail, run to the panel cap or
+    # fail far from where the value entered
+    with pytest.raises(InvalidParameterError, match=rf"^{field} must be"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +400,9 @@ def test_panel_limit():
 
     with pytest.raises(QuadratureError):
         qd.integrate_abs_pow(fast, 0.0, (0.0, 1.0), 1, 1e-6)
+    # one Poisson pass counts the splits of all its segments against the cap
+    with pytest.raises(QuadratureError):
+        qd.poisson_log_integral(fast, 0.0, 1.0, "plus", 1e-6, l1_norm=3.0)
 
 
 def test_evaluator_calls_at_most_512_points():
