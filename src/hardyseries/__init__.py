@@ -46,11 +46,9 @@ from .series import (
     l2_norm,
     line_evaluator,
     normalize_leading,
-    rescale,
     separation_constant,
     series_from_json,
     series_to_json,
-    shift,
 )
 from .special import (
     KappaConstants,

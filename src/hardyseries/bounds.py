@@ -15,12 +15,11 @@ Every bound in the catalog is computed here and wrapped in a
   T27-T30,L14 zeta-family lower bounds    astronomically small; log space only
 
 Lower bounds smaller than any representable float are always handled in
-natural-log space; linear conversion is attempted only when |log| < 700.
+natural-log space: such a report carries the natural log of the bound.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,15 +87,6 @@ class BoundReport:
         if not math.isfinite(self.bound_value):
             raise InvalidParameterError("bound value must be finite")
 
-    @property
-    def linear_value(self) -> Optional[float]:
-        """Linear-space value, or None when it would over/underflow."""
-        if not self.log_space:
-            return self.bound_value
-        if abs(self.bound_value) < 700.0:
-            return math.exp(self.bound_value)
-        return None
-
     def as_dict(self) -> dict:
         return {
             "theorem_id": self.theorem_id,
@@ -107,9 +97,6 @@ class BoundReport:
             "valid": self.valid,
             "notes": self.notes,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +271,14 @@ def _bisect_decreasing(fn, target: float, lo: float = 1e-9) -> float:
     return 0.5 * (lo + hi)
 
 
+def _nonvanishing_lhs(norm: float, c: float, rate: float, variant: str):
+    """x -> left side of the defining equation lhs(x) = 1 - xi of a root
+    variant."""
+    if variant == "H2":
+        return lambda x: math.sqrt(1.0 + c / (2.0 * x)) * math.exp(-rate * x) * norm
+    return lambda x: (1.0 + c / x) * math.exp(-rate * x)  # BoundedCoeff
+
+
 def nonvanishing_abscissa(
     norm: float,
     c: float,
@@ -314,29 +309,22 @@ def nonvanishing_abscissa(
             return 0.0
         if c == 0.0:
             return max(0.0, math.log(norm / target)) / rate
-        return _bisect_decreasing(
-            lambda x: math.sqrt(1.0 + c / (2.0 * x)) * math.exp(-rate * x) * norm,
-            target,
-        )
-    if variant == "BoundedCoeff":
+    elif variant == "BoundedCoeff":
         if c < 0:
             raise InvalidParameterError("C must be non-negative")
-        return _bisect_decreasing(
-            lambda x: (1.0 + c / x) * math.exp(-rate * x), target
-        )
-    raise InvalidParameterError(f"unknown variant {variant!r}")
+    else:
+        raise InvalidParameterError(f"unknown variant {variant!r}")
+    return _bisect_decreasing(_nonvanishing_lhs(norm, c, rate, variant), target)
 
 
 def nonvanishing_residual(
     x: float, norm: float, c: float, rate: float, xi: float, variant: str
 ) -> float:
-    """|defining equation at x| for the root variants (diagnostics)."""
-    target = 1.0 - xi
-    if variant == "H2":
-        return abs(math.sqrt(1.0 + c / (2.0 * x)) * math.exp(-rate * x) * norm - target)
-    if variant == "BoundedCoeff":
-        return abs((1.0 + c / x) * math.exp(-rate * x) - target)
-    raise InvalidParameterError("residual defined for the root variants only")
+    """|lhs(x) - (1 - xi)| of the equation ``nonvanishing_abscissa`` solves,
+    for the root variants (diagnostics)."""
+    if variant not in ("H2", "BoundedCoeff"):
+        raise InvalidParameterError("residual defined for the root variants only")
+    return abs(_nonvanishing_lhs(norm, c, rate, variant)(x) - (1.0 - xi))
 
 
 def nonvanishing_cap(norm2_tail: float, c: float, k: float, xi: float) -> float:

@@ -61,6 +61,9 @@ _MAX_DEPTH = 20
 _PANEL_LIMIT = 2 ** 20
 _BATCH_PANELS = 512  # panels of one stack entry
 _BATCH_POINTS = 512  # points per evaluator call, at most
+# rows of a split's children, as (left, right) indices into the stacked
+# (pa, m, pb, fa, flm, fm, frm, fb, left, right, ptol / 2) of its parents
+_CHILD_ROWS = np.array([[0, 1], [1, 2], [3, 5], [4, 6], [5, 7], [8, 9], [10, 10]])
 _ZOOM_ROUNDS = 4  # interval_sup refinement calls after the grid
 _ZOOM_POINTS = 33  # points per refinement call
 
@@ -151,10 +154,11 @@ def _integrate(f, segments):
         count += int(np.count_nonzero(split))
         if count > _PANEL_LIMIT:
             raise QuadratureError("adaptive Simpson exceeded the panel limit")
-        halves = np.concatenate([
-            np.stack([pa, m, fa, flm, fm, left, ptol / 2.0])[:, split],
-            np.stack([m, pb, fm, frm, fb, right, ptol / 2.0])[:, split],
-        ], axis=1)
+        # the split columns of the 11 distinct rows, then each child row as
+        # [left half | right half]; unnamed, so that no intermediate outlives
+        # this pass
+        halves = np.stack([pa, m, pb, fa, flm, fm, frm, fb, left, right, ptol / 2.0])[
+            :, split][_CHILD_ROWS].reshape(7, -1)
         if halves.shape[1] > _BATCH_PANELS:
             # copies, so that a waiting entry does not keep all of halves alive
             stack.extend((depth + 1, halves[:, i:i + _BATCH_PANELS].copy())

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -44,11 +44,9 @@ __all__ = [
     "line_evaluator",
     "normalize_leading",
     "one_minus_two_power_series",
-    "rescale",
     "separation_constant",
     "series_from_json",
     "series_to_json",
-    "shift",
 ]
 
 CLASSICAL = "classical"
@@ -59,7 +57,8 @@ EXPLICIT = "explicit"
 
 @dataclass(frozen=True)
 class ExponentSequence:
-    """Exponent generator lambda_n, optionally rescaled by a factor > 0.
+    """Exponent generator lambda_n; ``lambdas`` returns the generator's own
+    values, unscaled.
 
     kinds: classical  lambda_n = log(n+1)
            hurwitz    lambda_n = log(n+alpha) - log(alpha),  0 < alpha <= 1
@@ -71,11 +70,8 @@ class ExponentSequence:
     alpha: float | None = None
     c: float | None = None
     values: tuple[float, ...] | None = None
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.scale <= 0 or not math.isfinite(self.scale):
-            raise InvalidParameterError("exponent scale must be positive")
         if self.kind == HURWITZ:
             if self.alpha is None or not 0 < self.alpha <= 1:
                 raise InvalidParameterError("hurwitz exponents need 0 < alpha <= 1")
@@ -121,36 +117,28 @@ class ExponentSequence:
                     f"explicit sequence has {len(self.values)} exponents, "
                     f"{count} requested"
                 )
-            lam = np.asarray(self.values[:count])
-        elif self.kind == CLASSICAL:
-            lam = np.log(np.arange(count) + 1.0)
-        elif self.kind == HURWITZ:
-            lam = np.log(np.arange(count) + self.alpha) - math.log(self.alpha)
-        else:  # linear
-            lam = self.c * np.arange(count, dtype=float)
-        return self.scale * lam
-
-    def rescaled(self, a: float) -> "ExponentSequence":
-        return replace(self, scale=self.scale * a)
+            return np.asarray(self.values[:count])
+        if self.kind == CLASSICAL:
+            return np.log(np.arange(count) + 1.0)
+        if self.kind == HURWITZ:
+            return np.log(np.arange(count) + self.alpha) - math.log(self.alpha)
+        return self.c * np.arange(count, dtype=float)  # linear
 
 
 @dataclass(frozen=True)
 class HurwitzTail:
     """Analytic tail of the built-in family: terms (alpha/(n+alpha))^p.
 
-    Term n (n >= start) has coefficient magnitude
-    (alpha/(n+alpha))^coeff_power and exponent lambda_scale * lambda_n, so
-    at abscissa s the term magnitude is (alpha/(n+alpha))^(coeff_power +
-    lambda_scale * Re(s)).
+    Term n (n >= start) has coefficient (alpha/(n+alpha))^(1/2) and
+    exponent lambda_n = log(n+alpha) - log(alpha), so at abscissa s the
+    term magnitude is (alpha/(n+alpha))^(1/2 + Re(s)).
     """
 
     alpha: float
     start: int
-    coeff_power: float = 0.5
-    lambda_scale: float = 1.0
 
     def power_at(self, sigma1: float) -> float:
-        return self.coeff_power + self.lambda_scale * sigma1
+        return 0.5 + sigma1
 
     def l1_interval(self, sigma1: float) -> "Interval":
         """Enclosure of sum_{n>=start} (alpha/(n+alpha))^p at p = power_at."""
@@ -213,9 +201,7 @@ class DirichletSeries:
             raise InvalidSeriesError("series has a single term, lambda_1 undefined")
         if len(self) >= 2:
             return float(self.exponents.lambdas(2)[1])
-        return self.tail.lambda_scale * (
-            math.log(self.tail.start + self.tail.alpha) - math.log(self.tail.alpha)
-        )
+        return math.log(self.tail.start + self.tail.alpha) - math.log(self.tail.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +276,7 @@ def separation_constant(series: DirichletSeries) -> float:
     sequences with sigma < 0 fall back to the full pair scan.  For the
     built-in tailed families the scan is extended well past the truncation;
     at sigma >= 1/2 the adjacent-pair value beyond the scan is below its
-    head maximum (it decreases towards alpha^(2 sigma scale) ... along the
+    head maximum (it decreases towards alpha^(2 sigma) ... along the
     tail), which the property tests exercise.
     """
     n = len(series)
@@ -336,29 +322,8 @@ class ClassParams:
 
 
 # ---------------------------------------------------------------------------
-# transformations
+# normalization
 # ---------------------------------------------------------------------------
-
-def shift(series: DirichletSeries, x: float) -> DirichletSeries:
-    """L_x(s) = L(s + x): coefficients pick up e^(-lambda_n x)."""
-    coeffs = series.coefficients * np.exp(-series.lambdas * x)
-    tail = series.tail
-    if tail is not None:
-        tail = replace(tail, coeff_power=tail.coeff_power + tail.lambda_scale * x)
-    return DirichletSeries(series.exponents, coeffs, series.sigma, tail)
-
-
-def rescale(series: DirichletSeries, a: float) -> DirichletSeries:
-    """L(a s): exponents become a lambda_n, the abscissa becomes sigma / a."""
-    if a <= 0:
-        raise InvalidParameterError("rescale factor must be positive")
-    tail = series.tail
-    if tail is not None:
-        tail = replace(tail, lambda_scale=tail.lambda_scale * a)
-    return DirichletSeries(
-        series.exponents.rescaled(a), series.coefficients, series.sigma / a, tail
-    )
-
 
 def normalize_leading(series: DirichletSeries) -> DirichletSeries:
     """Divide out the first nonzero term so a_0 = 1 and lambda_0 = 0."""
@@ -400,8 +365,7 @@ def line_evaluator(
     least 128 points is one phase-matrix product, and so is a 2-d array
     whose rows are progressions of one step.  Tailed families close
     the tail of the whole array with one Euler-Maclaurin call: the terms
-    alpha^w (n+alpha)^-w with w = coeff_power + lambda_scale s, summed to
-    ``tail_tol``.
+    alpha^w (n+alpha)^-w with w = 1/2 + s, summed to ``tail_tol``.
     """
     lam = series.lambdas
     weights = series.coefficients * np.exp(-lam * sigma1)
@@ -418,7 +382,7 @@ def line_evaluator(
         t = _ordinates(s, sigma1)
         out = special._head_sum(1j * t, lam, weights)
         if tail is not None and t.size:
-            w = tail.coeff_power + tail.lambda_scale * (sigma1 + 1j * t)
+            w = tail.power_at(sigma1) + 1j * t
             raw, _ = special.hurwitz_tail_sum(w, tail.alpha, tail.start, tail_target)
             out += tail.alpha ** w * raw
         return out
@@ -531,18 +495,14 @@ def series_to_json(series: DirichletSeries) -> str:
     if series.tail is not None:
         raise InvalidSeriesError("tailed families have no JSON form")
     exp = series.exponents
-    if exp.scale == 1.0:
-        if exp.kind == CLASSICAL:
-            eobj: dict = {"kind": CLASSICAL}
-        elif exp.kind == HURWITZ:
-            eobj = {"kind": HURWITZ, "alpha": exp.alpha}
-        elif exp.kind == LINEAR:
-            eobj = {"kind": LINEAR, "c": exp.c}
-        else:
-            eobj = {"kind": EXPLICIT, "values": list(exp.values)}
+    if exp.kind == CLASSICAL:
+        eobj: dict = {"kind": CLASSICAL}
+    elif exp.kind == HURWITZ:
+        eobj = {"kind": HURWITZ, "alpha": exp.alpha}
+    elif exp.kind == LINEAR:
+        eobj = {"kind": LINEAR, "c": exp.c}
     else:
-        # rescaled: materialize the exponents
-        eobj = {"kind": EXPLICIT, "values": [float(v) for v in series.lambdas]}
+        eobj = {"kind": EXPLICIT, "values": list(exp.values)}
     return json.dumps(
         {
             "exponents": eobj,

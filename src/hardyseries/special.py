@@ -42,7 +42,10 @@ nodes of each scan window (R = 9); a 1-d array counts as one row of at
 least 128 points.  Rows longer than 64 are cut into runs of R = 64.  Every
 other array takes one complex exp per (point, term), each row summed in
 term order; so does a (K, terms) weight stack, one weight row per row of
-points, where rows of equal points share their exponentials.
+points, where rows of equal points share their exponentials.  The one
+other exponential table is not a sum: ``lerch_phi`` builds the (points,
+K + 1) table of its Abel-folded tail, g(m) = (m + N + beta)^-s, as
+(N + beta)^-s times the ratios (1 + m/(N + beta))^-s.
 """
 
 from __future__ import annotations
@@ -230,9 +233,9 @@ def _progression_step(ts: np.ndarray) -> float | None:
 
 def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
     """sum_n weights[n] exp(-s x[n]) for each s of the array ``sv`` (the
-    weights 1 when omitted), in the shape of ``sv``; the only (points x
-    terms) exponential matrix of the package.  x[n] = log(n + alpha) gives
-    the Euler-Maclaurin head.
+    weights 1 when omitted), in the shape of ``sv``; every exponential sum
+    of the package goes through it.  x[n] = log(n + alpha) gives the
+    Euler-Maclaurin head.
 
     Rows of ordinates in arithmetic progression with one step h
     (``_progression_step``) are summed as matrix products.  Each row is cut
@@ -514,15 +517,19 @@ def lerch_phi(alpha: float, beta: float, s, target_error: float = 1e-10):
     n_cutoff, k_order, _ = _lerch_tail_plan(worst, beta, abs(1 - z), target_error)
     n = np.arange(n_cutoff)
     head = _head_sum(points, np.log(n + beta), np.exp(2j * math.pi * alpha * n))
-    # g(m) = (m + N + beta)^-s, m = 0..K, one row per point
-    diff = np.exp(-np.multiply.outer(sv, np.log(np.arange(k_order + 1) + n_cutoff + beta)))
+    # g(m) = (m + N + beta)^-s, m = 0..K, one row per point, as
+    # (N + beta)^-s (1 + m/(N + beta))^-s: a ratio's phase is rounded by
+    # about eps t m/N, where log(m + N + beta) would give eps t log N, and
+    # the K differences divided by gap^(K+1) amplify that rounding
+    nb = n_cutoff + beta
+    diff = np.exp(-np.multiply.outer(sv, np.log1p(np.arange(k_order + 1) / nb)))
     tail = np.zeros(sv.shape, dtype=complex)
     zp = 1.0 + 0j
     for k in range(k_order):
         tail += zp * diff[:, 0] / (1 - z) ** (k + 1)
         zp *= z
         diff = diff[:, 1:] - diff[:, :-1]
-    value = head.ravel() + z ** n_cutoff * tail
+    value = head.ravel() + z ** n_cutoff * np.exp(-sv * math.log(nb)) * tail
     if np.ndim(s) == 0:
         return complex(value[0])
     return value.reshape(np.shape(s))

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import pkgutil
 
 import pytest
@@ -66,6 +67,18 @@ def test_bound_hurwitz_variant(capsys):
     out = capsys.readouterr().out
     assert out.startswith("t27_lower_bound")
     assert "log:-485.50" in out
+
+
+@pytest.mark.parametrize("variant", cli._BOUND_VARIANTS)
+def test_bound_out_document(tmp_path, capsys, series_file, variant):
+    out = tmp_path / "bound.json"
+    assert cli.main(["bound", "--variant", variant, "--series", series_file,
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["theorem_id"] == variant.upper()
+    assert doc["side"] in ("upper", "lower")
+    assert math.isfinite(doc["bound_value"])
 
 
 def test_nonvanishing_command(capsys, series_file):

@@ -1,4 +1,4 @@
-"""Core series type: norms, separation constant, transforms, JSON round trip."""
+"""Core series type: norms, separation constant, normalization, JSON round trip."""
 
 import cmath
 import json
@@ -30,12 +30,6 @@ def _random_series(rng, n_terms=12, sigma=0.5):
     coeffs = rng.uniform(-1, 1, n_terms) + 1j * rng.uniform(-1, 1, n_terms)
     coeffs[0] = 1.0
     return se.classical_polynomial(coeffs, sigma)
-
-
-# deterministic strategy for strictly increasing exponent lists starting at 0
-_exponent_lists = st.lists(
-    st.floats(min_value=1e-3, max_value=5.0, allow_nan=False), min_size=1, max_size=12
-).map(lambda gaps: tuple(np.concatenate([[0.0], np.cumsum(gaps)])))
 
 
 # ---------------------------------------------------------------------------
@@ -149,57 +143,31 @@ def test_l1_norm_divergence():
 
 
 # ---------------------------------------------------------------------------
-# shift / rescale / normalize
+# shifted norms, rescaled exponents, normalization
 # ---------------------------------------------------------------------------
 
-def test_shift_identity_and_halving():
-    s = se.classical_polynomial([1, 1])
-    s0 = se.shift(s, 0.0)
-    np.testing.assert_allclose(s0.coefficients, s.coefficients)
-    s1 = se.shift(s, 1.0)
-    np.testing.assert_allclose(s1.coefficients, [1.0, 0.5])
-
-
 def test_shift_l1_monotone_random():
+    # ||L_x||_1 at sigma is the l1 norm at sigma + x, which decreases in x
     rng = np.random.default_rng(7)
     for _ in range(100):
         s = _random_series(rng)
         base = se.l1_norm_at(s, s.sigma)
         for x in (0.1, 1.0):
-            assert se.l1_norm_at(se.shift(s, x), s.sigma) <= base + 1e-12
-
-
-def test_shift_tailed_family_consistent():
-    fam = se.hurwitz_family(1.0, n_terms=256)
-    shifted = se.shift(fam, 0.7378)
-    iv = se.l1_norm_at(shifted, 0.5)
-    direct = se.l1_norm_at(fam, 0.5 + 0.7378)
-    assert iv.lower == pytest.approx(direct.lower, rel=1e-12)
-    assert iv.upper == pytest.approx(direct.upper, rel=1e-12)
-
-
-def test_rescale_basic():
-    s = se.classical_polynomial([1, 1], 0.5)
-    assert se.rescale(s, 1.0).sigma == 0.5
-    r = se.rescale(s, 2.0)
-    assert r.sigma == 0.25
-    np.testing.assert_allclose(r.lambdas, 2 * np.log([1.0, 2.0]))
-    with pytest.raises(InvalidParameterError):
-        se.rescale(s, 0.0)
+            assert se.l1_norm_at(s, s.sigma + x) <= base + 1e-12
 
 
 def test_rescale_separation_matches_bruteforce():
+    # L(a s) has exponents a lambda_n and reference abscissa sigma / a
     rng = np.random.default_rng(3)
     for _ in range(20):
         gaps = rng.uniform(0.05, 1.5, rng.integers(2, 9))
         lam = np.concatenate([[0.0], np.cumsum(gaps)])
         sigma = float(rng.uniform(0.0, 1.0))
         a = float(rng.uniform(0.3, 2.5))
-        s = se.DirichletSeries(
-            se.ExponentSequence.explicit(lam), np.ones(lam.size), sigma
-        )
-        r = se.rescale(s, a)
         lam2, sig2 = a * lam, sigma / a
+        r = se.DirichletSeries(
+            se.ExponentSequence.explicit(lam2), np.ones(lam.size), sig2
+        )
         brute = max(
             math.exp(-sig2 * (lam2[n] + lam2[m])) / abs(lam2[m] - lam2[n])
             for n in range(lam.size)
@@ -407,7 +375,8 @@ def test_line_evaluator_logs_its_head_path(caplog):
 def test_tail_decay_inequality(n_terms, x, seed):
     rng = np.random.default_rng(seed)
     s = _random_series(rng, n_terms)
-    lhs = _tail_l1(se.shift(s, x), s.sigma)
+    # ||L_x - a_0||_1 is the l1 norm of L - a_0 at abscissa sigma + x
+    lhs = se.l1_norm_at(s, s.sigma + x) - abs(s.coefficients[0])
     rhs = math.exp(-s.lambda1 * x) * _tail_l1(s, s.sigma)
     assert lhs <= rhs * (1 + 1e-12) + 1e-15
 
@@ -416,21 +385,8 @@ def test_tail_decay_classical_two_power():
     rng = np.random.default_rng(17)
     s = _random_series(rng, 8)
     for x in (0.25, 1.0, 3.0):
-        lhs = _tail_l1(se.shift(s, x), s.sigma)
+        lhs = se.l1_norm_at(s, s.sigma + x) - abs(s.coefficients[0])
         assert lhs <= 2.0 ** (-x) * _tail_l1(s, s.sigma) * (1 + 1e-12)
-
-
-@given(_exponent_lists, st.floats(min_value=0.0, max_value=2.0))
-@settings(max_examples=60, deadline=None)
-def test_exponent_monotonicity_preserved(lam, x):
-    s = se.DirichletSeries(
-        se.ExponentSequence.explicit(lam), np.ones(len(lam)), 0.3
-    )
-    for op in (lambda q: se.shift(q, x), lambda q: se.rescale(q, 1.7)):
-        out = op(s)
-        lams = out.lambdas
-        assert lams[0] == 0.0
-        assert np.all(np.diff(lams) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +438,6 @@ def test_json_rejects_bad_exponents():
     }
     with pytest.raises(InvalidSeriesError):
         se.series_from_json(json.dumps(doc))
-
-
-def test_json_rescaled_series_serializes_explicitly():
-    s = se.rescale(se.classical_polynomial([1, 1]), 2.0)
-    back = se.series_from_json(se.series_to_json(s))
-    np.testing.assert_allclose(back.lambdas, s.lambdas)
 
 
 # ---------------------------------------------------------------------------
