@@ -14,6 +14,13 @@ Every bound in the catalog is computed here and wrapped in a
   T23-T26     sup / L^p lower bounds      (24 ||L||_2)^(-K0/delta) forms
   T27-T30,L14 zeta-family lower bounds    astronomically small; log space only
 
+``nonvanishing(series, xi, variant)`` is the one place that picks the norm,
+C and rate each nonvanishing variant reads of a series with a_0 = 1:
+
+  T13 "L1"           ||L - 1||_1 at sigma, rate lambda_1
+  T14 "H2"           ||L - 1||_2 of the stored coefficients, C, rate K
+  L13 "BoundedCoeff" norm 1 (|a_n| <= 1), C, rate lambda_1
+
 Lower bounds smaller than any representable float are always handled in
 natural-log space: such a report carries the natural log of the bound.
 """
@@ -23,13 +30,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import series as se
 from . import special as sp
 from .errors import (
+    DivergenceError,
     InvalidParameterError,
     NearZeroAnchorError,
 )
@@ -48,9 +56,8 @@ __all__ = [
     "local_l2_bound",
     "log_minus_weighted_bound",
     "log_plus_weighted_bound",
+    "nonvanishing",
     "nonvanishing_abscissa",
-    "nonvanishing_cap",
-    "nonvanishing_residual",
     "riemann_window_asymptotic",
     "short_interval_log_bounds",
     "supnorm_lp_lower_bound",
@@ -180,7 +187,6 @@ def log_minus_weighted_bound(
     series: se.DirichletSeries,
     d: float,
     mode: str,
-    target_error: float = 1e-10,
 ) -> BoundReport:
     """log+ weighted bound minus log|L(sigma + D)|.
 
@@ -189,7 +195,7 @@ def log_minus_weighted_bound(
     raise NearZeroAnchorError.
     """
     x = series.sigma + d
-    ev = se.line_evaluator(series, x, tail_tol=target_error)
+    ev = se.line_evaluator(series, x)
     anchor = complex(ev(np.array(x + 0j)))
     if abs(anchor) <= _ANCHOR_FLOOR:
         raise NearZeroAnchorError(
@@ -216,7 +222,7 @@ def log_minus_weighted_bound(
     )
 
 
-def hurwitz_anchor_chain(delta: float = 0.05, d: float = 0.7378) -> dict:
+def hurwitz_anchor_chain() -> dict:
     """The assembled anchor-product chain behind the zeta-family L^1 bound.
 
     Returns every factor: the anchor window value zeta(1 + D), the margin
@@ -225,6 +231,7 @@ def hurwitz_anchor_chain(delta: float = 0.05, d: float = 0.7378) -> dict:
     their product (printed as 15.976 <= 16 at delta = 0.05; recomputation
     gives the kernel factor 2.3205 rather than the quoted 2.3198).
     """
+    delta, d = 0.05, 0.7378  # the window length and anchor distance printed
     z = sp.riemann_zeta(1.0 + d, 1e-11).real
     margin = 2.0 - z
     if margin <= 0:
@@ -247,8 +254,9 @@ def hurwitz_anchor_chain(delta: float = 0.05, d: float = 0.7378) -> dict:
 # nonvanishing abscissas
 # ---------------------------------------------------------------------------
 
-def _bisect_decreasing(fn, target: float, lo: float = 1e-9) -> float:
+def _bisect_decreasing(fn, target: float) -> float:
     """Root of the decreasing fn(x) = target; bracket doubled, then bisected."""
+    lo = 1e-9  # the smallest root returned
     if fn(lo) <= target:
         return lo
     hi = max(2.0 * lo, 1.0)
@@ -317,25 +325,38 @@ def nonvanishing_abscissa(
     return _bisect_decreasing(_nonvanishing_lhs(norm, c, rate, variant), target)
 
 
-def nonvanishing_residual(
-    x: float, norm: float, c: float, rate: float, xi: float, variant: str
-) -> float:
-    """|lhs(x) - (1 - xi)| of the equation ``nonvanishing_abscissa`` solves,
-    for the root variants (diagnostics)."""
-    if variant not in ("H2", "BoundedCoeff"):
-        raise InvalidParameterError("residual defined for the root variants only")
-    return abs(_nonvanishing_lhs(norm, c, rate, variant)(x) - (1.0 - xi))
+class Nonvanishing(NamedTuple):
+    x: float  # x_xi
+    residual: float  # |lhs(x) - (1 - xi)| of the equation solved; 0 if none is
+    cap: float  # closed-form upper bound for x (H2), else inf
 
 
-def nonvanishing_cap(norm2_tail: float, c: float, k: float, xi: float) -> float:
-    """The closed-form cap max(C, K^-1 log+(sqrt(3) norm / (sqrt(2)(1-xi)))).
-
-    An upper bound for the H2-variant x_xi.
-    """
-    if not 0 < xi < 1:
-        raise InvalidParameterError("xi must lie in (0, 1)")
-    arg = math.sqrt(3.0) * norm2_tail / (math.sqrt(2.0) * (1.0 - xi))
-    return max(c, max(0.0, math.log(arg)) / k if arg > 0 else 0.0)
+def nonvanishing(series: se.DirichletSeries, xi: float, variant: str) -> Nonvanishing:
+    """x_xi of ``series`` with a_0 normalized to 1, from the norm, C and rate
+    its variant reads (see the module docstring), C, lambda_1 and K being
+    ``class_params`` of that series.  H2 refuses an analytic tail, whose l2
+    norm the stored coefficients omit, and is capped by
+    max(C, K^-1 log+(sqrt(3) norm / (sqrt(2)(1-xi))))."""
+    series = se.normalize_leading(series)
+    p = class_params(series)
+    if variant == "L1":
+        l1 = se.l1_norm_at(series, series.sigma)
+        norm = (l1.upper if isinstance(l1, se.Interval) else l1) - 1.0
+        return Nonvanishing(nonvanishing_abscissa(norm, p.c, p.lambda1, xi, "L1"),
+                            0.0, math.inf)
+    norm, rate, cap = 1.0, p.lambda1, math.inf
+    if variant == "H2":
+        if series.tail is not None:
+            raise DivergenceError("H2 needs ||L - 1||_2 of the whole series; the "
+                                  "stored coefficients omit the analytic tail")
+        norm, rate = float(np.sqrt(np.sum(np.abs(series.coefficients[1:]) ** 2))), p.k
+    x = nonvanishing_abscissa(norm, p.c, rate, xi, variant)
+    # x = 0 only for a zero H2 tail, which leaves no equation to solve
+    residual = abs(_nonvanishing_lhs(norm, p.c, rate, variant)(x) - (1.0 - xi)) if x else 0.0
+    if variant == "H2":
+        arg = math.sqrt(3.0) * norm / (math.sqrt(2.0) * (1.0 - xi))
+        cap = max(p.c, max(0.0, math.log(arg)) / rate if arg > 0 else 0.0)
+    return Nonvanishing(x, residual, cap)
 
 
 # ---------------------------------------------------------------------------

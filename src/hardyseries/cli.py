@@ -79,11 +79,10 @@ def _cmd_constants(args) -> int:
 def _cmd_norms(args) -> int:
     series = _load_series(args.series)
     p = bd.class_params(series)
-    l1 = se.l1_norm_at(series, args.sigma if args.sigma is not None else series.sigma)
-    l1v = l1.midpoint if isinstance(l1, se.Interval) else l1
+    sigma = args.sigma if args.sigma is not None else series.sigma
     rows = [
         ("l2_norm", se.l2_norm(series)),
-        ("l1_norm", l1v),
+        ("l1_norm", se.l1_norm_at(series, sigma)),
         ("separation_constant", p.c),
         ("lambda1", p.lambda1),
         ("lambert_floor_k", p.k),
@@ -92,13 +91,6 @@ def _cmd_norms(args) -> int:
         print(f"{name:<22}  {_fmt(value)}")
     _write_out(args.out, {name: value for name, value in rows})
     return 0
-
-
-def _series_params(series):
-    p = bd.class_params(series)
-    l1 = se.l1_norm_at(series, series.sigma)
-    norm1 = l1.upper if isinstance(l1, se.Interval) else l1
-    return p, norm1, se.l2_norm(series)
 
 
 def _cmd_bound(args) -> int:
@@ -130,7 +122,8 @@ def _cmd_bound(args) -> int:
         return 2
     else:
         series = _load_series(args.series)
-        p, norm1, norm2 = _series_params(series)
+        p = bd.class_params(series)
+        norm1, norm2 = se.l1_norm_at(series, series.sigma), se.l2_norm(series)
         inputs = {"sigma": series.sigma, "C": p.c, "lambda1": p.lambda1, "K": p.k,
                   "delta": delta, "norm1": norm1, "norm2": norm2}
         if variant == "t4":
@@ -153,7 +146,6 @@ def _cmd_bound(args) -> int:
                 variant.upper(), delta, norm1=norm1, norm2=norm2,
                 c=p.c, k=p.k, lambda1=p.lambda1,
             )
-            inputs["p"] = args.p
             report = bd.BoundReport(variant.upper(), inputs, value, "lower",
                                     log_space=True)
             print(f"{variant}_lower_bound  {_fmt_log(value)}")
@@ -163,24 +155,11 @@ def _cmd_bound(args) -> int:
 
 def _cmd_nonvanishing(args) -> int:
     series = _load_series(args.series)
-    series = se.normalize_leading(series)
-    p, norm1, norm2 = _series_params(series)
-    variant = args.variant or "H2"
-    if variant not in ("H2", "L1", "BoundedCoeff"):
-        print("variant must be H2, L1 or BoundedCoeff", file=sys.stderr)
-        return 2
-    if variant == "L1":
-        norm = norm1 - 1.0
-        rate = p.lambda1
-    else:
-        tail = series.coefficients[1:]
-        norm = float(np.sqrt(np.sum(np.abs(tail) ** 2))) if variant == "H2" else 1.0
-        rate = p.k if variant == "H2" else p.lambda1
-    x = bd.nonvanishing_abscissa(norm, p.c, rate, args.xi, variant)
+    x = bd.nonvanishing(series, args.xi, args.variant).x
     print(f"x_xi           {_fmt(x)}")
     print(f"abscissa       {_fmt(series.sigma + x)}")
     print(f"guarantee      {_fmt(args.xi)} <= |L| <= {_fmt(2 - args.xi)}")
-    _write_out(args.out, {"variant": variant, "xi": args.xi, "x_xi": x,
+    _write_out(args.out, {"variant": args.variant, "xi": args.xi, "x_xi": x,
                           "abscissa": series.sigma + x})
     return 0
 
@@ -283,7 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="shift parameter (T27-T30, L14)")
     p.add_argument("--d", type=float, default=1.0,
                    help="interval length D (T4) / anchor distance (T10-T12)")
-    p.add_argument("--p", type=float, default=2.0, help="L^p exponent (T19-T26)")
     p.add_argument("--xi", type=float,
                    help="override the tuned level baked into T15/T16")
     p.set_defaults(func=_cmd_bound)
@@ -293,7 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, series_required=True)
     p.add_argument("--xi", type=float, required=True,
                    help="level in (0,1): xi <= |L| <= 2-xi beyond the abscissa")
-    p.add_argument("--variant", help="H2 (T14), L1 (T13) or BoundedCoeff (L13)")
+    p.add_argument("--variant", choices=("H2", "L1", "BoundedCoeff"), default="H2",
+                   help="H2 (T14), L1 (T13) or BoundedCoeff (L13)")
     p.set_defaults(func=_cmd_nonvanishing)
 
     p = sub.add_parser("integrate", help="window integrals of |L|^p or log|L|")

@@ -28,7 +28,7 @@ import json
 import math
 import time
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -154,13 +154,6 @@ class ExperimentConfig:
             obj[key] = _json_value(key, obj[key], _CONFIG_TYPES[key])
         return cls(**obj)
 
-    def to_json(self) -> str:
-        doc = asdict(self)
-        for key, value in doc.items():
-            if isinstance(value, tuple):
-                doc[key] = list(value)
-        return json.dumps(doc, indent=2)
-
 
 _CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)  # field name -> annotation
 
@@ -277,12 +270,12 @@ def _disc_samples(rng: np.random.Generator, n: int) -> np.ndarray:
 def _random_classical(
     rng: np.random.Generator,
     n_terms: int,
-    sigma: float = 0.5,
     bounded: bool = False,
     unit_tail: bool = False,
 ) -> se.DirichletSeries:
-    """a_0 = 1 and the rest uniform on the unit disc; optionally clipped to
-    |a_n| <= 1 (they already are) or rescaled so ||L - 1||_2 = 1."""
+    """A classical series at sigma = 1/2 with a_0 = 1 and the rest uniform on
+    the unit disc; optionally clipped to |a_n| <= 1 (they already are) or
+    rescaled so ||L - 1||_2 = 1."""
     n = int(rng.integers(2, n_terms + 1))
     coeffs = _disc_samples(rng, n)
     coeffs[0] = 1.0
@@ -297,7 +290,7 @@ def _random_classical(
             top = np.max(np.abs(coeffs[1:]))
             if top > 1.0:
                 coeffs[1:] /= top
-    return se.classical_polynomial(coeffs, sigma)
+    return se.classical_polynomial(coeffs, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +366,10 @@ def _constants_rows(config: ExperimentConfig):
 
 def _local_l2_rows(config: ExperimentConfig):
     rng = np.random.default_rng(config.seed)
+    cases = [(idx, _random_classical(rng, config.n_terms)) for idx in range(config.n_series)]
+    cases.append((-1, se.classical_polynomial([1.0])))  # edge case: |L| = 1 identically
     rows = []
-    for idx in range(config.n_series):
-        s = _random_classical(rng, config.n_terms)
+    for idx, s in cases:
         ev = se.line_evaluator(s, 0.5)
         norm2 = se.l2_norm(s)
         for d in config.d_values:
@@ -384,14 +378,6 @@ def _local_l2_rows(config: ExperimentConfig):
             limit = bound * (1.0 + 1e-6)
             rows.append(("T4", idx, d, r.value, bound, limit - r.value,
                          r.value <= limit and not r.flagged))
-    # single-term edge case: |L| = 1 identically
-    one = se.classical_polynomial([1.0])
-    ev = se.line_evaluator(one, 0.5)
-    for d in config.d_values:
-        bound = bd.local_l2_bound(1.0, bd.CLASSICAL_C, d)
-        r = qd.integrate_abs_pow(ev, 0.5, (0.0, d), 2, tol=1e-9 * bound)
-        rows.append(("T4", -1, d, r.value, bound, bound - r.value,
-                     r.value <= bound * (1 + 1e-6) and not r.flagged))
     columns = ["check", "series_id", "d", "measured", "bound", "margin", "pass"]
     return columns, [_block(rows)], {}, True
 
@@ -403,26 +389,14 @@ def _nonvanishing_rows(config: ExperimentConfig):
     for idx in range(config.n_series):
         s = _random_classical(rng, config.n_terms, unit_tail=True)
         bounded = _random_classical(rng, config.n_terms, unit_tail=True, bounded=True)
-        p = bd.class_params(s)
-        norm1_tail = se.l1_norm_at(s, 0.5) - 1.0
         for xi in config.xis:
-            cases = [
-                ("T14", s, bd.nonvanishing_abscissa(1.0, p.c, p.k, xi, "H2"), "H2", 1.0),
-                ("T13", s, bd.nonvanishing_abscissa(norm1_tail, 0.0, p.lambda1, xi, "L1"), "L1", norm1_tail),
-                ("L13", bounded, bd.nonvanishing_abscissa(1.0, p.c, p.lambda1, xi, "BoundedCoeff"), "BoundedCoeff", 1.0),
-            ]
-            for tid, target_series, x, variant, norm in cases:
+            for tid, target_series, variant in (("T14", s, "H2"), ("T13", s, "L1"),
+                                                ("L13", bounded, "BoundedCoeff")):
+                x, resid, cap = bd.nonvanishing(target_series, xi, variant)
                 sigma1 = 0.5 + x
                 mods = np.abs(se.line_evaluator(target_series, sigma1)(sigma1 + 1j * ts))
                 lo = float(np.min(mods))
                 hi = float(np.max(mods))
-                resid = (
-                    bd.nonvanishing_residual(x, norm, p.c if variant != "L1" else 0.0,
-                                             p.k if variant == "H2" else p.lambda1,
-                                             xi, variant)
-                    if variant in ("H2", "BoundedCoeff") else 0.0
-                )
-                cap = bd.nonvanishing_cap(norm, p.c, p.k, xi) if variant == "H2" else math.inf
                 ok = (
                     lo >= xi - 1e-6
                     and (variant == "BoundedCoeff" or hi <= 2.0 - xi + 1e-6)
@@ -656,7 +630,8 @@ def _lerch_scan_rows(config: ExperimentConfig):
 # min-max explorer
 # ---------------------------------------------------------------------------
 
-def _zero_order_slopes(order: int, deltas=(0.1, 0.05, 0.025)) -> tuple[list, list]:
+def _zero_order_slopes(order: int) -> tuple[list, list]:
+    deltas = (0.1, 0.05, 0.025)
     a = se.one_minus_two_power_series(order, sigma=0.5)
     ev = se.line_evaluator(a, 1.0)
     sups = [qd.interval_sup(ev, 1.0, (0.0, d), grid_n=64) for d in deltas]

@@ -36,7 +36,6 @@ comes out 2 pi times larger and no admissible profile can keep it under
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,12 +72,14 @@ def _smoothstep(v: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BumpFunction:
-    """The concrete plateau bump; immutable, evaluate with ``value``."""
+# 64-point Gauss-Legendre rule for the two edge layers; the plateau parts of
+# int Phi^2 and of the transform have closed forms.
+_GL_N = 64
+_nodes, _weights = np.polynomial.legendre.leggauss(_GL_N)
 
-    peak: float = PEAK
-    edge: float = EDGE_FRACTION
+
+class BumpFunction:
+    """The concrete plateau bump; evaluate with ``value``."""
 
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -86,34 +87,29 @@ class BumpFunction:
         inside = (u > 0.0) & (u < 1.0)
         out = np.zeros_like(u)
         ui = u[inside]
-        out[inside] = self.peak * _smoothstep(ui / self.edge) * _smoothstep(
-            (1.0 - ui) / self.edge
+        out[inside] = PEAK * _smoothstep(ui / EDGE_FRACTION) * _smoothstep(
+            (1.0 - ui) / EDGE_FRACTION
         )
         return out
 
     def l2_squared(self) -> float:
         """int Phi^2 over the support (plateau exact, edges by quadrature)."""
-        plateau = self.peak ** 2 * (1.0 - 2.0 * self.edge) / 175.0
-        nodes, weights = np.polynomial.legendre.leggauss(64)
+        plateau = PEAK ** 2 * (1.0 - 2.0 * EDGE_FRACTION) / 175.0
         # map to the left edge [0, eps] in u; right edge matches by symmetry
-        un = 0.5 * self.edge * (nodes + 1.0)
-        wn = 0.5 * self.edge * weights
+        un = 0.5 * EDGE_FRACTION * (_nodes + 1.0)
+        wn = 0.5 * EDGE_FRACTION * _weights
         edge_sq = float(
-            np.sum(wn * (self.peak * _smoothstep(un / self.edge)) ** 2)
+            np.sum(wn * (PEAK * _smoothstep(un / EDGE_FRACTION)) ** 2)
         )
         return plateau + 2.0 * edge_sq / 175.0
 
     @property
     def total_variation(self) -> float:
-        return 2.0 * self.peak
+        return 2.0 * PEAK
 
 
 BUMP = BumpFunction()
 
-# Gauss-Legendre nodes over the two edge layers, precomputed once; the
-# plateau part of the transform has a closed form.
-_GL_N = 64
-_nodes, _weights = np.polynomial.legendre.leggauss(_GL_N)
 _t_left = (0.5 * EDGE_FRACTION * (_nodes + 1.0)) / 175.0
 _w_left = (0.5 * EDGE_FRACTION * _weights) / 175.0
 _t_right = SUPPORT_END - _t_left[::-1]
@@ -185,29 +181,13 @@ def mollify(series: se.DirichletSeries, delta: float) -> se.DirichletSeries:
     )
 
 
-class _HatTable:
-    """Memoized |hat-Phi|^2 on a dense grid, linear interpolation in between."""
-
-    def __init__(self, u_max: float, n: int = 20000) -> None:
-        self.u = np.linspace(0.0, u_max, n)
-        self.v = np.abs(bump_hat(self.u)) ** 2
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return np.interp(u, self.u, self.v)
-
-
-def weighted_square_sum(
-    alpha: float,
-    delta: float,
-    n_head: int = 20000,
-    tail_cut: float = 3.0e5,
-) -> dict:
+def weighted_square_sum(alpha: float, delta: float, n_head: int = 20000) -> dict:
     """sum_{n>=1} |hat-Phi(2 pi delta lambda_n)|^2 / (n + alpha) for a_n = 1.
 
-    Head terms summed directly (memoized transform grid), the rest through
-    the substitution u = 2 pi delta lambda: the range integral
-    (1/(2 pi delta)) int |hat-Phi(u)|^2 du, quadrature up to ``tail_cut``
-    plus the total-variation envelope (TV/u)^2 beyond it.  Returns the
+    Head terms summed directly (|hat-Phi|^2 on a 20000-point grid, linear in
+    between), the rest through the substitution u = 2 pi delta lambda: the
+    range integral (1/(2 pi delta)) int |hat-Phi(u)|^2 du, quadrature up to
+    u = 3e5 plus the total-variation envelope (TV/u)^2 beyond it.  Returns the
     estimate, an upper bound including the sum-integral correction, and the
     pieces.
     """
@@ -218,10 +198,12 @@ def weighted_square_sum(
     scale = ANGULAR_SCALE * delta
     n = np.arange(1, n_head + 1)
     u_head = scale * (np.log(n + alpha) - math.log(alpha))
-    table = _HatTable(max(u_head[-1] * 1.01, 10.0))
-    head = float(np.sum(table(u_head) / (n + alpha)))
+    table_u = np.linspace(0.0, max(u_head[-1] * 1.01, 10.0), 20000)
+    head_sq = np.interp(u_head, table_u, np.abs(bump_hat(table_u)) ** 2)
+    head = float(np.sum(head_sq / (n + alpha)))
 
     u0 = float(u_head[-1])
+    tail_cut = 3.0e5  # where the tail quadrature hands over to the envelope
     m = max(2048, int((tail_cut - u0) / 20.0))
     grid = np.linspace(u0, tail_cut, m + 1)
     vals = np.abs(bump_hat(grid)) ** 2

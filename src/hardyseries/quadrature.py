@@ -165,6 +165,8 @@ def _integrate(f, segments):
                          for i in reversed(range(0, halves.shape[1], _BATCH_PANELS)))
         elif halves.size:
             stack.append((depth + 1, halves))
+        # released here, not when the next pass rebinds them after its f call
+        del m, quarter, flm, frm, left, right, delta, done, split, halves
     return value, err, count, flagged
 
 

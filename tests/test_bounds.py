@@ -12,7 +12,7 @@ from hardyseries import bounds as bd
 from hardyseries import quadrature as qd
 from hardyseries import series as se
 from hardyseries import special as sp
-from hardyseries.errors import InvalidParameterError, NearZeroAnchorError
+from hardyseries.errors import DivergenceError, InvalidParameterError, NearZeroAnchorError
 
 
 def _random_series(rng, n_terms=12, sigma=0.5, unit_tail=False):
@@ -199,28 +199,68 @@ def test_nonvanishing_l1_closed_form():
 
 
 def test_nonvanishing_h2_root_residual():
-    c, k = 1.02014, 0.6932
-    x = bd.nonvanishing_abscissa(1.0, c, k, 0.5, "H2")
-    assert bd.nonvanishing_residual(x, 1.0, c, k, 0.5, "H2") <= 1e-10
+    s = _random_series(np.random.default_rng(1), 10, unit_tail=True)
+    assert bd.nonvanishing(s, 0.5, "H2").residual <= 1e-10
 
 
 def test_nonvanishing_bounded_root():
-    x = bd.nonvanishing_abscissa(1.0, 1.0, math.log(2.0), 0.5, "BoundedCoeff")
-    assert bd.nonvanishing_residual(x, 1.0, 1.0, math.log(2.0), 0.5, "BoundedCoeff") <= 1e-10
+    s = se.classical_polynomial([1.0, 0.5, -0.5])
+    assert bd.class_params(s).lambda1 == pytest.approx(math.log(2.0))
+    assert bd.nonvanishing(s, 0.5, "BoundedCoeff").residual <= 1e-10
 
 
 def test_nonvanishing_guarantee_sampled():
     rng = np.random.default_rng(4)
     for _ in range(10):
         s = _random_series(rng, 10, unit_tail=True)
-        p = bd.class_params(s)
         for xi in (0.25, 0.5):
-            x = bd.nonvanishing_abscissa(1.0, p.c, p.k, xi, "H2")
+            x, _, cap = bd.nonvanishing(s, xi, "H2")
             ev = se.line_evaluator(s, 0.5 + x)
             mods = [abs(ev(complex(0.5 + x, t))) for t in np.linspace(0, 50, 400)]
             assert min(mods) >= xi - 1e-6
             assert max(mods) <= 2 - xi + 1e-6
-            assert x <= bd.nonvanishing_cap(1.0, p.c, p.k, xi) + 1e-12
+            assert x <= cap + 1e-12
+
+
+def _documented_inputs(s, variant):
+    """(norm, C, rate) that the module docstring names for each variant."""
+    p = bd.class_params(s)
+    if variant == "L1":
+        return se.l1_norm_at(s, s.sigma) - 1.0, p.c, p.lambda1
+    if variant == "H2":
+        return float(np.sqrt(np.sum(np.abs(s.coefficients[1:]) ** 2))), p.c, p.k
+    return 1.0, p.c, p.lambda1
+
+
+@pytest.mark.parametrize("variant", ["L1", "H2", "BoundedCoeff"])
+def test_nonvanishing_matches_formula(variant):
+    rng = np.random.default_rng(18)
+    for n_terms in (2, 5, 12):
+        for unit_tail in (False, True):
+            s = _random_series(rng, n_terms, unit_tail=unit_tail)
+            norm, c, rate = _documented_inputs(s, variant)
+            for xi in (0.1, 0.5, 0.9):
+                x, residual, cap = bd.nonvanishing(s, xi, variant)
+                assert x == bd.nonvanishing_abscissa(norm, c, rate, xi, variant)
+                assert residual <= 1e-10
+                assert x <= cap + 1e-12
+                assert math.isinf(cap) == (variant != "H2")
+
+
+def test_nonvanishing_normalizes_leading_coefficient():
+    s = se.classical_polynomial([2.0, 1.0, -0.5j])
+    for variant in ("L1", "H2", "BoundedCoeff"):
+        assert bd.nonvanishing(s, 0.5, variant) == bd.nonvanishing(
+            se.normalize_leading(s), 0.5, variant)
+
+
+@pytest.mark.parametrize("alpha, expected", [(0.1, 0.402), (0.5, 1.012), (1.0, 1.683)])
+def test_nonvanishing_hurwitz_family(alpha, expected):
+    s = se.hurwitz_family(alpha)
+    assert bd.nonvanishing(s, 0.5, "BoundedCoeff").x == pytest.approx(expected, abs=5e-4)
+    # the l2 tail of the family diverges at sigma = 1/2 and is not stored
+    with pytest.raises(DivergenceError):
+        bd.nonvanishing(s, 0.5, "H2")
 
 
 @given(
@@ -241,6 +281,8 @@ def test_nonvanishing_monotone_in_xi_and_norm(xi1, xi2, norm):
 
 def test_nonvanishing_zero_norm_and_bad_xi():
     assert bd.nonvanishing_abscissa(0.0, 1.0, 1.0, 0.5, "H2") == 0.0
+    x, residual, _ = bd.nonvanishing(se.classical_polynomial([1.0, 0.0]), 0.5, "H2")
+    assert (x, residual) == (0.0, 0.0)
     with pytest.raises(InvalidParameterError):
         bd.nonvanishing_abscissa(1.0, 1.0, 1.0, 1.5, "H2")
 

@@ -8,7 +8,7 @@ import pkgutil
 import pytest
 
 import hardyseries
-from hardyseries import cli
+from hardyseries import bounds, cli
 
 
 @pytest.fixture()
@@ -85,6 +85,18 @@ def test_nonvanishing_command(capsys, series_file):
     assert cli.main(["nonvanishing", "--series", series_file, "--xi", "0.5"]) == 0
     out = capsys.readouterr().out
     assert "x_xi" in out and "guarantee" in out
+
+
+@pytest.mark.parametrize("variant", ["H2", "L1", "BoundedCoeff"])
+def test_nonvanishing_out_matches_bounds(tmp_path, capsys, series_file, variant):
+    out = tmp_path / "nonvanishing.json"
+    assert cli.main(["nonvanishing", "--series", series_file, "--xi", "0.5",
+                     "--variant", variant, "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    series = cli._load_series(series_file)
+    assert doc["x_xi"] == bounds.nonvanishing(series, 0.5, variant).x
+    assert doc["variant"] == variant
 
 
 def test_integrate_command(capsys, series_file):

