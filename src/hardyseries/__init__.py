@@ -27,7 +27,7 @@ from .errors import (
     ZeroSeriesError,
 )
 from .harness import ExperimentConfig, ExperimentResult, dispatch
-from .mollifier import BUMP, bump_hat, mollify, weighted_square_sum
+from .mollifier import BUMP, bump_hat, weighted_square_sum
 from .quadrature import (
     IntegralResult,
     integrate_abs_pow,
@@ -39,7 +39,6 @@ from .series import (
     ClassParams,
     DirichletSeries,
     ExponentSequence,
-    Interval,
     classical_polynomial,
     hurwitz_family,
     l1_norm_at,
@@ -48,7 +47,6 @@ from .series import (
     normalize_leading,
     separation_constant,
     series_from_json,
-    series_to_json,
 )
 from .special import (
     KappaConstants,

@@ -202,8 +202,7 @@ def log_minus_weighted_bound(
             f"|L(sigma + D)| = {abs(anchor):.3e} too small for a log bound"
         )
     norm2 = se.l2_norm(series)
-    l1 = se.l1_norm_at(series, series.sigma)
-    norm1 = l1.upper if isinstance(l1, se.Interval) else l1
+    norm1 = se.l1_norm_at(series, series.sigma)
     if mode == "H2":
         c = se.separation_constant(series)
         plus, valid = log_plus_weighted_bound(d, "H2", norm2=norm2, c=c)
@@ -334,14 +333,17 @@ class Nonvanishing(NamedTuple):
 def nonvanishing(series: se.DirichletSeries, xi: float, variant: str) -> Nonvanishing:
     """x_xi of ``series`` with a_0 normalized to 1, from the norm, C and rate
     its variant reads (see the module docstring), C, lambda_1 and K being
-    ``class_params`` of that series.  H2 refuses an analytic tail, whose l2
+    ``class_params`` of that series.  BoundedCoeff refuses a series with
+    some |a_n| > 1 after normalization.  H2 refuses an analytic tail, whose l2
     norm the stored coefficients omit, and is capped by
     max(C, K^-1 log+(sqrt(3) norm / (sqrt(2)(1-xi))))."""
     series = se.normalize_leading(series)
+    # the slack absorbs a coefficient divided by its own modulus landing an ulp above 1
+    if variant == "BoundedCoeff" and np.max(np.abs(series.coefficients)) > 1.0 + 1e-12:
+        raise InvalidParameterError("L13 (BoundedCoeff) needs |a_n| <= 1 once a_0 = 1")
     p = class_params(series)
     if variant == "L1":
-        l1 = se.l1_norm_at(series, series.sigma)
-        norm = (l1.upper if isinstance(l1, se.Interval) else l1) - 1.0
+        norm = se.l1_norm_at(series, series.sigma) - 1.0
         return Nonvanishing(nonvanishing_abscissa(norm, p.c, p.lambda1, xi, "L1"),
                             0.0, math.inf)
     norm, rate, cap = 1.0, p.lambda1, math.inf

@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -42,6 +43,14 @@ def _fmt(x: float) -> str:
 
 def _fmt_log(x: float) -> str:
     return "log:" + format(x, ".12g")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: refuses nan and +-inf."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
 
 
 def _setup_logging() -> None:
@@ -248,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norms", help="norms and class parameters of a series")
     add_common(p, series_required=True)
-    p.add_argument("--sigma", type=float, help="abscissa for the L1 norm")
+    p.add_argument("--sigma", type=_finite_float, help="abscissa for the L1 norm")
     p.set_defaults(func=_cmd_norms)
 
     p = sub.add_parser("bound", help="evaluate a catalog bound (T4, T15-T26, "
@@ -256,20 +265,20 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--variant", required=True,
                    help="bound id: " + ", ".join(_BOUND_VARIANTS))
-    p.add_argument("--delta", type=float, default=0.05,
+    p.add_argument("--delta", type=_finite_float, default=0.05,
                    help="window length (short-interval bounds)")
-    p.add_argument("--alpha", type=float, default=1.0,
+    p.add_argument("--alpha", type=_finite_float, default=1.0,
                    help="shift parameter (T27-T30, L14)")
-    p.add_argument("--d", type=float, default=1.0,
+    p.add_argument("--d", type=_finite_float, default=1.0,
                    help="interval length D (T4) / anchor distance (T10-T12)")
-    p.add_argument("--xi", type=float,
+    p.add_argument("--xi", type=_finite_float,
                    help="override the tuned level baked into T15/T16")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("nonvanishing",
                        help="nonvanishing abscissa x_xi (T13, T14, L13)")
     add_common(p, series_required=True)
-    p.add_argument("--xi", type=float, required=True,
+    p.add_argument("--xi", type=_finite_float, required=True,
                    help="level in (0,1): xi <= |L| <= 2-xi beyond the abscissa")
     p.add_argument("--variant", choices=("H2", "L1", "BoundedCoeff"), default="H2",
                    help="H2 (T14), L1 (T13) or BoundedCoeff (L13)")
@@ -277,10 +286,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="window integrals of |L|^p or log|L|")
     add_common(p, series_required=True)
-    p.add_argument("--sigma", type=float, help="line Re(s); defaults to series sigma")
-    p.add_argument("--t0", type=float, default=0.0, help="window start")
-    p.add_argument("--delta", type=float, default=0.05, help="window length")
-    p.add_argument("--p", type=float, default=1.0, help="power for |L|^p")
+    p.add_argument("--sigma", type=_finite_float, help="line Re(s); defaults to series sigma")
+    p.add_argument("--t0", type=_finite_float, default=0.0, help="window start")
+    p.add_argument("--delta", type=_finite_float, default=0.05, help="window length")
+    p.add_argument("--p", type=_finite_float, default=1.0, help="power for |L|^p")
     p.add_argument("--variant", default="abs",
                    choices=("abs", "logplus", "logminus", "sup"),
                    help="integrand: |L|^p, log+|L|, log-|L|, or the window sup")

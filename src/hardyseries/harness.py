@@ -3,12 +3,18 @@
 Each experiment measures a quantity by quadrature or sampling and compares
 it against the corresponding explicit bound, producing one CSV row per grid
 point with the measured value, the bound (log space where the bound lives
-there), the margin, and a pass flag.  Margins are defined so that pass
-means margin >= -tolerance.  Comparisons against astronomically small lower
-bounds happen in natural-log space, so a margin is finite except where no
-slack exists to measure: an exact identity of ``constants`` carries +inf
-when it holds and -inf when it does not, and a scan window holding the pole
-at t = 0 measures +inf.
+there), the margin, and a pass flag.  Log-space rows (``_sup`` and ``_lp``,
+L14, both scans, ``search_sup``) pass when margin >= -tolerance.  T4, the
+T15/T16/T21/T22 ``_minus``/``_plus`` rows, ``nonvanishing_sweep`` and
+``witness_slope`` fold their tolerance into the margin, and ``constants``
+margins are the slack against each row's stated tolerance: these pass when
+margin >= 0.  The ``witness_norm`` margin is the gap to the quoted 3^order,
+which its pass does not read.  A flagged integral fails its row, and a
+``nonvanishing_sweep`` row also checks its sampled maximum, residual and cap.
+Comparisons against astronomically small lower bounds happen in natural-log
+space, so a margin is finite except where no slack exists to measure: an
+exact identity of ``constants`` carries +inf when it holds and -inf when it
+does not, and a scan window holding the pole at t = 0 measures +inf.
 
 Both zeta scans measure a window the same way, since phi(1, beta; s) is
 zeta(s, beta): 9-node Simpson on a grid of step delta/8 over the window,

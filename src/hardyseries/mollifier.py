@@ -1,4 +1,4 @@
-"""Compactly supported smoothing bump and the mollified-series coefficient map.
+"""Compactly supported smoothing bump and the weighted square sum it damps.
 
 The bump lives on [0, 1/175], is C-infinity, integrates to exactly one, and
 stays below the ceiling 176.  A ceiling that close to the reciprocal support
@@ -18,13 +18,14 @@ The transform convention is hat-Phi(x) = int Phi(t) e^(-i x t) dt, so
 moment; by symmetry the true value is 1/350).  Parseval then reads
 int |hat-Phi|^2 = 2 pi int Phi^2.
 
-The mollified series carries coefficients
+Smoothing a series with the bump damps its coefficients to
 
     b_n = a_n hat-Phi(2 pi delta lambda_n),
 
-i.e. the transform argument absorbs a 2 pi: the smoothing performed is the
-unit-mass window (1/(2 pi delta)) Phi(t / (2 pi delta)) along the vertical
-line.  With that angular scale the weighted square sum obeys
+i.e. the transform argument absorbs a 2 pi: the smoothing is the unit-mass
+window (1/(2 pi delta)) Phi(t / (2 pi delta)) along the vertical line.
+``weighted_square_sum`` bounds the damped coefficients' weighted square sum,
+which with that angular scale obeys
 
     sum |b_n|^2 / (n + alpha) <= int Phi^2 / (2 delta) + O(1) <= 90 / delta
 
@@ -39,7 +40,6 @@ import math
 
 import numpy as np
 
-from . import series as se
 from . import special as sp
 from .errors import InvalidParameterError
 
@@ -47,14 +47,12 @@ __all__ = [
     "BUMP",
     "BumpFunction",
     "bump_hat",
-    "mollify",
     "weighted_square_sum",
 ]
 
 SUPPORT_END = 1.0 / 175.0
 EDGE_FRACTION = 0.005  # plateau edge width in the unit-interval coordinate
 PEAK = 175.0 / (1.0 - EDGE_FRACTION)
-CEILING = 176.0
 
 
 def _smoothstep(v: np.ndarray) -> np.ndarray:
@@ -154,31 +152,6 @@ def bump_hat(x) -> complex | np.ndarray:
 #: Transform argument per unit (delta * lambda_n): the smoothing window is
 #: Phi(t / (2 pi delta)) / (2 pi delta), hence the angular factor.
 ANGULAR_SCALE = 2.0 * math.pi
-
-_MOLLIFY_KINDS = (se.CLASSICAL, se.HURWITZ)
-
-
-def mollify(series: se.DirichletSeries, delta: float) -> se.DirichletSeries:
-    """Coefficient map of the smoothed series: b_n = a_n hat-Phi(2 pi delta lambda_n).
-
-    Supported for the classical and shifted-zeta families with |a_n| <= 1.
-    b_0 = a_0 exactly (lambda_0 = 0 and hat-Phi(0) = 1 by construction); the
-    analytic tail descriptor is dropped, since the damped tail's weighted
-    square sum is what matters downstream and ``weighted_square_sum``
-    handles the full range analytically.
-    """
-    if delta <= 0:
-        raise InvalidParameterError("delta must be positive")
-    if series.exponents.kind not in _MOLLIFY_KINDS:
-        raise InvalidParameterError(
-            f"mollify supports kinds {_MOLLIFY_KINDS}, got {series.exponents.kind!r}"
-        )
-    lam = series.lambdas
-    factors = np.asarray(bump_hat(ANGULAR_SCALE * delta * lam))
-    factors[0] = 1.0
-    return se.DirichletSeries(
-        series.exponents, series.coefficients * factors, series.sigma
-    )
 
 
 def weighted_square_sum(alpha: float, delta: float, n_head: int = 20000) -> dict:

@@ -8,7 +8,7 @@ Exponents satisfy 0 = lambda_0 < lambda_1 < ... ; the reference abscissa
 is taken.  Series are stored as finite coefficient lists; the built-in
 family ``hurwitz_family`` (coefficients (alpha/(n+alpha))^(1/2), the unit
 abscissa object written at the sigma = 1/2 normalization) carries an
-analytic tail descriptor so its L^1 norms come back as rigorous intervals.
+analytic tail descriptor, so its L^1 norm comes back as a certified upper bound.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "DirichletSeries",
     "ExponentSequence",
     "HurwitzTail",
-    "Interval",
     "classical_polynomial",
     "classical_stack_evaluator",
     "hurwitz_family",
@@ -46,7 +45,6 @@ __all__ = [
     "one_minus_two_power_series",
     "separation_constant",
     "series_from_json",
-    "series_to_json",
 ]
 
 CLASSICAL = "classical"
@@ -140,8 +138,9 @@ class HurwitzTail:
     def power_at(self, sigma1: float) -> float:
         return 0.5 + sigma1
 
-    def l1_interval(self, sigma1: float) -> "Interval":
-        """Enclosure of sum_{n>=start} (alpha/(n+alpha))^p at p = power_at."""
+    def l1_upper(self, sigma1: float) -> float:
+        """Upper bound of sum_{n>=start} (alpha/(n+alpha))^p at p = power_at:
+        the integral from start plus the first term."""
         p = self.power_at(sigma1)
         if p <= 1.0:
             raise DivergenceError(
@@ -149,23 +148,7 @@ class HurwitzTail:
             )
         a, n0 = self.alpha, self.start
         integral = a ** p * (n0 + a) ** (1 - p) / (p - 1)
-        first = (a / (n0 + a)) ** p
-        return Interval(integral, integral + first)
-
-
-class Interval(NamedTuple):
-    """Closed enclosure [lower, upper] for a norm with an analytic tail."""
-
-    lower: float
-    upper: float
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
+        return integral + (a / (n0 + a)) ** p
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,13 +233,13 @@ def l2_norm(series: DirichletSeries) -> float:
     return float(np.sqrt(np.sum(np.abs(series.coefficients) ** 2)))
 
 
-def l1_norm_at(series: DirichletSeries, sigma1: float) -> Union[float, Interval]:
-    """sum |a_n| e^(-lambda_n sigma1); an Interval when an analytic tail exists."""
+def l1_norm_at(series: DirichletSeries, sigma1: float) -> float:
+    """sum |a_n| e^(-lambda_n sigma1); with an analytic tail, the head sum
+    plus a certified upper bound of the tail."""
     head = float(np.sum(np.abs(series.coefficients) * np.exp(-series.lambdas * sigma1)))
     if series.tail is None:
         return head
-    tail = series.tail.l1_interval(sigma1)
-    return Interval(head + tail.lower, head + tail.upper)
+    return head + series.tail.l1_upper(sigma1)
 
 
 def _adjacent_sup(lam: np.ndarray, sigma: float) -> float:
@@ -489,24 +472,3 @@ def series_from_json(text: str) -> DirichletSeries:
         coeffs.append(complex(_finite(entry[0], "coefficients"),
                               _finite(entry[1], "coefficients")))
     return DirichletSeries(exponents, np.asarray(coeffs), _finite(obj["sigma"], "sigma"))
-
-
-def series_to_json(series: DirichletSeries) -> str:
-    if series.tail is not None:
-        raise InvalidSeriesError("tailed families have no JSON form")
-    exp = series.exponents
-    if exp.kind == CLASSICAL:
-        eobj: dict = {"kind": CLASSICAL}
-    elif exp.kind == HURWITZ:
-        eobj = {"kind": HURWITZ, "alpha": exp.alpha}
-    elif exp.kind == LINEAR:
-        eobj = {"kind": LINEAR, "c": exp.c}
-    else:
-        eobj = {"kind": EXPLICIT, "values": list(exp.values)}
-    return json.dumps(
-        {
-            "exponents": eobj,
-            "coefficients": [[float(a.real), float(a.imag)] for a in series.coefficients],
-            "sigma": series.sigma,
-        }
-    )

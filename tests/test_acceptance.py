@@ -15,7 +15,6 @@ import pytest
 from hardyseries import bounds as bd
 from hardyseries import harness as hn
 from hardyseries import mollifier as mo
-from hardyseries import series as se
 from hardyseries import special as sp
 
 

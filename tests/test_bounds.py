@@ -232,12 +232,21 @@ def _documented_inputs(s, variant):
     return 1.0, p.c, p.lambda1
 
 
+def _bounded(s):
+    """``s`` with its tail divided by max(1, max |a_n|), so |a_n| <= 1."""
+    coeffs = s.coefficients.copy()
+    coeffs[1:] /= max(1.0, float(np.max(np.abs(coeffs))))
+    return se.classical_polynomial(coeffs, s.sigma)
+
+
 @pytest.mark.parametrize("variant", ["L1", "H2", "BoundedCoeff"])
 def test_nonvanishing_matches_formula(variant):
     rng = np.random.default_rng(18)
     for n_terms in (2, 5, 12):
         for unit_tail in (False, True):
             s = _random_series(rng, n_terms, unit_tail=unit_tail)
+            if variant == "BoundedCoeff":
+                s = _bounded(s)
             norm, c, rate = _documented_inputs(s, variant)
             for xi in (0.1, 0.5, 0.9):
                 x, residual, cap = bd.nonvanishing(s, xi, variant)
@@ -245,6 +254,23 @@ def test_nonvanishing_matches_formula(variant):
                 assert residual <= 1e-10
                 assert x <= cap + 1e-12
                 assert math.isinf(cap) == (variant != "H2")
+
+
+def test_nonvanishing_bounded_refuses_large_coefficients():
+    # L13 holds for |a_n| <= 1: at [1, 3] its x_xi = 1.683 would promise
+    # |L| >= 0.5 where |L| dips to 0.34
+    with pytest.raises(InvalidParameterError, match="BoundedCoeff"):
+        bd.nonvanishing(se.classical_polynomial([1, 3]), 0.5, "BoundedCoeff")
+    rng = np.random.default_rng(18)
+    refused = 0
+    for n_terms in (2, 5, 12):
+        for unit_tail in (False, True):
+            s = _random_series(rng, n_terms, unit_tail=unit_tail)
+            if np.max(np.abs(s.coefficients)) > 1.0 + 1e-12:
+                refused += 1
+                with pytest.raises(InvalidParameterError):
+                    bd.nonvanishing(s, 0.5, "BoundedCoeff")
+    assert refused > 0
 
 
 def test_nonvanishing_normalizes_leading_coefficient():

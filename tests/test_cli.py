@@ -87,6 +87,15 @@ def test_nonvanishing_command(capsys, series_file):
     assert "x_xi" in out and "guarantee" in out
 
 
+def test_nonvanishing_bounded_refuses_large_coefficient(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"exponents": {"kind": "classical"},
+                                "coefficients": [[1, 0], [3, 0]], "sigma": 0.5}))
+    assert cli.main(["nonvanishing", "--series", str(path), "--xi", "0.5",
+                     "--variant", "BoundedCoeff"]) == 2
+    assert "|a_n| <= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("variant", ["H2", "L1", "BoundedCoeff"])
 def test_nonvanishing_out_matches_bounds(tmp_path, capsys, series_file, variant):
     out = tmp_path / "nonvanishing.json"
@@ -226,6 +235,24 @@ def test_nonfinite_input_names_field(tmp_path, capsys, command, field, doc):
     flag = "--series" if command == "norms" else "--config"
     assert cli.main([command, flag, str(path)]) == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, flag", [
+    (["norms"], "--sigma"),
+    (["bound", "--variant", "t15"], "--delta"),
+    (["bound", "--variant", "t27"], "--alpha"),
+    (["bound", "--variant", "t4"], "--d"),
+    (["bound", "--variant", "t16"], "--xi"),
+    (["nonvanishing"], "--xi"),
+    (["integrate"], "--sigma"),
+    (["integrate"], "--t0"),
+    (["integrate"], "--delta"),
+    (["integrate"], "--p"),
+])
+def test_nonfinite_flag_names_flag(capsys, series_file, argv, flag, value):
+    assert cli.main(argv + ["--series", series_file, f"{flag}={value}"]) == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [

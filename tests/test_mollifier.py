@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hardyseries import mollifier as mo
-from hardyseries import series as se
 from hardyseries.errors import InvalidParameterError
 
 
@@ -78,29 +77,6 @@ def test_l2_squared_value():
     # plateau arithmetic: 175 (1 - eps - 2 eps q)/(1-eps)^2 with q = int S(1-S)
     val = mo.BUMP.l2_squared()
     assert 175.0 <= val <= 176.0
-
-
-def test_mollify_preserves_leading_and_limit():
-    fam = se.hurwitz_family(1.0, n_terms=512, include_tail=False)
-    out = mo.mollify(fam, 1e-6)
-    assert out.coefficients[0] == 1.0
-    dev = np.max(np.abs(out.coefficients - fam.coefficients))
-    assert dev <= 1e-4
-
-
-def test_mollify_damps_high_terms():
-    fam = se.hurwitz_family(1.0, n_terms=4096, include_tail=False)
-    out = mo.mollify(fam, 0.04)
-    mags = np.abs(out.coefficients) / np.abs(fam.coefficients)
-    assert np.all(mags <= 1.0 + 1e-12)
-
-
-def test_mollify_rejects_unsupported():
-    s = se.DirichletSeries(se.ExponentSequence.linear(1.0), np.ones(4), 0.0)
-    with pytest.raises(InvalidParameterError):
-        mo.mollify(s, 0.05)
-    with pytest.raises(InvalidParameterError):
-        mo.mollify(se.classical_polynomial([1, 1]), -0.1)
 
 
 def test_weighted_square_sum_bound():

@@ -1,4 +1,4 @@
-"""Core series type: norms, separation constant, normalization, JSON round trip."""
+"""Core series type: norms, separation constant, normalization, JSON reader."""
 
 import cmath
 import json
@@ -128,12 +128,32 @@ def test_l1_norm_trivial():
 
 def test_l1_norm_hurwitz_tail_interval():
     fam = se.hurwitz_family(1.0, n_terms=512)
-    iv = se.l1_norm_at(fam, 0.5 + 0.7378)
-    assert isinstance(iv, se.Interval)
+    value = se.l1_norm_at(fam, 0.5 + 0.7378)
     zeta = sp.riemann_zeta(1.7378).real
-    assert iv.lower - 1e-12 <= zeta <= iv.upper + 1e-12
-    assert abs(iv.midpoint - 1.98357) < 2e-5
-    assert iv.width < 1e-3
+    assert zeta - 1e-12 <= value <= zeta + 1e-3
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("sigma1", [0.7, 1.2378, 2.0])
+def test_l1_norm_hurwitz_tail_bounds(alpha, sigma1):
+    # the full l1 sum is alpha^p zeta(p, alpha); the tail's upper bound
+    # overshoots it by at most the first omitted term
+    fam = se.hurwitz_family(alpha)
+    value = se.l1_norm_at(fam, sigma1)
+    assert type(value) is float
+    p = sigma1 + 0.5
+    exact = alpha ** p * sp.hurwitz_zeta(p, alpha).real
+    first_omitted = (alpha / (64 + alpha)) ** p
+    assert exact * (1 - 1e-12) <= value <= (exact + first_omitted) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+def test_l1_norm_hurwitz_shifted_tail_falls(alpha):
+    fam = se.hurwitz_family(alpha)
+    tails = [se.l1_norm_at(fam, fam.sigma + x) - abs(fam.coefficients[0])
+             for x in (0.3, 0.7, 1.5)]
+    assert all(isinstance(v, float) for v in tails)
+    assert tails[0] > tails[1] > tails[2] > 0
 
 
 def test_l1_norm_divergence():
@@ -394,11 +414,11 @@ def test_tail_decay_classical_two_power():
 # ---------------------------------------------------------------------------
 
 def test_json_round_trip():
-    s = se.classical_polynomial([1, 0.5 + 0.25j, -2], 0.5)
-    doc = se.series_to_json(s)
+    doc = json.dumps({"exponents": {"kind": "classical"},
+                      "coefficients": [[1, 0], [0.5, 0.25], [-2, 0]], "sigma": 0.5})
     back = se.series_from_json(doc)
-    np.testing.assert_allclose(back.coefficients, s.coefficients)
-    assert back.sigma == s.sigma
+    np.testing.assert_array_equal(back.coefficients, [1, 0.5 + 0.25j, -2])
+    assert back.sigma == 0.5
     assert back.exponents.kind == "classical"
 
 
