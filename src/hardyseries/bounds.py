@@ -592,8 +592,16 @@ def ab2_constants() -> dict:
 # ---------------------------------------------------------------------------
 
 def class_params(series: se.DirichletSeries) -> se.ClassParams:
-    """(C, sigma, lambda_1, K) for a series with >= 2 terms."""
-    c = se.separation_constant(series)
-    lambda1 = series.lambda1
-    k = min(lambda1_floor(c, max(series.sigma, 0.0)), lambda1)
-    return se.ClassParams(c=c, sigma=series.sigma, lambda1=lambda1, k=k)
+    """(C, sigma, lambda_1, K) for a series with >= 2 terms.
+
+    Computed once per series object and kept in its ``__dict__``, as
+    ``functools.cached_property`` keeps a value: the series is frozen, so
+    its parameters cannot go stale."""
+    params = series.__dict__.get("_class_params")
+    if params is None:
+        c = se.separation_constant(series)
+        lambda1 = series.lambda1
+        k = min(lambda1_floor(c, max(series.sigma, 0.0)), lambda1)
+        params = se.ClassParams(c=c, sigma=series.sigma, lambda1=lambda1, k=k)
+        series.__dict__["_class_params"] = params
+    return params

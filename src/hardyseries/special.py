@@ -12,7 +12,11 @@ The Euler-Maclaurin remainder after M = 14 Bernoulli terms with cutoff N is
 enveloped by the first omitted term times |s + 2M + 1| / (sigma + 2M + 1).
 That bound is C (N + alpha)^-(sigma + 2M + 1), so the cutoff N is picked
 from it, as the smallest N >= 16 that meets the tolerance, before any term
-is summed; every returned value carries that error budget.  Bernoulli
+is summed; every returned value carries that error budget.  The closure
+of the tail n >= N nests its M Bernoulli terms in Horner form,
+acc = c_k + q_k acc with q_k = (s+2k-1)(s+2k)/(N+alpha)^2, and takes
+(N+alpha)^-s as exp(-s log(N+alpha)): a few elementwise operations per
+term, the same for one point as for a band of thousands.  Bernoulli
 numbers B_2 .. B_60 are generated exactly once at import time from the
 integer recurrence.
 
@@ -26,8 +30,9 @@ meets the tolerance.  Every Euler-Maclaurin value (``hurwitz_zeta``,
 ``hurwitz_tail_sum``, ``hurwitz_zeta_grid`` and ``lerch_phi`` at twist 1)
 enters the kernel through one checked call, ``_em_sum``: it refuses
 non-finite points, points off one line, alpha outside (0, 1] and
-Re s <= 0, raises the one PoleError at s = 1, sizes the cutoff, and gives
-an empty array for an empty one.
+Re s <= 0, raises the one PoleError at s = 1, reads the line and builds
+the remainder bound once to size the cutoff, and gives an empty array for
+an empty one.
 
 Every finite exponential sum sum_n w_n e^(-s x_n) of the package goes
 through one kernel, ``_head_sum``: the zeta heads (x_n = log(n + alpha);
@@ -181,11 +186,11 @@ def _smallest_cutoff(bound, lo: int, hi: int, tol: float) -> int:
     return hi
 
 
-def _em_cutoff(worst: complex, alpha: float, tol: float, start: int = 0) -> int:
-    """Smallest N >= max(start, 16) whose remainder bound at ``worst`` meets ``tol``."""
+def _em_cutoff(bound, tol: float, start: int = 0) -> int:
+    """Smallest N >= max(start, 16) at which ``bound``, a remainder bound
+    from ``_em_bound``, meets ``tol``."""
     if not tol > 0:
         raise InvalidParameterError(f"target_error must be positive, got {tol}")
-    bound = _em_bound(worst, alpha)
     lo = max(start, _MIN_CUTOFF) - 1  # below the floor, or fails the bound
     hi = max(lo + 1, _MAX_CUTOFF)  # meets the bound
     if not bound(hi) <= tol:  # also catches a NaN ordinate
@@ -321,35 +326,54 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
     return head.reshape(sv.shape)
 
 
+def _em_value(points: np.ndarray, alpha: float, n_cutoff: int, m_terms: int,
+              start: int):
+    """sum_{n >= start} (n + alpha)^-s at each point of the complex array
+    ``points`` (a complex for a 0-d array): the head start..N-1 from
+    ``_head_sum`` plus the Euler-Maclaurin closure of the tail n >= N.
+
+    With na = N + alpha, the closure is na^-s (na/(s-1) + 1/2 + sum_k
+    c_k (s)_{2k-1} na^(1-2k)), c_k = B_2k/(2k)!, k = 1..M.  The M Bernoulli
+    terms are nested as acc = c_k + q_k acc, from acc = c_M down to k = 1,
+    with q_k = (s+2k-1)(s+2k)/na^2, and the sum is (s/na) acc; na^-s is
+    exp(-s log na).  Every step is elementwise, so a point gets the same
+    closure bits whatever array it comes in.
+    """
+    sv = points.ravel()
+    head = _head_sum(points, np.log(np.arange(start, n_cutoff) + alpha)).ravel()
+    na = n_cutoff + alpha
+    inv_sq = 1.0 / (na * na)
+    acc = np.full(sv.shape, _B2K_OVER_FACT[m_terms - 1], dtype=complex)
+    for k in range(m_terms - 1, 0, -1):
+        acc = _B2K_OVER_FACT[k - 1] + (sv + (2 * k - 1)) * (sv + 2 * k) * inv_sq * acc
+    value = head + np.exp(-sv * math.log(na)) * (na / (sv - 1) + 0.5 + sv / na * acc)
+    if points.ndim == 0:
+        return complex(value[0])
+    return value.reshape(points.shape)
+
+
 def _hurwitz_em_raw(s, alpha: float, n_cutoff: int, m_terms: int = _EM_TERMS,
                     start: int = 0):
-    """sum_{n >= start} (n + alpha)^-s by Euler-Maclaurin with cutoff N.
+    """sum_{n >= start} (n + alpha)^-s by Euler-Maclaurin with a given cutoff
+    N and order M.
 
     ``s`` is one complex number or an array of them on one vertical line.
-    The head start..N-1 is summed directly, the tail closed by M Bernoulli
-    corrections.  Returns (value, bound) with one bound, taken at the largest
-    |Im s|, that covers every point.
+    Returns (value, bound) with one bound, taken at the largest |Im s|, that
+    covers every point.
     """
     points = np.asarray(s, dtype=complex)
-    worst = _line_worst(points)
-    head = _head_sum(points, np.log(np.arange(start, n_cutoff) + alpha)).ravel()
-    sv = points.ravel()
-    na = n_cutoff + alpha
-    # (s)_{2k-1} na^(1-2k), k = 1..M: every other partial product of (s+j)/na
-    rising = np.cumprod((sv[:, None] + np.arange(2 * m_terms - 1)) / na, axis=1)
-    corrections = rising[:, ::2] @ _B2K_OVER_FACT[:m_terms]
-    value = head + na ** (-sv) * (na / (sv - 1) + 0.5 + corrections)
-    bound = _em_bound(worst, alpha, m_terms)(n_cutoff)
-    if np.ndim(s) == 0:
-        return complex(value[0]), bound
-    return value.reshape(np.shape(s)), bound
+    bound = _em_bound(_line_worst(points), alpha, m_terms)(n_cutoff)
+    return _em_value(points, alpha, n_cutoff, m_terms, start), bound
 
 
 def _em_sum(s, alpha: float, tol: float, start: int = 0):
     """(value, bound) of sum_{n >= start} (n + alpha)^-s, Re s > 0, within
-    ``tol``: the one checked entry into ``_hurwitz_em_raw``.  Refuses alpha
-    outside (0, 1] and points off one line, raises PoleError at s = 1 and
-    sizes the cutoff at the largest |Im s|; an empty array gives an empty one."""
+    ``tol``: the one checked entry into the Euler-Maclaurin kernel
+    ``_em_value``.  Refuses alpha outside (0, 1] and points off one line,
+    raises PoleError at s = 1, and reads the line and builds the remainder
+    bound once, at the largest |Im s|, for both the cutoff and the returned
+    bound; an empty array gives an empty one.  With debug logging on, each
+    call logs its point count, cutoff N, order M and bound."""
     points = np.asarray(s, dtype=complex)
     if not 0 < alpha <= 1:
         raise InvalidParameterError(f"alpha must lie in (0, 1], got {alpha}")
@@ -361,8 +385,12 @@ def _em_sum(s, alpha: float, tol: float, start: int = 0):
             f"Euler-Maclaurin path needs Re(s) > 0, got Re(s) = {worst.real}")
     if np.any(points == 1):
         raise PoleError("zeta(s, alpha) has its pole at s = 1")
-    return _hurwitz_em_raw(points, alpha, _em_cutoff(worst, alpha, tol, start),
-                           start=start)
+    bound = _em_bound(worst, alpha)
+    n_cutoff = _em_cutoff(bound, tol, start)
+    remainder = bound(n_cutoff)
+    logger.debug("Euler-Maclaurin: %d points, N = %d, M = %d, bound %.3e",
+                 points.size, n_cutoff, _EM_TERMS, remainder)
+    return _em_value(points, alpha, n_cutoff, _EM_TERMS, start), remainder
 
 
 def hurwitz_zeta(s: complex, alpha: float, target_error: float = 1e-12) -> complex:
@@ -415,8 +443,9 @@ def hurwitz_zeta_grid(
     One cutoff, sized for the worst |t| in the block, serves every point;
     inputs with sigma + i t == 1 are rejected.  Used by the scan harness
     where millions of values are needed.  With debug logging on, each call
-    logs one line from ``_head_sum``: the point count, the EM cutoff N (the
-    head's term count) and the head path.
+    logs two lines: one from ``_em_sum`` (point count, cutoff N, order M,
+    bound) and one from ``_head_sum`` (point count, N as the head's term
+    count, head path).
     """
     return _em_sum(sigma + 1j * np.asarray(ts, dtype=float), alpha, target_error)[0]
 

@@ -78,6 +78,18 @@ def test_nonvanishing_small_sweep():
     assert checks == {"T13", "T14", "L13"}
 
 
+def test_nonvanishing_sweep_computes_class_params_once_per_series(monkeypatch):
+    # the default sweep: 50 x 2 series, each checked at 2 xis (3 variants);
+    # every (series, xi, variant) reads C, lambda_1 and K, computed once
+    calls = []
+    separation = se.separation_constant
+    monkeypatch.setattr(se, "separation_constant",
+                        lambda series: calls.append(series) or separation(series))
+    result = hn.dispatch(_small("nonvanishing_sweep"))
+    assert result.summary["n_rows"] == 300 and result.passed
+    assert len(calls) == 100 == len({id(series) for series in calls})
+
+
 def test_log_bound_small_sweep():
     result = hn.dispatch(_small("log_bound_sweep", n_series=3, deltas=(0.05, 0.2)))
     assert result.passed
@@ -112,12 +124,17 @@ def test_hurwitz_scan_running_min_monotone_under_extension():
     assert longer.summary[key]["running_min"] <= base.summary[key]["running_min"] + 1e-15
 
 
+def _head_sum_lines(caplog) -> list:
+    # the head-sum debug lines; Euler-Maclaurin calls log their cutoff too
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("head sum")]
+
+
 def test_hurwitz_scan_phase_matrix_bands_reproducible(tmp_path, caplog):
     # t 100-130 is 4809 nodes: two bands, both summed by the phase matrix
     caplog.set_level("DEBUG", logger="hardyseries.special")
     cfg = _small("hurwitz_scan", alphas=(0.3,), t_start=100.0, t_stop=130.0)
     r1 = hn.dispatch(cfg)
-    paths = [r.getMessage().rsplit(", ", 1)[1] for r in caplog.records]
+    paths = [line.rsplit(", ", 1)[1] for line in _head_sum_lines(caplog)]
     assert paths == ["phase-matrix"] * 2
     assert r1.passed and len(r1.rows) == 1201
     csvs = []
@@ -141,7 +158,7 @@ def test_disjoint_scan_bands_log_phase_matrix(caplog):
     ):
         caplog.clear()
         assert hn.dispatch(cfg).passed
-        lines = [r.getMessage() for r in caplog.records]
+        lines = _head_sum_lines(caplog)
         assert [line.rsplit(", ", 1)[1] for line in lines] == ["phase-matrix"] * 3
         assert [int(line.split()[2]) for line in lines] == [444 * 9, 444 * 9, 113 * 9]
 

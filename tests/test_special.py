@@ -156,8 +156,8 @@ def test_hurwitz_cutoff_rule_against_mpmath():
         tol = 10.0 ** rng.uniform(-12.0, -6.0)
         value, bound = sp.hurwitz_zeta_with_error(s, alpha, tol)
         # the cutoff is the smallest one whose bound meets tol
-        n_cutoff = sp._em_cutoff(s, alpha, tol)
         remainder = sp._em_bound(s, alpha)
+        n_cutoff = sp._em_cutoff(remainder, tol)
         assert bound == remainder(n_cutoff) <= tol
         assert n_cutoff == 16 or remainder(n_cutoff - 1) > tol
         with mpmath.workdps(20):
@@ -180,6 +180,64 @@ def test_hurwitz_grid_matches_scalar():
         assert abs(vals[j] - ref) <= 1e-9
 
 
+def _cumprod_closure(sv, alpha, n_cutoff, m_terms):
+    # the closure as built before the Horner form: every other partial
+    # product of (s + j)/na times B_2k/(2k)!, and na^-s as a complex pow
+    na = n_cutoff + alpha
+    rising = np.cumprod((sv[:, None] + np.arange(2 * m_terms - 1)) / na, axis=1)
+    corrections = rising[:, ::2] @ sp._B2K_OVER_FACT[:m_terms]
+    return na ** (-sv) * (na / (sv - 1) + 0.5 + corrections)
+
+
+def test_horner_closure_matches_cumprod_closure():
+    # start = N leaves an empty head, so the value is the closure alone.
+    # t stays below 3.4 N, where the cutoff rule puts it at target 1e-9
+    # (N ~ 0.29 t); far beyond, the Bernoulli terms grow and both forms
+    # lose every digit to cancellation.
+    rng = np.random.default_rng(2015)
+    eps = np.finfo(float).eps
+    for m_terms in (1, 12, 14, 29):
+        for _ in range(40):
+            n_cutoff = int(np.exp(rng.uniform(math.log(16), math.log(30000))))
+            alpha = 1.0 - rng.uniform(0.0, 1.0)  # in (0, 1]
+            t_max = min(1e5, 3.4 * n_cutoff)
+            sv = rng.uniform(0.25, 3.0) + 1j * rng.uniform(0.0, t_max, 64)
+            value, _ = sp._hurwitz_em_raw(sv, alpha, n_cutoff, m_terms, start=n_cutoff)
+            oracle = _cumprod_closure(sv, alpha, n_cutoff, m_terms)
+            assert np.all(np.abs(value - oracle) <= 4 * eps * np.abs(oracle))
+
+
+def test_one_point_and_grid_give_identical_bits():
+    rng = np.random.default_rng(92)
+    # 4000 ordinates off any progression take the per-row head, so a whole
+    # value repeats: the point of largest |t| alone sizes the same cutoff
+    ts = rng.uniform(0.0, 900.0, 4000)
+    grid, grid_bound = sp.hurwitz_zeta_with_error(0.8 + 1j * ts, 0.4, 1e-10)
+    top = int(np.argmax(ts))
+    assert sp.hurwitz_zeta_with_error(complex(0.8, ts[top]), 0.4, 1e-10) == (
+        grid[top], grid_bound)
+    # a 4000-node scan band takes the phase-matrix head; its closure alone
+    # (start = N) is still the one-point closure, bit for bit
+    band = 1.0 + 1j * (500.0 + _SCAN_H * np.arange(4000))
+    closures, _ = sp._hurwitz_em_raw(band, 0.3, 160, start=160)
+    for j in (0, 1234, 3999):
+        assert sp._hurwitz_em_raw(band[j], 0.3, 160, start=160)[0] == closures[j]
+
+
+def test_far_bands_meet_their_bound_against_mpmath():
+    # 4000-node bands ending at t = 10^4 and 10^5; mpmath's zeta at
+    # alpha = 1 stays fast at 10^5, at alpha = 0.3 it takes seconds a point
+    mpmath = pytest.importorskip("mpmath")
+    for t_end, alpha in ((1e4, 0.3), (1e5, 1.0)):
+        ts = t_end - _SCAN_H * np.arange(4000)[::-1]
+        values, bound = sp._em_sum(1.0 + 1j * ts, alpha, 1e-9)
+        assert bound <= 1e-9
+        for j in (0, 1999, 3999):
+            with mpmath.workdps(20):
+                ref = complex(mpmath.zeta(mpmath.mpc(1.0, ts[j]), alpha))
+            assert abs(values[j] - ref) <= bound
+
+
 # ---------------------------------------------------------------------------
 # phase-matrix head sum on uniform grids
 # ---------------------------------------------------------------------------
@@ -200,7 +258,7 @@ def test_phase_matrix_head_matches_per_row_and_mpmath():
         ts = t0 + _SCAN_H * np.arange(4000)
         assert sp._progression_step(ts) == pytest.approx(_SCAN_H, rel=1e-12)
         for alpha in (0.3, 0.5, 1.0):
-            n_cutoff = sp._em_cutoff(complex(1.0, ts[-1]), alpha, 1e-9)
+            n_cutoff = sp._em_cutoff(sp._em_bound(complex(1.0, ts[-1]), alpha), 1e-9)
             log_n = np.log(np.arange(n_cutoff) + alpha)
             head = sp._head_sum(1.0 + 1j * ts, log_n)
             scale = np.sum(np.exp(-log_n))  # sum (n + alpha)^-sigma
@@ -273,7 +331,8 @@ def test_row_phase_head_matches_per_row_and_mpmath(width):
         sv = 1.0 + 1j * ts
         # the zeta head, then the twisted Lerch head; at t = 10^4 the Lerch
         # head is longer than one piece of 4096 terms
-        n_zeta = np.arange(sp._em_cutoff(complex(1.0, ts.max()), alpha, 1e-9))
+        n_zeta = np.arange(sp._em_cutoff(sp._em_bound(complex(1.0, ts.max()), alpha),
+                                         1e-9))
         n_lerch = np.arange(sp._lerch_tail_plan(complex(1.0, ts.max()), beta, gap,
                                                 1e-9)[0])
         for log_n, twist in ((np.log(n_zeta + alpha), None),
@@ -357,12 +416,43 @@ def test_zeta_grid_logs_its_head_path(caplog):
     sp.hurwitz_zeta_grid(1.0, 100.0 + _SCAN_H * np.arange(4000))
     sp.hurwitz_zeta_grid(1.0, np.array([10.0, 20.0]))
     lines = [r.getMessage() for r in caplog.records if r.name == "hardyseries.special"]
-    n_band = sp._em_cutoff(complex(1.0, 100.0 + _SCAN_H * 3999), 1.0, 1e-9)
-    n_pair = sp._em_cutoff(20j + 1.0, 1.0, 1e-9)
+    band = sp._em_bound(complex(1.0, 100.0 + _SCAN_H * 3999), 1.0)
+    pair = sp._em_bound(20j + 1.0, 1.0)
+    n_band, n_pair = sp._em_cutoff(band, 1e-9), sp._em_cutoff(pair, 1e-9)
     assert lines == [
+        _em_line(4000, n_band, band(n_band)),
         f"head sum: 4000 points, {n_band} terms, phase-matrix",
+        _em_line(2, n_pair, pair(n_pair)),
         f"head sum: 2 points, {n_pair} terms, per-row",
     ]
+
+
+def _em_line(points: int, n_cutoff: int, bound: float) -> str:
+    return f"Euler-Maclaurin: {points} points, N = {n_cutoff}, M = 14, bound {bound:.3e}"
+
+
+def test_em_sum_logs_its_cutoff(caplog):
+    # every Euler-Maclaurin entry logs the cutoff it sized: a tail sum from
+    # n = 40 (so N >= 40), a one-point zeta and a twist-1 Lerch call
+    caplog.set_level("DEBUG", logger="hardyseries.special")
+    value, bound = sp.hurwitz_tail_sum(np.array([2 + 1j, 2 + 5j]), 0.5, 40, 1e-12)
+    sp.hurwitz_zeta(0.5 + 3j, 0.3, 1e-10)
+    sp.lerch_phi(1.0, 0.7, 1 + 1j * np.array([5.0, 7.0]), 1e-9)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("Euler-Maclaurin")]
+    tail = sp._em_bound(2 + 5j, 0.5)
+    zeta = sp._em_bound(0.5 + 3j, 0.3)
+    lerch = sp._em_bound(1 + 7j, 0.7)
+    n_tail = sp._em_cutoff(tail, 1e-12, 40)
+    n_zeta, n_lerch = sp._em_cutoff(zeta, 1e-10), sp._em_cutoff(lerch, 1e-9)
+    assert n_tail >= 40 and bound == tail(n_tail)
+    assert lines == [_em_line(2, n_tail, bound), _em_line(1, n_zeta, zeta(n_zeta)),
+                     _em_line(2, n_lerch, lerch(n_lerch))]
+    # debug off: no line, and the same value bits
+    caplog.clear()
+    caplog.set_level("INFO", logger="hardyseries.special")
+    again, _ = sp.hurwitz_tail_sum(np.array([2 + 1j, 2 + 5j]), 0.5, 40, 1e-12)
+    assert not caplog.records and np.array_equal(again, value)
 
 
 # one 4000-node band at t = 10^4; a BLAS product V @ E.T in place of the
