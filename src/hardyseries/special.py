@@ -18,14 +18,17 @@ acc = c_k + q_k acc with q_k = (s+2k-1)(s+2k)/(N+alpha)^2, and takes
 (N+alpha)^-s as exp(-s log(N+alpha)): a few elementwise operations per
 term, the same for one point as for a band of thousands.  Bernoulli
 numbers B_2 .. B_60 are generated exactly once at import time from the
-integer recurrence.
+integer recurrence.  The twisted Lerch tail sum_{n>=N} z^n (n+beta)^-s,
+z = e^(2 pi i alpha) != 1, is closed the same way by Euler-Boole
+summation: K = 30 terms c_k (-1)^k (s)_k (N+beta)^-k, with c_k the Taylor
+coefficients of 1/(1 - z e^u) computed per call, nested as
+acc = c_k - (s+k)/(N+beta) acc, under a remainder bound of the same shape.
 
 The array evaluators (``hurwitz_tail_sum``, ``hurwitz_zeta_grid`` and
 ``lerch_phi``) take one complex s or an array of points on one vertical
 line, and refuse points off it.  Every bound grows with |t| at fixed sigma,
 so one cutoff, sized at the largest |Im s|, serves the whole array: the
-Euler-Maclaurin N, and for twisted sums the Abel-summation plan (N, K),
-where N is the smallest cutoff >= 64 whose truncation + roundoff bound
+smallest N >= 16 whose Euler-Maclaurin or Euler-Boole remainder bound
 meets the tolerance.  Every Euler-Maclaurin value (``hurwitz_zeta``,
 ``hurwitz_tail_sum``, ``hurwitz_zeta_grid`` and ``lerch_phi`` at twist 1)
 enters the kernel through one checked call, ``_em_sum``: it refuses
@@ -47,10 +50,7 @@ nodes of each scan window (R = 9); a 1-d array counts as one row of at
 least 128 points.  Rows longer than 64 are cut into runs of R = 64.  Every
 other array takes one complex exp per (point, term), each row summed in
 term order; so does a (K, terms) weight stack, one weight row per row of
-points, where rows of equal points share their exponentials.  The one
-other exponential table is not a sum: ``lerch_phi`` builds the (points,
-K + 1) table of its Abel-folded tail, g(m) = (m + N + beta)^-s, as
-(N + beta)^-s times the ratios (1 + m/(N + beta))^-s.
+points, where rows of equal points share their exponentials.
 """
 
 from __future__ import annotations
@@ -90,8 +90,7 @@ _MAX_CUTOFF = 2 ** 21
 _HEAD_BLOCK = 1 << 16  # head-sum matrix entries per block (points x terms), 1 MiB
 _PHASE_ROWS = 64  # phase-matrix head sum: most points per run, runs per anchor block
 _PHASE_TERMS = 4096  # terms per piece of the phase-matrix head sum, E at 4 MiB
-_LERCH_MIN_CUTOFF = 64
-_LERCH_ORDERS = (16, 12, 8, 5, 3, 2)  # Abel difference orders K, tried in turn
+_BOOLE_TERMS = 30  # Euler-Boole coefficients K in every twisted Lerch closure
 
 
 def _bernoulli_even() -> tuple[float, ...]:
@@ -188,14 +187,14 @@ def _smallest_cutoff(bound, lo: int, hi: int, tol: float) -> int:
 
 def _em_cutoff(bound, tol: float, start: int = 0) -> int:
     """Smallest N >= max(start, 16) at which ``bound``, a remainder bound
-    from ``_em_bound``, meets ``tol``."""
+    from ``_em_bound`` or ``_boole_bound``, meets ``tol``."""
     if not tol > 0:
         raise InvalidParameterError(f"target_error must be positive, got {tol}")
     lo = max(start, _MIN_CUTOFF) - 1  # below the floor, or fails the bound
     hi = max(lo + 1, _MAX_CUTOFF)  # meets the bound
     if not bound(hi) <= tol:  # also catches a NaN ordinate
         raise PrecisionError(
-            f"Euler-Maclaurin bound {bound(hi):.3e} > target {tol:.3e} at N = {hi}"
+            f"remainder bound {bound(hi):.3e} > target {tol:.3e} at N = {hi}"
         )
     return _smallest_cutoff(bound, lo, hi, tol)
 
@@ -454,63 +453,45 @@ def hurwitz_zeta_grid(
 # Lerch zeta
 # ---------------------------------------------------------------------------
 
-def _lerch_bound(worst: complex, beta: float, gap: float, k_order: int):
-    """(truncation, roundoff) of the Abel-folded tail at s = ``worst``, each
-    as a function of the head cutoff N.
+def _boole_coefficients(z: complex) -> list:
+    """c_0 .. c_{K-1} of 1/(1 - z e^u) = sum_k c_k u^k for z != 1, from
+    c_0 = 1/(1-z) and c_n = z/(1-z) sum_{j=1..n} c_{n-j}/j!; c_k equals
+    Li_{-k}(z)/k!."""
+    ratio = z / (1 - z)
+    inv_fact = [1 / math.factorial(j) for j in range(1, _BOOLE_TERMS)]  # j >= 1
+    coeffs = [1 / (1 - z)]
+    for _ in range(1, _BOOLE_TERMS):
+        coeffs.append(ratio * sum(c * f for c, f in zip(reversed(coeffs), inv_fact)))
+    return coeffs
 
-    Truncation after K difference orders is bounded by
-    |(s)_K| ((N+beta)^(-sigma-K) + (N+beta)^(-sigma-K+1)/(sigma+K-1)) / gap^K,
-    and the finite differences lose roughly C(K, K/2) eps / gap^(K+1) in
-    absolute terms, so small gaps |1 - e^(2 pi i alpha)| force small K and
-    large N.  Both fall monotonically in N; at fixed sigma the truncation
-    grows with |t| and the roundoff does not depend on t, so the bound at the
-    largest |Im s| covers a whole line.
+
+def _boole_bound(worst: complex, alpha: float, beta: float):
+    """The Euler-Boole remainder bound at s = ``worst`` as a function of the
+    cutoff N, for 0 < alpha < 1.
+
+    With z = e^(2 pi i alpha) and g(x) = (x + N + beta)^-s, twisted Poisson
+    summation gives sum_{m>=0} z^m g(m) = g(0)/2 + sum_j int_0^inf g(x)
+    e^(-u_j x) dx over the poles u_j = 2 pi i (j - alpha) of 1/(1 - z e^u).
+    K integrations by parts give sum_{k<K} g^(k)(0) sum_j u_j^(-k-1), which
+    is sum_{k<K} c_k g^(k)(0) as 1/(1 - z e^u) = 1/2 + sum_j 1/(u_j - u)
+    (the 1/2 meets g(0)/2), plus R_K = int_0^inf g^(K)(x) sum_j u_j^-K
+    e^(-u_j x) dx.  As |e^(-u_j x)| = 1 for real x and |g^(K)(x)| =
+    |(s)_K| (x + N + beta)^-(sigma+K),
+    |R_K| <= S_K |(s)_K| (N + beta)^(1-sigma-K) / (sigma + K - 1), with
+    S_K = sum_j |2 pi (j - alpha)|^-K = (2 pi)^-K (zeta(K, alpha) +
+    zeta(K, 1 - alpha)) and zeta(K, x) <= x^-K + (1+x)^-K (1 + (1+x)/(K-1)).
+    log C is summed once, scaled by the nearer pole, so neither large |t|
+    nor alpha near 0 or 1 can overflow; at fixed sigma the bound grows with
+    |t|, so its value at the largest |Im s| covers a whole line.
     """
-    sigma = worst.real
-    rising = 1.0
-    for j in range(k_order):
-        rising *= abs(worst + j) if j else max(abs(worst), 1e-300)
-
-    def trunc(n_cutoff):
-        nb = n_cutoff + beta
-        return (
-            rising
-            * (nb ** (-sigma - k_order) + nb ** (-sigma - k_order + 1) / (sigma + k_order - 1))
-            / gap ** k_order
-        )
-
-    def roundoff(n_cutoff):
-        return (
-            math.comb(k_order, k_order // 2)
-            * 2.3e-16
-            * (n_cutoff + beta) ** (-sigma)
-            / gap ** (k_order + 1)
-        )
-
-    return trunc, roundoff
-
-
-def _lerch_tail_plan(worst: complex, beta: float, gap: float, tol: float):
-    """(N, K, bound) for the oscillatory tail at s = ``worst``.
-
-    K runs down the orders 16, 12, 8, 5, 3, 2.  An order whose roundoff
-    alone exceeds ``tol`` at N = 64, or whose bound misses ``tol`` even at
-    N = 2^21, gives way to the next, lower one; for the first order that
-    stays, N is the smallest cutoff >= 64 with truncation + roundoff <= tol.
-    """
-    for k_order in _LERCH_ORDERS:
-        trunc, roundoff = _lerch_bound(worst, beta, gap, k_order)
-
-        def total(n_cutoff):
-            return trunc(n_cutoff) + roundoff(n_cutoff)
-
-        if roundoff(_LERCH_MIN_CUTOFF) > tol or not total(_MAX_CUTOFF) <= tol:
-            continue
-        n_cutoff = _smallest_cutoff(total, _LERCH_MIN_CUTOFF - 1, _MAX_CUTOFF, tol)
-        return n_cutoff, k_order, total(n_cutoff)
-    raise PrecisionError(
-        f"lerch_phi: cannot reach target error {tol:.2e} for gap {gap:.3e}"
-    )
+    k = _BOOLE_TERMS
+    power = worst.real + k - 1
+    near = min(alpha, 1 - alpha)
+    scaled = sum((near / x) ** k + (near / (1 + x)) ** k * (1 + (1 + x) / (k - 1))
+                 for x in (alpha, 1 - alpha))
+    log_c = math.log(scaled / power) - k * math.log(2 * math.pi * near)
+    log_c += sum(math.log(abs(worst + j)) for j in range(k))
+    return lambda n_cutoff: math.exp(log_c - power * math.log(n_cutoff + beta))
 
 
 def lerch_phi(alpha: float, beta: float, s, target_error: float = 1e-10):
@@ -521,13 +502,16 @@ def lerch_phi(alpha: float, beta: float, s, target_error: float = 1e-10):
     0 < alpha, beta <= 1 and Re(s) >= 1, excluding the pole at
     (alpha, s) = (1, 1).  For alpha = 1 the twist is trivial and the value
     is zeta(s, beta), with one Euler-Maclaurin cutoff at the largest |Im s|.
-    Otherwise the head is summed directly and the tail sum_{m} z^m g(m) is
-    folded by iterated Abel summation,
+    Otherwise the head n < N is summed directly and, with z = e^(2 pi i
+    alpha) and a = N + beta, the tail is closed by Euler-Boole summation,
 
-        sum = sum_{k<K} z^k D^k g(0) / (1-z)^(k+1) + remainder,
+        sum_{n>=N} z^n (n+beta)^-s = z^N a^-s sum_{k<K} c_k (-1)^k (s)_k a^-k + R_K,
 
-    whose remainder carries the explicit bound from ``_lerch_tail_plan``,
-    planned once at the largest |Im s| for the whole array.
+    nested as acc = c_k - (s+k)/a acc from acc = c_{K-1} down to k = 0,
+    with the c_k of ``_boole_coefficients`` and K = 30.  N is the smallest
+    cutoff >= 16 at which the bound on R_K (``_boole_bound``), taken at the
+    largest |Im s|, meets ``target_error``.  With debug logging on, each
+    twisted call logs its point count, cutoff N, order K and bound.
     """
     if not (0 < alpha <= 1 and 0 < beta <= 1):
         raise InvalidParameterError("lerch_phi needs 0 < alpha, beta <= 1")
@@ -541,24 +525,19 @@ def lerch_phi(alpha: float, beta: float, s, target_error: float = 1e-10):
     if points.size == 0:
         return np.empty(points.shape, dtype=complex)
     sv = points.ravel()
-    worst = _line_worst(sv)
-    z = cmath.exp(2j * math.pi * alpha)
-    n_cutoff, k_order, _ = _lerch_tail_plan(worst, beta, abs(1 - z), target_error)
+    bound = _boole_bound(_line_worst(sv), alpha, beta)
+    n_cutoff = _em_cutoff(bound, target_error)
+    logger.debug("Euler-Boole: %d points, N = %d, K = %d, bound %.3e",
+                 sv.size, n_cutoff, _BOOLE_TERMS, bound(n_cutoff))
     n = np.arange(n_cutoff)
     head = _head_sum(points, np.log(n + beta), np.exp(2j * math.pi * alpha * n))
-    # g(m) = (m + N + beta)^-s, m = 0..K, one row per point, as
-    # (N + beta)^-s (1 + m/(N + beta))^-s: a ratio's phase is rounded by
-    # about eps t m/N, where log(m + N + beta) would give eps t log N, and
-    # the K differences divided by gap^(K+1) amplify that rounding
+    z = cmath.exp(2j * math.pi * alpha)
+    coeffs = _boole_coefficients(z)
     nb = n_cutoff + beta
-    diff = np.exp(-np.multiply.outer(sv, np.log1p(np.arange(k_order + 1) / nb)))
-    tail = np.zeros(sv.shape, dtype=complex)
-    zp = 1.0 + 0j
-    for k in range(k_order):
-        tail += zp * diff[:, 0] / (1 - z) ** (k + 1)
-        zp *= z
-        diff = diff[:, 1:] - diff[:, :-1]
-    value = head.ravel() + z ** n_cutoff * np.exp(-sv * math.log(nb)) * tail
+    acc = np.full(sv.shape, coeffs[-1], dtype=complex)
+    for k in range(_BOOLE_TERMS - 2, -1, -1):
+        acc = coeffs[k] - (sv + k) / nb * acc
+    value = head.ravel() + z ** n_cutoff * np.exp(-sv * math.log(nb)) * acc
     if np.ndim(s) == 0:
         return complex(value[0])
     return value.reshape(np.shape(s))

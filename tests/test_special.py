@@ -272,8 +272,7 @@ def test_phase_matrix_head_matches_per_row_and_mpmath():
     # the twisted Lerch head: the twist is a per-term factor of each block row
     alpha, beta = 0.3, 0.7
     ts = 500.0 + _SCAN_H * np.arange(4000)
-    n = np.arange(sp._lerch_tail_plan(complex(1.0, ts[-1]), beta,
-                                      abs(1 - np.exp(2j * np.pi * alpha)), 1e-9)[0])
+    n = np.arange(sp._em_cutoff(sp._boole_bound(complex(1.0, ts[-1]), alpha, beta), 1e-9))
     log_n, twist = np.log(n + beta), np.exp(2j * np.pi * alpha * n)
     head = sp._head_sum(1.0 + 1j * ts, log_n, twist)
     deviation = np.abs(head - _per_row_head(1.0 + 1j * ts, log_n, twist))
@@ -324,7 +323,6 @@ def test_row_phase_head_matches_per_row_and_mpmath(width):
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(1988 + width)
     alpha, beta = 0.3, 0.7
-    gap = abs(1 - np.exp(2j * np.pi * alpha))
     for t0 in (100.0, 1000.0, 1e4):
         ts = t0 + np.add.outer(8.0 * np.arange(25), _SCAN_H * np.arange(width))
         assert sp._progression_step(ts) == pytest.approx(_SCAN_H, rel=1e-9)
@@ -333,8 +331,8 @@ def test_row_phase_head_matches_per_row_and_mpmath(width):
         # head is longer than one piece of 4096 terms
         n_zeta = np.arange(sp._em_cutoff(sp._em_bound(complex(1.0, ts.max()), alpha),
                                          1e-9))
-        n_lerch = np.arange(sp._lerch_tail_plan(complex(1.0, ts.max()), beta, gap,
-                                                1e-9)[0])
+        n_lerch = np.arange(sp._em_cutoff(sp._boole_bound(complex(1.0, ts.max()), alpha,
+                                                          beta), 1e-9))
         for log_n, twist in ((np.log(n_zeta + alpha), None),
                              (np.log(n_lerch + beta),
                               np.exp(2j * np.pi * alpha * n_lerch))):
@@ -516,7 +514,8 @@ def test_lerch_against_bruteforce():
 
 
 def test_lerch_near_degenerate_twist():
-    # small |1 - z| forces the low-order/large-cutoff branch
+    # small |1 - z|: the pole 2 pi i (1 - alpha) of the Euler-Boole kernel
+    # sits at 0.063, so the cutoff runs to N = 316 even at t = 0
     val = sp.lerch_phi(0.99, 0.5, 1.0, 1e-8)
     ref = _lerch_bruteforce(0.99, 0.5, 1.0 + 0j, 10 ** 7)
     assert abs(val - ref) < 1e-4
@@ -602,9 +601,8 @@ def test_lerch_array_matches_scalar_and_mpmath():
 
 @pytest.mark.parametrize("alpha", [0.1, 0.9])
 def test_lerch_small_gap_meets_tolerance(alpha):
-    # |1 - e^(2 pi i alpha)| = 0.618: the K = 16 Abel differences divided by
-    # gap^17 amplify any rounding of the table g(m) = (m + N + beta)^-s,
-    # which once cost 2.3e-9 to 3.4e-9 at target 1e-9
+    # the nearest pole 2 pi i (j - alpha) of the Euler-Boole kernel sits
+    # at 0.63, so these twists take the longest heads, about 2.9 t
     pytest.importorskip("mpmath")
     tol = 1e-9
     for t in (100.0, 1000.0):
@@ -613,28 +611,120 @@ def test_lerch_small_gap_meets_tolerance(alpha):
 
 
 def test_lerch_plan_is_minimal():
-    gap = abs(1 - np.exp(0.6j * np.pi))  # alpha = 0.3
-    plans = [sp._lerch_tail_plan(complex(1.0, t), 0.7, gap, 1e-9)
+    # alpha = 0.3: N about 0.95 t
+    plans = [sp._em_cutoff(sp._boole_bound(complex(1.0, t), 0.3, 0.7), 1e-9)
              for t in (200.0, 392.0, 600.0, 1000.0)]
-    assert [(n, k) for n, k, _ in plans] == [(381, 16), (745, 16), (1140, 16), (1899, 16)]
-    # near-degenerate twist: order 8 meets 1e-8 only from N ~ 1e5 on, order 5 at 1198
-    near = sp._lerch_tail_plan(1.0 + 0j, 0.5, abs(1 - np.exp(1.98j * np.pi)), 1e-8)
-    assert near[:2] == (1198, 5)
+    assert plans == [190, 371, 567, 945]
+    # near-degenerate twist: the nearest pole sits at 0.063
+    assert sp._em_cutoff(sp._boole_bound(1.0 + 0j, 0.99, 0.5), 1e-8) == 316
     rng = np.random.default_rng(1999)
     cases = [(0.99, 0.5, 1.0 + 0j, 1e-8)] + [
         (rng.uniform(0.01, 0.99), rng.uniform(0.01, 1.0),
          complex(rng.uniform(1.0, 3.0), rng.uniform(0.0, 1000.0)),
          10.0 ** rng.uniform(-12.0, -6.0)) for _ in range(24)]
     for alpha, beta, s, tol in cases:
-        gap = abs(1 - np.exp(2j * np.pi * alpha))
-        n_cutoff, k_order, bound = sp._lerch_tail_plan(s, beta, gap, tol)
-        trunc, roundoff = sp._lerch_bound(s, beta, gap, k_order)
-        assert bound == trunc(n_cutoff) + roundoff(n_cutoff) <= tol
-        assert n_cutoff == 64 or trunc(n_cutoff - 1) + roundoff(n_cutoff - 1) > tol
-        # every higher order was dropped for one of the two stated reasons
-        for k_high in sp._LERCH_ORDERS[:sp._LERCH_ORDERS.index(k_order)]:
-            trunc, roundoff = sp._lerch_bound(s, beta, gap, k_high)
-            assert roundoff(64) > tol or trunc(2 ** 21) + roundoff(2 ** 21) > tol
+        bound = sp._boole_bound(s, alpha, beta)
+        n_cutoff = sp._em_cutoff(bound, tol)
+        assert bound(n_cutoff) <= tol
+        assert n_cutoff == 16 or bound(n_cutoff - 1) > tol
+        # the bound at the largest |t| covers the line below it
+        assert sp._boole_bound(complex(s.real, s.imag / 2), alpha, beta)(n_cutoff) <= tol
+
+
+def test_boole_coefficients_match_polylog():
+    # 1/(1 - z e^u) = 1 + sum_k Li_{-k}(z) u^k / k!.  Errors are taken
+    # relative to the nearest pole's term |2 pi alpha|^(-k-1), alpha taken
+    # mod 1 into [-1/2, 1/2]: that is |c_k| up to the odd symmetry at
+    # alpha = 1/2, where the even c_k vanish.
+    mpmath = pytest.importorskip("mpmath")
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+        z = complex(np.exp(2j * np.pi * alpha))
+        coeffs = sp._boole_coefficients(z)
+        assert len(coeffs) == sp._BOOLE_TERMS
+        pole = 2 * math.pi * min(alpha, 1 - alpha)
+        with mpmath.workdps(30):
+            for k, c in enumerate(coeffs):
+                ref = (k == 0) + mpmath.polylog(-k, mpmath.mpc(z)) / mpmath.factorial(k)
+                assert abs(c - complex(ref)) <= 1e-14 * pole ** (-k - 1)
+
+
+def test_boole_bound_matches_its_formula():
+    # S_K |(s)_K| (N + beta)^(1-sigma-K) / (sigma + K - 1) with
+    # S_K = (2 pi)^-K (zeta(K, alpha) + zeta(K, 1 - alpha)), in 30 digits:
+    # the closed-form upper end of zeta(K, x) adds at most 3^-30 relative
+    mpmath = pytest.importorskip("mpmath")
+    k = sp._BOOLE_TERMS
+    for alpha, beta, s, n_cutoff in [(0.5, 0.3, 1.0 + 600j, 400), (0.3, 0.7, 1.0 + 20j, 30),
+                                     (0.1, 1.0, 2.5 + 5000j, 15000), (0.99, 0.5, 1.0 + 0j, 316)]:
+        with mpmath.workdps(30):
+            s_k = (mpmath.zeta(k, alpha) + mpmath.zeta(k, 1 - alpha)) / (2 * mpmath.pi) ** k
+            exact = float(s_k * abs(mpmath.rf(mpmath.mpc(s), k))
+                          * mpmath.mpf(n_cutoff + beta) ** (1 - s.real - k) / (s.real + k - 1))
+        assert exact * (1 - 1e-12) <= sp._boole_bound(s, alpha, beta)(n_cutoff) <= exact * (1 + 1e-10)
+
+
+def _rational_twist(alpha: float, beta: float, s: np.ndarray) -> np.ndarray:
+    """phi(p/q, beta; s) = q^-s sum_{r<q} e^(2 pi i r p/q) zeta(s, (r + beta)/q),
+    each Hurwitz zeta from ``_em_sum`` at 1e-14: no Lerch code."""
+    from fractions import Fraction
+
+    frac = Fraction(alpha).limit_denominator(100)
+    p, q = frac.numerator, frac.denominator
+    total = sum(np.exp(2j * np.pi * r * p / q) * sp._em_sum(s, (r + beta) / q, 1e-14)[0]
+                for r in range(q))
+    return total * np.exp(-s * math.log(q))
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_lerch_band_within_closure_bound(alpha):
+    # 64-node bands at height, where mpmath.lerchphi fails: the value lies
+    # within the Euler-Boole bound of the rational-twist identity, whose
+    # q <= 10 Hurwitz zetas each carry at most 1e-14
+    beta = 0.3
+    for t0 in (50.0, 600.0, 5000.0):
+        sv = 1.0 + 1j * (t0 + _SCAN_H * np.arange(64))
+        bound = sp._boole_bound(complex(sv[-1]), alpha, beta)
+        n_cutoff = sp._em_cutoff(bound, 1e-9)
+        error = np.abs(sp.lerch_phi(alpha, beta, sv, 1e-9) - _rational_twist(alpha, beta, sv))
+        assert np.max(error) <= bound(n_cutoff) + 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.99])
+def test_lerch_matches_mpmath_lerchphi_at_small_height(alpha):
+    # mpmath.lerchphi is usable only at small |t| (at t = 600 it returns
+    # values of size 1e338).  There each value lies within the bound of its
+    # cutoff, up to 1e-14 of rounding, and so within the tolerance asked.
+    mpmath = pytest.importorskip("mpmath")
+    for beta in (0.3, 1.0):
+        for t in (0.0, 20.0, 50.0):
+            with mpmath.workdps(25):
+                ref = complex(mpmath.lerchphi(mpmath.expjpi(2 * mpmath.mpf(alpha)),
+                                              mpmath.mpc(1.0, t), beta))
+            bound = sp._boole_bound(complex(1.0, t), alpha, beta)
+            for tol in (1e-3, 1e-6, 1e-9, 1e-12):
+                error = abs(sp.lerch_phi(alpha, beta, complex(1.0, t), tol) - ref)
+                assert error <= bound(sp._em_cutoff(bound, tol)) + 1e-14
+                assert error <= tol
+
+
+def test_lerch_logs_its_closure(caplog):
+    # one Euler-Boole line per twisted call; a twist-1 call logs the
+    # Euler-Maclaurin line instead
+    caplog.set_level("DEBUG", logger="hardyseries.special")
+    sv = 1 + 1j * np.array([5.0, 7.0])
+    value = sp.lerch_phi(0.3, 0.7, sv, 1e-9)
+    sp.lerch_phi(1.0, 0.7, sv, 1e-9)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("Euler-Boole")]
+    bound = sp._boole_bound(1 + 7j, 0.3, 0.7)
+    n_cutoff = sp._em_cutoff(bound, 1e-9)
+    assert lines == [f"Euler-Boole: 2 points, N = {n_cutoff}, K = 30, "
+                     f"bound {bound(n_cutoff):.3e}"]
+    # debug off: no line, and the same value bits
+    caplog.clear()
+    caplog.set_level("INFO", logger="hardyseries.special")
+    assert np.array_equal(sp.lerch_phi(0.3, 0.7, sv, 1e-9), value)
+    assert not caplog.records
 
 
 # ---------------------------------------------------------------------------
