@@ -1,25 +1,11 @@
 """Explicit constants and right-hand sides for the series inequalities.
 
-Every bound in the catalog is computed here and wrapped in a
-``BoundReport``.  Identifiers follow the internal catalog:
-
-  T4          local mean square           int_0^D |L|^2 <= (D + 3 pi C) ||L||_2^2
-  T6/T7/T9    shifted-tail decay          ||L_x - a_0||_1 upper bounds
-  T10/L8      weighted log+               Poisson-kernel log+ integral bounds
-  T11/T12     weighted log-               log+ bound minus log|anchor|
-  T13/T14/L13 nonvanishing abscissa       x_xi with xi <= |L| <= 2 - xi beyond it
-  T15/T16     short-interval log bounds   (general coefficients)
-  T21/T22     short-interval log bounds   (|a_n| <= 1)
-  T17-T20     sup / L^p lower bounds      exp(-...) forms
-  T23-T26     sup / L^p lower bounds      (24 ||L||_2)^(-K0/delta) forms
-  T27-T30,L14 zeta-family lower bounds    astronomically small; log space only
-
-``nonvanishing(series, xi, variant)`` is the one place that picks the norm,
-C and rate each nonvanishing variant reads of a series with a_0 = 1:
-
-  T13 "L1"           ||L - 1||_1 at sigma, rate lambda_1
-  T14 "H2"           ||L - 1||_2 of the stored coefficients, C, rate K
-  L13 "BoundedCoeff" norm 1 (|a_n| <= 1), C, rate lambda_1
+``CATALOG`` is the catalog's one table: each id's side, space, coefficient
+class, the kind of formula that evaluates it and its statement.  Every bound
+is computed here and wrapped in a ``BoundReport``; ``bound_report`` alone
+maps an id to the inputs it reads of a series and to its formula, and
+``nonvanishing(series, xi, variant)`` alone picks the norm, C and rate each
+nonvanishing variant (the ``variant`` of its entry) reads.
 
 Lower bounds smaller than any representable float are always handled in
 natural-log space: such a report carries the natural log of the bound.
@@ -43,9 +29,11 @@ from .errors import (
 )
 
 __all__ = [
+    "BOUND_KINDS",
     "BoundReport",
-    "THEOREM_IDS",
+    "CATALOG",
     "ab2_constants",
+    "bound_report",
     "class_params",
     "classical_l1_tail",
     "consistency_fractions",
@@ -63,11 +51,58 @@ __all__ = [
     "supnorm_lp_lower_bound",
 ]
 
-THEOREM_IDS = (
-    "T4", "T6", "T7", "T9", "T10", "T11", "T12", "T13", "T14",
-    "T15", "T16", "T17", "T18", "T19", "T20", "T21", "T22", "T23", "T24",
-    "T25", "T26", "T27", "T28", "T29", "T30", "L13", "L14",
-)
+
+class Entry(NamedTuple):
+    side: str  # "upper" | "lower", as its BoundReport
+    log_space: bool  # its BoundReport carries the natural log of the bound
+    coeffs: str  # "general", or "bounded": |a_n| <= 1
+    kind: Optional[str]  # the formula that evaluates it; None: no command yet
+    variant: Optional[str]  # that formula's name for it, where not the id
+    statement: str
+
+
+#: Kinds ``bound_report`` evaluates: ``local_l2_bound`` (window), ``short_interval_log_bounds``
+#: (log), ``supnorm_lp_lower_bound`` (sup, lp) and ``hurwitz_lower_bound`` (zeta)
+BOUND_KINDS = ("window", "log", "sup", "lp", "zeta")
+
+# id side space class kind variant statement, "-" for None; W is the window
+# [T, T + delta], and log ||L|| the log of a norm
+_TABLE = """
+T4  upper lin general window -  int_0^D |L(sigma_1+it)|^2 dt <= (D + 3 pi C) ||L||_2^2
+T6  upper lin general - -  ||L_x - a_0||_1 <= sqrt(1 + C/(2x)) ||L - a_0||_2 e^(-lambda_1 x)
+T7  upper lin general - -  ||L_x - a_0||_1 <= sqrt(1 + C/(2x)) ||L - a_0||_2 e^(-K x)
+T9  upper lin general - -  ||L_x - a_0||_1 <= 2^-x sqrt(1 + 1/(x sqrt(8) log 2)) ||L - a_0||_2, classical
+T10 upper lin general - -  (D/pi) int log+|L| / (D^2+t^2) <= kappa_half + log(1 + 3 pi C/D)/2 + log ||L||_2
+L8  upper lin general - -  (D/pi) int log+|L| / (D^2+t^2) <= log+ ||L||_1
+T11 upper lin general - -  (D/pi) int log-|L| / (D^2+t^2) <= the T10 bound - log|L(sigma+D)|
+T12 upper lin general - -  (D/pi) int log-|L| / (D^2+t^2) <= the L8 bound - log|L(sigma+D)|
+T13 upper lin general nonvanishing L1  xi <= |L| <= 2-xi beyond x_xi = log+(||L-1||_1/(1-xi))/lambda_1
+T14 upper lin general nonvanishing H2  xi <= |L| <= 2-xi beyond the root x of sqrt(1 + C/(2x)) e^(-K x) ||L-1||_2 = 1-xi
+L13 upper lin bounded nonvanishing BoundedCoeff  xi <= |L| beyond the root x of (1 + C/x) e^(-lambda_1 x) = 1-xi
+T15 upper lin general log -  int_W log-|L| <= pi ((log ||L||_1 + log 2)^2/lambda_1 + delta^2 lambda_1); log+: delta log ||L||_1
+T16 upper lin general log -  int_W log-|L| <= pi ((log ||L||_2 + 1)^2/K + delta^2 K); log+: delta log((1 + 3 pi C/delta) ||L||_2)
+T17 lower log general sup -  log sup_W |L| >= -pi ((log ||L||_1 + log 2)^2/(lambda_1 delta) + lambda_1 delta)
+T18 lower log general sup -  log sup_W |L| >= -pi ((log ||L||_2 + 1)^2/(K delta) + K delta)
+T19 lower log general lp -  log (int_W |L|^p / delta)^(1/p) >= the T17 bound
+T20 lower log general lp -  log (int_W |L|^p / delta)^(1/p) >= the T18 bound
+T21 upper lin bounded log -  int_W log-|L| <= K0 + C0 K0 log ||L||_2, K0 = pi (max(C, log 4/K) + delta^2/(4C))
+T22 upper lin bounded log -  int_W log-|L| <= K0 (log 2 + log ||L||_1)
+T23 lower log bounded lp -  log (int_W |L|^p / delta)^(1/p) >= -(K0/delta) log(24 ||L||_2)
+T24 lower log bounded lp -  log (int_W |L|^p / delta)^(1/p) >= -(K0/delta) log(2 ||L||_1)
+T25 lower log bounded sup -  log sup_W |L| >= -(K0/delta) log(24 ||L||_2)
+T26 lower log bounded sup -  log sup_W |L| >= -(K0/delta) log(2 ||L||_1)
+T27 lower log bounded zeta HurwitzLerch  int_W |zeta(1+it, alpha)| >= (1 + alpha/delta)^(-7/(6 delta)) 10^(-9/delta) / alpha
+T28 lower log bounded zeta HurwitzLerch  the T27 bound for the twisted family phi(a, alpha; 1+it) at shift alpha
+T29 lower log bounded zeta Uniform  int_W |zeta(1+it, alpha)| >= delta^(7/(6 delta)) 10^(-9/delta), for every alpha
+T30 lower log bounded zeta Uniform  the T29 bound for the twisted family, for every shift
+L14 lower log bounded zeta DirichletL14  int_W |sum a_n (n+alpha)^-(1+it)| >= (1 + alpha S)^(-29/(25 delta)) e^(-16/delta) / alpha, S = sum |a_n|^2/(n+alpha)
+"""
+CATALOG = {
+    tid: Entry(side, space == "log", coeffs, None if kind == "-" else kind,
+               None if variant == "-" else variant, statement)
+    for tid, side, space, coeffs, kind, variant, statement in (
+        line.split(None, 6) for line in _TABLE.strip().splitlines())
+}
 
 #: Separation constant of the classical exponents at the half-line,
 #: 1 / (sqrt(2) log 2); also an upper bound for every alpha in (0, 1].
@@ -87,7 +122,7 @@ class BoundReport:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        if self.theorem_id not in THEOREM_IDS:
+        if self.theorem_id not in CATALOG:
             raise InvalidParameterError(f"unknown theorem id {self.theorem_id!r}")
         if self.side not in ("upper", "lower"):
             raise InvalidParameterError("side must be 'upper' or 'lower'")
@@ -332,10 +367,10 @@ class Nonvanishing(NamedTuple):
 
 def nonvanishing(series: se.DirichletSeries, xi: float, variant: str) -> Nonvanishing:
     """x_xi of ``series`` with a_0 normalized to 1, from the norm, C and rate
-    its variant reads (see the module docstring), C, lambda_1 and K being
-    ``class_params`` of that series.  BoundedCoeff refuses a series with
-    some |a_n| > 1 after normalization.  H2 refuses an analytic tail, whose l2
-    norm the stored coefficients omit, and is capped by
+    its variant reads (see the ``CATALOG`` statement of its id), C, lambda_1
+    and K being ``class_params`` of that series.  BoundedCoeff refuses a
+    series with some |a_n| > 1 after normalization.  H2 refuses an analytic
+    tail, whose l2 norm the stored coefficients omit, and is capped by
     max(C, K^-1 log+(sqrt(3) norm / (sqrt(2)(1-xi))))."""
     series = se.normalize_leading(series)
     # the slack absorbs a coefficient divided by its own modulus landing an ulp above 1
@@ -388,17 +423,9 @@ def short_interval_log_bounds(
     lambda1: float | None = None,
     xi: float | None = None,
 ) -> tuple[float, Optional[float]]:
-    """(log- bound, log+ bound or None) for int_T^(T+delta) log+-|L| dt.
-
-    variant "T15" (absolutely convergent, a_0 = 1):
-        minus: pi ((log ||L||_1 + log 2)^2 / lambda_1 + delta^2 lambda_1)
-        plus:  delta log ||L||_1
-    variant "T16" (square-summable class, a_0 = 1):
-        minus: pi ((log ||L||_2 + 1)^2 / K + delta^2 K)
-        plus:  delta log(1 + 3 pi C / delta) + delta log ||L||_2
-    variant "T21" (|a_n| <= 1): K0 + K1 log ||L||_2, no plus side
-    variant "T22" (|a_n| <= 1, absolutely convergent):
-        K0 (log 2 + log ||L||_1), no plus side
+    """(log- bound, log+ bound or None) for int_T^(T+delta) log+-|L| dt of
+    the id ``variant`` as its ``CATALOG`` statement reads (T15/T16 assume
+    a_0 = 1; T21/T22 have no plus side).
 
     The printed T15/T16 constants bake in the levels xi = 1/2 and
     xi = 1 - sqrt(3)/(e sqrt 2) respectively; passing ``xi`` overrides the
@@ -471,18 +498,10 @@ def supnorm_lp_lower_bound(
     k: float | None = None,
     lambda1: float | None = None,
 ) -> float:
-    """Natural log of the lower bound for inf_T of the window sup or the
-    normalized L^p mean (delta^-1 int |L|^p)^(1/p); the bound itself does
-    not depend on p.
-
-    T17/T19: -pi ((log ||L||_1 + log 2)^2 / (lambda_1 delta) + delta lambda_1)
-    T18/T20: -pi ((log ||L||_2 + 1)^2 / (K delta) + K delta)
-    T23/T25: -(K0/delta) log(24 ||L||_2)
-    T24/T26: -(K0/delta) log(2 ||L||_1)
-
-    The absolutely-convergent L^p variant (T19) uses the L^1 norm its
-    derivation rests on.
-    """
+    """Natural log of the lower bound of the id ``variant`` for inf_T of the
+    window sup or the normalized L^p mean (delta^-1 int |L|^p)^(1/p), as its
+    ``CATALOG`` statement reads; the bound does not depend on p, and T19 reads
+    the L^1 norm its derivation rests on."""
     if delta <= 0:
         raise InvalidParameterError("delta must be positive")
     if variant in ("T17", "T19"):
@@ -521,18 +540,11 @@ def hurwitz_lower_bound(
     variant: str,
     coeff_sum: float | None = None,
 ) -> float:
-    """Natural log of the window-integral lower bound for the zeta families.
-
-    variant "HurwitzLerch": log of alpha^-1 (1 + alpha/delta)^(-7/(6 delta))
-                            10^(-9/delta); for the twisted family pass the
-                            shift parameter as ``alpha``.
-    variant "Uniform":      log of delta^(7/(6 delta)) 10^(-9/delta)
-                            (the infimum over the shift parameter).
-    variant "DirichletL14": log of alpha^-1 (1 + alpha S)^(-29/(25 delta))
-                            e^(-16/delta) with S = sum |a_n|^2/(n+alpha)
-                            passed as ``coeff_sum``.
-    Validity window 0 < delta <= 0.05.
-    """
+    """Natural log of the window-integral lower bound for the zeta families:
+    variant "HurwitzLerch", "Uniform" or "DirichletL14" (S passed as
+    ``coeff_sum``), as the ``CATALOG`` statement of each id with that
+    ``variant`` reads; the twisted family passes its shift as ``alpha``.
+    Validity window 0 < delta <= 0.05."""
     if not 0 < delta <= 0.05:
         if delta <= 0:
             raise InvalidParameterError("delta must be positive")
@@ -605,3 +617,46 @@ def class_params(series: se.DirichletSeries) -> se.ClassParams:
         params = se.ClassParams(c=c, sigma=series.sigma, lambda1=lambda1, k=k)
         series.__dict__["_class_params"] = params
     return params
+
+
+# ---------------------------------------------------------------------------
+# the catalog's one lookup
+# ---------------------------------------------------------------------------
+
+def bound_report(tid: str, series: se.DirichletSeries | None, delta: float, d: float,
+                 alpha: float, xi: float | None = None) -> tuple[BoundReport, Optional[float]]:
+    """(report, log+ bound or None) of catalog id ``tid`` from the formula its
+    kind names and the inputs that formula reads.  The zeta kind reads
+    ``series`` only for the coefficient sum of "DirichletL14"; ``xi``
+    overrides the level the printed general log bounds bake in, and only those take it."""
+    entry = CATALOG.get(tid)
+    if entry is None or entry.kind not in BOUND_KINDS:
+        raise InvalidParameterError(f"no bound formula evaluates {tid!r}")
+    if xi is not None and (entry.kind, entry.coeffs) != ("log", "general"):
+        raise InvalidParameterError(f"{tid} reads no xi")
+    if series is None and (entry.kind != "zeta" or entry.variant == "DirichletL14"):
+        raise InvalidParameterError(f"{tid} needs a series")
+    plus, notes = None, ""
+    if entry.kind == "zeta":
+        inputs = {"alpha": alpha, "delta": delta}
+        if entry.variant == "DirichletL14":
+            inputs["coeff_sum"] = float(np.sum(np.abs(series.coefficients[1:]) ** 2
+                                               / (np.arange(1, len(series)) + alpha)))
+        value = hurwitz_lower_bound(alpha, delta, entry.variant,
+                                    coeff_sum=inputs.get("coeff_sum"))
+    else:
+        p = class_params(series)
+        norm1, norm2 = se.l1_norm_at(series, series.sigma), se.l2_norm(series)
+        params = dict(norm1=norm1, norm2=norm2, c=p.c, k=p.k, lambda1=p.lambda1)
+        inputs = {"sigma": series.sigma, "C": p.c, "lambda1": p.lambda1, "K": p.k,
+                  "delta": delta, "norm1": norm1, "norm2": norm2}
+        if entry.kind == "window":
+            inputs, value = {"D": d, "C": p.c, "norm2": norm2}, local_l2_bound(norm2, p.c, d)
+        elif entry.kind == "log":
+            if xi is not None:
+                inputs["xi"] = xi
+            value, plus = short_interval_log_bounds(tid, delta, xi=xi, **params)
+            notes = "log-minus window integral bound"
+        else:
+            value = supnorm_lp_lower_bound(tid, delta, **params)
+    return BoundReport(tid, inputs, value, entry.side, entry.log_space, notes=notes), plus

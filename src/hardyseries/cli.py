@@ -21,8 +21,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import bounds as bd
 from . import harness as hn
 from . import quadrature as qd
@@ -31,18 +29,9 @@ from .errors import HardySeriesError, InvalidParameterError, InvalidSeriesError
 
 log = logging.getLogger("hardyseries")
 
-_BOUND_VARIANTS = (
-    "t4", "t15", "t16", "t21", "t22", "t17", "t18", "t19", "t20",
-    "t23", "t24", "t25", "t26", "t27", "t28", "t29", "t30", "l14",
-)
-
 
 def _fmt(x: float) -> str:
     return format(x, ".12g")
-
-
-def _fmt_log(x: float) -> str:
-    return "log:" + format(x, ".12g")
 
 
 def _finite_float(text: str) -> float:
@@ -103,61 +92,15 @@ def _cmd_norms(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    variant = args.variant.lower()
-    if variant not in _BOUND_VARIANTS:
-        print(f"unknown bound variant {variant!r}; choose from {_BOUND_VARIANTS}",
-              file=sys.stderr)
-        return 2
-    delta = args.delta
-    if variant in ("t27", "t28", "t29", "t30", "l14"):
-        mapping = {"t27": "HurwitzLerch", "t28": "HurwitzLerch",
-                   "t29": "Uniform", "t30": "Uniform", "l14": "DirichletL14"}
-        inputs = {"alpha": args.alpha, "delta": delta}
-        if variant == "l14":
-            if args.series is None:
-                print("l14 needs --series for the coefficient sum", file=sys.stderr)
-                return 2
-            series = _load_series(args.series)
-            n = np.arange(1, len(series))
-            inputs["coeff_sum"] = float(np.sum(
-                np.abs(series.coefficients[1:]) ** 2 / (n + args.alpha)
-            ))
-        value = bd.hurwitz_lower_bound(args.alpha, delta, mapping[variant],
-                                       coeff_sum=inputs.get("coeff_sum"))
-        report = bd.BoundReport(variant.upper(), inputs, value, "lower", log_space=True)
-        print(f"{variant}_lower_bound  {_fmt_log(value)}")
-    elif args.series is None:
-        print(f"{variant} needs --series", file=sys.stderr)
-        return 2
+    series = _load_series(args.series) if args.series else None
+    report, plus = bd.bound_report(args.variant, series, args.delta, args.d, args.alpha, args.xi)
+    name, value = args.variant.lower(), report.bound_value
+    if bd.CATALOG[args.variant].kind == "log":
+        print(f"{name}_logminus_bound  {_fmt(value)}")
+        if plus is not None:
+            print(f"{name}_logplus_bound   {_fmt(plus)}")
     else:
-        series = _load_series(args.series)
-        p = bd.class_params(series)
-        norm1, norm2 = se.l1_norm_at(series, series.sigma), se.l2_norm(series)
-        inputs = {"sigma": series.sigma, "C": p.c, "lambda1": p.lambda1, "K": p.k,
-                  "delta": delta, "norm1": norm1, "norm2": norm2}
-        if variant == "t4":
-            value = bd.local_l2_bound(norm2, p.c, args.d)
-            report = bd.BoundReport("T4", {"D": args.d, "C": p.c, "norm2": norm2},
-                                    value, "upper")
-            print(f"t4_upper_bound  {_fmt(value)}")
-        elif variant in ("t15", "t16", "t21", "t22"):
-            minus, plus = bd.short_interval_log_bounds(
-                variant.upper(), delta, norm1=norm1, norm2=norm2,
-                c=p.c, k=p.k, lambda1=p.lambda1, xi=args.xi,
-            )
-            report = bd.BoundReport(variant.upper(), inputs, minus, "upper",
-                                    notes="log-minus window integral bound")
-            print(f"{variant}_logminus_bound  {_fmt(minus)}")
-            if plus is not None:
-                print(f"{variant}_logplus_bound   {_fmt(plus)}")
-        else:
-            value = bd.supnorm_lp_lower_bound(
-                variant.upper(), delta, norm1=norm1, norm2=norm2,
-                c=p.c, k=p.k, lambda1=p.lambda1,
-            )
-            report = bd.BoundReport(variant.upper(), inputs, value, "lower",
-                                    log_space=True)
-            print(f"{variant}_lower_bound  {_fmt_log(value)}")
+        print(f"{name}_{report.side}_bound  {'log:' if report.log_space else ''}{_fmt(value)}")
     _write_out(args.out, report.as_dict())
     return 0
 
@@ -250,8 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="path to a series JSON document")
         p.add_argument("--out", help="write machine-readable output here")
 
-    p = sub.add_parser("constants", help="print every named constant (T10, T21, "
-                                         "T23, L14, L15 catalog entries)")
+    p = sub.add_parser("constants", help="print every named constant")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_constants)
 
@@ -260,28 +202,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=_finite_float, help="abscissa for the L1 norm")
     p.set_defaults(func=_cmd_norms)
 
-    p = sub.add_parser("bound", help="evaluate a catalog bound (T4, T15-T26, "
-                                     "T27-T30, L14)")
+    ids = [tid for tid, entry in bd.CATALOG.items() if entry.kind in bd.BOUND_KINDS]
+    p = sub.add_parser("bound", help="evaluate a catalog bound",
+                       formatter_class=argparse.RawDescriptionHelpFormatter,
+                       epilog="catalog ids:\n" + "\n".join(
+                           f"  {tid:<4} {bd.CATALOG[tid].statement}" for tid in ids))
     add_common(p)
-    p.add_argument("--variant", required=True,
-                   help="bound id: " + ", ".join(_BOUND_VARIANTS))
+    p.add_argument("--variant", required=True, type=str.upper, choices=ids,
+                   metavar="ID", help="catalog id, in either case (listed below)")
     p.add_argument("--delta", type=_finite_float, default=0.05,
                    help="window length (short-interval bounds)")
     p.add_argument("--alpha", type=_finite_float, default=1.0,
-                   help="shift parameter (T27-T30, L14)")
+                   help="shift parameter (zeta-family bounds)")
     p.add_argument("--d", type=_finite_float, default=1.0,
-                   help="interval length D (T4) / anchor distance (T10-T12)")
+                   help="interval length D of the local mean square")
     p.add_argument("--xi", type=_finite_float,
-                   help="override the tuned level baked into T15/T16")
+                   help="override the tuned level baked into the general log bounds")
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("nonvanishing",
-                       help="nonvanishing abscissa x_xi (T13, T14, L13)")
+    variants = {entry.variant: tid for tid, entry in bd.CATALOG.items()
+                if entry.kind == "nonvanishing"}
+    p = sub.add_parser("nonvanishing", help="nonvanishing abscissa x_xi ("
+                       + ", ".join(variants.values()) + ")")
     add_common(p, series_required=True)
     p.add_argument("--xi", type=_finite_float, required=True,
                    help="level in (0,1): xi <= |L| <= 2-xi beyond the abscissa")
-    p.add_argument("--variant", choices=("H2", "L1", "BoundedCoeff"), default="H2",
-                   help="H2 (T14), L1 (T13) or BoundedCoeff (L13)")
+    p.add_argument("--variant", choices=tuple(variants), default="H2",
+                   help=", ".join(f"{v} ({tid})" for v, tid in variants.items()))
     p.set_defaults(func=_cmd_nonvanishing)
 
     p = sub.add_parser("integrate", help="window integrals of |L|^p or log|L|")

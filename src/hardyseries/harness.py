@@ -425,12 +425,10 @@ def _measurements_for(series, delta, tol, p_values):
     return log_minus, log_plus, sup, lp
 
 
-# family -> (log-window ids, window-sup ids, L^p ids); each bound function
-# picks the class parameters its id needs
-_LOG_BOUND_IDS = {
-    "general": (("T15", "T16"), ("T17", "T18"), ("T19", "T20")),
-    "bounded": (("T21", "T22"), ("T25", "T26"), ("T23", "T24")),
-}
+# coefficient class -> ids of kinds log, sup and lp, in catalog order; each
+# bound function picks the class parameters its id needs
+_SWEEP_IDS = {c: [[tid for tid, e in bd.CATALOG.items() if (e.coeffs, e.kind) == (c, kind)]
+                  for kind in ("log", "sup", "lp")] for c in ("general", "bounded")}
 
 
 def _log_bound_rows(config: ExperimentConfig):
@@ -447,7 +445,7 @@ def _log_bound_rows(config: ExperimentConfig):
                               c=p.c, k=p.k, lambda1=p.lambda1)
                 log_minus, log_plus, sup, lp = _measurements_for(s, delta, 1e-5,
                                                                   config.p_values)
-                log_ids, sup_ids, lp_ids = _LOG_BOUND_IDS[family]
+                log_ids, sup_ids, lp_ids = _SWEEP_IDS[family]
                 for tid in log_ids:
                     minus_b, plus_b = bd.short_interval_log_bounds(tid, delta, **params)
                     for side, r, b in (("minus", log_minus, minus_b),

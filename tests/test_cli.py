@@ -69,7 +69,8 @@ def test_bound_hurwitz_variant(capsys):
     assert "log:-485.50" in out
 
 
-@pytest.mark.parametrize("variant", cli._BOUND_VARIANTS)
+@pytest.mark.parametrize("variant", [tid.lower() for tid, entry in bounds.CATALOG.items()
+                                     if entry.kind in bounds.BOUND_KINDS])
 def test_bound_out_document(tmp_path, capsys, series_file, variant):
     out = tmp_path / "bound.json"
     assert cli.main(["bound", "--variant", variant, "--series", series_file,
@@ -79,6 +80,46 @@ def test_bound_out_document(tmp_path, capsys, series_file, variant):
     assert doc["theorem_id"] == variant.upper()
     assert doc["side"] in ("upper", "lower")
     assert math.isfinite(doc["bound_value"])
+
+
+def test_bound_id_in_either_case(tmp_path, capsys, series_file):
+    docs = []
+    for variant in ("t4", "T4"):
+        out = tmp_path / f"{variant}.json"
+        assert cli.main(["bound", "--variant", variant, "--series", series_file,
+                         "--out", str(out)]) == 0
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1]
+    assert capsys.readouterr().out == "t4_upper_bound  14.0377923301\n" * 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "--variant", "t99"], "argument --variant: invalid choice"),
+    (["bound", "--variant", "t6"], "argument --variant: invalid choice"),  # no formula yet
+    (["bound", "--variant", "t13"], "argument --variant: invalid choice"),  # nonvanishing
+    (["bound", "--variant", "t4"], "T4 needs a series"),
+    (["bound", "--variant", "l14"], "L14 needs a series"),
+    (["bound", "--variant", "t21", "--xi", "0.3"], "T21 reads no xi"),
+    (["bound", "--variant", "t27", "--xi", "0.3"], "T27 reads no xi"),
+])
+def test_bound_usage_errors(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_bound_xi_is_recorded(tmp_path, capsys, series_file):
+    # an explicit level moves the log- bound, so the document must say so
+    docs = {}
+    for flags in ([], ["--xi", "0.5"]):
+        out = tmp_path / "t15.json"
+        assert cli.main(["bound", "--variant", "t15", "--series", series_file,
+                         "--out", str(out), *flags]) == 0
+        docs[bool(flags)] = json.loads(out.read_text())
+    capsys.readouterr()
+    assert docs[False]["bound_value"] != docs[True]["bound_value"]
+    assert "xi" not in docs[False]["inputs"]
+    assert docs[True]["inputs"] == {**docs[False]["inputs"], "xi": 0.5}
 
 
 def test_nonvanishing_command(capsys, series_file):

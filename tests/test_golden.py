@@ -1,42 +1,78 @@
-"""Golden verdicts of the two zeta scans.
+"""Golden verdicts: recorded CSVs, summaries and ``bound`` documents.
 
-``tests/golden`` holds reduced ``hurwitz_scan`` and ``lerch_scan`` configs
-and the CSVs they gave when recorded.  Both cross the pole at t = 0 and one
-band edge: the Hurwitz scan shares its nodes (a band of 4000 nodes ends at
-t = 25), the Lerch scan takes its windows as rows of 9 nodes (a band of 444
-windows ends at t = 44.4), at twist 1 (the Euler-Maclaurin path) and 0.3.
+``tests/golden`` holds, for each experiment named in ``EXPERIMENTS``, a
+config ``<name>.json``, the CSV it gave when recorded (``<name>.csv.gz``) and
+its summary (``<name>.summary.json``, without ``runtime_s``).  The two scans
+are reduced: both cross the pole at t = 0 and one band edge (the Hurwitz
+scan shares its nodes and a band of 4000 nodes ends at t = 25; the Lerch
+scan takes its windows as rows of 9 nodes, a band of 444 windows ends at
+t = 44.4, at twist 1, the Euler-Maclaurin path, and 0.3).  The five sweeps
+run at their defaults.
 
 A run must give the recorded columns, row count, ``pass`` cells and every
 cell that is not a number, and every number within a relative
-``REL_TOL`` of the recorded one (inf and nan exactly).  Bytes are not
+``REL_TOL`` of the recorded one (inf and nan exactly), or within the
+absolute floor ``ABS_FLOOR`` names for its column.  Bytes are not
 compared: numpy's complex ``exp`` may round differently on another SIMD
-path.  A change that moves cells on purpose records the CSVs again and
-states the largest relative move per column, which this module prints:
+path.
 
-    python tests/test_golden.py recorded.csv.gz new.csv
+``bound.json`` holds the stdout and the ``--out`` document of
+``hardyseries bound`` for every id it evaluates, on the series stored in
+that file, with default flags; these are compared exactly.
+
+A change that moves cells on purpose records every golden again from its
+config and states what moved, which this module prints:
+
+    python tests/test_golden.py --record
+    python tests/test_golden.py old.csv.gz new.csv
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
 import io
+import json
 import math
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
+from hardyseries import bounds as bd
+from hardyseries import cli
 from hardyseries import harness as hn
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+EXPERIMENTS = ("hurwitz_scan", "lerch_scan", "constants", "local_l2_sweep",
+               "nonvanishing_sweep", "log_bound_sweep", "minmax")
 REL_TOL = 1e-12
+# nonvanishing_sweep residuals are 0 or whole multiples of 1.1e-16: a roundoff
+# move there is of relative order 1, or infinite from 0
+ABS_FLOOR = {"residual": 1e-15}
+
+
+def _flat(doc: dict, prefix: str = "") -> dict:
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            out.update(_flat(value, f"{prefix}{key}."))
+        elif key != "runtime_s":
+            out[prefix + key] = str(value)
+    return out
 
 
 def _read(path) -> tuple[list, list]:
+    """(header, rows of text cells) of a CSV, gzipped or not, or of a summary
+    JSON as one row of its flattened entries, ``runtime_s`` left out."""
     data = pathlib.Path(path).read_bytes()
     if str(path).endswith(".gz"):
         data = gzip.decompress(data)
+    if str(path).endswith(".json"):
+        flat = _flat(json.loads(data))
+        return list(flat), [list(flat.values())]
     header, *rows = csv.reader(io.StringIO(data.decode()))
     return header, rows
 
@@ -49,38 +85,120 @@ def _number(cell: str):
 
 
 def largest_moves(old, new) -> dict:
-    """column -> (largest relative move of a number, cells moved, cells
-    whose text changed and which are not numbers) between two CSVs of one
-    header and row count."""
+    """column -> (largest relative move of a number, largest absolute move,
+    cells moved, cells whose text changed and which are not numbers) between
+    two CSVs, or two summaries, of one header and row count."""
     header, old_rows = _read(old)
     new_header, new_rows = _read(new)
     assert new_header == header and len(new_rows) == len(old_rows)
-    moves = {name: [0.0, 0, 0] for name in header}
+    moves = {name: [0.0, 0.0, 0, 0] for name in header}
     for old_row, new_row in zip(old_rows, new_rows):
         for name, a, b in zip(header, old_row, new_row):
             if a == b:
                 continue
             x, y = _number(a), _number(b)
             if x is None or y is None:
-                moves[name][2] += 1
+                moves[name][3] += 1
                 continue
             rel = abs(y - x) / abs(x) if x else math.inf
             moves[name][0] = max(moves[name][0], math.inf if math.isnan(rel) else rel)
-            moves[name][1] += 1
+            move = abs(y - x)
+            moves[name][1] = max(moves[name][1], math.inf if math.isnan(move) else move)
+            moves[name][2] += 1
     return {name: tuple(m) for name, m in moves.items()}
 
 
-@pytest.mark.parametrize("name", ["hurwitz_scan", "lerch_scan"])
-def test_scan_verdicts_match_golden(name, tmp_path):
-    config = hn.ExperimentConfig.from_json((GOLDEN / f"{name}.json").read_text())
-    out = tmp_path / f"{name}.csv"
-    hn.dispatch(config).write_csv(str(out))
-    moves = largest_moves(GOLDEN / f"{name}.csv.gz", out)
-    assert all(text == 0 for _, _, text in moves.values()), moves
+def _assert_within(moves: dict) -> None:
+    assert all(text == 0 for *_, text in moves.values()), moves
     # a number within REL_TOL passes; inf against a finite cell moves by inf
-    assert all(rel <= REL_TOL for rel, _, _ in moves.values()), moves
+    assert all(rel <= REL_TOL or move <= ABS_FLOOR.get(name, 0.0)
+               for name, (rel, move, _, _) in moves.items()), moves
+
+
+def _run(name: str, out: pathlib.Path) -> None:
+    """Run the golden config of ``name``, writing its CSV and its summary
+    without ``runtime_s``."""
+    result = hn.dispatch(hn.ExperimentConfig.from_json((GOLDEN / f"{name}.json").read_text()))
+    result.write_csv(str(out))
+    del result.summary["runtime_s"]
+    result.write_summary(f"{out}.summary.json")
+
+
+def _check(name: str, tmp_path: pathlib.Path) -> None:
+    out = tmp_path / f"{name}.csv"
+    _run(name, out)
+    _assert_within(largest_moves(GOLDEN / f"{name}.csv.gz", out))
+    _assert_within(largest_moves(GOLDEN / f"{name}.summary.json", f"{out}.summary.json"))
+
+
+def _bound_ids() -> list:
+    return [tid for tid, entry in bd.CATALOG.items() if entry.kind in bd.BOUND_KINDS]
+
+
+def _bound_outputs(series: dict, ids, tmp: pathlib.Path) -> dict:
+    """id -> stdout and ``--out`` text of ``hardyseries bound`` on ``series``."""
+    path, out = tmp / "series.json", tmp / "bound.json"
+    path.write_text(json.dumps(series))
+    docs = {}
+    for tid in ids:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.main(["bound", "--variant", tid.lower(), "--series", str(path),
+                           "--out", str(out)])
+        assert rc == 0, tid
+        docs[tid] = {"stdout": stdout.getvalue(), "out": out.read_text()}
+    return docs
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS[:2])
+def test_scan_verdicts_match_golden(name, tmp_path):
+    _check(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS[2:])
+def test_default_verdicts_match_golden(name, tmp_path):
+    _check(name, tmp_path)
+
+
+def test_bound_documents_match_golden(tmp_path):
+    golden = json.loads((GOLDEN / "bound.json").read_text())
+    assert list(golden["documents"]) == _bound_ids()
+    assert _bound_outputs(golden["series"], _bound_ids(), tmp_path) == golden["documents"]
+
+
+def _print_moves(prefix: str, moves: dict) -> None:
+    for column, (rel, move, moved, text) in moves.items():
+        print(f"{prefix}{column}: {moved} moved, largest relative {rel:.3g}, "
+              f"largest absolute {move:.3g}, {text} text changed")
+
+
+def record() -> None:
+    """Record every golden again from its config, printing what moved."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        for name in EXPERIMENTS:
+            out = tmp / f"{name}.csv"
+            _run(name, out)
+            for golden, new in ((GOLDEN / f"{name}.csv.gz", out),
+                                (GOLDEN / f"{name}.summary.json", f"{out}.summary.json")):
+                if golden.exists():
+                    _print_moves(f"{golden.name} ", largest_moves(golden, new))
+            (GOLDEN / f"{name}.csv.gz").write_bytes(
+                gzip.compress(out.read_bytes(), mtime=0))
+            (GOLDEN / f"{name}.summary.json").write_bytes(
+                pathlib.Path(f"{out}.summary.json").read_bytes())
+        path = GOLDEN / "bound.json"
+        golden = json.loads(path.read_text())
+        docs = _bound_outputs(golden["series"], _bound_ids(), tmp)
+        for tid in sorted(set(docs) | set(golden["documents"])):
+            if docs.get(tid) != golden["documents"].get(tid):
+                print(f"bound.json {tid}: changed")
+        path.write_text(json.dumps({"series": golden["series"], "documents": docs},
+                                   indent=2) + "\n")
 
 
 if __name__ == "__main__":
-    for column, (rel, moved, text) in largest_moves(*sys.argv[1:3]).items():
-        print(f"{column}: {moved} moved, largest relative {rel:.3g}, {text} text changed")
+    if sys.argv[1:] == ["--record"]:
+        record()
+    else:
+        _print_moves("", largest_moves(*sys.argv[1:3]))
