@@ -64,6 +64,10 @@ class Entry(NamedTuple):
 #: Kinds ``bound_report`` evaluates: ``local_l2_bound`` (window), ``short_interval_log_bounds``
 #: (log), ``supnorm_lp_lower_bound`` (sup, lp) and ``hurwitz_lower_bound`` (zeta)
 BOUND_KINDS = ("window", "log", "sup", "lp", "zeta")
+#: The inputs of ``bound_report`` each kind reads besides the series; the
+#: printed general log bounds also read ``xi``
+_KIND_INPUTS = {"window": ("d",), "log": ("delta",), "sup": ("delta",), "lp": ("delta",),
+                "zeta": ("delta", "alpha")}
 
 # id side space class kind variant statement, "-" for None; W is the window
 # [T, T + delta], and log ||L|| the log of a norm
@@ -259,11 +263,11 @@ def log_minus_weighted_bound(
 def hurwitz_anchor_chain() -> dict:
     """The assembled anchor-product chain behind the zeta-family L^1 bound.
 
-    Returns every factor: the anchor window value zeta(1 + D), the margin
-    2 - zeta(1 + D), the bracket kappa_half + log(1 + 3 pi C / D) -
-    log(2 - zeta(1 + D)), the kernel factor pi (D + delta^2 / (4 D)), and
-    their product (printed as 15.976 <= 16 at delta = 0.05; recomputation
-    gives the kernel factor 2.3205 rather than the quoted 2.3198).
+    Returns the anchor window value zeta(1 + D), the margin 2 - zeta(1 + D),
+    the kernel factor pi (D + delta^2 / (4 D)), and its product with the
+    bracket kappa_half + log(1 + 3 pi C / D) - log(2 - zeta(1 + D))
+    (printed as 15.976 <= 16 at delta = 0.05; recomputation gives the
+    kernel factor 2.3205 rather than the quoted 2.3198).
     """
     delta, d = 0.05, 0.7378  # the window length and anchor distance printed
     z = sp.riemann_zeta(1.0 + d, 1e-11).real
@@ -276,11 +280,8 @@ def hurwitz_anchor_chain() -> dict:
     return {
         "zeta_1_plus_d": z,
         "anchor_margin": margin,
-        "bracket": bracket,
         "kernel_factor": kernel,
         "product": kernel * bracket,
-        "c": CLASSICAL_C,
-        "norm_coefficient": kernel,  # multiplies log ||L||_2 in the chain
     }
 
 
@@ -623,17 +624,26 @@ def class_params(series: se.DirichletSeries) -> se.ClassParams:
 # the catalog's one lookup
 # ---------------------------------------------------------------------------
 
-def bound_report(tid: str, series: se.DirichletSeries | None, delta: float, d: float,
-                 alpha: float, xi: float | None = None) -> tuple[BoundReport, Optional[float]]:
+def bound_report(tid: str, series: se.DirichletSeries | None, delta: float | None = None,
+                 d: float | None = None, alpha: float | None = None,
+                 xi: float | None = None) -> tuple[BoundReport, Optional[float]]:
     """(report, log+ bound or None) of catalog id ``tid`` from the formula its
-    kind names and the inputs that formula reads.  The zeta kind reads
-    ``series`` only for the coefficient sum of "DirichletL14"; ``xi``
-    overrides the level the printed general log bounds bake in, and only those take it."""
+    kind names and the inputs that formula reads (``_KIND_INPUTS``); an input
+    given to a kind that does not read it is refused, and one not given takes
+    its default, delta 0.05, D 1 and alpha 1.  The zeta kind reads ``series``
+    only for the coefficient sum of "DirichletL14"; ``xi`` overrides the
+    level the printed general log bounds bake in, and only those take it."""
     entry = CATALOG.get(tid)
     if entry is None or entry.kind not in BOUND_KINDS:
         raise InvalidParameterError(f"no bound formula evaluates {tid!r}")
-    if xi is not None and (entry.kind, entry.coeffs) != ("log", "general"):
-        raise InvalidParameterError(f"{tid} reads no xi")
+    reads = _KIND_INPUTS[entry.kind] + (
+        ("xi",) if (entry.kind, entry.coeffs) == ("log", "general") else ())
+    for name, value in (("delta", delta), ("d", d), ("alpha", alpha), ("xi", xi)):
+        if value is not None and name not in reads:
+            raise InvalidParameterError(f"{tid} reads no {name}")
+    delta = 0.05 if delta is None else delta
+    d = 1.0 if d is None else d
+    alpha = 1.0 if alpha is None else alpha
     if series is None and (entry.kind != "zeta" or entry.variant == "DirichletL14"):
         raise InvalidParameterError(f"{tid} needs a series")
     plus, notes = None, ""

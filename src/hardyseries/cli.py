@@ -210,12 +210,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--variant", required=True, type=str.upper, choices=ids,
                    metavar="ID", help="catalog id, in either case (listed below)")
-    p.add_argument("--delta", type=_finite_float, default=0.05,
-                   help="window length (short-interval bounds)")
-    p.add_argument("--alpha", type=_finite_float, default=1.0,
-                   help="shift parameter (zeta-family bounds)")
-    p.add_argument("--d", type=_finite_float, default=1.0,
-                   help="interval length D of the local mean square")
+    p.add_argument("--delta", type=_finite_float,
+                   help="window length, default 0.05 (every id but T4)")
+    p.add_argument("--alpha", type=_finite_float,
+                   help="shift parameter, default 1 (zeta-family bounds)")
+    p.add_argument("--d", type=_finite_float,
+                   help="interval length D of the local mean square, default 1 (T4)")
     p.add_argument("--xi", type=_finite_float,
                    help="override the tuned level baked into the general log bounds")
     p.set_defaults(func=_cmd_bound)

@@ -24,18 +24,18 @@ summation: K = 30 terms c_k (-1)^k (s)_k (N+beta)^-k, with c_k the Taylor
 coefficients of 1/(1 - z e^u) computed per call, nested as
 acc = c_k - (s+k)/(N+beta) acc, under a remainder bound of the same shape.
 
-The array evaluators (``hurwitz_tail_sum``, ``hurwitz_zeta_grid`` and
-``lerch_phi``) take one complex s or an array of points on one vertical
-line, and refuse points off it.  Every bound grows with |t| at fixed sigma,
-so one cutoff, sized at the largest |Im s|, serves the whole array: the
-smallest N >= 16 whose Euler-Maclaurin or Euler-Boole remainder bound
-meets the tolerance.  Every Euler-Maclaurin value (``hurwitz_zeta``,
-``hurwitz_tail_sum``, ``hurwitz_zeta_grid`` and ``lerch_phi`` at twist 1)
-enters the kernel through one checked call, ``_em_sum``: it refuses
-non-finite points, points off one line, alpha outside (0, 1] and
-Re s <= 0, raises the one PoleError at s = 1, reads the line and builds
-the remainder bound once to size the cutoff, and gives an empty array for
-an empty one.
+Every zeta value, twisted or not, comes from one kernel, ``_zeta_sum``,
+of which each public evaluator is a view; ``hurwitz_tail_sum``,
+``hurwitz_zeta_grid`` and ``lerch_phi`` take one complex s or an array of
+points on one vertical line.  The kernel refuses non-finite points, points
+off one line and a shift outside (0, 1], and at twist 1 also Re s <= 0,
+with the one PoleError at s = 1.  Every bound grows with |t| at fixed
+sigma, so it reads the line once and builds the Euler-Maclaurin or
+Euler-Boole remainder bound at the largest |Im s|: one cutoff, the
+smallest N >= 16 that meets the tolerance, serves the whole array, and the
+kernel returns the values with that bound (an empty array for an empty
+one).  The two closures keep their own recurrences: one shared recurrence
+would reorder the floating-point operations, and so the Hurwitz bits.
 
 Every finite exponential sum sum_n w_n e^(-s x_n) of the package goes
 through one kernel, ``_head_sum``: the zeta heads (x_n = log(n + alpha);
@@ -172,22 +172,10 @@ def _em_bound(worst: complex, alpha: float, m_terms: int = _EM_TERMS):
     return lambda n_cutoff: math.exp(log_c - power * math.log(n_cutoff + alpha))
 
 
-def _smallest_cutoff(bound, lo: int, hi: int, tol: float) -> int:
-    """Smallest N in (lo, hi] with bound(N) <= tol, for a bound that falls
-    monotonically in N and meets tol at hi: bisection, so no head term is
-    summed while searching."""
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if bound(mid) <= tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def _em_cutoff(bound, tol: float, start: int = 0) -> int:
     """Smallest N >= max(start, 16) at which ``bound``, a remainder bound
-    from ``_em_bound`` or ``_boole_bound``, meets ``tol``."""
+    from ``_em_bound`` or ``_boole_bound`` that falls monotonically in N,
+    meets ``tol``: bisection, so no head term is summed while searching."""
     if not tol > 0:
         raise InvalidParameterError(f"target_error must be positive, got {tol}")
     lo = max(start, _MIN_CUTOFF) - 1  # below the floor, or fails the bound
@@ -196,7 +184,13 @@ def _em_cutoff(bound, tol: float, start: int = 0) -> int:
         raise PrecisionError(
             f"remainder bound {bound(hi):.3e} > target {tol:.3e} at N = {hi}"
         )
-    return _smallest_cutoff(bound, lo, hi, tol)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if bound(mid) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _line_worst(sv: np.ndarray) -> complex:
@@ -325,132 +319,23 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
     return head.reshape(sv.shape)
 
 
-def _em_value(points: np.ndarray, alpha: float, n_cutoff: int, m_terms: int,
-              start: int):
-    """sum_{n >= start} (n + alpha)^-s at each point of the complex array
-    ``points`` (a complex for a 0-d array): the head start..N-1 from
-    ``_head_sum`` plus the Euler-Maclaurin closure of the tail n >= N.
-
-    With na = N + alpha, the closure is na^-s (na/(s-1) + 1/2 + sum_k
-    c_k (s)_{2k-1} na^(1-2k)), c_k = B_2k/(2k)!, k = 1..M.  The M Bernoulli
-    terms are nested as acc = c_k + q_k acc, from acc = c_M down to k = 1,
-    with q_k = (s+2k-1)(s+2k)/na^2, and the sum is (s/na) acc; na^-s is
-    exp(-s log na).  Every step is elementwise, so a point gets the same
-    closure bits whatever array it comes in.
-    """
-    sv = points.ravel()
-    head = _head_sum(points, np.log(np.arange(start, n_cutoff) + alpha)).ravel()
+def _em_closure(sv: np.ndarray, n_cutoff: int, alpha: float, m_terms: int) -> np.ndarray:
+    """The Euler-Maclaurin closure of sum_{n >= N} (n + alpha)^-s at each
+    point of the 1-d array ``sv``; with na = N + alpha, it is na^-s (na/(s-1)
+    + 1/2 + sum_k c_k (s)_{2k-1} na^(1-2k)), c_k = B_2k/(2k)!, k = 1..M.  The
+    M Bernoulli terms are nested as acc = c_k + q_k acc, from acc = c_M down
+    to k = 1, with q_k = (s+2k-1)(s+2k)/na^2, and the sum is (s/na) acc;
+    na^-s is exp(-s log na)."""
     na = n_cutoff + alpha
     inv_sq = 1.0 / (na * na)
     acc = np.full(sv.shape, _B2K_OVER_FACT[m_terms - 1], dtype=complex)
     for k in range(m_terms - 1, 0, -1):
         acc = _B2K_OVER_FACT[k - 1] + (sv + (2 * k - 1)) * (sv + 2 * k) * inv_sq * acc
-    value = head + np.exp(-sv * math.log(na)) * (na / (sv - 1) + 0.5 + sv / na * acc)
-    if points.ndim == 0:
-        return complex(value[0])
-    return value.reshape(points.shape)
-
-
-def _hurwitz_em_raw(s, alpha: float, n_cutoff: int, m_terms: int = _EM_TERMS,
-                    start: int = 0):
-    """sum_{n >= start} (n + alpha)^-s by Euler-Maclaurin with a given cutoff
-    N and order M.
-
-    ``s`` is one complex number or an array of them on one vertical line.
-    Returns (value, bound) with one bound, taken at the largest |Im s|, that
-    covers every point.
-    """
-    points = np.asarray(s, dtype=complex)
-    bound = _em_bound(_line_worst(points), alpha, m_terms)(n_cutoff)
-    return _em_value(points, alpha, n_cutoff, m_terms, start), bound
-
-
-def _em_sum(s, alpha: float, tol: float, start: int = 0):
-    """(value, bound) of sum_{n >= start} (n + alpha)^-s, Re s > 0, within
-    ``tol``: the one checked entry into the Euler-Maclaurin kernel
-    ``_em_value``.  Refuses alpha outside (0, 1] and points off one line,
-    raises PoleError at s = 1, and reads the line and builds the remainder
-    bound once, at the largest |Im s|, for both the cutoff and the returned
-    bound; an empty array gives an empty one.  With debug logging on, each
-    call logs its point count, cutoff N, order M and bound."""
-    points = np.asarray(s, dtype=complex)
-    if not 0 < alpha <= 1:
-        raise InvalidParameterError(f"alpha must lie in (0, 1], got {alpha}")
-    if points.size == 0:
-        return np.empty(points.shape, dtype=complex), 0.0
-    worst = _line_worst(points)
-    if worst.real <= 0:
-        raise InvalidParameterError(
-            f"Euler-Maclaurin path needs Re(s) > 0, got Re(s) = {worst.real}")
-    if np.any(points == 1):
-        raise PoleError("zeta(s, alpha) has its pole at s = 1")
-    bound = _em_bound(worst, alpha)
-    n_cutoff = _em_cutoff(bound, tol, start)
-    remainder = bound(n_cutoff)
-    logger.debug("Euler-Maclaurin: %d points, N = %d, M = %d, bound %.3e",
-                 points.size, n_cutoff, _EM_TERMS, remainder)
-    return _em_value(points, alpha, n_cutoff, _EM_TERMS, start), remainder
-
-
-def hurwitz_zeta(s: complex, alpha: float, target_error: float = 1e-12) -> complex:
-    """zeta(s, alpha) = sum_{n>=0} (n+alpha)^-s for Re(s) > 0, s != 1.
-
-    Raises PoleError at s = 1 and PrecisionError if meeting ``target_error``
-    would need a cutoff above 2^21.
-    """
-    value, _ = hurwitz_zeta_with_error(s, alpha, target_error)
-    return value
-
-
-def hurwitz_zeta_with_error(
-    s: complex, alpha: float, target_error: float = 1e-12
-) -> tuple[complex, float]:
-    """zeta(s, alpha) and its remainder bound, which is at most ``target_error``."""
-    return _em_sum(s, alpha, target_error)
-
-
-def riemann_zeta(s: complex, target_error: float = 1e-12) -> complex:
-    """zeta(s) for Re(s) > 0, s != 1 (Euler-Maclaurin, alpha = 1)."""
-    return hurwitz_zeta(s, 1.0, target_error)
-
-
-def hurwitz_tail_sum(
-    w,
-    alpha: float,
-    start: int,
-    target_error: float = 1e-12,
-):
-    """sum_{n >= start} (n + alpha)^-w with a certified bound, Re(w) > 1.
-
-    ``w`` is one complex number or an array on one vertical line; one cutoff,
-    sized at the largest |Im w|, and the Euler-Maclaurin closure of the zeta
-    evaluators serve every point.  Used for the tails of built-in series.
-    """
-    if np.any(np.real(w) <= 1):
-        raise InvalidParameterError(f"tail sum diverges for Re(w) = {np.min(np.real(w))}")
-    return _em_sum(w, alpha, target_error, start)
-
-
-def hurwitz_zeta_grid(
-    alpha: float,
-    ts: np.ndarray,
-    sigma: float = 1.0,
-    target_error: float = 1e-9,
-) -> np.ndarray:
-    """Vectorized zeta(sigma + i t, alpha) on an array of ordinates.
-
-    One cutoff, sized for the worst |t| in the block, serves every point;
-    inputs with sigma + i t == 1 are rejected.  Used by the scan harness
-    where millions of values are needed.  With debug logging on, each call
-    logs two lines: one from ``_em_sum`` (point count, cutoff N, order M,
-    bound) and one from ``_head_sum`` (point count, N as the head's term
-    count, head path).
-    """
-    return _em_sum(sigma + 1j * np.asarray(ts, dtype=float), alpha, target_error)[0]
+    return np.exp(-sv * math.log(na)) * (na / (sv - 1) + 0.5 + sv / na * acc)
 
 
 # ---------------------------------------------------------------------------
-# Lerch zeta
+# Euler-Boole closure of the twisted tail
 # ---------------------------------------------------------------------------
 
 def _boole_coefficients(z: complex) -> list:
@@ -494,6 +379,130 @@ def _boole_bound(worst: complex, alpha: float, beta: float):
     return lambda n_cutoff: math.exp(log_c - power * math.log(n_cutoff + beta))
 
 
+def _boole_closure(sv: np.ndarray, n_cutoff: int, beta: float, alpha: float) -> np.ndarray:
+    """The Euler-Boole closure of sum_{n >= N} z^n (n + beta)^-s at each point
+    of the 1-d array ``sv``; with z = e^(2 pi i alpha) != 1 and nb = N + beta,
+    it is z^N nb^-s sum_{k<K} c_k (-1)^k (s)_k nb^-k, nested as acc = c_k -
+    (s+k)/nb acc from acc = c_{K-1} down to k = 0, with the c_k of
+    ``_boole_coefficients`` and K = 30."""
+    z = cmath.exp(2j * math.pi * alpha)
+    nb = n_cutoff + beta
+    coeffs = _boole_coefficients(z)
+    acc = np.full(sv.shape, coeffs[-1], dtype=complex)
+    for k in range(_BOOLE_TERMS - 2, -1, -1):
+        acc = coeffs[k] - (sv + k) / nb * acc
+    return z ** n_cutoff * np.exp(-sv * math.log(nb)) * acc
+
+
+# ---------------------------------------------------------------------------
+# The zeta kernel and its views
+# ---------------------------------------------------------------------------
+
+def _zeta_sum(s, shift: float, tol, twist: float = 1.0, start: int = 0,
+              cutoff: int | None = None, order: int = _EM_TERMS):
+    """(values, bound) of sum_{n >= start} e^(2 pi i n twist) (n + shift)^-s
+    within ``tol``, 0 < twist <= 1: the one kernel behind every zeta value.
+
+    ``s`` is one complex number (a complex out) or an array on one vertical
+    line (an array of its shape out); a shift outside (0, 1], non-finite
+    points and points off one line are refused.  The bound, taken at the largest
+    |Im s|, covers every point: ``_em_bound`` (M = 14) at twist 1, where
+    Re s <= 0 is refused and s = 1 raises PoleError, and ``_boole_bound``
+    otherwise.  ``_em_cutoff`` sizes N >= max(start, 16) from it; a given
+    ``cutoff`` (and at twist 1 ``order`` M) replaces N, and ``tol`` is then
+    not read.  The head start..N-1 is one ``_head_sum``, twist-weighted only
+    when twisted, and ``_em_closure`` or ``_boole_closure`` closes the tail.
+    With debug logging on, each call logs its point count, N, order and
+    bound.
+    """
+    points = np.asarray(s, dtype=complex)
+    if not 0 < shift <= 1:
+        raise InvalidParameterError(f"alpha must lie in (0, 1], got {shift}")
+    if points.size == 0:
+        return np.empty(points.shape, dtype=complex), 0.0
+    worst = _line_worst(points)
+    twisted = twist != 1
+    if twisted:
+        bound, order = _boole_bound(worst, twist, shift), _BOOLE_TERMS
+    else:
+        if worst.real <= 0:
+            raise InvalidParameterError(
+                f"Euler-Maclaurin path needs Re(s) > 0, got Re(s) = {worst.real}")
+        if np.any(points == 1):
+            raise PoleError("zeta(s, alpha) has its pole at s = 1")
+        bound = _em_bound(worst, shift, order)
+    n_cutoff = _em_cutoff(bound, tol, start) if cutoff is None else cutoff
+    remainder = bound(n_cutoff)
+    logger.debug("%s: %d points, N = %d, %s = %d, bound %.3e",
+                 "Euler-Boole" if twisted else "Euler-Maclaurin", points.size,
+                 n_cutoff, "K" if twisted else "M", order, remainder)
+    n = np.arange(start, n_cutoff)
+    weights = np.exp(2j * math.pi * twist * n) if twisted else None
+    head = _head_sum(points, np.log(n + shift), weights).ravel()
+    sv = points.ravel()
+    value = head + (_boole_closure(sv, n_cutoff, shift, twist) if twisted
+                    else _em_closure(sv, n_cutoff, shift, order))
+    if points.ndim == 0:
+        return complex(value[0]), remainder
+    return value.reshape(points.shape), remainder
+
+
+def hurwitz_zeta(s: complex, alpha: float, target_error: float = 1e-12) -> complex:
+    """zeta(s, alpha) = sum_{n>=0} (n+alpha)^-s for Re(s) > 0, s != 1.
+
+    Raises PoleError at s = 1 and PrecisionError if meeting ``target_error``
+    would need a cutoff above 2^21.
+    """
+    return _zeta_sum(s, alpha, target_error)[0]
+
+
+def hurwitz_zeta_with_error(
+    s: complex, alpha: float, target_error: float = 1e-12
+) -> tuple[complex, float]:
+    """zeta(s, alpha) and its remainder bound, which is at most ``target_error``."""
+    return _zeta_sum(s, alpha, target_error)
+
+
+def riemann_zeta(s: complex, target_error: float = 1e-12) -> complex:
+    """zeta(s) for Re(s) > 0, s != 1 (Euler-Maclaurin, alpha = 1)."""
+    return _zeta_sum(s, 1.0, target_error)[0]
+
+
+def hurwitz_tail_sum(
+    w,
+    alpha: float,
+    start: int,
+    target_error: float = 1e-12,
+):
+    """sum_{n >= start} (n + alpha)^-w with a certified bound, Re(w) > 1.
+
+    ``w`` is one complex number or an array on one vertical line; one cutoff,
+    sized at the largest |Im w|, and the Euler-Maclaurin closure of the zeta
+    evaluators serve every point.  Used for the tails of built-in series.
+    """
+    if np.any(np.real(w) <= 1):
+        raise InvalidParameterError(f"tail sum diverges for Re(w) = {np.min(np.real(w))}")
+    return _zeta_sum(w, alpha, target_error, start=start)
+
+
+def hurwitz_zeta_grid(
+    alpha: float,
+    ts: np.ndarray,
+    sigma: float = 1.0,
+    target_error: float = 1e-9,
+) -> np.ndarray:
+    """Vectorized zeta(sigma + i t, alpha) on an array of ordinates.
+
+    One cutoff, sized for the worst |t| in the block, serves every point;
+    inputs with sigma + i t == 1 are rejected.  Used by the scan harness
+    where millions of values are needed.  With debug logging on, each call
+    logs two lines: one from ``_zeta_sum`` (point count, cutoff N, order M,
+    bound) and one from ``_head_sum`` (point count, N as the head's term
+    count, head path).
+    """
+    return _zeta_sum(sigma + 1j * np.asarray(ts, dtype=float), alpha, target_error)[0]
+
+
 def lerch_phi(alpha: float, beta: float, s, target_error: float = 1e-10):
     """phi(alpha, beta; s) = sum_{n>=0} e^(2 pi i n alpha) (n+beta)^-s.
 
@@ -501,17 +510,14 @@ def lerch_phi(alpha: float, beta: float, s, target_error: float = 1e-10):
     on one vertical line, which gives an array of the same shape.  Valid for
     0 < alpha, beta <= 1 and Re(s) >= 1, excluding the pole at
     (alpha, s) = (1, 1).  For alpha = 1 the twist is trivial and the value
-    is zeta(s, beta), with one Euler-Maclaurin cutoff at the largest |Im s|.
-    Otherwise the head n < N is summed directly and, with z = e^(2 pi i
-    alpha) and a = N + beta, the tail is closed by Euler-Boole summation,
+    is zeta(s, beta).  Otherwise, with z = e^(2 pi i alpha) and a = N + beta,
+    the tail is closed by Euler-Boole summation,
 
         sum_{n>=N} z^n (n+beta)^-s = z^N a^-s sum_{k<K} c_k (-1)^k (s)_k a^-k + R_K,
 
-    nested as acc = c_k - (s+k)/a acc from acc = c_{K-1} down to k = 0,
-    with the c_k of ``_boole_coefficients`` and K = 30.  N is the smallest
-    cutoff >= 16 at which the bound on R_K (``_boole_bound``), taken at the
-    largest |Im s|, meets ``target_error``.  With debug logging on, each
-    twisted call logs its point count, cutoff N, order K and bound.
+    K = 30, with N the smallest cutoff >= 16 at which the bound on R_K
+    (``_boole_bound``), taken at the largest |Im s|, meets ``target_error``.
+    Both are one ``_zeta_sum`` call, whose bound is dropped here.
     """
     if not (0 < alpha <= 1 and 0 < beta <= 1):
         raise InvalidParameterError("lerch_phi needs 0 < alpha, beta <= 1")
@@ -520,27 +526,7 @@ def lerch_phi(alpha: float, beta: float, s, target_error: float = 1e-10):
         raise InvalidParameterError(
             f"lerch_phi implemented for Re(s) >= 1, got Re(s) = {np.min(points.real)}"
         )
-    if alpha == 1:
-        return _em_sum(points, beta, target_error)[0]
-    if points.size == 0:
-        return np.empty(points.shape, dtype=complex)
-    sv = points.ravel()
-    bound = _boole_bound(_line_worst(sv), alpha, beta)
-    n_cutoff = _em_cutoff(bound, target_error)
-    logger.debug("Euler-Boole: %d points, N = %d, K = %d, bound %.3e",
-                 sv.size, n_cutoff, _BOOLE_TERMS, bound(n_cutoff))
-    n = np.arange(n_cutoff)
-    head = _head_sum(points, np.log(n + beta), np.exp(2j * math.pi * alpha * n))
-    z = cmath.exp(2j * math.pi * alpha)
-    coeffs = _boole_coefficients(z)
-    nb = n_cutoff + beta
-    acc = np.full(sv.shape, coeffs[-1], dtype=complex)
-    for k in range(_BOOLE_TERMS - 2, -1, -1):
-        acc = coeffs[k] - (sv + k) / nb * acc
-    value = head.ravel() + z ** n_cutoff * np.exp(-sv * math.log(nb)) * acc
-    if np.ndim(s) == 0:
-        return complex(value[0])
-    return value.reshape(np.shape(s))
+    return _zeta_sum(points, beta, target_error, alpha)[0]
 
 
 # ---------------------------------------------------------------------------

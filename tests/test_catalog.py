@@ -48,7 +48,7 @@ def test_catalog_holds_every_id_once():
                                  if e.kind in bd.BOUND_KINDS])
 def test_bound_report_follows_its_entry(tid):
     entry = bd.CATALOG[tid]
-    report, plus = bd.bound_report(tid, SERIES, 0.05, 1.0, 1.0)
+    report, plus = bd.bound_report(tid, SERIES)
     assert report.theorem_id == tid
     assert (report.side, report.log_space) == (entry.side, entry.log_space)
     assert (plus is not None) == (tid in ("T15", "T16"))

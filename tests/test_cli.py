@@ -101,6 +101,12 @@ def test_bound_id_in_either_case(tmp_path, capsys, series_file):
     (["bound", "--variant", "l14"], "L14 needs a series"),
     (["bound", "--variant", "t21", "--xi", "0.3"], "T21 reads no xi"),
     (["bound", "--variant", "t27", "--xi", "0.3"], "T27 reads no xi"),
+    # an input the id's formula does not read is refused, not ignored
+    (["bound", "--variant", "t27", "--d", "7"], "T27 reads no d"),
+    (["bound", "--variant", "t4", "--delta", "0.1"], "T4 reads no delta"),
+    (["bound", "--variant", "t4", "--alpha", "0.5"], "T4 reads no alpha"),
+    (["bound", "--variant", "t15", "--alpha", "0.5"], "T15 reads no alpha"),
+    (["bound", "--variant", "t21", "--d", "2"], "T21 reads no d"),
 ])
 def test_bound_usage_errors(capsys, argv, message):
     assert cli.main(argv) == 2

@@ -1,4 +1,6 @@
-"""Every module-level import in the package and the tests is read somewhere.
+"""Every module-level import in the package and the tests is read somewhere,
+and every module-level private function or constant of the package is read
+somewhere in the package outside its own definition.
 
 Re-exports in ``__init__.py``, names listed in ``__all__`` and
 ``from __future__`` imports are exempt.
@@ -10,8 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "hardyseries").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "hardyseries").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -38,3 +40,35 @@ def _unused_imports(path: Path) -> list[str]:
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
+
+
+def _private_definitions(node: ast.stmt) -> list[str]:
+    """The private names (one leading underscore) a module-level statement
+    defines as a function or a constant."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names a statement reads, bare or as a module attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)}
+
+
+def test_no_dead_private_helpers():
+    # each module-level statement of the package, and the names it reads;
+    # a private name counts as read when any other statement reads it
+    statements = [(path.name, node, _reads(node)) for path in PACKAGE
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    dead = [f"{name}:{node.lineno} {private}" for name, node, _ in statements
+            for private in _private_definitions(node)
+            if not any(private in reads for _, other, reads in statements
+                       if other is not node)]
+    assert dead == []

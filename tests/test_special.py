@@ -139,8 +139,8 @@ def test_hurwitz_against_bruteforce_sum():
 def test_hurwitz_em_stability_under_refinement():
     # truncation bounds plus a roundoff floor for the double-precision sums
     for s, alpha in [(1 + 7j, 0.3), (0.75 + 20j, 1.0), (2.5, 0.6)]:
-        v1, b1 = sp._hurwitz_em_raw(complex(s), alpha, 128, 12)
-        v2, b2 = sp._hurwitz_em_raw(complex(s), alpha, 256, 14)
+        v1, b1 = sp._zeta_sum(complex(s), alpha, None, cutoff=128, order=12)
+        v2, b2 = sp._zeta_sum(complex(s), alpha, None, cutoff=256, order=14)
         assert abs(v1 - v2) <= b1 + b2 + 5e-14 * max(1.0, abs(v1))
 
 
@@ -202,7 +202,8 @@ def test_horner_closure_matches_cumprod_closure():
             alpha = 1.0 - rng.uniform(0.0, 1.0)  # in (0, 1]
             t_max = min(1e5, 3.4 * n_cutoff)
             sv = rng.uniform(0.25, 3.0) + 1j * rng.uniform(0.0, t_max, 64)
-            value, _ = sp._hurwitz_em_raw(sv, alpha, n_cutoff, m_terms, start=n_cutoff)
+            value, _ = sp._zeta_sum(sv, alpha, None, start=n_cutoff, cutoff=n_cutoff,
+                                    order=m_terms)
             oracle = _cumprod_closure(sv, alpha, n_cutoff, m_terms)
             assert np.all(np.abs(value - oracle) <= 4 * eps * np.abs(oracle))
 
@@ -219,9 +220,20 @@ def test_one_point_and_grid_give_identical_bits():
     # a 4000-node scan band takes the phase-matrix head; its closure alone
     # (start = N) is still the one-point closure, bit for bit
     band = 1.0 + 1j * (500.0 + _SCAN_H * np.arange(4000))
-    closures, _ = sp._hurwitz_em_raw(band, 0.3, 160, start=160)
+    closures, _ = sp._zeta_sum(band, 0.3, None, start=160, cutoff=160)
     for j in (0, 1234, 3999):
-        assert sp._hurwitz_em_raw(band[j], 0.3, 160, start=160)[0] == closures[j]
+        assert sp._zeta_sum(band[j], 0.3, None, start=160, cutoff=160)[0] == closures[j]
+
+
+def test_boole_closure_one_point_and_band_give_identical_bits():
+    # the Euler-Boole closure alone (start = N, sized on the band) on a
+    # 4000-node scan band is the one-point closure, bit for bit
+    band = 1.0 + 1j * (500.0 + _SCAN_H * np.arange(4000))
+    n_cutoff = sp._em_cutoff(sp._boole_bound(complex(band[-1]), 0.3, 0.7), 1e-9)
+    closures, _ = sp._zeta_sum(band, 0.7, None, 0.3, start=n_cutoff, cutoff=n_cutoff)
+    for j in (0, 1234, 3999):
+        one = sp._zeta_sum(band[j], 0.7, None, 0.3, start=n_cutoff, cutoff=n_cutoff)[0]
+        assert one == closures[j]
 
 
 def test_far_bands_meet_their_bound_against_mpmath():
@@ -230,7 +242,7 @@ def test_far_bands_meet_their_bound_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     for t_end, alpha in ((1e4, 0.3), (1e5, 1.0)):
         ts = t_end - _SCAN_H * np.arange(4000)[::-1]
-        values, bound = sp._em_sum(1.0 + 1j * ts, alpha, 1e-9)
+        values, bound = sp._zeta_sum(1.0 + 1j * ts, alpha, 1e-9)
         assert bound <= 1e-9
         for j in (0, 1999, 3999):
             with mpmath.workdps(20):
@@ -495,6 +507,11 @@ def test_lerch_alternating_eta_two():
 def test_lerch_matches_hurwitz_at_alpha_one():
     for s, beta in [(2.0, 0.4), (1 + 5j, 1.0), (1.5, 0.9)]:
         assert abs(sp.lerch_phi(1.0, beta, s) - sp.hurwitz_zeta(s, beta)) < 1e-10
+    # on a scan band, twist 1 is the zeta grid bit for bit: one kernel call
+    ts = 200.0 + _SCAN_H * np.arange(4000)
+    for beta in (0.3, 1.0):
+        assert np.array_equal(sp.lerch_phi(1.0, beta, 1.0 + 1j * ts, 1e-9),
+                              sp.hurwitz_zeta_grid(beta, ts, 1.0, 1e-9))
 
 
 def _lerch_bruteforce(alpha: float, beta: float, s: complex, n_cutoff: int) -> complex:
@@ -556,7 +573,7 @@ def test_array_points_must_share_one_line():
     with pytest.raises(InvalidParameterError):
         sp.hurwitz_tail_sum(np.array([1 + 1j, 1 + 2j]), 0.5, 0)
     with pytest.raises(InvalidParameterError):
-        sp._hurwitz_em_raw(np.array([2 + 1j, 1.5 + 1j]), 0.5, 64)
+        sp._zeta_sum(np.array([2 + 1j, 1.5 + 1j]), 0.5, None, cutoff=64)
     for alpha in (0.3, 1.0):
         with pytest.raises(InvalidParameterError):
             sp.lerch_phi(alpha, 0.5, np.array([[1 + 1j, 1 + 2j], [2 + 1j, 1 + 3j]]))
@@ -665,12 +682,12 @@ def test_boole_bound_matches_its_formula():
 
 def _rational_twist(alpha: float, beta: float, s: np.ndarray) -> np.ndarray:
     """phi(p/q, beta; s) = q^-s sum_{r<q} e^(2 pi i r p/q) zeta(s, (r + beta)/q),
-    each Hurwitz zeta from ``_em_sum`` at 1e-14: no Lerch code."""
+    each Hurwitz zeta from ``_zeta_sum`` at twist 1 and 1e-14: no Euler-Boole code."""
     from fractions import Fraction
 
     frac = Fraction(alpha).limit_denominator(100)
     p, q = frac.numerator, frac.denominator
-    total = sum(np.exp(2j * np.pi * r * p / q) * sp._em_sum(s, (r + beta) / q, 1e-14)[0]
+    total = sum(np.exp(2j * np.pi * r * p / q) * sp._zeta_sum(s, (r + beta) / q, 1e-14)[0]
                 for r in range(q))
     return total * np.exp(-s * math.log(q))
 
@@ -705,6 +722,18 @@ def test_lerch_matches_mpmath_lerchphi_at_small_height(alpha):
                 error = abs(sp.lerch_phi(alpha, beta, complex(1.0, t), tol) - ref)
                 assert error <= bound(sp._em_cutoff(bound, tol)) + 1e-14
                 assert error <= tol
+
+
+def test_twisted_kernel_returns_its_bound():
+    # the Euler-Boole bound at the largest |t|, at the cutoff sized from it,
+    # with the values lerch_phi gives
+    rng = np.random.default_rng(2311)
+    for alpha, beta, tol in ((0.3, 0.7, 1e-9), (0.99, 0.5, 1e-8), (0.5, 1.0, 1e-12)):
+        sv = 1.0 + 1j * np.sort(rng.uniform(0.0, 800.0, 50))
+        values, bound = sp._zeta_sum(sv, beta, tol, alpha)
+        remainder = sp._boole_bound(complex(1.0, sv.imag.max()), alpha, beta)
+        assert bound == remainder(sp._em_cutoff(remainder, tol)) <= tol
+        assert np.array_equal(values, sp.lerch_phi(alpha, beta, sv, tol))
 
 
 def test_lerch_logs_its_closure(caplog):
