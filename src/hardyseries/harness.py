@@ -1,20 +1,24 @@
 """End-to-end verification experiments.
 
-Each experiment measures a quantity by quadrature or sampling and compares
-it against the corresponding explicit bound, producing one CSV row per grid
-point with the measured value, the bound (log space where the bound lives
-there), the margin, and a pass flag.  Log-space rows (``_sup`` and ``_lp``,
-L14, both scans, ``search_sup``) pass when margin >= -tolerance.  T4, the
-T15/T16/T21/T22 ``_minus``/``_plus`` rows, ``nonvanishing_sweep`` and
-``witness_slope`` fold their tolerance into the margin, and ``constants``
-margins are the slack against each row's stated tolerance: these pass when
-margin >= 0.  The ``witness_norm`` margin is the gap to the quoted 3^order,
-which its pass does not read.  A flagged integral fails its row, and a
-``nonvanishing_sweep`` row also checks its sampled maximum, residual and cap.
-Comparisons against astronomically small lower bounds happen in natural-log
-space, so a margin is finite except where no slack exists to measure: an
-exact identity of ``constants`` carries +inf when it holds and -inf when it
-does not, and a scan window holding the pole at t = 0 measures +inf.
+Each experiment measures a quantity by quadrature, sampling or a closed
+form and compares it against the corresponding explicit bound, producing
+one CSV row per grid point with the measured value, the bound (log space
+where the bound lives there), the margin, and a pass flag.  Log-space rows
+(``_sup`` and ``_lp``, L14, both scans, ``search_sup``) pass when
+margin >= -tolerance.  T4, the T15/T16/T21/T22 ``_minus``/``_plus`` rows,
+``nonvanishing_sweep`` and ``witness_slope`` fold their tolerance into the
+margin, and ``constants`` margins are the slack against each row's stated
+tolerance: these pass when margin >= 0.  The ``witness_norm`` margin is the
+gap to the quoted 3^order, which its pass does not read.  T4 and the
+``_lp2`` rows measure int |L|^2 as the closed Hermitian form of
+``series.window_l2``, with roundoff-only error and no flag; every other
+integral comes from quadrature, and a flagged one fails its row.  A
+``nonvanishing_sweep`` row also checks its sampled maximum, residual and
+cap.  Comparisons against astronomically small lower bounds happen in
+natural-log space, so a margin is finite except where no slack exists to
+measure: an exact identity of ``constants`` carries +inf when it holds and
+-inf when it does not, and a scan window holding the pole at t = 0 measures
++inf.
 
 Both zeta scans measure a window the same way, since phi(1, beta; s) is
 zeta(s, beta): 9-node Simpson on a grid of step delta/8 over the window,
@@ -368,7 +372,8 @@ def _constants_rows(config: ExperimentConfig):
 # soundness sweeps (local L^2, nonvanishing, short-interval log bounds)
 # ---------------------------------------------------------------------------
 # A flagged integral (depth limit or modulus floor hit) is no measurement to
-# pass on, so it fails its row whatever its margin.
+# pass on, so it fails its row whatever its margin.  T4 and the p = 2 rows
+# read ``se.window_l2``, exact up to roundoff, and carry no flag.
 
 def _local_l2_rows(config: ExperimentConfig):
     rng = np.random.default_rng(config.seed)
@@ -376,14 +381,12 @@ def _local_l2_rows(config: ExperimentConfig):
     cases.append((-1, se.classical_polynomial([1.0])))  # edge case: |L| = 1 identically
     rows = []
     for idx, s in cases:
-        ev = se.line_evaluator(s, 0.5)
         norm2 = se.l2_norm(s)
         for d in config.d_values:
             bound = bd.local_l2_bound(norm2, bd.CLASSICAL_C, d)
-            r = qd.integrate_abs_pow(ev, 0.5, (0.0, d), 2, tol=1e-7 * bound)
+            value = se.window_l2(s, 0.5, 0.0, d)
             limit = bound * (1.0 + 1e-6)
-            rows.append(("T4", idx, d, r.value, bound, limit - r.value,
-                         r.value <= limit and not r.flagged))
+            rows.append(("T4", idx, d, value, bound, limit - value, value <= limit))
     columns = ["check", "series_id", "d", "measured", "bound", "margin", "pass"]
     return columns, [_block(rows)], {}, True
 
@@ -421,8 +424,14 @@ def _measurements_for(series, delta, tol, p_values):
     log_minus = qd.integrate_log(ev, 0.5, window, "minus", tol)
     log_plus = qd.integrate_log(ev, 0.5, window, "plus", tol)
     sup = qd.interval_sup(ev, 0.5, window, grid_n=64)
-    lp = {p: qd.integrate_abs_pow(ev, 0.5, window, p, tol * delta) for p in p_values}
-    return log_minus, log_plus, sup, lp
+
+    def power_integral(p):  # (int_0^delta |L|^p dt, flagged); p = 2 is a closed form
+        if p == 2:
+            return se.window_l2(series, 0.5, 0.0, delta), False
+        r = qd.integrate_abs_pow(ev, 0.5, window, p, tol * delta)
+        return r.value, r.flagged
+
+    return log_minus, log_plus, sup, {p: power_integral(p) for p in p_values}
 
 
 # coefficient class -> ids of kinds log, sup and lp, in catalog order; each
@@ -462,11 +471,11 @@ def _log_bound_rows(config: ExperimentConfig):
                 for tid in lp_ids:
                     lb = bd.supnorm_lp_lower_bound(tid, delta, **params)
                     for p_exp in config.p_values:
-                        r = lp[p_exp]
-                        mean = (r.value / delta) ** (1.0 / p_exp)
+                        value, flagged = lp[p_exp]
+                        mean = (value / delta) ** (1.0 / p_exp)
                         margin = math.log(mean) - lb
                         rows.append((f"{tid}_lp{p_exp:g}", idx, delta, mean, lb, margin,
-                                     margin >= -config.tolerance and not r.flagged))
+                                     margin >= -config.tolerance and not flagged))
     rows.extend(_lemma14_rows(config))
     columns = ["check", "series_id", "delta", "measured", "bound", "margin", "pass"]
     return columns, [_block(rows)], {}, True

@@ -377,18 +377,43 @@ def test_csv_seed_changes_rows(tmp_path):
     assert (tmp_path / "s1.csv").read_text() != (tmp_path / "s2.csv").read_text()
 
 
+def _integral_free(check: str) -> bool:
+    # window sups are sampled, and T4 and the p = 2 rows read the closed
+    # form series.window_l2; every other sweep row rests on a quadrature
+    return check.endswith(("_sup", "_lp2")) or check == "T4"
+
+
 def test_sweep_flagged_integral_fails_row(monkeypatch):
-    # window sups use no integral; every other sweep row rests on one
     configs = (_small("local_l2_sweep", n_series=2, d_values=(1.0,)),
                _small("log_bound_sweep", n_series=1))
-    assert all(hn.dispatch(cfg).passed for cfg in configs)
+    before = [hn.dispatch(cfg) for cfg in configs]
+    assert all(result.passed for result in before)
     integrate = qd._integrate
     monkeypatch.setattr(qd, "_integrate", lambda *a, **k: (*integrate(*a, **k)[:3], True))
-    for cfg in configs:
+    for cfg, old in zip(configs, before):
         result = hn.dispatch(cfg)
-        assert not result.passed
-        assert result.summary["failures"] == sum(not r[0].endswith("_sup") for r in result.rows)
-        assert all(bool(r[-1]) == r[0].endswith("_sup") for r in result.rows)
+        # every row resting on an integral (log-, log+, _lp1, L14) fails
+        assert result.summary["failures"] == sum(not _integral_free(r[0]) for r in result.rows)
+        assert all(bool(r[-1]) == _integral_free(r[0]) for r in result.rows)
+        assert result.passed == (cfg.experiment == "local_l2_sweep")
+        # T4 and the _lp2 rows pass unchanged
+        closed = [r for r in old.rows if r[0] == "T4" or r[0].endswith("_lp2")]
+        assert closed and closed == [r for r in result.rows
+                                     if r[0] == "T4" or r[0].endswith("_lp2")]
+
+
+def test_sweeps_integrate_no_quadratic_form(monkeypatch):
+    # local_l2_sweep integrates nothing; log_bound_sweep integrates log-, log+
+    # and |L| once per (series, family, delta), and |L| once per L14 delta
+    calls = []
+    integrate = qd._integrate
+    monkeypatch.setattr(qd, "_integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    assert hn.dispatch(_small("local_l2_sweep", n_series=3)).passed
+    assert calls == []
+    cfg = _small("log_bound_sweep", n_series=2, deltas=(0.05, 0.2))
+    assert hn.dispatch(cfg).passed
+    l14 = sum(delta <= 0.05 for delta in cfg.deltas)
+    assert len(calls) == 3 * cfg.n_series * 2 * len(cfg.deltas) + l14 == 25
 
 
 def test_lerch_scan_pole_window_diverges(tmp_path, monkeypatch, capsys):

@@ -369,6 +369,55 @@ def test_classical_stack_evaluator_rows_are_line_evaluators():
         ev(0.25 + 1j * shared)
 
 
+# ---------------------------------------------------------------------------
+# window L^2 as a Hermitian form
+# ---------------------------------------------------------------------------
+
+@given(n_terms=st.integers(1, 20), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_window_l2_matches_quadrature(n_terms, seed):
+    rng = np.random.default_rng(seed)
+    s = se.classical_polynomial(rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms))
+    ev = se.line_evaluator(s, 0.5)
+    for a, b in ((0.0, 1.0), (0.0, 10.0), (0.3, 0.35)):
+        value = se.window_l2(s, 0.5, a, b)
+        r = qd.integrate_abs_pow(ev, 0.5, (a, b), 2, 1e-12 * value)
+        assert not r.flagged
+        assert abs(value - r.value) <= 1e-11 * value
+
+
+@pytest.mark.parametrize("a0, a, b", [(3 + 4j, 0.5, 2.5), (1.0, 0.0, 1.0), (-2j, 0.3, 0.35)])
+def test_window_l2_one_term_is_exact(a0, a, b):
+    # lambda_0 = 0, so w = a_0 on every line, and |a_0|^2 is a whole number here
+    for sigma1 in (0.5, -3.0):
+        assert se.window_l2(se.classical_polynomial([a0]), sigma1, a, b) == (b - a) * abs(a0) ** 2
+
+
+def test_window_l2_near_coincident_exponents_match_mpmath():
+    # exponents 1e-9 apart: (1 - e^(-iDx)) / (ix) would lose about 7 digits
+    # of the off-diagonal entry, the sinc form keeps them
+    mpmath = pytest.importorskip("mpmath")
+    gap, coeffs, sigma1, a, b = 1e-9, (1.0, 0.5 - 0.25j), 0.5, 0.0, 1.0
+    s = se.DirichletSeries(se.ExponentSequence.explicit([0.0, gap]), np.array(coeffs), 0.5)
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(gap)
+        c0, c1 = (mpmath.mpc(c.real, c.imag) for c in map(complex, coeffs))
+        ref = mpmath.quad(
+            lambda t: abs(c0 + c1 * mpmath.exp(-lam * mpmath.mpc(sigma1, t))) ** 2, [a, b])
+    assert abs(se.window_l2(s, sigma1, a, b) - float(ref)) <= 1e-14 * float(ref)
+
+
+def test_window_l2_refuses_tails_and_bad_bounds():
+    with pytest.raises(InvalidSeriesError):
+        se.window_l2(se.hurwitz_family(0.5), 0.5, 0.0, 1.0)
+    s = se.classical_polynomial([1.0, 0.5])
+    for args, field in (((math.inf, 0.0, 1.0), "sigma1"), ((0.5, math.nan, 1.0), "a"),
+                        ((0.5, 0.0, math.inf), "b"), ((0.5, 1.0, 0.0), "b"),
+                        ((0.5, 1.0, 1.0), "b")):
+        with pytest.raises(InvalidParameterError, match=f"'{field}'"):
+            se.window_l2(s, *args)
+
+
 def test_line_evaluator_logs_its_head_path(caplog):
     caplog.set_level("DEBUG", logger="hardyseries.special")
     s = se.classical_polynomial(np.ones(20), 0.5)
