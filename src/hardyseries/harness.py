@@ -23,9 +23,11 @@ measure: an exact identity of ``constants`` carries +inf when it holds and
 Both zeta scans measure a window the same way, since phi(1, beta; s) is
 zeta(s, beta): 9-node Simpson on a grid of step delta/8 over the window,
 the nodes evaluated in bands of whole windows by ``hurwitz_zeta_grid``
-(``hurwitz_scan``) or ``lerch_phi`` (``lerch_scan``), whose head sums take
-the phase-matrix path on evenly spaced nodes: a band of 4000 shared nodes,
-or a band of 444 windows of 9 nodes each, one window per row.
+(``hurwitz_scan``) or ``lerch_phi`` (``lerch_scan``), whose head sums use
+that the nodes are evenly spaced: a band of 4000 shared nodes takes the
+NUFFT head once the head has 32 terms (at alpha = 1, from the band that
+reaches t ~ 110) and the phase matrix below, and a band of 444 windows of
+9 nodes each, one window per row, takes the phase matrix.
 
 Experiments are deterministic functions of (seed, config): reruns produce
 bit-identical CSV files (runtime lives only in the JSON summary).

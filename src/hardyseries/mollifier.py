@@ -125,7 +125,8 @@ def bump_hat(x) -> complex | np.ndarray:
     Plateau segment integrated in closed form, edge layers by 64-point
     Gauss-Legendre (the phase across a layer stays below ~9 radians for
     |x| <= 3e5, well inside the rule's accuracy range), summed by
-    ``special._head_sum``: one phase-matrix product on an evenly spaced grid.
+    ``special._head_sum``: one NUFFT of the 128 layer nodes on an evenly
+    spaced grid of at least 128 points.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     vals = sp._head_sum(1j * x_arr, _LAYER_T, _LAYER_W * _LAYER_PHI)

@@ -346,9 +346,10 @@ def line_evaluator(
     The head sum_n a_n e^(-lambda_n sigma1) e^(-i t lambda_n) goes through
     ``special._head_sum``: per point, the terms are added in index order
     exactly as a one-point sum would add them; an evenly spaced grid of at
-    least 128 points is one phase-matrix product, and so is a 2-d array
-    whose rows are progressions of one step.  Tailed families close
-    the tail of the whole array with one Euler-Maclaurin call: the terms
+    least 128 points is one NUFFT when the series has at least 32 terms and
+    one phase-matrix product otherwise, and a 2-d array whose rows are
+    progressions of one step is one phase-matrix product.  Tailed families
+    close the tail of the whole array with one Euler-Maclaurin call: the terms
     alpha^w (n+alpha)^-w with w = 1/2 + s, summed to ``tail_tol``.
     """
     lam = series.lambdas

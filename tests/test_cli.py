@@ -3,7 +3,10 @@
 import importlib
 import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -232,6 +235,16 @@ def test_public_names_resolve(capsys):
     listed = usage[usage.index("{") + 1:usage.index("}")].split(",")
     assert listed == ["constants", "norms", "bound", "nonvanishing",
                       "integrate", "verify"]
+
+
+def test_module_entry_point_runs_from_source():
+    # python -m hardyseries needs no install, only src on the path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hardyseries.__file__)))
+    run = subprocess.run([sys.executable, "-m", "hardyseries", "bound", "--help"],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    assert "T27" in run.stdout
 
 
 def test_help_mentions_catalog(capsys):

@@ -130,12 +130,13 @@ def _head_sum_lines(caplog) -> list:
 
 
 def test_hurwitz_scan_phase_matrix_bands_reproducible(tmp_path, caplog):
-    # t 100-130 is 4809 nodes: two bands, both summed by the phase matrix
+    # t 100-130 is 4809 nodes: two bands of 37 and 38 head terms, at or
+    # above the NUFFT crossover, so both are summed by the NUFFT
     caplog.set_level("DEBUG", logger="hardyseries.special")
     cfg = _small("hurwitz_scan", alphas=(0.3,), t_start=100.0, t_stop=130.0)
     r1 = hn.dispatch(cfg)
-    paths = [line.rsplit(", ", 1)[1] for line in _head_sum_lines(caplog)]
-    assert paths == ["phase-matrix"] * 2
+    paths = [line.split(", ")[2] for line in _head_sum_lines(caplog)]
+    assert paths == ["nufft"] * 2
     assert r1.passed and len(r1.rows) == 1201
     csvs = []
     for name in ("a.csv", "b.csv"):

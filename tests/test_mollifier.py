@@ -53,7 +53,7 @@ def test_hat_matches_outer_product_layer_sum(monkeypatch):
     # the edge layers go through the shared exponential-sum kernel; the
     # reference sums them as one exp per (point, node) and a BLAS product
     rng = np.random.default_rng(175)
-    grid = np.linspace(0.0, 3.0e5, 100001)  # phase-matrix path
+    grid = np.linspace(0.0, 3.0e5, 100001)  # NUFFT path: 128 layer nodes
     scattered = np.concatenate([rng.uniform(-2.0e3, 2.0e3, 500),  # per-row path
                                 rng.uniform(-3.0e5, 3.0e5, 500)])
     values = [mo.bump_hat(grid), mo.bump_hat(scattered)]

@@ -337,7 +337,8 @@ def test_line_evaluator_off_progression_is_the_term_sum_bit_for_bit():
 
 def test_line_evaluator_on_even_grid_matches_the_term_sum():
     # 4001 evenly spaced ordinates, a nonvanishing_sweep grid, take the
-    # phase-matrix head; the empty array gives an empty result
+    # phase-matrix head below 32 terms and the NUFFT from 32 on; the empty
+    # array gives an empty result
     rng = np.random.default_rng(2012)
     ts = np.linspace(0.0, 40.0, 4001)
     for s in _kernel_series(rng):

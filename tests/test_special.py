@@ -251,7 +251,8 @@ def test_far_bands_meet_their_bound_against_mpmath():
 
 
 # ---------------------------------------------------------------------------
-# phase-matrix head sum on uniform grids
+# progression head sums on uniform grids: the 1-d bands below have heads of
+# 32 terms or more and take the NUFFT, the 2-d rows the phase matrix
 # ---------------------------------------------------------------------------
 
 _SCAN_H = 0.05 / 8  # grid step of a hurwitz_scan band at delta = 0.05
@@ -431,7 +432,7 @@ def test_zeta_grid_logs_its_head_path(caplog):
     n_band, n_pair = sp._em_cutoff(band, 1e-9), sp._em_cutoff(pair, 1e-9)
     assert lines == [
         _em_line(4000, n_band, band(n_band)),
-        f"head sum: 4000 points, {n_band} terms, phase-matrix",
+        f"head sum: 4000 points, {n_band} terms, nufft, grid 8000, half-width 16",
         _em_line(2, n_pair, pair(n_pair)),
         f"head sum: 2 points, {n_pair} terms, per-row",
     ]
@@ -485,6 +486,108 @@ def test_phase_matrix_bits_do_not_depend_on_blas_threads():
                              capture_output=True, text=True, check=True)
         digests.append(run.stdout.strip())
     assert digests[0] == digests[1]
+
+
+# ---------------------------------------------------------------------------
+# NUFFT head sum on long 1-d progressions
+# ---------------------------------------------------------------------------
+
+def _head_path(caplog, sv, log_n, weights=None) -> str:
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="hardyseries.special"):
+        sp._head_sum(sv, log_n, weights)
+    return caplog.records[-1].getMessage().split(", ")[2]
+
+
+@pytest.mark.parametrize("t0", [50.0, 900.0])
+def test_nufft_head_matches_per_row(t0, monkeypatch, caplog):
+    # Hurwitz heads (weights 1) at shifts 0.5 and 1, and Lerch heads with
+    # twist weights e^(2 pi i n alpha) at shift 0.7, whose x_0 = log 0.7 < 0;
+    # at t0 = 50 the two Hurwitz heads are shorter than the crossover, so
+    # the NUFFT is called directly there
+    ts = t0 + _SCAN_H * np.arange(4000)
+    sv = 1.0 + 1j * ts
+    step = sp._progression_step(ts)
+    cells = sp._fft_size(2 * ts.size)
+    heads = []
+    for alpha in (0.5, 1.0):
+        n = np.arange(sp._em_cutoff(sp._em_bound(complex(1.0, ts[-1]), alpha), 1e-9))
+        heads.append((np.log(n + alpha), None))
+    for twist in (0.3, 0.5):
+        n = np.arange(sp._em_cutoff(sp._boole_bound(complex(1.0, ts[-1]), twist, 0.7),
+                                    1e-9))
+        heads.append((np.log(n + 0.7), np.exp(2j * np.pi * twist * n)))
+    nufft = [sp._nufft_head(sv, log_n, weights, step, cells) for log_n, weights in heads]
+    for (log_n, weights), head in zip(heads, nufft):
+        if log_n.size >= sp._NUFFT_TERMS:
+            assert _head_path(caplog, sv, log_n, weights) == "nufft"
+            assert np.array_equal(sp._head_sum(sv, log_n, weights), head)
+    monkeypatch.setattr(sp, "_progression_step", lambda ts: None)
+    for (log_n, weights), head in zip(heads, nufft):
+        per_row = sp._head_sum(sv, log_n, weights)
+        assert np.max(np.abs(head - per_row)) <= 1e-13 * np.sum(np.exp(-log_n))
+
+
+def test_short_progression_head_keeps_phase_matrix_bits(caplog):
+    # a 1-d progression with fewer terms than the crossover is the phase
+    # matrix of its one row, bit for bit; one term more takes the NUFFT
+    sv = 1.0 + 1j * (50.0 + _SCAN_H * np.arange(4000))
+    few = np.log(np.arange(sp._NUFFT_TERMS - 1) + 0.3)
+    assert _head_path(caplog, sv, few) == "phase-matrix"
+    assert np.array_equal(sp._head_sum(sv, few), sp._head_sum(sv[None], few)[0])
+    twist = np.exp(2j * np.pi * 0.3 * np.arange(few.size))
+    assert np.array_equal(sp._head_sum(sv, few, twist),
+                          sp._head_sum(sv[None], few, twist)[0])
+    assert _head_path(caplog, sv, np.log(np.arange(sp._NUFFT_TERMS) + 0.3)) == "nufft"
+
+
+def test_nufft_band_at_height_meets_mpmath():
+    # one 4000-node band at t ~ 1e5 (about 29 000 head terms) against
+    # mpmath's Riemann-Siegel zeta at 8 nodes
+    mpmath = pytest.importorskip("mpmath")
+    ts = 99_900.0 + _SCAN_H * np.arange(4000)
+    values = sp.hurwitz_zeta_grid(1.0, ts, 1.0, 1e-9)
+    for j in np.linspace(0, ts.size - 1, 8).astype(int):
+        with mpmath.workdps(20):
+            ref = complex(mpmath.zeta(mpmath.mpc(1.0, ts[j])))
+        assert abs(values[j] - ref) <= 1e-9
+
+
+def test_nufft_band_at_height_bounded_memory():
+    # the spreading goes in pieces of 4096 terms: a band at t ~ 1e5 (about
+    # 29 000 terms, 32 cells each) peaks below 9 MiB, closure included; a
+    # warm-up band first, so that numpy.fft's import is not counted
+    ts = 99_900.0 + _SCAN_H * np.arange(4000)
+    sp.hurwitz_zeta_grid(1.0, ts[:200])
+    tracemalloc.start()
+    try:
+        sp.hurwitz_zeta_grid(1.0, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2 ** 20, f"peak {peak} bytes"
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # numpy.fft is loaded by the first NUFFT call, not by the package import
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(sp.__file__)))
+    code = "import sys, hardyseries; print('numpy.fft' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": package_root}, check=True)
+    assert run.stdout.strip() == "False"
+
+
+def test_fft_size_is_the_next_five_smooth_number():
+    def smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+    for n in (1, 2, 7, 256, 257, 1618, 8000, 8002, 200_002):
+        size = sp._fft_size(n)
+        assert size >= n and smooth(size)
+        assert not any(smooth(m) for m in range(n, size))
+    assert sp._fft_size(8002) == 8100
 
 
 # ---------------------------------------------------------------------------
