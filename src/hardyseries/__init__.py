@@ -16,7 +16,6 @@ from .bounds import (
     supnorm_lp_lower_bound,
 )
 from .errors import (
-    DivergenceError,
     HardySeriesError,
     InvalidParameterError,
     InvalidSeriesError,

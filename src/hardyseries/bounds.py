@@ -22,11 +22,7 @@ import numpy as np
 
 from . import series as se
 from . import special as sp
-from .errors import (
-    DivergenceError,
-    InvalidParameterError,
-    NearZeroAnchorError,
-)
+from .errors import InvalidParameterError, NearZeroAnchorError
 
 __all__ = [
     "BOUND_KINDS",
@@ -145,16 +141,23 @@ class BoundReport:
         }
 
 
+def _check(name: str, value: float, low: float = 0.0, inclusive: bool = False) -> None:
+    """Refuse ``value`` unless it is finite and above ``low`` (or equal to it,
+    with ``inclusive``), naming it; a bare sign test such as ``x <= 0`` lets
+    NaN through."""
+    if not math.isfinite(value) or value < low or (value == low and not inclusive):
+        raise InvalidParameterError(
+            f"{name} must be finite and {'>=' if inclusive else '>'} {low:g}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # exponent floor and tail decay
 # ---------------------------------------------------------------------------
 
 def lambda1_floor(c: float, sigma: float) -> float:
     """K = W(sigma/C)/sigma for sigma > 0, continuous limit 1/C at sigma = 0."""
-    if c <= 0:
-        raise InvalidParameterError("C must be positive")
-    if sigma < 0:
-        raise InvalidParameterError("sigma must be >= 0")
+    _check("C", c)
+    _check("sigma", sigma, inclusive=True)
     if sigma == 0.0:
         return 1.0 / c
     return sp.lambert_w0(sigma / c) / sigma
@@ -162,17 +165,15 @@ def lambda1_floor(c: float, sigma: float) -> float:
 
 def l1_tail_from_l2(norm2_tail: float, c: float, rate: float, x: float) -> float:
     """sqrt(1 + C/(2x)) ||L - a_0||_2 e^(-rate x); rate is lambda_1 or K."""
-    if x <= 0:
-        raise InvalidParameterError("shift x must be positive")
-    if norm2_tail < 0 or c < 0:
-        raise InvalidParameterError("norm and C must be non-negative")
+    _check("shift x", x)
+    _check("norm", norm2_tail, inclusive=True)
+    _check("C", c, inclusive=True)
     return math.sqrt(1.0 + c / (2.0 * x)) * norm2_tail * math.exp(-rate * x)
 
 
 def classical_l1_tail(norm2_tail: float, x: float) -> float:
     """Classical-exponent specialization: 2^-x sqrt(1 + 1/(x sqrt(8) log 2))."""
-    if x <= 0:
-        raise InvalidParameterError("shift x must be positive")
+    _check("shift x", x)
     return (
         2.0 ** (-x)
         * math.sqrt(1.0 + 1.0 / (x * math.sqrt(8.0) * LOG2))
@@ -182,8 +183,7 @@ def classical_l1_tail(norm2_tail: float, x: float) -> float:
 
 def local_l2_bound(norm2: float, c: float, d: float) -> float:
     """(D + 3 pi C) ||L||_2^2 bounds int_0^D |L(sigma_1 + it)|^2 dt."""
-    if d <= 0:
-        raise InvalidParameterError("D must be positive")
+    _check("D", d)
     return (d + 3.0 * math.pi * c) * norm2 ** 2
 
 
@@ -204,8 +204,7 @@ def log_plus_weighted_bound(
     only when non-negative (the returned flag).  L1 mode: log+ ||L||_1,
     always valid.
     """
-    if d <= 0:
-        raise InvalidParameterError("D must be positive")
+    _check("D", d)
     if mode == "H2":
         if norm2 is None or c is None:
             raise InvalidParameterError("H2 mode needs norm2 and C")
@@ -215,6 +214,7 @@ def log_plus_weighted_bound(
     if mode == "L1":
         if norm1 is None:
             raise InvalidParameterError("L1 mode needs norm1")
+        _check("norm1", norm1, inclusive=True)
         return max(0.0, math.log(norm1)) if norm1 > 0 else 0.0, True
     raise InvalidParameterError("mode must be 'H2' or 'L1'")
 
@@ -338,25 +338,15 @@ def nonvanishing_abscissa(
     """
     if not 0 < xi < 1:
         raise InvalidParameterError("xi must lie in (0, 1)")
-    if norm < 0:
-        raise InvalidParameterError("norm must be non-negative")
-    if rate <= 0:
-        raise InvalidParameterError("rate must be positive")
-    target = 1.0 - xi
-    if variant == "L1":
-        if norm == 0.0:
-            return 0.0
-        return max(0.0, math.log(norm / target)) / rate
-    if variant == "H2":
-        if norm == 0.0:
-            return 0.0
-        if c == 0.0:
-            return max(0.0, math.log(norm / target)) / rate
-    elif variant == "BoundedCoeff":
-        if c < 0:
-            raise InvalidParameterError("C must be non-negative")
-    else:
+    _check("norm", norm, inclusive=True)
+    _check("rate", rate)
+    if variant not in ("L1", "H2", "BoundedCoeff"):
         raise InvalidParameterError(f"unknown variant {variant!r}")
+    if variant != "L1":
+        _check("C", c, inclusive=True)
+    target = 1.0 - xi
+    if variant == "L1" or (variant == "H2" and (norm == 0.0 or c == 0.0)):
+        return max(0.0, math.log(norm / target)) / rate if norm else 0.0
     return _bisect_decreasing(_nonvanishing_lhs(norm, c, rate, variant), target)
 
 
@@ -369,9 +359,9 @@ class Nonvanishing(NamedTuple):
 def nonvanishing(series: se.DirichletSeries, xi: float, variant: str) -> Nonvanishing:
     """x_xi of ``series`` with a_0 normalized to 1, from the norm, C and rate
     its variant reads (see the ``CATALOG`` statement of its id), C, lambda_1
-    and K being ``class_params`` of that series.  BoundedCoeff refuses a
-    series with some |a_n| > 1 after normalization.  H2 refuses an analytic
-    tail, whose l2 norm the stored coefficients omit, and is capped by
+    and K being ``class_params`` of that series, whose norms are those of
+    its stored coefficients.  BoundedCoeff refuses a series with some
+    |a_n| > 1 after normalization.  H2 is capped by
     max(C, K^-1 log+(sqrt(3) norm / (sqrt(2)(1-xi))))."""
     series = se.normalize_leading(series)
     # the slack absorbs a coefficient divided by its own modulus landing an ulp above 1
@@ -384,9 +374,6 @@ def nonvanishing(series: se.DirichletSeries, xi: float, variant: str) -> Nonvani
                             0.0, math.inf)
     norm, rate, cap = 1.0, p.lambda1, math.inf
     if variant == "H2":
-        if series.tail is not None:
-            raise DivergenceError("H2 needs ||L - 1||_2 of the whole series; the "
-                                  "stored coefficients omit the analytic tail")
         norm, rate = float(np.sqrt(np.sum(np.abs(series.coefficients[1:]) ** 2))), p.k
     x = nonvanishing_abscissa(norm, p.c, rate, xi, variant)
     # x = 0 only for a zero H2 tail, which leaves no equation to solve
@@ -403,8 +390,7 @@ def nonvanishing(series: se.DirichletSeries, xi: float, variant: str) -> Nonvani
 
 def theorem21_constants(c: float, k: float, delta: float) -> tuple[float, float]:
     """K0 = pi (max(C, log4/K) + delta^2/(4C)) and K1 = C0 K0, as printed."""
-    if delta <= 0:
-        raise InvalidParameterError("delta must be positive")
+    _check("delta", delta)
     k0 = math.pi * (max(c, math.log(4.0) / k) + delta ** 2 / (4.0 * c))
     k1 = sp.kappa_constants().c0 * k0
     return k0, k1
@@ -434,15 +420,13 @@ def short_interval_log_bounds(
     pi (D + delta^2/(4D)) (log+ bound - log xi) with the matching
     nonvanishing distance D instead of the simplified printed form.
     """
-    if delta <= 0:
-        raise InvalidParameterError("delta must be positive")
+    _check("delta", delta)
     if xi is not None and not 0 < xi < 1:
         raise InvalidParameterError("xi must lie in (0, 1)")
     if variant == "T15":
         if norm1 is None or lambda1 is None:
             raise InvalidParameterError("T15 needs norm1 and lambda1")
-        if norm1 < 1.0:
-            raise InvalidParameterError("T15 assumes a_0 = 1, so norm1 >= 1")
+        _check("norm1", norm1, 1.0, inclusive=True)  # T15 assumes a_0 = 1
         plus = delta * math.log(norm1)
         if xi is None:
             minus = math.pi * (
@@ -457,8 +441,7 @@ def short_interval_log_bounds(
     if variant == "T16":
         if norm2 is None or c is None or k is None:
             raise InvalidParameterError("T16 needs norm2, C and K")
-        if norm2 < 1.0:
-            raise InvalidParameterError("T16 assumes a_0 = 1, so norm2 >= 1")
+        _check("norm2", norm2, 1.0, inclusive=True)  # T16 assumes a_0 = 1
         plus = delta * math.log(1.0 + 3.0 * math.pi * c / delta) + delta * math.log(norm2)
         if xi is None:
             minus = math.pi * ((math.log(norm2) + 1.0) ** 2 / k + delta ** 2 * k)
@@ -503,8 +486,7 @@ def supnorm_lp_lower_bound(
     window sup or the normalized L^p mean (delta^-1 int |L|^p)^(1/p), as its
     ``CATALOG`` statement reads; the bound does not depend on p, and T19 reads
     the L^1 norm its derivation rests on."""
-    if delta <= 0:
-        raise InvalidParameterError("delta must be positive")
+    _check("delta", delta)
     if variant in ("T17", "T19"):
         if norm1 is None or lambda1 is None:
             raise InvalidParameterError(f"{variant} needs norm1 and lambda1")
@@ -547,9 +529,8 @@ def hurwitz_lower_bound(
     ``variant`` reads; the twisted family passes its shift as ``alpha``.
     Validity window 0 < delta <= 0.05."""
     if not 0 < delta <= 0.05:
-        if delta <= 0:
-            raise InvalidParameterError("delta must be positive")
-        raise InvalidParameterError("bounds are stated for delta <= 0.05")
+        raise InvalidParameterError(f"delta must lie in (0, 0.05], where the bounds "
+                                    f"are stated, got {delta}")
     if not 0 < alpha <= 1:
         raise InvalidParameterError("alpha must lie in (0, 1]")
     if variant == "HurwitzLerch":
@@ -561,8 +542,9 @@ def hurwitz_lower_bound(
     if variant == "Uniform":
         return 7.0 / (6.0 * delta) * math.log(delta) - 9.0 / delta * _LN10
     if variant == "DirichletL14":
-        if coeff_sum is None or coeff_sum < 0:
-            raise InvalidParameterError("DirichletL14 needs coeff_sum >= 0")
+        if coeff_sum is None:
+            raise InvalidParameterError("DirichletL14 needs coeff_sum")
+        _check("coeff_sum", coeff_sum, inclusive=True)
         return (
             -math.log(alpha)
             - 29.0 / (25.0 * delta) * math.log(1.0 + alpha * coeff_sum)

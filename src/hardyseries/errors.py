@@ -17,10 +17,6 @@ class InvalidParameterError(HardySeriesError, ValueError):
     """A scalar argument is outside the documented domain."""
 
 
-class DivergenceError(HardySeriesError):
-    """A requested norm or tail sum diverges at the given abscissa."""
-
-
 class PrecisionError(HardySeriesError):
     """An error bound cannot be pushed below the requested target."""
 

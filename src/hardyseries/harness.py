@@ -487,7 +487,7 @@ def _lemma14_rows(config: ExperimentConfig) -> list:
     """Truncated unit-coefficient zeta family against its window lower bound."""
     rows = []
     n_trunc = 512
-    fam = se.hurwitz_family(1.0, n_terms=n_trunc, include_tail=False)
+    fam = se.hurwitz_family(1.0, n_terms=n_trunc)
     coeff_sum = float(np.sum(1.0 / (np.arange(1, n_trunc) + 1.0)))
     ev = se.line_evaluator(fam, 0.5)
     for delta in config.deltas:

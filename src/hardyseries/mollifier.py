@@ -167,8 +167,8 @@ def weighted_square_sum(alpha: float, delta: float, n_head: int = 20000) -> dict
     """
     if not 0 < alpha <= 1:
         raise InvalidParameterError("alpha must lie in (0, 1]")
-    if delta <= 0:
-        raise InvalidParameterError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise InvalidParameterError(f"delta must be finite and > 0, got {delta}")
     scale = ANGULAR_SCALE * delta
     n = np.arange(1, n_head + 1)
     u_head = scale * (np.log(n + alpha) - math.log(alpha))

@@ -5,10 +5,11 @@ Exponents satisfy 0 = lambda_0 < lambda_1 < ... ; the reference abscissa
 
     sup_{n != m}  e^(-sigma (lambda_n + lambda_m)) / |lambda_n - lambda_m|
 
-is taken.  Series are stored as finite coefficient lists; the built-in
-family ``hurwitz_family`` (coefficients (alpha/(n+alpha))^(1/2), the unit
-abscissa object written at the sigma = 1/2 normalization) carries an
-analytic tail descriptor, so its L^1 norm comes back as a certified upper bound.
+is taken.  Every series is a finite coefficient list.  The built-in family
+``hurwitz_family`` (coefficients (alpha/(n+alpha))^(1/2), the unit
+abscissa object written at the sigma = 1/2 normalization) is the first n
+terms of alpha^(s+1/2) zeta(s + 1/2, alpha); the terms beyond them are
+alpha^w ``special.hurwitz_tail_sum(w, alpha, n)`` with w = s + 1/2.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -23,18 +24,12 @@ from typing import Callable
 import numpy as np
 
 from . import special
-from .errors import (
-    DivergenceError,
-    InvalidParameterError,
-    InvalidSeriesError,
-    ZeroSeriesError,
-)
+from .errors import InvalidParameterError, InvalidSeriesError, ZeroSeriesError
 
 __all__ = [
     "ClassParams",
     "DirichletSeries",
     "ExponentSequence",
-    "HurwitzTail",
     "classical_polynomial",
     "classical_stack_evaluator",
     "hurwitz_family",
@@ -75,8 +70,8 @@ class ExponentSequence:
             if self.alpha is None or not 0 < self.alpha <= 1:
                 raise InvalidParameterError("hurwitz exponents need 0 < alpha <= 1")
         elif self.kind == LINEAR:
-            if self.c is None or self.c <= 0:
-                raise InvalidParameterError("linear exponents need c > 0")
+            if self.c is None or not 0 < self.c < math.inf:
+                raise InvalidParameterError(f"linear exponents need a finite c > 0, got {self.c}")
         elif self.kind == EXPLICIT:
             v = self.values
             if not v:
@@ -124,42 +119,15 @@ class ExponentSequence:
         return self.c * np.arange(count, dtype=float)  # linear
 
 
-@dataclass(frozen=True)
-class HurwitzTail:
-    """Analytic tail of the built-in family: terms (alpha/(n+alpha))^p.
-
-    Term n (n >= start) has coefficient (alpha/(n+alpha))^(1/2) and
-    exponent lambda_n = log(n+alpha) - log(alpha), so at abscissa s the
-    term magnitude is (alpha/(n+alpha))^(1/2 + Re(s)).
-    """
-
-    alpha: float
-    start: int
-
-    def power_at(self, sigma1: float) -> float:
-        return 0.5 + sigma1
-
-    def l1_upper(self, sigma1: float) -> float:
-        """Upper bound of sum_{n>=start} (alpha/(n+alpha))^p at p = power_at:
-        the integral from start plus the first term."""
-        p = self.power_at(sigma1)
-        if p <= 1.0:
-            raise DivergenceError(
-                f"tail diverges: effective exponent {p:.4f} <= 1"
-            )
-        a, n0 = self.alpha, self.start
-        integral = a ** p * (n0 + a) ** (1 - p) / (p - 1)
-        return integral + (a / (n0 + a)) ** p
-
-
 @dataclass(frozen=True, eq=False)
 class DirichletSeries:
     exponents: ExponentSequence
     coefficients: np.ndarray
     sigma: float
-    tail: HurwitzTail | None = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.sigma):
+            raise InvalidSeriesError(f"series 'sigma' must be finite, got {self.sigma}")
         coeffs = np.asarray(self.coefficients, dtype=complex)
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise InvalidSeriesError("coefficient list must be 1-d and non-empty")
@@ -181,11 +149,9 @@ class DirichletSeries:
 
     @property
     def lambda1(self) -> float:
-        if len(self) < 2 and self.tail is None:
+        if len(self) < 2:
             raise InvalidSeriesError("series has a single term, lambda_1 undefined")
-        if len(self) >= 2:
-            return float(self.exponents.lambdas(2)[1])
-        return math.log(self.tail.start + self.tail.alpha) - math.log(self.tail.alpha)
+        return float(self.exponents.lambdas(2)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +163,20 @@ def classical_polynomial(coefficients, sigma: float = 0.5) -> DirichletSeries:
     return DirichletSeries(ExponentSequence.classical(), np.asarray(coefficients, dtype=complex), sigma)
 
 
-def hurwitz_family(alpha: float, n_terms: int = 64, include_tail: bool = True) -> DirichletSeries:
-    """The unit-coefficient zeta family at the half-line normalization.
+def hurwitz_family(alpha: float, n_terms: int = 64) -> DirichletSeries:
+    """The first ``n_terms`` terms of the unit-coefficient zeta family at the
+    half-line normalization.
 
     Coefficients (alpha/(n+alpha))^(1/2) over exponents log(n+alpha) -
-    log(alpha); the full series evaluated at s equals
-    zeta(s + 1/2, alpha) alpha^(s+1/2) when every a_n = 1 upstream.
+    log(alpha); the whole family at s is alpha^w zeta(w, alpha), w = s + 1/2,
+    and the terms n >= ``n_terms`` it omits are alpha^w
+    ``special.hurwitz_tail_sum(w, alpha, n_terms)``.
     """
-    if n_terms < 1:
-        raise InvalidParameterError("n_terms must be >= 1")
-    n = np.arange(n_terms)
-    coeffs = np.sqrt(alpha / (n + alpha)).astype(complex)
-    tail = HurwitzTail(alpha, n_terms) if include_tail else None
-    return DirichletSeries(ExponentSequence.hurwitz(alpha), coeffs, 0.5, tail)
+    exponents = ExponentSequence.hurwitz(alpha)  # checks alpha before it is divided by
+    if not isinstance(n_terms, (int, np.integer)) or n_terms < 1:
+        raise InvalidParameterError(f"n_terms must be an integer >= 1, got {n_terms!r}")
+    coeffs = np.sqrt(alpha / (np.arange(n_terms) + alpha)).astype(complex)
+    return DirichletSeries(exponents, coeffs, 0.5)
 
 
 def one_minus_two_power_series(order: int, sigma: float = 0.5) -> DirichletSeries:
@@ -235,20 +202,13 @@ def l2_norm(series: DirichletSeries) -> float:
 
 
 def l1_norm_at(series: DirichletSeries, sigma1: float) -> float:
-    """sum |a_n| e^(-lambda_n sigma1); with an analytic tail, the head sum
-    plus a certified upper bound of the tail."""
-    head = float(np.sum(np.abs(series.coefficients) * np.exp(-series.lambdas * sigma1)))
-    if series.tail is None:
-        return head
-    return head + series.tail.l1_upper(sigma1)
+    """sum |a_n| e^(-lambda_n sigma1) over the stored coefficient list."""
+    return float(np.sum(np.abs(series.coefficients) * np.exp(-series.lambdas * sigma1)))
 
 
 def _adjacent_sup(lam: np.ndarray, sigma: float) -> float:
     vals = np.exp(-sigma * (lam[:-1] + lam[1:])) / (lam[1:] - lam[:-1])
     return float(np.max(vals))
-
-
-_BUILTIN_SCAN = 4096  # adjacent-pair scan depth for families with a tail
 
 
 def separation_constant(series: DirichletSeries) -> float:
@@ -257,18 +217,9 @@ def separation_constant(series: DirichletSeries) -> float:
     For sigma >= 0 the sup over all pairs of the truncation is attained on
     an adjacent pair: replacing m > n+1 by n+1 increases e^(-sigma lambda_m)
     and shrinks the gap, so only neighbours are scanned.  Explicit
-    sequences with sigma < 0 fall back to the full pair scan.  For the
-    built-in tailed families the scan is extended well past the truncation;
-    at sigma >= 1/2 the adjacent-pair value beyond the scan is below its
-    head maximum (it decreases towards alpha^(2 sigma) ... along the
-    tail), which the property tests exercise.
+    sequences with sigma < 0 fall back to the full pair scan.
     """
     n = len(series)
-    if series.tail is not None:
-        n = max(n, _BUILTIN_SCAN)
-        fl = series.exponents.finite_length
-        if fl is not None:
-            n = min(n, fl)
     if n < 2:
         raise InvalidSeriesError("separation constant needs at least two terms")
     lam = series.exponents.lambdas(n)
@@ -295,8 +246,8 @@ class ClassParams:
     k: float
 
     def __post_init__(self) -> None:
-        if self.c <= 0 or self.k <= 0:
-            raise InvalidParameterError("C and K must be positive")
+        if not (0 < self.c < math.inf and 0 < self.k < math.inf):
+            raise InvalidParameterError(f"C and K must be finite and > 0, got {self.c}, {self.k}")
         if self.k > self.lambda1 * (1 + 1e-9) + 1e-12:
             raise InvalidParameterError(
                 f"K = {self.k} exceeds lambda_1 = {self.lambda1}"
@@ -319,11 +270,7 @@ def normalize_leading(series: DirichletSeries) -> DirichletSeries:
     if k == 0:
         if coeffs[0] == 1.0:
             return series
-        if series.tail is not None:
-            raise InvalidSeriesError("cannot renormalize a tailed family")
         return DirichletSeries(series.exponents, coeffs / coeffs[0], series.sigma)
-    if series.tail is not None:
-        raise InvalidSeriesError("cannot drop leading terms of a tailed family")
     lam = series.lambdas
     new_lam = tuple(float(v) for v in (lam[k:] - lam[k]))
     new_coeffs = coeffs[k:] / coeffs[k]
@@ -336,41 +283,23 @@ def normalize_leading(series: DirichletSeries) -> DirichletSeries:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def line_evaluator(
-    series: DirichletSeries, sigma1: float, tail_tol: float = 1e-10
-) -> Callable[[np.ndarray], np.ndarray]:
+def line_evaluator(series: DirichletSeries, sigma1: float) -> Callable[[np.ndarray], np.ndarray]:
     """Evaluator for points s on the vertical line Re(s) = sigma1.
 
     The returned function maps a complex array of points sigma1 + i t to the
     array of values L(s), of the same shape; points off the line are refused.
-    The head sum_n a_n e^(-lambda_n sigma1) e^(-i t lambda_n) goes through
+    The sum_n a_n e^(-lambda_n sigma1) e^(-i t lambda_n) goes through
     ``special._head_sum``: per point, the terms are added in index order
     exactly as a one-point sum would add them; an evenly spaced grid of at
     least 128 points is one NUFFT when the series has at least 32 terms and
     one phase-matrix product otherwise, and a 2-d array whose rows are
-    progressions of one step is one phase-matrix product.  Tailed families
-    close the tail of the whole array with one Euler-Maclaurin call: the terms
-    alpha^w (n+alpha)^-w with w = 1/2 + s, summed to ``tail_tol``.
+    progressions of one step is one phase-matrix product.
     """
     lam = series.lambdas
     weights = series.coefficients * np.exp(-lam * sigma1)
-    tail = series.tail
-    if tail is not None:
-        w_re = tail.power_at(sigma1)  # Re w, the same at every point of the line
-        if w_re <= 1.0:
-            raise DivergenceError(
-                f"tail diverges: effective exponent {w_re:.4f} <= 1")
-        # the sum is scaled by alpha^w, of modulus alpha^Re(w) on the whole line
-        tail_target = tail_tol / max(tail.alpha ** w_re, 1e-300)
 
     def ev(s: np.ndarray) -> np.ndarray:
-        t = _ordinates(s, sigma1)
-        out = special._head_sum(1j * t, lam, weights)
-        if tail is not None and t.size:
-            w = tail.power_at(sigma1) + 1j * t
-            raw, _ = special.hurwitz_tail_sum(w, tail.alpha, tail.start, tail_target)
-            out += tail.alpha ** w * raw
-        return out
+        return special._head_sum(1j * _ordinates(s, sigma1), lam, weights)
 
     return ev
 
@@ -394,11 +323,8 @@ def window_l2(series: DirichletSeries, sigma1: float, a: float, b: float) -> flo
     e^(-i c lambda_m) e^(i c lambda_n), c = (a + b) / 2, and goes into the
     weights v_n = w_n e^(-i c lambda_n), which leaves the real symmetric
     sinc matrix S: the value is (b - a)(Re v . S Re v + Im v . S Im v).
-    Its error is roundoff only.  A tailed family has no finite form and is
-    refused.
+    Its error is roundoff only.
     """
-    if series.tail is not None:
-        raise InvalidSeriesError("window_l2 needs a finite series, not a tailed family")
     for name, value in (("sigma1", sigma1), ("a", a), ("b", b)):
         if not math.isfinite(value):
             raise InvalidParameterError(f"window_l2 {name!r} must be finite, got {value}")

@@ -601,7 +601,9 @@ def hurwitz_tail_sum(
 
     ``w`` is one complex number or an array on one vertical line; one cutoff,
     sized at the largest |Im w|, and the Euler-Maclaurin closure of the zeta
-    evaluators serve every point.  Used for the tails of built-in series.
+    evaluators serve every point.  alpha^w times the value is the tail of
+    ``series.hurwitz_family(alpha, start)`` beyond its ``start`` terms, at
+    s = w - 1/2; no function of the package calls it.
     """
     if np.any(np.real(w) <= 1):
         raise InvalidParameterError(f"tail sum diverges for Re(w) = {np.min(np.real(w))}")

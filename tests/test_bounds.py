@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardyseries import bounds as bd
+from hardyseries import mollifier as mo
 from hardyseries import quadrature as qd
 from hardyseries import series as se
 from hardyseries import special as sp
-from hardyseries.errors import DivergenceError, InvalidParameterError, NearZeroAnchorError
+from hardyseries.errors import InvalidParameterError, InvalidSeriesError, NearZeroAnchorError
 
 
 def _random_series(rng, n_terms=12, sigma=0.5, unit_tail=False):
@@ -284,9 +285,6 @@ def test_nonvanishing_normalizes_leading_coefficient():
 def test_nonvanishing_hurwitz_family(alpha, expected):
     s = se.hurwitz_family(alpha)
     assert bd.nonvanishing(s, 0.5, "BoundedCoeff").x == pytest.approx(expected, abs=5e-4)
-    # the l2 tail of the family diverges at sigma = 1/2 and is not stored
-    with pytest.raises(DivergenceError):
-        bd.nonvanishing(s, 0.5, "H2")
 
 
 @given(
@@ -512,3 +510,59 @@ def test_class_params_builder():
     assert p.c == pytest.approx(bd.CLASSICAL_C)
     assert p.lambda1 == pytest.approx(math.log(2.0))
     assert p.k <= p.lambda1 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs
+# ---------------------------------------------------------------------------
+
+# each public formula with one parameter whose domain it tests replaced by v
+_NON_FINITE_CALLS = {
+    "lambda1_floor C": lambda v: bd.lambda1_floor(v, 0.5),
+    "lambda1_floor sigma": lambda v: bd.lambda1_floor(1.0, v),
+    "l1_tail_from_l2 norm": lambda v: bd.l1_tail_from_l2(v, 1.0, 0.7, 1.0),
+    "l1_tail_from_l2 C": lambda v: bd.l1_tail_from_l2(1.0, v, 0.7, 1.0),
+    "l1_tail_from_l2 x": lambda v: bd.l1_tail_from_l2(1.0, 1.0, 0.7, v),
+    "classical_l1_tail x": lambda v: bd.classical_l1_tail(1.0, v),
+    "local_l2_bound D": lambda v: bd.local_l2_bound(1.0, 1.0, v),
+    "log_plus_weighted_bound D": lambda v: bd.log_plus_weighted_bound(v, "L1", norm1=2.0),
+    "log_plus_weighted_bound norm1": lambda v: bd.log_plus_weighted_bound(1.0, "L1", norm1=v),
+    "nonvanishing_abscissa norm": lambda v: bd.nonvanishing_abscissa(v, 1.0, 0.7, 0.5, "L1"),
+    "nonvanishing_abscissa rate": lambda v: bd.nonvanishing_abscissa(1.0, 1.0, v, 0.5, "H2"),
+    "nonvanishing_abscissa xi": lambda v: bd.nonvanishing_abscissa(1.0, 1.0, 0.7, v, "H2"),
+    "nonvanishing_abscissa C H2": lambda v: bd.nonvanishing_abscissa(1.0, v, 0.7, 0.5, "H2"),
+    "nonvanishing_abscissa C BoundedCoeff":
+        lambda v: bd.nonvanishing_abscissa(1.0, v, 0.7, 0.5, "BoundedCoeff"),
+    "theorem21_constants delta": lambda v: bd.theorem21_constants(1.0, 0.7, v),
+    "short_interval_log_bounds delta":
+        lambda v: bd.short_interval_log_bounds("T15", v, norm1=1.5, lambda1=0.69),
+    "short_interval_log_bounds xi":
+        lambda v: bd.short_interval_log_bounds("T15", 0.1, norm1=1.5, lambda1=0.69, xi=v),
+    "short_interval_log_bounds norm1":
+        lambda v: bd.short_interval_log_bounds("T15", 0.1, norm1=v, lambda1=0.69),
+    "short_interval_log_bounds norm2":
+        lambda v: bd.short_interval_log_bounds("T16", 0.1, norm2=v, c=1.0, k=0.7),
+    "supnorm_lp_lower_bound delta":
+        lambda v: bd.supnorm_lp_lower_bound("T17", v, norm1=1.5, lambda1=0.69),
+    "hurwitz_lower_bound delta": lambda v: bd.hurwitz_lower_bound(1.0, v, "Uniform"),
+    "hurwitz_lower_bound alpha": lambda v: bd.hurwitz_lower_bound(v, 0.05, "HurwitzLerch"),
+    "hurwitz_lower_bound coeff_sum":
+        lambda v: bd.hurwitz_lower_bound(1.0, 0.05, "DirichletL14", coeff_sum=v),
+    "weighted_square_sum alpha": lambda v: mo.weighted_square_sum(v, 0.05),
+    "weighted_square_sum delta": lambda v: mo.weighted_square_sum(0.5, v),
+    "ExponentSequence c": lambda v: se.ExponentSequence.linear(v),
+    "DirichletSeries sigma":
+        lambda v: se.DirichletSeries(se.ExponentSequence.classical(), np.ones(2), v),
+    "ClassParams C": lambda v: se.ClassParams(v, 0.5, 0.7, 0.6),
+    "ClassParams K": lambda v: se.ClassParams(1.0, 0.5, 0.7, v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_CALLS))
+def test_formulas_refuse_non_finite_inputs(case, value):
+    # NaN passes every sign test written as `x <= 0`, so each domain guard
+    # must refuse it (and +-inf) outright, naming the parameter
+    name = case.split()[1]
+    with pytest.raises((InvalidParameterError, InvalidSeriesError), match=name):
+        _NON_FINITE_CALLS[case](value)

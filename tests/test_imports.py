@@ -1,6 +1,7 @@
 """Every module-level import in the package and the tests is read somewhere,
-and every module-level private function or constant of the package is read
-somewhere in the package outside its own definition.
+every module-level private function or constant of the package is read
+somewhere in the package outside its own definition, and every exception
+class of the package is raised in it or is a base of one that is.
 
 Re-exports in ``__init__.py``, names listed in ``__all__`` and
 ``from __future__`` imports are exempt.
@@ -72,3 +73,28 @@ def test_no_dead_private_helpers():
             if not any(private in reads for _, other, reads in statements
                        if other is not node)]
     assert dead == []
+
+
+def _raised(node: ast.AST) -> set[str]:
+    """Names of the exception classes a tree raises, bare or as a module
+    attribute, called or not."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Raise) and n.exc is not None:
+            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            names.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return names
+
+
+def test_no_orphan_exceptions():
+    # every class of errors.py is raised somewhere in the package, or is a
+    # base of a class that is
+    errors = [node for node in ast.parse((ROOT / "src" / "hardyseries" / "errors.py")
+                                         .read_text(encoding="utf-8")).body
+              if isinstance(node, ast.ClassDef)]
+    live = set().union(*(_raised(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in PACKAGE))
+    for node in reversed(errors):  # a base is defined before its subclasses
+        if node.name in live:
+            live.update(base.id for base in node.bases if isinstance(base, ast.Name))
+    assert [node.name for node in errors if node.name not in live] == []
