@@ -168,12 +168,14 @@ def l1_tail_from_l2(norm2_tail: float, c: float, rate: float, x: float) -> float
     _check("shift x", x)
     _check("norm", norm2_tail, inclusive=True)
     _check("C", c, inclusive=True)
+    _check("rate", rate)
     return math.sqrt(1.0 + c / (2.0 * x)) * norm2_tail * math.exp(-rate * x)
 
 
 def classical_l1_tail(norm2_tail: float, x: float) -> float:
     """Classical-exponent specialization: 2^-x sqrt(1 + 1/(x sqrt(8) log 2))."""
     _check("shift x", x)
+    _check("norm", norm2_tail, inclusive=True)
     return (
         2.0 ** (-x)
         * math.sqrt(1.0 + 1.0 / (x * math.sqrt(8.0) * LOG2))
@@ -184,6 +186,8 @@ def classical_l1_tail(norm2_tail: float, x: float) -> float:
 def local_l2_bound(norm2: float, c: float, d: float) -> float:
     """(D + 3 pi C) ||L||_2^2 bounds int_0^D |L(sigma_1 + it)|^2 dt."""
     _check("D", d)
+    _check("norm2", norm2, inclusive=True)
+    _check("C", c, inclusive=True)
     return (d + 3.0 * math.pi * c) * norm2 ** 2
 
 
@@ -208,6 +212,8 @@ def log_plus_weighted_bound(
     if mode == "H2":
         if norm2 is None or c is None:
             raise InvalidParameterError("H2 mode needs norm2 and C")
+        _check("norm2", norm2)  # its log is read
+        _check("C", c, inclusive=True)
         kc = sp.kappa_constants()
         value = kc.kappa_half + 0.5 * math.log(1.0 + 3.0 * math.pi * c / d) + math.log(norm2)
         return value, value >= 0.0
@@ -391,6 +397,8 @@ def nonvanishing(series: se.DirichletSeries, xi: float, variant: str) -> Nonvani
 def theorem21_constants(c: float, k: float, delta: float) -> tuple[float, float]:
     """K0 = pi (max(C, log4/K) + delta^2/(4C)) and K1 = C0 K0, as printed."""
     _check("delta", delta)
+    _check("C", c)
+    _check("K", k)
     k0 = math.pi * (max(c, math.log(4.0) / k) + delta ** 2 / (4.0 * c))
     k1 = sp.kappa_constants().c0 * k0
     return k0, k1
@@ -427,6 +435,7 @@ def short_interval_log_bounds(
         if norm1 is None or lambda1 is None:
             raise InvalidParameterError("T15 needs norm1 and lambda1")
         _check("norm1", norm1, 1.0, inclusive=True)  # T15 assumes a_0 = 1
+        _check("lambda1", lambda1)
         plus = delta * math.log(norm1)
         if xi is None:
             minus = math.pi * (
@@ -442,6 +451,8 @@ def short_interval_log_bounds(
         if norm2 is None or c is None or k is None:
             raise InvalidParameterError("T16 needs norm2, C and K")
         _check("norm2", norm2, 1.0, inclusive=True)  # T16 assumes a_0 = 1
+        _check("C", c, inclusive=True)
+        _check("K", k)
         plus = delta * math.log(1.0 + 3.0 * math.pi * c / delta) + delta * math.log(norm2)
         if xi is None:
             minus = math.pi * ((math.log(norm2) + 1.0) ** 2 / k + delta ** 2 * k)
@@ -459,11 +470,13 @@ def short_interval_log_bounds(
     if variant == "T21":
         if norm2 is None or c is None or k is None:
             raise InvalidParameterError("T21 needs norm2, C and K")
+        _check("norm2", norm2)
         k0, k1 = theorem21_constants(c, k, delta)
         return k0 + k1 * math.log(norm2), None
     if variant == "T22":
         if norm1 is None or c is None or k is None:
             raise InvalidParameterError("T22 needs norm1, C and K")
+        _check("norm1", norm1)
         k0, _ = theorem21_constants(c, k, delta)
         return k0 * (LOG2 + math.log(norm1)), None
     raise InvalidParameterError(f"unknown variant {variant!r}")
@@ -490,21 +503,27 @@ def supnorm_lp_lower_bound(
     if variant in ("T17", "T19"):
         if norm1 is None or lambda1 is None:
             raise InvalidParameterError(f"{variant} needs norm1 and lambda1")
+        _check("norm1", norm1)
+        _check("lambda1", lambda1)
         return -math.pi * (
             (math.log(norm1) + LOG2) ** 2 / (lambda1 * delta) + delta * lambda1
         )
     if variant in ("T18", "T20"):
         if norm2 is None or k is None:
             raise InvalidParameterError(f"{variant} needs norm2 and K")
+        _check("norm2", norm2)
+        _check("K", k)
         return -math.pi * ((math.log(norm2) + 1.0) ** 2 / (k * delta) + k * delta)
     if variant in ("T23", "T25"):
         if norm2 is None or c is None or k is None:
             raise InvalidParameterError(f"{variant} needs norm2, C and K")
+        _check("norm2", norm2)
         k0, _ = theorem21_constants(c, k, delta)
         return -(k0 / delta) * math.log(24.0 * norm2)
     if variant in ("T24", "T26"):
         if norm1 is None or c is None or k is None:
             raise InvalidParameterError(f"{variant} needs norm1, C and K")
+        _check("norm1", norm1)
         k0, _ = theorem21_constants(c, k, delta)
         return -(k0 / delta) * math.log(2.0 * norm1)
     raise InvalidParameterError(f"unknown variant {variant!r}")

@@ -13,8 +13,9 @@ gap to the quoted 3^order, which its pass does not read.  T4 and the
 ``_lp2`` rows measure int |L|^2 as the closed Hermitian form of
 ``series.window_l2``, with roundoff-only error and no flag; every other
 integral comes from quadrature, and a flagged one fails its row.  A
-``nonvanishing_sweep`` row also checks its sampled maximum, residual and
-cap.  Comparisons against astronomically small lower bounds happen in
+``nonvanishing_sweep`` row reads the l1 bracket 1 -+ tail of |L|, which
+holds for every real t, and checks its upper end, residual and cap.
+Comparisons against astronomically small lower bounds happen in
 natural-log space, so a margin is finite except where no slack exists to
 measure: an exact identity of ``constants`` carries +inf when it holds and
 -inf when it does not, and a scan window holding the pole at t = 0 measures
@@ -25,9 +26,8 @@ zeta(s, beta): 9-node Simpson on a grid of step delta/8 over the window,
 the nodes evaluated in bands of whole windows by ``hurwitz_zeta_grid``
 (``hurwitz_scan``) or ``lerch_phi`` (``lerch_scan``), whose head sums use
 that the nodes are evenly spaced: a band of 4000 shared nodes takes the
-NUFFT head once the head has 32 terms (at alpha = 1, from the band that
-reaches t ~ 110) and the phase matrix below, and a band of 444 windows of
-9 nodes each, one window per row, takes the phase matrix.
+NUFFT head, and a band of 444 windows of 9 nodes each, one window per
+row, takes the phase matrix.
 
 Experiments are deterministic functions of (seed, config): reruns produce
 bit-identical CSV files (runtime lives only in the JSON summary).
@@ -396,7 +396,6 @@ def _local_l2_rows(config: ExperimentConfig):
 def _nonvanishing_rows(config: ExperimentConfig):
     rng = np.random.default_rng(config.seed)
     rows = []
-    ts = np.linspace(0.0, 100.0, 4001)
     for idx in range(config.n_series):
         s = _random_classical(rng, config.n_terms, unit_tail=True)
         bounded = _random_classical(rng, config.n_terms, unit_tail=True, bounded=True)
@@ -404,10 +403,9 @@ def _nonvanishing_rows(config: ExperimentConfig):
             for tid, target_series, variant in (("T14", s, "H2"), ("T13", s, "L1"),
                                                 ("L13", bounded, "BoundedCoeff")):
                 x, resid, cap = bd.nonvanishing(target_series, xi, variant)
-                sigma1 = 0.5 + x
-                mods = np.abs(se.line_evaluator(target_series, sigma1)(sigma1 + 1j * ts))
-                lo = float(np.min(mods))
-                hi = float(np.max(mods))
+                # a_0 = 1: ||L(0.5 + x + it)| - 1| <= the l1 tail for every real t
+                tail = se.l1_norm_at(target_series, 0.5 + x) - 1.0
+                lo, hi = 1.0 - tail, 1.0 + tail
                 ok = (
                     lo >= xi - 1e-6
                     and (variant == "BoundedCoeff" or hi <= 2.0 - xi + 1e-6)
@@ -415,7 +413,7 @@ def _nonvanishing_rows(config: ExperimentConfig):
                     and x <= cap + 1e-12
                 )
                 rows.append((tid, idx, xi, x, lo, hi, resid, lo - (xi - 1e-6), ok))
-    columns = ["check", "series_id", "xi", "x_xi", "sampled_min", "sampled_max",
+    columns = ["check", "series_id", "xi", "x_xi", "inf_lower", "sup_upper",
                "residual", "margin", "pass"]
     return columns, [_block(rows)], {}, True
 
@@ -575,10 +573,7 @@ def _scan_windows(values, delta: float, config: ExperimentConfig, pole: bool):
 def _log_measured(integrals: np.ndarray) -> np.ndarray:
     """The log of each window integral, -inf where it is 0 or nan, so that
     such a window fails every margin check."""
-    # math.log, not np.log: the two differ in the last bit on some windows,
-    # and the CSV keeps its bytes
-    return np.fromiter((math.log(v) if v > 0 else -math.inf for v in integrals.tolist()),
-                       float, integrals.size)
+    return np.log(integrals, out=np.full(integrals.shape, -np.inf), where=integrals > 0)
 
 
 def _hurwitz_scan_rows(config: ExperimentConfig):

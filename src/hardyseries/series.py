@@ -291,8 +291,7 @@ def line_evaluator(series: DirichletSeries, sigma1: float) -> Callable[[np.ndarr
     The sum_n a_n e^(-lambda_n sigma1) e^(-i t lambda_n) goes through
     ``special._head_sum``: per point, the terms are added in index order
     exactly as a one-point sum would add them; an evenly spaced grid of at
-    least 128 points is one NUFFT when the series has at least 32 terms and
-    one phase-matrix product otherwise, and a 2-d array whose rows are
+    least 128 points is one NUFFT, and a 2-d array whose rows are
     progressions of one step is one phase-matrix product.
     """
     lam = series.lambdas

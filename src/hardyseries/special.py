@@ -47,15 +47,13 @@ progressions: the rows of a 2-d array when at least 2 long, such as the
 9 nodes of each scan window, and a 1-d array as one row of at least 128
 points.
 
-* NUFFT: a 1-d progression of M points with at least 32 terms (at
-  alpha = 1, a scan band of 4000 shared nodes that reaches t ~ 110) is
-  one type-1 non-uniform FFT (Dutt & Rokhlin; Greengard & Lee, SIAM Rev.
-  2004), the many-values-from-one-transform idea of Odlyzko and
-  Schoenhage: the terms w_n e^(-s_c x_n), anchored at the middle point,
-  are spread by a Gaussian
-  of half-width 16 cells onto the smallest 5-smooth grid of at least 2M
-  cells, and one FFT gives every point.  Cost O(32 N + M log M) in place
-  of M N.  The Gaussian, cut at 16 cells, leaves a relative error of
+* NUFFT: a 1-d progression of M points, such as a scan band of 4000
+  shared nodes, is one type-1 non-uniform FFT (Dutt & Rokhlin; Greengard
+  & Lee, SIAM Rev. 2004), the many-values-from-one-transform idea of
+  Odlyzko and Schoenhage: the terms w_n e^(-s_c x_n), anchored at the
+  middle point, are spread by a Gaussian of half-width 16 cells onto the
+  smallest 5-smooth grid of at least 2M cells, and one FFT gives every
+  point.  Cost O(32 N + M log M) in place of M N.  The Gaussian, cut at 16 cells, leaves a relative error of
   order e^(-pi 16 (1 - 1/(2R))), 4e-17 at the oversampling R = 2, and
   the deconvolution magnifies the rounding of the grid by at most
   e^(pi 16 / (4 R (R - 1/2))), 66 at R = 2: on 4000-node bands the head
@@ -64,13 +62,12 @@ points.
   the phase matrix, and within 5e-12 ||w||_1 of the phase matrix at
   t ~ 1e5, where both round their phases at ulp(T) x_n.  ``numpy.fft``
   is imported by numpy on the first NUFFT call, not with this module.
-* phase matrix: any other progression, the 2-d rows of windows and a
-  1-d progression with fewer than 32 terms, is summed by einsum: anchor
-  rows w_n e^(-s_b x_n) times an R x N phase table e^(-i r h x_n), runs
-  of R <= 64 points, so a term's phase moves by at most 16 ulp(T) max x_n
-  and the bits never depend on BLAS.  At 4000 points and 20 terms it
-  takes the NUFFT's time, and below that less; a grid for the (windows,
-  9) rows would hold far more nodes than the windows need.
+* phase matrix: the rows of a 2-d progression, such as the (windows, 9)
+  nodes of disjoint scan windows, are summed by einsum: anchor rows
+  w_n e^(-s_b x_n) times an R x N phase table e^(-i r h x_n), runs of
+  R <= 64 points, so a term's phase moves by at most 16 ulp(T) max x_n
+  and the bits never depend on BLAS; a grid for those rows would hold far
+  more nodes than the windows need.
 * per row: every other array takes one complex exp per (point, term),
   each row summed in term order; so does a (K, terms) weight stack, one
   weight row per row of points, where rows of equal points share their
@@ -117,12 +114,6 @@ _MAX_CUTOFF = 2 ** 21
 _HEAD_BLOCK = 1 << 16  # head-sum matrix entries per block (points x terms), 1 MiB
 _PHASE_ROWS = 64  # phase-matrix head sum: most points per run, runs per anchor block
 _PHASE_TERMS = 4096  # terms per piece of the phase-matrix head sum, E at 4 MiB
-# fewest terms for which a 1-d progression takes the NUFFT head.  Measured
-# on 4000-point bands, one thread (Xeon, 2 vCPU): phase matrix against
-# NUFFT 0.18 / 0.19 ms at 16 terms, 0.21 / 0.20 ms at 20, 0.31 / 0.20 ms
-# at 32; on 128 and 500 points the NUFFT wins from 16 terms on.  32 is the
-# first power of two clearly past the tie at 4000 points
-_NUFFT_TERMS = 32
 _NUFFT_SPREAD = 16  # half-width of the NUFFT's Gaussian, in grid cells
 _BOOLE_TERMS = 30  # Euler-Boole coefficients K in every twisted Lerch closure
 
@@ -270,16 +261,14 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
     Euler-Maclaurin head.
 
     Three paths, as the module docstring sets out.  A 1-d progression
-    (``_progression_step``) with at least 32 terms (``_NUFFT_TERMS``, the
-    measured crossover) is one type-1 NUFFT, ``_nufft_head``: O(32 N +
+    (``_progression_step``) is one type-1 NUFFT, ``_nufft_head``: O(32 N +
     M log M) for M points and N terms, with no BLAS product.  Its Gaussian
     is cut at 16 cells, where it has fallen to e^(-pi 16 (1 - 1/(2R))),
     4e-17 at the oversampling R = 2, and its deconvolution magnifies the
     rounding of the grid by at most e^(pi 16 / (4 R (R - 1/2))), 66 at R = 2.
 
-    Any other progression, the rows of a 2-d array or a 1-d array with
-    fewer terms, is summed as matrix products.  Each row is cut into runs
-    of R = min(row length, 64) points; a 1-d array is one row.
+    The rows of a 2-d progression are summed as matrix products.  Each row
+    is cut into runs of R = min(row length, 64) points.
     The anchor V[b, n] = weights[n] exp(-s_b x[n]) at the first point s_b of
     each run times the phase table E[r, n] = exp(-i r h x[n]), r < R, gives
     the run's points.  E is built once per piece of at most 4096 terms, and
@@ -307,7 +296,7 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
     """
     stacked = weights is not None and weights.ndim == 2
     step = None if stacked else _progression_step(sv.imag)
-    nufft = step is not None and sv.ndim == 1 and x.size >= _NUFFT_TERMS
+    nufft = step is not None and sv.ndim == 1
     cells = _fft_size(2 * sv.size) if nufft else 0
     if logger.isEnabledFor(logging.DEBUG):
         if nufft:
@@ -326,9 +315,8 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
         np.multiply(weights[:, None, :], terms, out=terms)
         return terms.sum(axis=-1)
     if step is not None:
-        grid = sv if sv.ndim == 2 else sv.reshape(1, -1)
-        run = min(grid.shape[1], _PHASE_ROWS)
-        starts = grid[:, ::run].ravel()
+        run = min(sv.shape[1], _PHASE_ROWS)
+        starts = sv[:, ::run].ravel()
         head = np.zeros((starts.size, run), dtype=complex)
         shifts = -1j * (step * np.arange(run))
         piece = min(x.size, _PHASE_TERMS)
@@ -352,7 +340,7 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
                 # BLAS, so the bits do not depend on the BLAS library or its
                 # thread count
                 head[b:b + _PHASE_ROWS] += np.einsum("bn,rn->br", anchors, phases)
-        return head.reshape(grid.shape[0], -1)[:, :grid.shape[1]].reshape(sv.shape)
+        return head.reshape(sv.shape[0], -1)[:, :sv.shape[1]]
     flat = sv.ravel()
     head = np.empty(flat.shape, dtype=complex)
     rows = max(1, _HEAD_BLOCK // max(x.size, 1))

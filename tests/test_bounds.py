@@ -523,10 +523,17 @@ _NON_FINITE_CALLS = {
     "l1_tail_from_l2 norm": lambda v: bd.l1_tail_from_l2(v, 1.0, 0.7, 1.0),
     "l1_tail_from_l2 C": lambda v: bd.l1_tail_from_l2(1.0, v, 0.7, 1.0),
     "l1_tail_from_l2 x": lambda v: bd.l1_tail_from_l2(1.0, 1.0, 0.7, v),
+    "l1_tail_from_l2 rate": lambda v: bd.l1_tail_from_l2(1.0, 1.0, v, 1.0),
     "classical_l1_tail x": lambda v: bd.classical_l1_tail(1.0, v),
+    "classical_l1_tail norm": lambda v: bd.classical_l1_tail(v, 1.0),
     "local_l2_bound D": lambda v: bd.local_l2_bound(1.0, 1.0, v),
+    "local_l2_bound norm2": lambda v: bd.local_l2_bound(v, 1.0, 1.0),
+    "local_l2_bound C": lambda v: bd.local_l2_bound(1.0, v, 1.0),
     "log_plus_weighted_bound D": lambda v: bd.log_plus_weighted_bound(v, "L1", norm1=2.0),
     "log_plus_weighted_bound norm1": lambda v: bd.log_plus_weighted_bound(1.0, "L1", norm1=v),
+    "log_plus_weighted_bound norm2":
+        lambda v: bd.log_plus_weighted_bound(1.0, "H2", norm2=v, c=1.0),
+    "log_plus_weighted_bound C": lambda v: bd.log_plus_weighted_bound(1.0, "H2", norm2=1.0, c=v),
     "nonvanishing_abscissa norm": lambda v: bd.nonvanishing_abscissa(v, 1.0, 0.7, 0.5, "L1"),
     "nonvanishing_abscissa rate": lambda v: bd.nonvanishing_abscissa(1.0, 1.0, v, 0.5, "H2"),
     "nonvanishing_abscissa xi": lambda v: bd.nonvanishing_abscissa(1.0, 1.0, 0.7, v, "H2"),
@@ -534,6 +541,8 @@ _NON_FINITE_CALLS = {
     "nonvanishing_abscissa C BoundedCoeff":
         lambda v: bd.nonvanishing_abscissa(1.0, v, 0.7, 0.5, "BoundedCoeff"),
     "theorem21_constants delta": lambda v: bd.theorem21_constants(1.0, 0.7, v),
+    "theorem21_constants C": lambda v: bd.theorem21_constants(v, 0.7, 0.1),
+    "theorem21_constants K": lambda v: bd.theorem21_constants(1.0, v, 0.1),
     "short_interval_log_bounds delta":
         lambda v: bd.short_interval_log_bounds("T15", v, norm1=1.5, lambda1=0.69),
     "short_interval_log_bounds xi":
@@ -542,8 +551,38 @@ _NON_FINITE_CALLS = {
         lambda v: bd.short_interval_log_bounds("T15", 0.1, norm1=v, lambda1=0.69),
     "short_interval_log_bounds norm2":
         lambda v: bd.short_interval_log_bounds("T16", 0.1, norm2=v, c=1.0, k=0.7),
+    "short_interval_log_bounds lambda1 T15":
+        lambda v: bd.short_interval_log_bounds("T15", 0.1, norm1=1.5, lambda1=v),
+    "short_interval_log_bounds C T16":
+        lambda v: bd.short_interval_log_bounds("T16", 0.1, norm2=1.5, c=v, k=0.7),
+    "short_interval_log_bounds K T16":
+        lambda v: bd.short_interval_log_bounds("T16", 0.1, norm2=1.5, c=1.0, k=v),
+    "short_interval_log_bounds C T21":
+        lambda v: bd.short_interval_log_bounds("T21", 0.1, norm2=1.0, c=v, k=0.7),
+    "short_interval_log_bounds K T21":
+        lambda v: bd.short_interval_log_bounds("T21", 0.1, norm2=1.0, c=1.0, k=v),
+    "short_interval_log_bounds norm2 T21":
+        lambda v: bd.short_interval_log_bounds("T21", 0.1, norm2=v, c=1.0, k=0.7),
+    "short_interval_log_bounds norm1 T22":
+        lambda v: bd.short_interval_log_bounds("T22", 0.1, norm1=v, c=1.0, k=0.7),
     "supnorm_lp_lower_bound delta":
         lambda v: bd.supnorm_lp_lower_bound("T17", v, norm1=1.5, lambda1=0.69),
+    "supnorm_lp_lower_bound norm1 T17":
+        lambda v: bd.supnorm_lp_lower_bound("T17", 0.1, norm1=v, lambda1=0.69),
+    "supnorm_lp_lower_bound lambda1 T17":
+        lambda v: bd.supnorm_lp_lower_bound("T17", 0.1, norm1=1.5, lambda1=v),
+    "supnorm_lp_lower_bound norm2 T18":
+        lambda v: bd.supnorm_lp_lower_bound("T18", 0.1, norm2=v, k=0.7),
+    "supnorm_lp_lower_bound K T18":
+        lambda v: bd.supnorm_lp_lower_bound("T18", 0.1, norm2=1.5, k=v),
+    "supnorm_lp_lower_bound norm2 T23":
+        lambda v: bd.supnorm_lp_lower_bound("T23", 0.1, norm2=v, c=1.0, k=0.7),
+    "supnorm_lp_lower_bound C T23":
+        lambda v: bd.supnorm_lp_lower_bound("T23", 0.1, norm2=1.5, c=v, k=0.7),
+    "supnorm_lp_lower_bound norm1 T24":
+        lambda v: bd.supnorm_lp_lower_bound("T24", 0.1, norm1=v, c=1.0, k=0.7),
+    "supnorm_lp_lower_bound K T24":
+        lambda v: bd.supnorm_lp_lower_bound("T24", 0.1, norm1=1.5, c=1.0, k=v),
     "hurwitz_lower_bound delta": lambda v: bd.hurwitz_lower_bound(1.0, v, "Uniform"),
     "hurwitz_lower_bound alpha": lambda v: bd.hurwitz_lower_bound(v, 0.05, "HurwitzLerch"),
     "hurwitz_lower_bound coeff_sum":
@@ -566,3 +605,35 @@ def test_formulas_refuse_non_finite_inputs(case, value):
     name = case.split()[1]
     with pytest.raises((InvalidParameterError, InvalidSeriesError), match=name):
         _NON_FINITE_CALLS[case](value)
+
+
+# each formula that reads the log of a norm, or divides by C or K, with
+# that parameter at 0: refused by name, not a bare math domain error or
+# ZeroDivisionError
+_ZERO_CALLS = {
+    "log_plus_weighted_bound norm2": lambda: bd.log_plus_weighted_bound(1.0, "H2", norm2=0.0,
+                                                                        c=1.0),
+    "theorem21_constants C": lambda: bd.theorem21_constants(0.0, 0.7, 0.1),
+    "theorem21_constants K": lambda: bd.theorem21_constants(1.0, 0.0, 0.1),
+    "short_interval_log_bounds K T16":
+        lambda: bd.short_interval_log_bounds("T16", 0.1, norm2=1.5, c=1.0, k=0.0),
+    "short_interval_log_bounds norm2 T21":
+        lambda: bd.short_interval_log_bounds("T21", 0.1, norm2=0.0, c=1.0, k=0.7),
+    "short_interval_log_bounds norm1 T22":
+        lambda: bd.short_interval_log_bounds("T22", 0.1, norm1=0.0, c=1.0, k=0.7),
+    "short_interval_log_bounds lambda1 T15":
+        lambda: bd.short_interval_log_bounds("T15", 0.1, norm1=1.5, lambda1=0.0),
+    **{f"supnorm_lp_lower_bound {norm} {tid}":
+       (lambda tid=tid, norm=norm: bd.supnorm_lp_lower_bound(
+           tid, 0.1, **{"norm1": 1.5, "norm2": 1.5, norm: 0.0}, c=1.0, k=0.7,
+           lambda1=0.69))
+       for tid, norm in (("T17", "norm1"), ("T19", "norm1"), ("T18", "norm2"),
+                         ("T20", "norm2"), ("T23", "norm2"), ("T25", "norm2"),
+                         ("T24", "norm1"), ("T26", "norm1"))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ZERO_CALLS))
+def test_formulas_refuse_zero_norms_and_constants(case):
+    with pytest.raises(InvalidParameterError, match=f"{case.split()[1]} must be finite and > 0"):
+        _ZERO_CALLS[case]()

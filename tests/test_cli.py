@@ -146,6 +146,16 @@ def test_nonvanishing_bounded_refuses_large_coefficient(tmp_path, capsys):
     assert "|a_n| <= 1" in capsys.readouterr().err
 
 
+def test_bound_refuses_zero_series_norm(tmp_path, capsys):
+    # T18 reads log ||L||_2: the zero series is an input error (exit 2),
+    # not a math domain error
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"exponents": {"kind": "classical"},
+                                "coefficients": [[0, 0], [0, 0]], "sigma": 0.5}))
+    assert cli.main(["bound", "--variant", "t18", "--series", str(path)]) == 2
+    assert "error: norm2 must be finite and > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("variant", ["H2", "L1", "BoundedCoeff"])
 def test_nonvanishing_out_matches_bounds(tmp_path, capsys, series_file, variant):
     out = tmp_path / "nonvanishing.json"

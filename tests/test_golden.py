@@ -21,7 +21,10 @@ path.
 that file, with default flags; these are compared exactly.
 
 A change that moves cells on purpose records every golden again from its
-config and states what moved, which this module prints:
+config and states what moved, which this module prints: per column, the
+cells moved and the largest moves, or, where the header or the row count
+changed, the columns only one side has and both row counts.  A run that
+is checked against a golden fails on such a change with the same message.
 
     python tests/test_golden.py --record
     python tests/test_golden.py old.csv.gz new.csv
@@ -84,13 +87,25 @@ def _number(cell: str):
         return None
 
 
+class ShapeChange(AssertionError):
+    """Two CSVs, or two summaries, differ in header or row count."""
+
+
 def largest_moves(old, new) -> dict:
     """column -> (largest relative move of a number, largest absolute move,
     cells moved, cells whose text changed and which are not numbers) between
-    two CSVs, or two summaries, of one header and row count."""
+    two CSVs, or two summaries, of one header and row count; a change of
+    header or row count raises ``ShapeChange``, naming the columns only one
+    side has and both row counts."""
     header, old_rows = _read(old)
     new_header, new_rows = _read(new)
-    assert new_header == header and len(new_rows) == len(old_rows)
+    if new_header != header or len(new_rows) != len(old_rows):
+        gone = [name for name in header if name not in new_header]
+        added = [name for name in new_header if name not in header]
+        if not gone and not added:  # the same names in another order
+            gone, added = header, new_header
+        raise ShapeChange(f"{pathlib.Path(old).name}: columns {gone} -> {added}, "
+                          f"rows {len(old_rows)} -> {len(new_rows)}")
     moves = {name: [0.0, 0.0, 0, 0] for name in header}
     for old_row, new_row in zip(old_rows, new_rows):
         for name, a, b in zip(header, old_row, new_row):
@@ -166,6 +181,38 @@ def test_bound_documents_match_golden(tmp_path):
     assert _bound_outputs(golden["series"], _bound_ids(), tmp_path) == golden["documents"]
 
 
+def _renamed_golden(monkeypatch, tmp: pathlib.Path) -> pathlib.Path:
+    """A copy of the golden directory whose constants CSV names its
+    ``measured`` column ``value``, made the golden directory."""
+    golden = tmp / "golden"
+    golden.mkdir()
+    for name in ("constants.json", "constants.summary.json", "bound.json"):
+        (golden / name).write_bytes((GOLDEN / name).read_bytes())
+    text = gzip.decompress((GOLDEN / "constants.csv.gz").read_bytes()).decode()
+    header, rest = text.split("\n", 1)
+    renamed = header.replace("measured", "value") + "\n" + rest
+    (golden / "constants.csv.gz").write_bytes(gzip.compress(renamed.encode(), mtime=0))
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", golden)
+    return golden
+
+
+def test_renamed_column_fails_check_with_its_names(tmp_path, monkeypatch):
+    _renamed_golden(monkeypatch, tmp_path)
+    message = r"constants.csv.gz: columns \['value'\] -> \['measured'\], rows 13 -> 13"
+    with pytest.raises(ShapeChange, match=message):
+        _check("constants", tmp_path)
+
+
+def test_record_reports_and_rewrites_a_renamed_column(tmp_path, monkeypatch, capsys):
+    golden = _renamed_golden(monkeypatch, tmp_path)
+    monkeypatch.setattr(sys.modules[__name__], "EXPERIMENTS", ("constants",))
+    record()
+    printed = capsys.readouterr().out.splitlines()
+    assert "constants.csv.gz: columns ['value'] -> ['measured'], rows 13 -> 13" in printed
+    assert _read(golden / "constants.csv.gz")[0][1] == "measured"
+    _check("constants", tmp_path)
+
+
 def _print_moves(prefix: str, moves: dict) -> None:
     for column, (rel, move, moved, text) in moves.items():
         print(f"{prefix}{column}: {moved} moved, largest relative {rel:.3g}, "
@@ -182,7 +229,10 @@ def record() -> None:
             for golden, new in ((GOLDEN / f"{name}.csv.gz", out),
                                 (GOLDEN / f"{name}.summary.json", f"{out}.summary.json")):
                 if golden.exists():
-                    _print_moves(f"{golden.name} ", largest_moves(golden, new))
+                    try:
+                        _print_moves(f"{golden.name} ", largest_moves(golden, new))
+                    except ShapeChange as change:
+                        print(change)
             (GOLDEN / f"{name}.csv.gz").write_bytes(
                 gzip.compress(out.read_bytes(), mtime=0))
             (GOLDEN / f"{name}.summary.json").write_bytes(

@@ -90,6 +90,53 @@ def test_nonvanishing_sweep_computes_class_params_once_per_series(monkeypatch):
     assert len(calls) == 100 == len({id(series) for series in calls})
 
 
+@given(kind=st.sampled_from(["classical", "linear", "hurwitz", "explicit"]),
+       n_terms=st.integers(2, 20), sigma1=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_l1_bracket_holds_for_every_kind(kind, n_terms, sigma1, seed):
+    # with a_0 = 1, |L(sigma1 + it)| lies in 1 -+ (sum_n |a_n| e^(-lambda_n
+    # sigma1) - 1), the bracket a nonvanishing_sweep row reads, at every t
+    rng = np.random.default_rng(seed)
+    exponents = {
+        "classical": se.ExponentSequence.classical,
+        "linear": lambda: se.ExponentSequence.linear(rng.uniform(0.05, 3.0)),
+        "hurwitz": lambda: se.ExponentSequence.hurwitz(rng.uniform(0.05, 1.0)),
+        "explicit": lambda: se.ExponentSequence.explicit(
+            np.cumsum(np.r_[0.0, rng.exponential(0.3, n_terms - 1) + 1e-3])),
+    }[kind]()
+    coeffs = hn._disc_samples(rng, n_terms) * rng.uniform(0.0, 2.0)
+    coeffs[0] = 1.0
+    s = se.DirichletSeries(exponents, coeffs, 0.5)
+    tail = se.l1_norm_at(s, sigma1) - 1.0
+    ts = rng.uniform(-1e3, 1e3, 64)
+    mods = np.abs(se.line_evaluator(s, sigma1)(sigma1 + 1j * ts))
+    assert np.all(mods >= 1.0 - tail - 1e-12) and np.all(mods <= 1.0 + tail + 1e-12)
+
+
+def test_nonvanishing_rows_read_the_bracket_at_x_xi(monkeypatch):
+    # at x = 0 the l1 tail of a unit-l2-tail series exceeds 1 - xi, so every
+    # T13 and T14 row fails on its bracket: the rows read the shift they get
+    monkeypatch.setattr(hn.bd, "nonvanishing",
+                        lambda series, xi, variant: hn.bd.Nonvanishing(0.0, 0.0, math.inf))
+    result = hn.dispatch(_small("nonvanishing_sweep"))
+    assert not result.passed
+    assert all(not row[-1] for row in result.rows if row[0] in ("T13", "T14"))
+
+
+def test_nonvanishing_rows_evaluate_no_series(monkeypatch):
+    # the default sweep passes with every evaluator refused: no row samples |L|
+    def refuse(*args, **kwargs):
+        raise AssertionError("a nonvanishing_sweep row evaluated a series")
+
+    monkeypatch.setattr(se, "line_evaluator", refuse)
+    monkeypatch.setattr(sp, "_head_sum", refuse)
+    result = hn.dispatch(_small("nonvanishing_sweep"))
+    assert result.summary["n_rows"] == 300 and result.passed
+    assert result.columns == ["check", "series_id", "xi", "x_xi", "inf_lower", "sup_upper",
+                              "residual", "margin", "pass"]
+
+
 def test_log_bound_small_sweep():
     result = hn.dispatch(_small("log_bound_sweep", n_series=3, deltas=(0.05, 0.2)))
     assert result.passed
@@ -551,11 +598,14 @@ def test_hurwitz_scan_bytes_and_margins(tmp_path, monkeypatch):
         assert m27 == math.log(measured) - lb_fixed
         assert m29 == math.log(measured) - lb_uniform
     # a bound near -485 absorbs a last-bit change of the log, so with the
-    # bounds at 0 the margin is the log itself; np.log parts from math.log in
-    # the last bit at the alpha = 1, delta = 0.05 window t = 39 (x86-64, AVX-512)
+    # bounds at 0 the margin is the log itself, the bits of np.log over the
+    # measured column; np.log parts from math.log in the last bit at the
+    # alpha = 1, delta = 0.05 window t = 39 (x86-64, AVX-512)
     monkeypatch.setattr(hn.bd, "hurwitz_lower_bound", lambda *args: 0.0)
-    for row in hn.dispatch(dataclasses.replace(cfg, out=None)).rows:
-        assert row[6] == row[7] == math.log(row[3])
+    rows = hn.dispatch(dataclasses.replace(cfg, out=None)).rows
+    logs = np.log(np.array([row[3] for row in rows]))
+    assert np.array_equal([row[6] for row in rows], logs)
+    assert np.array_equal([row[7] for row in rows], logs)
 
 
 def test_scan_result_memory_per_row():

@@ -457,8 +457,8 @@ def test_stacked_interval_sup_is_each_row_bit_for_bit(grid_n):
     # each entry of a stacked sup is the 1-d sup of its row alone, with rows
     # repeated and a stack of one.  Below 128 grid points the row's
     # line_evaluator gives the same bits; a 1-d grid call of 128 or more
-    # evenly spaced points takes the phase-matrix head, which a stack never
-    # does, so there the row alone is a stack of one seen as 1-d
+    # evenly spaced points takes the NUFFT head, which a stack never does,
+    # so there the row alone is a stack of one seen as 1-d
     rng = np.random.default_rng(1404 + grid_n)
     for k_rows, terms, delta in ((12, 16, 0.1), (1, 16, 0.05), (7, 5, 0.05)):
         coeffs = rng.normal(size=(k_rows, terms)) + 1j * rng.normal(size=(k_rows, terms))

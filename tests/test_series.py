@@ -297,9 +297,8 @@ def test_line_evaluator_off_progression_is_the_term_sum_bit_for_bit():
 
 
 def test_line_evaluator_on_even_grid_matches_the_term_sum():
-    # 4001 evenly spaced ordinates, a nonvanishing_sweep grid, take the
-    # phase-matrix head below 32 terms and the NUFFT from 32 on; the empty
-    # array gives an empty result
+    # 4001 evenly spaced ordinates take the NUFFT head whatever the term
+    # count; the empty array gives an empty result
     rng = np.random.default_rng(2012)
     ts = np.linspace(0.0, 40.0, 4001)
     for s in _kernel_series(rng):
@@ -386,7 +385,7 @@ def test_line_evaluator_logs_its_head_path(caplog):
     ev(0.5 + 1j * np.array([0.0, 0.3, 2.0]))
     lines = [r.getMessage() for r in caplog.records if r.name == "hardyseries.special"]
     assert lines == [
-        f"head sum: 4001 points, {len(s)} terms, phase-matrix",
+        f"head sum: 4001 points, {len(s)} terms, nufft, grid 8100, half-width 16",
         f"head sum: 3 points, {len(s)} terms, per-row",
     ]
 

@@ -217,7 +217,7 @@ def test_one_point_and_grid_give_identical_bits():
     top = int(np.argmax(ts))
     assert sp.hurwitz_zeta_with_error(complex(0.8, ts[top]), 0.4, 1e-10) == (
         grid[top], grid_bound)
-    # a 4000-node scan band takes the phase-matrix head; its closure alone
+    # a 4000-node scan band takes the NUFFT head; its closure alone
     # (start = N) is still the one-point closure, bit for bit
     band = 1.0 + 1j * (500.0 + _SCAN_H * np.arange(4000))
     closures, _ = sp._zeta_sum(band, 0.3, None, start=160, cutoff=160)
@@ -251,8 +251,8 @@ def test_far_bands_meet_their_bound_against_mpmath():
 
 
 # ---------------------------------------------------------------------------
-# progression head sums on uniform grids: the 1-d bands below have heads of
-# 32 terms or more and take the NUFFT, the 2-d rows the phase matrix
+# progression head sums on uniform grids: the 1-d bands below take the
+# NUFFT, the 2-d rows the phase matrix
 # ---------------------------------------------------------------------------
 
 _SCAN_H = 0.05 / 8  # grid step of a hurwitz_scan band at delta = 0.05
@@ -503,8 +503,7 @@ def _head_path(caplog, sv, log_n, weights=None) -> str:
 def test_nufft_head_matches_per_row(t0, monkeypatch, caplog):
     # Hurwitz heads (weights 1) at shifts 0.5 and 1, and Lerch heads with
     # twist weights e^(2 pi i n alpha) at shift 0.7, whose x_0 = log 0.7 < 0;
-    # at t0 = 50 the two Hurwitz heads are shorter than the crossover, so
-    # the NUFFT is called directly there
+    # every head takes the NUFFT, the short heads at t0 = 50 included
     ts = t0 + _SCAN_H * np.arange(4000)
     sv = 1.0 + 1j * ts
     step = sp._progression_step(ts)
@@ -519,26 +518,12 @@ def test_nufft_head_matches_per_row(t0, monkeypatch, caplog):
         heads.append((np.log(n + 0.7), np.exp(2j * np.pi * twist * n)))
     nufft = [sp._nufft_head(sv, log_n, weights, step, cells) for log_n, weights in heads]
     for (log_n, weights), head in zip(heads, nufft):
-        if log_n.size >= sp._NUFFT_TERMS:
-            assert _head_path(caplog, sv, log_n, weights) == "nufft"
-            assert np.array_equal(sp._head_sum(sv, log_n, weights), head)
+        assert _head_path(caplog, sv, log_n, weights) == "nufft"
+        assert np.array_equal(sp._head_sum(sv, log_n, weights), head)
     monkeypatch.setattr(sp, "_progression_step", lambda ts: None)
     for (log_n, weights), head in zip(heads, nufft):
         per_row = sp._head_sum(sv, log_n, weights)
         assert np.max(np.abs(head - per_row)) <= 1e-13 * np.sum(np.exp(-log_n))
-
-
-def test_short_progression_head_keeps_phase_matrix_bits(caplog):
-    # a 1-d progression with fewer terms than the crossover is the phase
-    # matrix of its one row, bit for bit; one term more takes the NUFFT
-    sv = 1.0 + 1j * (50.0 + _SCAN_H * np.arange(4000))
-    few = np.log(np.arange(sp._NUFFT_TERMS - 1) + 0.3)
-    assert _head_path(caplog, sv, few) == "phase-matrix"
-    assert np.array_equal(sp._head_sum(sv, few), sp._head_sum(sv[None], few)[0])
-    twist = np.exp(2j * np.pi * 0.3 * np.arange(few.size))
-    assert np.array_equal(sp._head_sum(sv, few, twist),
-                          sp._head_sum(sv[None], few, twist)[0])
-    assert _head_path(caplog, sv, np.log(np.arange(sp._NUFFT_TERMS) + 0.3)) == "nufft"
 
 
 def test_nufft_band_at_height_meets_mpmath():
