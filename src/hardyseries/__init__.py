@@ -26,7 +26,6 @@ from .errors import (
     ZeroSeriesError,
 )
 from .harness import ExperimentConfig, ExperimentResult, dispatch
-from .mollifier import BUMP, bump_hat, weighted_square_sum
 from .quadrature import (
     IntegralResult,
     integrate_abs_pow,

@@ -95,7 +95,7 @@ T27 lower log bounded zeta HurwitzLerch  int_W |zeta(1+it, alpha)| >= (1 + alpha
 T28 lower log bounded zeta HurwitzLerch  the T27 bound for the twisted family phi(a, alpha; 1+it) at shift alpha
 T29 lower log bounded zeta Uniform  int_W |zeta(1+it, alpha)| >= delta^(7/(6 delta)) 10^(-9/delta), for every alpha
 T30 lower log bounded zeta Uniform  the T29 bound for the twisted family, for every shift
-L14 lower log bounded zeta DirichletL14  int_W |sum a_n (n+alpha)^-(1+it)| >= (1 + alpha S)^(-29/(25 delta)) e^(-16/delta) / alpha, S = sum |a_n|^2/(n+alpha)
+L14 lower log bounded zeta DirichletL14  int_W |sum_{n>=0} a_n (n+alpha)^-(1+it)| >= (1 + alpha S)^(-29/(25 delta)) e^(-16/delta) / alpha, S = sum_{n>=1} |a_n|^2/(n+alpha), a_n the stored coefficients
 """
 CATALOG = {
     tid: Entry(side, space == "log", coeffs, None if kind == "-" else kind,

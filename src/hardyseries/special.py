@@ -17,12 +17,13 @@ of the tail n >= N nests its M Bernoulli terms in Horner form,
 acc = c_k + q_k acc with q_k = (s+2k-1)(s+2k)/(N+alpha)^2, and takes
 (N+alpha)^-s as exp(-s log(N+alpha)): a few elementwise operations per
 term, the same for one point as for a band of thousands.  Bernoulli
-numbers B_2 .. B_60 are generated exactly once at import time from the
-integer recurrence.  The twisted Lerch tail sum_{n>=N} z^n (n+beta)^-s,
-z = e^(2 pi i alpha) != 1, is closed the same way by Euler-Boole
-summation: K = 30 terms c_k (-1)^k (s)_k (N+beta)^-k, with c_k the Taylor
-coefficients of 1/(1 - z e^u) computed per call, nested as
-acc = c_k - (s+k)/(N+beta) acc, under a remainder bound of the same shape.
+numbers B_2 .. B_30, the closure's M + 1, are generated exactly once at
+import time from the integer recurrence.  The twisted Lerch tail
+sum_{n>=N} z^n (n+beta)^-s, z = e^(2 pi i alpha) != 1, is closed the
+same way by Euler-Boole summation: K = 30 terms c_k (-1)^k (s)_k
+(N+beta)^-k, with c_k the Taylor coefficients of 1/(1 - z e^u) computed
+per call, nested as acc = c_k - (s+k)/(N+beta) acc, under a remainder
+bound of the same shape.
 
 Every zeta value, twisted or not, comes from one kernel, ``_zeta_sum``,
 of which each public evaluator is a view; ``hurwitz_tail_sum``,
@@ -107,7 +108,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_MAX_BERNOULLI_TERMS = 30  # B_2 through B_60
 _EM_TERMS = 14  # Bernoulli corrections M in every Euler-Maclaurin closure
 _MIN_CUTOFF = 16
 _MAX_CUTOFF = 2 ** 21
@@ -118,30 +118,31 @@ _NUFFT_SPREAD = 16  # half-width of the NUFFT's Gaussian, in grid cells
 _BOOLE_TERMS = 30  # Euler-Boole coefficients K in every twisted Lerch closure
 
 
-def _bernoulli_even() -> tuple[float, ...]:
+def _bernoulli_even(count: int) -> tuple[float, ...]:
     # B_m via sum_{j<m} C(m+1, j) B_j = -(m+1) B_m, exact rational arithmetic.
     bs = [Fraction(1)]
-    for m in range(1, 2 * _MAX_BERNOULLI_TERMS + 1):
+    for m in range(1, 2 * count + 1):
         acc = Fraction(0)
         for j in range(m):
             acc += math.comb(m + 1, j) * bs[j]
         bs.append(-acc / (m + 1))
-    return tuple(float(bs[2 * k]) for k in range(1, _MAX_BERNOULLI_TERMS + 1))
+    return tuple(float(bs[2 * k]) for k in range(1, count + 1))
 
 
-BERNOULLI_B2K: tuple[float, ...] = _bernoulli_even()
+# B_2 .. B_2(M+1): the closure reads k <= M, its remainder bound k = M + 1.
+BERNOULLI_B2K: tuple[float, ...] = _bernoulli_even(_EM_TERMS + 1)
 
 # B_2k / (2k)! precomputed alongside, used in every Euler-Maclaurin sum.
 _B2K_OVER_FACT: np.ndarray = np.array([
-    BERNOULLI_B2K[k - 1] / math.factorial(2 * k)
-    for k in range(1, _MAX_BERNOULLI_TERMS + 1)
+    b / math.factorial(2 * k) for k, b in enumerate(BERNOULLI_B2K, 1)
 ])
 
 
 def bernoulli_b2k(k: int) -> float:
-    """B_{2k} for 1 <= k <= 30."""
-    if not 1 <= k <= _MAX_BERNOULLI_TERMS:
-        raise InvalidParameterError(f"B_2k available for 1 <= k <= 30, got k={k}")
+    """B_{2k} for 1 <= k <= M + 1 = 15."""
+    if not 1 <= k <= len(BERNOULLI_B2K):
+        raise InvalidParameterError(
+            f"B_2k available for 1 <= k <= {len(BERNOULLI_B2K)}, got k={k}")
     return BERNOULLI_B2K[k - 1]
 
 
@@ -150,33 +151,29 @@ def bernoulli_b2k(k: int) -> float:
 # ---------------------------------------------------------------------------
 
 def lambert_w0(x: float) -> float:
-    """Solve w e^w = x for w >= 0, given x >= 0.
+    """Solve w e^w = x for w >= 0, given finite x >= 0.
 
-    Newton iteration from w0 = log(1+x) (an upper start, so the iteration
-    descends monotonically on this convex problem), with a Halley step as
-    fallback if Newton ever stalls.  Residual tolerance 1e-14 relative to
-    max(1, x).
+    Newton's method on f(w) = w + log(w/x), which is w e^w = x in log form
+    and stays finite for every finite x, even where w e^w overflows; the
+    quotient w/x keeps log(w/x) exact to rounding where w is small.  From
+    w0 = log(1+x) the steps w (w + log(w/x)) / (1 + w) converge
+    quadratically, and the iteration stops at a step of at most 4 ulp of w,
+    or at a step no smaller than the one before it (the rounding floor).
     """
-    if math.isnan(x) or x < 0:
-        raise InvalidParameterError(f"lambert_w0 requires x >= 0, got {x}")
+    if not 0 <= x < math.inf:
+        raise InvalidParameterError(f"lambert_w0 requires finite x >= 0, got {x}")
     if x == 0.0:
         return 0.0
     w = math.log1p(x)
-    tol = 1e-14 * max(1.0, x)
-    for _ in range(100):
-        ew = math.exp(w)
-        resid = w * ew - x
-        if abs(resid) <= tol:
+    last = math.inf
+    while True:
+        step = w * (w + math.log(w / x)) / (1.0 + w)
+        if not abs(step) < last:
             return w
-        denom = ew * (w + 1.0)
-        step = resid / denom
-        # Halley fallback guards the (never observed on x >= 0) stall case.
-        if not math.isfinite(step) or abs(step) > abs(w) + 1.0:
-            step = resid / (denom - (w + 2.0) * resid / (2.0 * w + 2.0))
         w -= step
-    if abs(w * math.exp(w) - x) <= 100 * tol:
-        return w
-    raise PrecisionError(f"lambert_w0 failed to converge for x={x}")
+        if abs(step) <= 4 * math.ulp(w):
+            return w
+        last = abs(step)
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +516,8 @@ def _zeta_sum(s, shift: float, tol, twist: float = 1.0, start: int = 0,
     |Im s|, covers every point: ``_em_bound`` (M = 14) at twist 1, where
     Re s <= 0 is refused and s = 1 raises PoleError, and ``_boole_bound``
     otherwise.  ``_em_cutoff`` sizes N >= max(start, 16) from it; a given
-    ``cutoff`` (and at twist 1 ``order`` M) replaces N, and ``tol`` is then
-    not read.  The head start..N-1 is one ``_head_sum``, twist-weighted only
+    ``cutoff`` (and at twist 1 ``order`` M <= 14, the most the Bernoulli
+    table serves) replaces N, and ``tol`` is then not read.  The head start..N-1 is one ``_head_sum``, twist-weighted only
     when twisted, and ``_em_closure`` or ``_boole_closure`` closes the tail.
     The bound is the tail's truncation only: the rounding of the head, and
     on a NUFFT head its kernel error, are not counted in it yet.  With

@@ -46,6 +46,7 @@ def test_lambda1_floor_classical_point():
     # the exact classical constant makes the floor land on log 2 itself
     k_exact = bd.lambda1_floor(bd.CLASSICAL_C, 0.5)
     assert abs(k_exact - math.log(2)) < 1e-12
+    assert k_exact == math.log(2)  # W(log(2)/sqrt(2)) = log(2)/2, to the bit
     assert k <= math.log(2) + 1e-12
     assert math.log(2) - k <= 2e-4
 

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import hardyseries
-from hardyseries import bounds, cli
+from hardyseries import bounds, cli, harness
 
 
 @pytest.fixture()
@@ -48,6 +48,34 @@ def test_norms_command(capsys, series_file):
     out = capsys.readouterr().out
     assert "l2_norm" in out and "separation_constant" in out
     assert "1.02013944" in out  # 12 significant digits of the class constant
+
+
+def test_norms_where_w_e_w_overflows(tmp_path, capsys):
+    # sigma/C = 7.1e306: the Lambert floor W(sigma/C)/sigma ~ 503 is finite
+    # although w e^w overflows on the way there, and K = min(that, lambda_1)
+    doc = {"exponents": {"kind": "explicit", "values": [0.0, 500.0]},
+           "coefficients": [[1.0, 0.0], [0.5, 0.0]], "sigma": 1.4}
+    path, out = tmp_path / "far.json", tmp_path / "norms.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["norms", "--series", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["lambert_floor_k"] == 500.0
+
+
+def test_lemma14_row_reads_the_bound_command(tmp_path, capsys):
+    # the log_bound_sweep L14 row measures sum_{n<512} (n+1)^-(1+it), the
+    # stored coefficients as the a_n, and its bound is what
+    # `hardyseries bound --variant L14` prints for that series
+    doc = {"exponents": {"kind": "classical"}, "coefficients": [[1.0, 0.0]] * 512,
+           "sigma": 0.5}
+    path, out = tmp_path / "ones.json", tmp_path / "l14.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["bound", "--variant", "L14", "--delta", "0.05", "--series", str(path),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    row = next(r for r in harness._lemma14_rows(harness.ExperimentConfig(
+        experiment="log_bound_sweep", deltas=(0.05,))))
+    assert row[4] == json.loads(out.read_text())["bound_value"]
 
 
 def test_bound_short_interval(capsys, series_file):

@@ -176,9 +176,9 @@ def _head_sum_lines(caplog) -> list:
     return [r.getMessage() for r in caplog.records if r.getMessage().startswith("head sum")]
 
 
-def test_hurwitz_scan_phase_matrix_bands_reproducible(tmp_path, caplog):
-    # t 100-130 is 4809 nodes: two bands of 37 and 38 head terms, at or
-    # above the NUFFT crossover, so both are summed by the NUFFT
+def test_hurwitz_scan_nufft_bands_reproducible(tmp_path, caplog):
+    # t 100-130 is 4809 nodes: two bands of 37 and 38 head terms, each a
+    # 1-d progression, so both are summed by the NUFFT
     caplog.set_level("DEBUG", logger="hardyseries.special")
     cfg = _small("hurwitz_scan", alphas=(0.3,), t_start=100.0, t_stop=130.0)
     r1 = hn.dispatch(cfg)

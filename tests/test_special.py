@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardyseries import special as sp
@@ -58,6 +58,46 @@ def test_lambert_w0_residual_property(x):
     w = sp.lambert_w0(x)
     assert w >= 0.0
     assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, x)
+
+
+class _CountingMath:
+    """``math`` with a count of its ``log`` and ``exp`` calls, at least one
+    per Newton step of ``lambert_w0``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.calls += 1
+        return math.log(x)
+
+    def exp(self, x):
+        self.calls += 1
+        return math.exp(x)
+
+
+# small x, where a residual |w e^w - x| <= 1e-14 max(1, x) admits
+# log(1 + x), x/2 relative too large; large x, where w e^w rounds at about
+# w u x; and x past 2.5e305, where w e^w overflows
+@example(1.4e-7)
+@example(6e57)
+@example(7.099624383145031e306)
+@example(1.7e308)
+@given(st.one_of(st.just(0.0), st.floats(min_value=5e-324, max_value=1.7e308)))
+@settings(max_examples=300, deadline=None)
+def test_lambert_w0_matches_mpmath_on_every_finite_x(x):
+    mpmath = pytest.importorskip("mpmath")
+    counting = _CountingMath()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(sp, "math", counting)
+        w = sp.lambert_w0(x)
+    assert counting.calls <= 8, f"{counting.calls} steps"
+    with mpmath.workdps(30):
+        ref = mpmath.lambertw(x).real
+        assert abs(w - ref) <= 1e-14 * ref
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +236,7 @@ def test_horner_closure_matches_cumprod_closure():
     # lose every digit to cancellation.
     rng = np.random.default_rng(2015)
     eps = np.finfo(float).eps
-    for m_terms in (1, 12, 14, 29):
+    for m_terms in (1, 12, 14):  # 14 = M, the most the Bernoulli table serves
         for _ in range(40):
             n_cutoff = int(np.exp(rng.uniform(math.log(16), math.log(30000))))
             alpha = 1.0 - rng.uniform(0.0, 1.0)  # in (0, 1]
@@ -264,7 +304,7 @@ def _per_row_head(sv, log_n, weights=None):
     return (terms if weights is None else weights * terms).sum(axis=1)
 
 
-def test_phase_matrix_head_matches_per_row_and_mpmath():
+def test_nufft_band_head_matches_per_row_and_mpmath():
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(1988)
     for t0 in (100.0, 500.0, 996.0):
@@ -554,12 +594,16 @@ def test_nufft_band_at_height_bounded_memory():
 
 
 def test_import_leaves_numpy_fft_unloaded():
-    # numpy.fft is loaded by the first NUFFT call, not by the package import
+    # numpy.fft is loaded by the first NUFFT call, not by the package import;
+    # the mollifier, which no command reads, and the numpy.polynomial its
+    # Gauss-Legendre tables need are loaded by an import of the mollifier only
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(sp.__file__)))
-    code = "import sys, hardyseries; print('numpy.fft' in sys.modules)"
+    unloaded = ("numpy.fft", "hardyseries.mollifier", "numpy.polynomial")
+    code = (f"import sys, hardyseries, hardyseries.cli; "
+            f"print([m for m in {unloaded!r} if m in sys.modules])")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": package_root}, check=True)
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "[]"
 
 
 def test_fft_size_is_the_next_five_smooth_number():
@@ -862,5 +906,8 @@ def test_bernoulli_values():
     assert sp.bernoulli_b2k(1) == pytest.approx(1 / 6)
     assert sp.bernoulli_b2k(2) == pytest.approx(-1 / 30)
     assert sp.bernoulli_b2k(7) == pytest.approx(7 / 6)
+    # B_2 .. B_30: the closure reads k <= M, its remainder bound k = M + 1
+    assert len(sp.BERNOULLI_B2K) == sp._EM_TERMS + 1
+    assert sp.bernoulli_b2k(15) == 8615841276005 / 14322  # correctly rounded
     with pytest.raises(InvalidParameterError):
-        sp.bernoulli_b2k(31)
+        sp.bernoulli_b2k(16)
