@@ -27,7 +27,8 @@ the nodes evaluated in bands of whole windows by ``hurwitz_zeta_grid``
 (``hurwitz_scan``) or ``lerch_phi`` (``lerch_scan``), whose head sums use
 that the nodes are evenly spaced: a band of 4000 shared nodes takes the
 NUFFT head, and a band of 444 windows of 9 nodes each, one window per
-row, takes the phase matrix.
+row, joins the blocked loop as rows of 9 spread from their first node by
+one phase table per piece of terms.
 
 Experiments are deterministic functions of (seed, config): reruns produce
 bit-identical CSV files (runtime lives only in the JSON summary).
@@ -38,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import time
 import typing
 from dataclasses import dataclass, field, fields
@@ -172,7 +174,8 @@ _CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)  # field name -> annotat
 
 def _json_value(name: str, value, hint):
     """A JSON config value checked against its field's annotation, with the
-    field named on a mismatch; a list becomes a tuple, and an int is a float."""
+    field named on a mismatch; a list becomes a tuple, and an int is a float
+    when it fits one."""
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise InvalidParameterError(f"config field {name!r} must be a list")
@@ -184,6 +187,8 @@ def _json_value(name: str, value, hint):
         raise InvalidParameterError(
             f"config field {name!r} must be "
             f"{' or '.join(t.__name__ for t in allowed)}, got {value!r}")
+    if float in allowed and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise InvalidParameterError(f"config field {name!r} must be finite")
     return value
 
 
@@ -547,7 +552,7 @@ def _scan_windows(values, delta: float, config: ExperimentConfig, pole: bool):
     ts = config.t_start + h * steps
     if pole:
         # a row of 9 nodes moves as a whole, so it stays a progression of
-        # step h and its band keeps the phase-matrix head
+        # step h and its band keeps its phase-table rows
         zero = ts == 0.0
         ts[zero if shared else zero.any(axis=1)] += 1e-9
     mods = np.empty(ts.shape)

@@ -17,23 +17,22 @@ tolerance share and its own depth, so it is accepted or split as in a pass
 of its segment alone; only the order in which panel values are summed
 depends on the other segments.  Every point list (base points, the two
 quarter points of each panel of an entry, the sup grid) goes to the
-evaluator in calls of at most 512 points.
+evaluator in one call; the evaluator bounds its own memory.
 
 The integrands are analytic except for isolated log singularities at zeros of
 L; there |L| itself stays continuous, so only the log needs a floor:
 modulus below 1e-300 is clamped (log ~ -690.8, far below any bound of
 interest) and the result is flagged.
 
-``interval_sup`` samples a grid of ``grid_n + 1`` points (one call, or calls
-of 512), then zooms in on the running maximum in 4 rounds of one call of 33
-evenly spaced points each, every later window reaching one spacing of the
-round before either side of the best sample: 1 + 4 calls per sup for grids
-of up to 512 points.  Each value is a sampled |L|, so the result is a
-*lower* bound for the true supremum, which is the sound direction for
-every inequality checked by this package.  It also takes a stacked
-evaluator of K functions (``series.classical_stack_evaluator`` builds one):
-points of shape (n,) or (K, n) in, the (K, n) values out, row k those of
-function k.  Then it returns the K sups from the same 1 + 4 calls, the grid
+``interval_sup`` samples a grid of ``grid_n + 1`` points in one call, then
+zooms in on the running maximum in 4 rounds of one call of 33 evenly spaced
+points each, every later window reaching one spacing of the round before
+either side of the best sample: 1 + 4 calls per sup for every grid.  Each
+value is a sampled |L|, so the result is a *lower* bound for the true
+supremum, which is the sound direction for every inequality checked by this
+package.  It also takes a stacked evaluator of K functions
+(``series.classical_stack_evaluator`` builds one): points of shape (n,) or
+(K, n) in, the (K, n) values out, row k those of function k.  Then it returns the K sups from the same 1 + 4 calls, the grid
 shared by every row and each zoom round a (K, 33) array of per-row
 windows; no row's result depends on another row.
 """
@@ -60,7 +59,6 @@ _MODULUS_FLOOR = 1e-300
 _MAX_DEPTH = 20
 _PANEL_LIMIT = 2 ** 20
 _BATCH_PANELS = 512  # panels of one stack entry
-_BATCH_POINTS = 512  # points per evaluator call, at most
 # rows of a split's children, as (left, right) indices into the stacked
 # (pa, m, pb, fa, flm, fm, frm, fb, left, right, ptol / 2) of its parents
 _CHILD_ROWS = np.array([[0, 1], [1, 2], [3, 5], [4, 6], [5, 7], [8, 9], [10, 10]])
@@ -88,16 +86,6 @@ def _modulus(evaluator: Evaluator, sigma: float):
     return lambda t: np.abs(evaluator(sigma + 1j * t))
 
 
-def _sample(f, ts: np.ndarray) -> np.ndarray:
-    """f on the ordinates ts, in calls of at most 512 points, joined along
-    the last axis of f's values."""
-    if ts.size <= _BATCH_POINTS:
-        return f(ts)
-    return np.concatenate(
-        [f(ts[lo:lo + _BATCH_POINTS]) for lo in range(0, ts.size, _BATCH_POINTS)],
-        axis=-1)
-
-
 def _simpson(fa, fm, fb, h):
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
@@ -118,11 +106,11 @@ def _integrate(f, segments):
     A segment starts as min_panels equal panels, each with the tolerance
     share tol (hi - lo) / (b - a), halved at each split.  One stack holds
     the panels of every segment in entries of at most 512, the panels of an
-    entry at one depth; the quarter points of an entry go to f in calls of
-    at most 512 points."""
+    entry at one depth.  The base points of every segment go to f in one
+    call, and so do the quarter points of each entry."""
     edges = [np.linspace(a, b, n + 1) for a, b, _, n in segments]
-    # each segment's n + 1 edges, then its n midpoints, in one sampling
-    fs = _sample(f, np.concatenate([x for e in edges for x in (e, 0.5 * (e[:-1] + e[1:]))]))
+    # each segment's n + 1 edges, then its n midpoints, in one call
+    fs = f(np.concatenate([x for e in edges for x in (e, 0.5 * (e[:-1] + e[1:]))]))
     columns = []
     for (a, b, tol, n), e in zip(segments, edges):
         lo, hi = e[:-1], e[1:]
@@ -139,7 +127,7 @@ def _integrate(f, segments):
     while stack:
         depth, (pa, pb, fa, fm, fb, whole, ptol) = stack.pop()
         m = 0.5 * (pa + pb)
-        quarter = _sample(f, np.concatenate([0.5 * (pa + m), 0.5 * (m + pb)]))
+        quarter = f(np.concatenate([0.5 * (pa + m), 0.5 * (m + pb)]))
         flm, frm = quarter[:m.size], quarter[m.size:]
         left = _simpson(fa, flm, fm, m - pa)
         right = _simpson(fm, frm, fb, pb - m)
@@ -345,11 +333,11 @@ def interval_sup(
 ) -> float | np.ndarray:
     """Grid maximum of |L(sigma+it)| on [a, b], refined around the argmax.
 
-    The grid of ``grid_n + 1`` points goes to the evaluator in one call
-    (calls of 512 for larger grids).  Then 4 zoom rounds each sample 33
-    evenly spaced points of [best_t - w, best_t + w], clipped to [a, b], in
-    one call; w starts at the grid step h and shrinks 16-fold per round, to
-    one spacing of the round before, so the last spacing is h / 2^16.  The
+    The grid of ``grid_n + 1`` points goes to the evaluator in one call.
+    Then 4 zoom rounds each sample 33 evenly spaced points of [best_t - w,
+    best_t + w], clipped to [a, b], in one call; w starts at the grid step
+    h and shrinks 16-fold per round, to one spacing of the round before, so
+    the last spacing is h / 2^16: 1 + 4 calls per sup for every grid.  The
     best value changes only when a sample beats it: the result is at least
     the grid maximum and, being a sampled value, a lower bound for the true
     supremum.  A float for an evaluator of the module contract.
@@ -365,7 +353,7 @@ def interval_sup(
         raise InvalidParameterError("grid_n must be >= 16")
     modulus = _modulus(evaluator, sigma)
     h = (b - a) / grid_n
-    grid = _sample(modulus, a + np.arange(grid_n + 1) * h)
+    grid = modulus(a + np.arange(grid_n + 1) * h)
     # max along the last axis is the entry at argmax, a nan included
     best_t, best = a + np.argmax(grid, axis=-1) * h, np.max(grid, axis=-1)
     w = h

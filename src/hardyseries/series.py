@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -289,10 +290,11 @@ def line_evaluator(series: DirichletSeries, sigma1: float) -> Callable[[np.ndarr
     The returned function maps a complex array of points sigma1 + i t to the
     array of values L(s), of the same shape; points off the line are refused.
     The sum_n a_n e^(-lambda_n sigma1) e^(-i t lambda_n) goes through
-    ``special._head_sum``: per point, the terms are added in index order
-    exactly as a one-point sum would add them; an evenly spaced grid of at
-    least 128 points is one NUFFT, and a 2-d array whose rows are
-    progressions of one step is one phase-matrix product.
+    ``special._head_sum``: a 1-d evenly spaced grid of at least 128 points
+    is one NUFFT, a 2-d array whose rows of 2 to 64 points are progressions
+    of one step takes a phase table per row, and at any other array the
+    terms of each point are added in index order exactly as a one-point sum
+    would add them.
     """
     lam = series.lambdas
     weights = series.coefficients * np.exp(-lam * sigma1)
@@ -369,14 +371,12 @@ def classical_stack_evaluator(
 # ---------------------------------------------------------------------------
 
 def _finite(value, field: str) -> float:
-    """A finite float from a JSON value, or an error naming the field."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
+    """A finite float from a JSON number, or an error naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidSeriesError(f"series field {field!r} must be a number, got {value!r}")
-    if not math.isfinite(x):
-        raise InvalidSeriesError(f"series field {field!r} must be finite, got {x}")
-    return x
+    if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int past the range
+        raise InvalidSeriesError(f"series field {field!r} must be finite, got {value!r}")
+    return float(value)
 
 
 def _exponents_from_json(obj: dict) -> ExponentSequence:

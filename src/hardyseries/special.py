@@ -42,11 +42,9 @@ Every finite exponential sum sum_n w_n e^(-s x_n) of the package goes
 through one kernel, ``_head_sum``: the zeta heads (x_n = log(n + alpha);
 for Lerch, the weight w_n = e^(2 pi i n alpha)), the head of
 ``series.line_evaluator`` and the edge layers of ``mollifier.bump_hat``.
-It takes one of three paths.  Rows of points whose ordinates lie within
-8 ulp of max|t| of progressions t_b + r h with one step h count as
-progressions: the rows of a 2-d array when at least 2 long, such as the
-9 nodes of each scan window, and a 1-d array as one row of at least 128
-points.
+A 1-d array whose ordinates lie within 8 ulp of max|t| of one progression
+t_0 + j h, and which is at least 128 points long, is one NUFFT; every other
+head is one blocked loop.
 
 * NUFFT: a 1-d progression of M points, such as a scan band of 4000
   shared nodes, is one type-1 non-uniform FFT (Dutt & Rokhlin; Greengard
@@ -54,25 +52,27 @@ points.
   Odlyzko and Schoenhage: the terms w_n e^(-s_c x_n), anchored at the
   middle point, are spread by a Gaussian of half-width 16 cells onto the
   smallest 5-smooth grid of at least 2M cells, and one FFT gives every
-  point.  Cost O(32 N + M log M) in place of M N.  The Gaussian, cut at 16 cells, leaves a relative error of
-  order e^(-pi 16 (1 - 1/(2R))), 4e-17 at the oversampling R = 2, and
-  the deconvolution magnifies the rounding of the grid by at most
-  e^(pi 16 / (4 R (R - 1/2))), 66 at R = 2: on 4000-node bands the head
-  sits within 1e-13 ||w||_1 of the per-row head at t ~ 900 (||w||_1 =
-  sum |w_n| e^(-sigma x_n)), as close to an extended-precision sum as
-  the phase matrix, and within 5e-12 ||w||_1 of the phase matrix at
-  t ~ 1e5, where both round their phases at ulp(T) x_n.  ``numpy.fft``
-  is imported by numpy on the first NUFFT call, not with this module.
-* phase matrix: the rows of a 2-d progression, such as the (windows, 9)
-  nodes of disjoint scan windows, are summed by einsum: anchor rows
-  w_n e^(-s_b x_n) times an R x N phase table e^(-i r h x_n), runs of
-  R <= 64 points, so a term's phase moves by at most 16 ulp(T) max x_n
-  and the bits never depend on BLAS; a grid for those rows would hold far
-  more nodes than the windows need.
-* per row: every other array takes one complex exp per (point, term),
-  each row summed in term order; so does a (K, terms) weight stack, one
-  weight row per row of points, where rows of equal points share their
-  exponentials.
+  point.  Cost O(32 N + M log M) in place of M N.  The Gaussian, cut at
+  16 cells, leaves a relative error of order e^(-pi 16 (1 - 1/(2R))),
+  4e-17 at the oversampling R = 2, and the deconvolution magnifies the
+  rounding of the grid by at most e^(pi 16 / (4 R (R - 1/2))), 66 at
+  R = 2: on 4000-node bands the head sits within 1e-13 ||w||_1 of the
+  per-point head at t ~ 900 (||w||_1 = sum |w_n| e^(-sigma x_n)), as close
+  to an extended-precision sum as the phase table, and within 5e-12
+  ||w||_1 of the phase table at t ~ 1e5, where both round their phases
+  at ulp(T) x_n.  ``numpy.fft`` is imported by numpy on the first NUFFT
+  call, not with this module.
+* blocked loop: pieces of at most 4096 terms, and within a piece blocks
+  of rows of at most 2^16 entries (rows x terms).  A row is one point,
+  with one complex exp per (point, term) summed in term order, or one row
+  of 2 to 64 points of a 2-d progression, such as the 9 nodes of each
+  disjoint scan window: the anchor row w_n e^(-s_b x_n) at its first
+  point times the piece's phase table e^(-i r h x_n), summed by einsum,
+  so a term's phase moves by at most 16 ulp(T) max x_n and the bits never
+  depend on BLAS; a grid for those rows would hold far more nodes than
+  the windows need.  A (K, terms) weight stack, one weight row per row of
+  points, takes one unblocked table, where rows of equal points share
+  their exponentials.
 
 The bound ``_zeta_sum`` returns counts the truncation of the tail only:
 neither the rounding of the head nor the NUFFT's kernel error is in it.
@@ -112,8 +112,8 @@ _EM_TERMS = 14  # Bernoulli corrections M in every Euler-Maclaurin closure
 _MIN_CUTOFF = 16
 _MAX_CUTOFF = 2 ** 21
 _HEAD_BLOCK = 1 << 16  # head-sum matrix entries per block (points x terms), 1 MiB
-_PHASE_ROWS = 64  # phase-matrix head sum: most points per run, runs per anchor block
-_PHASE_TERMS = 4096  # terms per piece of the phase-matrix head sum, E at 4 MiB
+_PHASE_ROWS = 64  # most points per 2-d progression row; half the least 1-d progression
+_PHASE_TERMS = 4096  # terms per piece of a head sum, a 64-row phase table at 4 MiB
 _NUFFT_SPREAD = 16  # half-width of the NUFFT's Gaussian, in grid cells
 _BOOLE_TERMS = 30  # Euler-Boole coefficients K in every twisted Lerch closure
 
@@ -235,14 +235,12 @@ def _line_worst(sv: np.ndarray) -> complex:
 def _progression_step(ts: np.ndarray) -> float | None:
     """The common step h when every row of the ordinates ``ts`` lies within
     8 ulp of max|t| of its first ordinate plus j h; otherwise None.  The
-    rows of a 2-d array count when at least 2 long; any other array is one
+    rows of a 2-d array count when 2 to 64 long; any other array is one
     row, which counts when at least 2 x 64 long."""
-    if ts.ndim == 2:
-        rows, least = ts, 2
-    else:
-        rows, least = ts.reshape(1, -1), 2 * _PHASE_ROWS
+    rows = ts if ts.ndim == 2 else ts.reshape(1, -1)
     width = rows.shape[1]
-    if width < least or rows.size == 0:
+    least, most = (2, _PHASE_ROWS) if ts.ndim == 2 else (2 * _PHASE_ROWS, width)
+    if not least <= width <= most or rows.size == 0:
         return None
     h = (rows[0, -1] - rows[0, 0]) / (width - 1)
     slack = 8 * np.spacing(np.max(np.abs(ts)))
@@ -257,27 +255,28 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
     of the package goes through it.  x[n] = log(n + alpha) gives the
     Euler-Maclaurin head.
 
-    Three paths, as the module docstring sets out.  A 1-d progression
-    (``_progression_step``) is one type-1 NUFFT, ``_nufft_head``: O(32 N +
-    M log M) for M points and N terms, with no BLAS product.  Its Gaussian
-    is cut at 16 cells, where it has fallen to e^(-pi 16 (1 - 1/(2R))),
-    4e-17 at the oversampling R = 2, and its deconvolution magnifies the
-    rounding of the grid by at most e^(pi 16 / (4 R (R - 1/2))), 66 at R = 2.
+    A 1-d progression (``_progression_step``) is one type-1 NUFFT,
+    ``_nufft_head``: O(32 N + M log M) for M points and N terms, with no
+    BLAS product.  Its Gaussian is cut at 16 cells, where it has fallen to
+    e^(-pi 16 (1 - 1/(2R))), 4e-17 at the oversampling R = 2, and its
+    deconvolution magnifies the rounding of the grid by at most
+    e^(pi 16 / (4 R (R - 1/2))), 66 at R = 2.
 
-    The rows of a 2-d progression are summed as matrix products.  Each row
-    is cut into runs of R = min(row length, 64) points.
-    The anchor V[b, n] = weights[n] exp(-s_b x[n]) at the first point s_b of
-    each run times the phase table E[r, n] = exp(-i r h x[n]), r < R, gives
-    the run's points.  E is built once per piece of at most 4096 terms, and
-    V for at most 64 runs at a time, both in place.  A 2-d array of scan
+    Every other array is one loop over pieces of at most 4096 terms, and
+    within a piece over blocks of rows of at most 2^16 entries (rows x
+    terms), each block in the same buffer.  A row is one point, whose
+    weights * exp(-s x), the weights first, is summed in term order, or
+    one row of a 2-d progression of R = 2 to 64 points.  There the anchor
+    V[b, n] = weights[n] exp(-s_b x[n]) at the row's first point s_b times
+    the piece's phase table E[r, n] = exp(-i r h x[n]), r < R, built in
+    place once per piece, gives the row's points.  A 2-d array of scan
     windows, one window of 9 nodes per row, thus pays one exp per (window,
     term) and 9 per term for E, in place of 9 per (window, term).  Point
-    s_b + i r h gets the phase (t_b + r h) x[n] in place of t x[n]: with both
-    ordinates within 8 ulp of the progression, at most 16 ulp(T) max|x|
-    apart per term, the order of the rounding of t x itself.  Every other
-    array is built in blocks of 2^16 matrix entries (points x terms), or of
-    one row where a row is longer, each block in the same buffer, and each
-    row weights * exp(-s x), the weights first, is summed in term order.
+    s_b + i r h gets the phase (t_b + r h) x[n] in place of t x[n]: with
+    both ordinates within 8 ulp of the progression, at most 16 ulp(T)
+    max|x| apart per term, the order of the rounding of t x itself.  A
+    head of one piece is the bits of one sum per row; a longer one adds
+    the pieces' sums.
 
     A (K, terms) weight stack goes with (K, n) points, weight row k with
     point row k, such as K candidate series sampled on their windows.  A
@@ -289,7 +288,7 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
 
     With debug logging on, each call logs its point count, term count and
     path (``nufft``, with its grid size and the Gaussian's half-width in
-    cells, ``phase-matrix`` or ``per-row``).
+    cells, ``phase-matrix`` for 2-d progression rows, or ``per-row``).
     """
     stacked = weights is not None and weights.ndim == 2
     step = None if stacked else _progression_step(sv.imag)
@@ -311,46 +310,42 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
         terms = np.exp(np.multiply.outer(-sv[distinct], x))[shared]
         np.multiply(weights[:, None, :], terms, out=terms)
         return terms.sum(axis=-1)
-    if step is not None:
-        run = min(sv.shape[1], _PHASE_ROWS)
-        starts = sv[:, ::run].ravel()
-        head = np.zeros((starts.size, run), dtype=complex)
-        shifts = -1j * (step * np.arange(run))
-        piece = min(x.size, _PHASE_TERMS)
-        # one buffer per table, filled in place piece by piece; a table is
-        # a contiguous view, so the einsum loop does not depend on the piece
-        table = np.empty(run * piece, dtype=complex)
-        anchor = np.empty(min(starts.size, _PHASE_ROWS) * piece, dtype=complex)
-        for lo in range(0, x.size, _PHASE_TERMS):
-            part = x[lo:lo + _PHASE_TERMS]
-            phases = table[:run * part.size].reshape(run, part.size)
-            np.multiply.outer(shifts, part, out=phases)
+    # a row is one point, or one row of a 2-d progression led by its anchor
+    width = 1 if step is None else sv.shape[1]
+    anchors = sv.ravel() if step is None else sv[:, 0]
+    head = np.zeros((anchors.size, width), dtype=complex)
+    piece = min(x.size, _PHASE_TERMS)
+    rows = max(1, _HEAD_BLOCK // max(piece, 1))
+    # one buffer per table, filled in place piece by piece and block by
+    # block, so a block's matrix is never alive beside the one that
+    # replaces it; a table is a contiguous view, so the einsum loop does
+    # not depend on the piece
+    block = np.empty(min(rows, anchors.size) * piece, dtype=complex)
+    table = np.empty(width * piece if step is not None else 0, dtype=complex)
+    for lo in range(0, x.size, _PHASE_TERMS):
+        part = x[lo:lo + _PHASE_TERMS]
+        if step is not None:
+            phases = table[:width * part.size].reshape(width, part.size)
+            np.multiply.outer(-1j * (step * np.arange(width)), part, out=phases)
             np.exp(phases, out=phases)
-            for b in range(0, starts.size, _PHASE_ROWS):
-                first = starts[b:b + _PHASE_ROWS]
-                anchors = anchor[:first.size * part.size].reshape(first.size, part.size)
-                np.multiply.outer(-first, part, out=anchors)
-                np.exp(anchors, out=anchors)
-                if weights is not None:
-                    np.multiply(weights[lo:lo + _PHASE_TERMS], anchors, out=anchors)
+        for b in range(0, anchors.size, rows):
+            first = anchors[b:b + rows]
+            terms = block[:first.size * part.size].reshape(first.size, part.size)
+            np.multiply.outer(-first, part, out=terms)
+            np.exp(terms, out=terms)
+            if weights is not None:
+                np.multiply(weights[lo:lo + _PHASE_TERMS], terms, out=terms)
+            if step is None:
+                sums = terms.sum(axis=1)[:, None]
+            else:
                 # einsum (without optimize) sums in its own loop, never in
-                # BLAS, so the bits do not depend on the BLAS library or its
-                # thread count
-                head[b:b + _PHASE_ROWS] += np.einsum("bn,rn->br", anchors, phases)
-        return head.reshape(sv.shape[0], -1)[:, :sv.shape[1]]
-    flat = sv.ravel()
-    head = np.empty(flat.shape, dtype=complex)
-    rows = max(1, _HEAD_BLOCK // max(x.size, 1))
-    # one buffer for every block, so a block's matrix is never alive
-    # beside the one that replaces it
-    block = np.empty((min(rows, flat.size), x.size), dtype=complex)
-    for lo in range(0, flat.size, rows):
-        terms = block[:min(rows, flat.size - lo)]
-        np.multiply.outer(-flat[lo:lo + rows], x, out=terms)
-        np.exp(terms, out=terms)
-        if weights is not None:
-            np.multiply(weights, terms, out=terms)
-        head[lo:lo + rows] = terms.sum(axis=1)
+                # BLAS, so the bits do not depend on the BLAS library or
+                # its thread count
+                sums = np.einsum("bn,rn->br", terms, phases)
+            if lo:  # the first piece is stored, so a -0.0 sum keeps its sign
+                head[b:b + rows] += sums
+            else:
+                head[b:b + rows] = sums
     return head.reshape(sv.shape)
 
 
@@ -384,7 +379,7 @@ def _nufft_head(sv: np.ndarray, x: np.ndarray, weights, step: float,
     FFT gives the grid's Fourier coefficients, and F(k) is coefficient k
     times sqrt(pi/tau) exp(tau k^2) / cells, |k| <= M/2.  Point s_c + i k h
     gets the phase t_c x[n] + k h x[n] in place of t x[n], within 16 ulp(T)
-    max|x| as on the phase-matrix path.
+    max|x| as on 2-d progression rows.
     """
     modes = sv.size
     centre = modes // 2
@@ -517,8 +512,10 @@ def _zeta_sum(s, shift: float, tol, twist: float = 1.0, start: int = 0,
     Re s <= 0 is refused and s = 1 raises PoleError, and ``_boole_bound``
     otherwise.  ``_em_cutoff`` sizes N >= max(start, 16) from it; a given
     ``cutoff`` (and at twist 1 ``order`` M <= 14, the most the Bernoulli
-    table serves) replaces N, and ``tol`` is then not read.  The head start..N-1 is one ``_head_sum``, twist-weighted only
-    when twisted, and ``_em_closure`` or ``_boole_closure`` closes the tail.
+    table serves) replaces N, and ``tol`` is then not read; a cutoff below
+    ``start`` is refused.  The head start..N-1 is one ``_head_sum``,
+    twist-weighted only when twisted, and ``_em_closure`` or
+    ``_boole_closure`` closes the tail.
     The bound is the tail's truncation only: the rounding of the head, and
     on a NUFFT head its kernel error, are not counted in it yet.  With
     debug logging on, each call logs its point count, N, order and bound.
@@ -526,6 +523,8 @@ def _zeta_sum(s, shift: float, tol, twist: float = 1.0, start: int = 0,
     points = np.asarray(s, dtype=complex)
     if not 0 < shift <= 1:
         raise InvalidParameterError(f"alpha must lie in (0, 1], got {shift}")
+    if cutoff is not None and cutoff < start:
+        raise InvalidParameterError(f"cutoff {cutoff} is below start {start}")
     if points.size == 0:
         return np.empty(points.shape, dtype=complex), 0.0
     worst = _line_worst(points)

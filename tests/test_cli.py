@@ -326,8 +326,16 @@ _SERIES = {"exponents": {"kind": "classical"}, "coefficients": [[1.0, 0.0], [0.5
     ("verify", "t_stop", {"experiment": "lerch_scan", "t_stop": _INF}),
     ("verify", "alphas", {"experiment": "hurwitz_scan", "alphas": [0.5, _NAN]}),
     ("verify", "d_values", {"experiment": "local_l2_sweep", "d_values": [-_INF]}),
+    ("norms", "sigma", {**_SERIES, "sigma": "0.5"}),
+    ("norms", "coefficients", {**_SERIES, "coefficients": [[True, 0], [0.5, 0.0]]}),
+    ("norms", "c", {**_SERIES, "exponents": {"kind": "linear", "c": "2"}}),
+    ("norms", "sigma", {**_SERIES, "sigma": 10 ** 400}),
+    ("verify", "tolerance", {"experiment": "constants", "tolerance": 10 ** 400}),
+    ("verify", "t_stop", {"experiment": "lerch_scan", "t_stop": 10 ** 400}),
 ])
 def test_nonfinite_input_names_field(tmp_path, capsys, command, field, doc):
+    # also a bool, a string, or an integer past the float range where a
+    # float is parsed
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))  # json writes NaN / Infinity literals
     flag = "--series" if command == "norms" else "--config"

@@ -405,27 +405,9 @@ def test_panel_limit():
         qd.poisson_log_integral(fast, 0.0, 1.0, "plus", 1e-6, l1_norm=3.0)
 
 
-def test_evaluator_calls_at_most_512_points():
-    sizes = []
-    s = se.classical_polynomial([1.0, 0.7, -0.4, 0.25, 0.1], 0.5)
-    line = se.line_evaluator(s, 0.5)
-
-    def ev(points):
-        sizes.append(points.size)
-        assert np.all(points.real == 0.5)
-        return line(points)
-
-    qd.integrate_abs_pow(ev, 0.5, (0.0, 2000.0), 2, 1e-3)
-    qd.integrate_log(ev, 0.5, (0.0, 1200.0), "plus", 1e-4)
-    qd.poisson_log_integral(ev, 0.5, 1.0, "plus", 1e-6, l1_norm=se.l1_norm_at(s, 0.5))
-    qd.interval_sup(ev, 0.5, (0.0, 100.0), grid_n=3000)
-    assert max(sizes) == 512
-
-
 @pytest.mark.parametrize("grid_n", [16, 64, 511, 3000])
 def test_interval_sup_call_budget(grid_n):
-    # the grid in calls of at most 512 points, then one call for each of
-    # the 4 zoom rounds
+    # the grid in one call, then one call for each of the 4 zoom rounds
     sizes = []
     line = se.line_evaluator(se.classical_polynomial([1.0, 0.7, -0.4, 0.25], 0.5), 0.5)
 
@@ -434,8 +416,7 @@ def test_interval_sup_call_budget(grid_n):
         return line(points)
 
     qd.interval_sup(ev, 0.5, (0.0, 10.0), grid_n=grid_n)
-    assert len(sizes) == math.ceil((grid_n + 1) / 512) + 4
-    assert max(sizes) <= 512
+    assert sizes == [grid_n + 1] + [33] * 4
     # a stack of 12 series takes the same calls: the grid as one 1-d array,
     # each zoom round as one (12, 33) array
     shapes = []
@@ -447,9 +428,7 @@ def test_interval_sup_call_budget(grid_n):
         return stack(points)
 
     assert qd.interval_sup(stacked, 0.5, (0.0, 10.0), grid_n=grid_n).shape == (12,)
-    assert len(shapes) == len(sizes)
-    assert max(shape[-1] for shape in shapes) <= 512
-    assert shapes[-4:] == [(12, 33)] * 4
+    assert shapes == [(grid_n + 1,)] + [(12, 33)] * 4
 
 
 @pytest.mark.parametrize("grid_n", [32, 64, 600])

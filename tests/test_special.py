@@ -292,7 +292,7 @@ def test_far_bands_meet_their_bound_against_mpmath():
 
 # ---------------------------------------------------------------------------
 # progression head sums on uniform grids: the 1-d bands below take the
-# NUFFT, the 2-d rows the phase matrix
+# NUFFT, the 2-d rows a phase table per piece
 # ---------------------------------------------------------------------------
 
 _SCAN_H = 0.05 / 8  # grid step of a hurwitz_scan band at delta = 0.05
@@ -359,8 +359,10 @@ def test_off_progression_head_is_per_row_bit_for_bit():
     off_row[123, 4] += 1e-6
     nudged_row = windows.copy()
     nudged_row[0, 0] = 1e-9
+    # rows of 65 points on one progression: longer than a phase-table row
+    wide = 500.0 + np.add.outer(0.5 * np.arange(20), _SCAN_H * np.arange(65))
     grids = (off, near, nudged, ts[:2 * 64 - 1], off_row, nudged_row,
-             500.0 + windows[:, :1])
+             500.0 + windows[:, :1], wide)
     for grid in grids:
         assert sp._progression_step(grid) is None
         sv = 1.0 + 1j * grid
@@ -408,19 +410,26 @@ def test_row_phase_head_matches_per_row_and_mpmath(width):
 
 def test_per_row_head_builds_one_block_at_a_time():
     # 300 points off any progression times 1000 terms: five blocks of 65
-    # rows, so the peak is one block of 2^16 complex entries, not two
+    # rows, so the peak is one block of 2^16 complex entries, not two; and
+    # 3 points times 200 000 terms, whose pieces of 4096 terms keep a block
+    # at 3 x 4096 entries where one row of 200 000 would exceed 2^16
     rng = np.random.default_rng(16)
-    sv = 1.0 + 1j * np.sort(rng.uniform(900.0, 1000.0, 300))
-    log_n = np.log(np.arange(1000) + 0.5)
-    assert sp._progression_step(sv.imag) is None
-    tracemalloc.start()
-    try:
-        head = sp._head_sum(sv, log_n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * sp._HEAD_BLOCK * 16, f"peak {peak} bytes"
-    assert np.array_equal(head, _per_row_head(sv, log_n))
+    for points, terms in ((300, 1000), (3, 200_000)):
+        sv = 1.0 + 1j * np.sort(rng.uniform(900.0, 1000.0, points))
+        log_n = np.log(np.arange(terms) + 0.5)
+        assert sp._progression_step(sv.imag) is None
+        tracemalloc.start()
+        try:
+            head = sp._head_sum(sv, log_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sp._HEAD_BLOCK * 16, f"peak {peak} bytes"
+        if terms <= sp._PHASE_TERMS:
+            assert np.array_equal(head, _per_row_head(sv, log_n))
+        else:  # the pieces' sums added: within rounding of one sum per row
+            scale = np.sum(np.exp(-log_n))
+            assert np.max(np.abs(head - _per_row_head(sv, log_n))) <= 1e-14 * scale
 
 
 def test_stacked_head_is_the_one_row_calls_bit_for_bit():
@@ -506,17 +515,22 @@ def test_em_sum_logs_its_cutoff(caplog):
     assert not caplog.records and np.array_equal(again, value)
 
 
-# one 4000-node band at t = 10^4; a BLAS product V @ E.T in place of the
-# einsum gives other last bits on two OpenBLAS threads than on one there
+# one 4000-node band at t = 10^4, which takes the NUFFT, and the Lerch
+# values of a (444, 9) band of disjoint windows there, whose rows take the
+# einsum; a BLAS product V @ E.T in place of the einsum gives other last
+# bits on two OpenBLAS threads than on one there
 _BAND_DIGEST = """
 import hashlib, numpy as np
 from hardyseries import special as sp
 ts = 1e4 + 0.05 / 8 * np.arange(4000)
-print(hashlib.sha256(sp.hurwitz_zeta_grid(0.3, ts).tobytes()).hexdigest())
+windows = 1e4 + np.add.outer(0.1 * np.arange(444), 0.05 / 8 * np.arange(9))
+digest = hashlib.sha256(sp.hurwitz_zeta_grid(0.3, ts).tobytes())
+digest.update(sp.lerch_phi(0.3, 0.7, 1 + 1j * windows, 1e-9).tobytes())
+print(digest.hexdigest())
 """
 
 
-def test_phase_matrix_bits_do_not_depend_on_blas_threads():
+def test_head_sum_bits_do_not_depend_on_blas_threads():
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(sp.__file__)))
     digests = []
     for threads in ("1", "2"):
@@ -709,6 +723,13 @@ def test_array_points_must_share_one_line():
     for alpha in (0.3, 1.0):
         with pytest.raises(InvalidParameterError):
             sp.lerch_phi(alpha, 0.5, np.array([[1 + 1j, 1 + 2j], [2 + 1j, 1 + 3j]]))
+
+
+def test_cutoff_below_start_is_refused():
+    # a head from 40 to a cutoff of 20 would be empty, and the closure at 20
+    # would return sum_{n >= 20} for the sum_{n >= 40} asked for
+    with pytest.raises(InvalidParameterError):
+        sp._zeta_sum(2, 0.5, None, start=40, cutoff=20)
 
 
 def _lerch_mpmath(alpha: float, beta: float, t: float) -> complex:
