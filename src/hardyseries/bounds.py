@@ -22,7 +22,7 @@ import numpy as np
 
 from . import series as se
 from . import special as sp
-from .errors import InvalidParameterError, NearZeroAnchorError
+from .errors import InvalidParameterError, NearZeroAnchorError, check
 
 __all__ = [
     "BOUND_KINDS",
@@ -141,23 +141,14 @@ class BoundReport:
         }
 
 
-def _check(name: str, value: float, low: float = 0.0, inclusive: bool = False) -> None:
-    """Refuse ``value`` unless it is finite and above ``low`` (or equal to it,
-    with ``inclusive``), naming it; a bare sign test such as ``x <= 0`` lets
-    NaN through."""
-    if not math.isfinite(value) or value < low or (value == low and not inclusive):
-        raise InvalidParameterError(
-            f"{name} must be finite and {'>=' if inclusive else '>'} {low:g}, got {value}")
-
-
 # ---------------------------------------------------------------------------
 # exponent floor and tail decay
 # ---------------------------------------------------------------------------
 
 def lambda1_floor(c: float, sigma: float) -> float:
     """K = W(sigma/C)/sigma for sigma > 0, continuous limit 1/C at sigma = 0."""
-    _check("C", c)
-    _check("sigma", sigma, inclusive=True)
+    check("C", c)
+    check("sigma", sigma, inclusive=True)
     if sigma == 0.0:
         return 1.0 / c
     return sp.lambert_w0(sigma / c) / sigma
@@ -165,17 +156,17 @@ def lambda1_floor(c: float, sigma: float) -> float:
 
 def l1_tail_from_l2(norm2_tail: float, c: float, rate: float, x: float) -> float:
     """sqrt(1 + C/(2x)) ||L - a_0||_2 e^(-rate x); rate is lambda_1 or K."""
-    _check("shift x", x)
-    _check("norm", norm2_tail, inclusive=True)
-    _check("C", c, inclusive=True)
-    _check("rate", rate)
+    check("shift x", x)
+    check("norm", norm2_tail, inclusive=True)
+    check("C", c, inclusive=True)
+    check("rate", rate)
     return math.sqrt(1.0 + c / (2.0 * x)) * norm2_tail * math.exp(-rate * x)
 
 
 def classical_l1_tail(norm2_tail: float, x: float) -> float:
     """Classical-exponent specialization: 2^-x sqrt(1 + 1/(x sqrt(8) log 2))."""
-    _check("shift x", x)
-    _check("norm", norm2_tail, inclusive=True)
+    check("shift x", x)
+    check("norm", norm2_tail, inclusive=True)
     return (
         2.0 ** (-x)
         * math.sqrt(1.0 + 1.0 / (x * math.sqrt(8.0) * LOG2))
@@ -185,9 +176,9 @@ def classical_l1_tail(norm2_tail: float, x: float) -> float:
 
 def local_l2_bound(norm2: float, c: float, d: float) -> float:
     """(D + 3 pi C) ||L||_2^2 bounds int_0^D |L(sigma_1 + it)|^2 dt."""
-    _check("D", d)
-    _check("norm2", norm2, inclusive=True)
-    _check("C", c, inclusive=True)
+    check("D", d)
+    check("norm2", norm2, inclusive=True)
+    check("C", c, inclusive=True)
     return (d + 3.0 * math.pi * c) * norm2 ** 2
 
 
@@ -208,19 +199,19 @@ def log_plus_weighted_bound(
     only when non-negative (the returned flag).  L1 mode: log+ ||L||_1,
     always valid.
     """
-    _check("D", d)
+    check("D", d)
     if mode == "H2":
         if norm2 is None or c is None:
             raise InvalidParameterError("H2 mode needs norm2 and C")
-        _check("norm2", norm2)  # its log is read
-        _check("C", c, inclusive=True)
+        check("norm2", norm2)  # its log is read
+        check("C", c, inclusive=True)
         kc = sp.kappa_constants()
         value = kc.kappa_half + 0.5 * math.log(1.0 + 3.0 * math.pi * c / d) + math.log(norm2)
         return value, value >= 0.0
     if mode == "L1":
         if norm1 is None:
             raise InvalidParameterError("L1 mode needs norm1")
-        _check("norm1", norm1, inclusive=True)
+        check("norm1", norm1, inclusive=True)
         return max(0.0, math.log(norm1)) if norm1 > 0 else 0.0, True
     raise InvalidParameterError("mode must be 'H2' or 'L1'")
 
@@ -344,12 +335,12 @@ def nonvanishing_abscissa(
     """
     if not 0 < xi < 1:
         raise InvalidParameterError("xi must lie in (0, 1)")
-    _check("norm", norm, inclusive=True)
-    _check("rate", rate)
+    check("norm", norm, inclusive=True)
+    check("rate", rate)
     if variant not in ("L1", "H2", "BoundedCoeff"):
         raise InvalidParameterError(f"unknown variant {variant!r}")
     if variant != "L1":
-        _check("C", c, inclusive=True)
+        check("C", c, inclusive=True)
     target = 1.0 - xi
     if variant == "L1" or (variant == "H2" and (norm == 0.0 or c == 0.0)):
         return max(0.0, math.log(norm / target)) / rate if norm else 0.0
@@ -396,9 +387,9 @@ def nonvanishing(series: se.DirichletSeries, xi: float, variant: str) -> Nonvani
 
 def theorem21_constants(c: float, k: float, delta: float) -> tuple[float, float]:
     """K0 = pi (max(C, log4/K) + delta^2/(4C)) and K1 = C0 K0, as printed."""
-    _check("delta", delta)
-    _check("C", c)
-    _check("K", k)
+    check("delta", delta)
+    check("C", c)
+    check("K", k)
     k0 = math.pi * (max(c, math.log(4.0) / k) + delta ** 2 / (4.0 * c))
     k1 = sp.kappa_constants().c0 * k0
     return k0, k1
@@ -428,14 +419,14 @@ def short_interval_log_bounds(
     pi (D + delta^2/(4D)) (log+ bound - log xi) with the matching
     nonvanishing distance D instead of the simplified printed form.
     """
-    _check("delta", delta)
+    check("delta", delta)
     if xi is not None and not 0 < xi < 1:
         raise InvalidParameterError("xi must lie in (0, 1)")
     if variant == "T15":
         if norm1 is None or lambda1 is None:
             raise InvalidParameterError("T15 needs norm1 and lambda1")
-        _check("norm1", norm1, 1.0, inclusive=True)  # T15 assumes a_0 = 1
-        _check("lambda1", lambda1)
+        check("norm1", norm1, 1.0, inclusive=True)  # T15 assumes a_0 = 1
+        check("lambda1", lambda1)
         plus = delta * math.log(norm1)
         if xi is None:
             minus = math.pi * (
@@ -450,9 +441,9 @@ def short_interval_log_bounds(
     if variant == "T16":
         if norm2 is None or c is None or k is None:
             raise InvalidParameterError("T16 needs norm2, C and K")
-        _check("norm2", norm2, 1.0, inclusive=True)  # T16 assumes a_0 = 1
-        _check("C", c, inclusive=True)
-        _check("K", k)
+        check("norm2", norm2, 1.0, inclusive=True)  # T16 assumes a_0 = 1
+        check("C", c, inclusive=True)
+        check("K", k)
         plus = delta * math.log(1.0 + 3.0 * math.pi * c / delta) + delta * math.log(norm2)
         if xi is None:
             minus = math.pi * ((math.log(norm2) + 1.0) ** 2 / k + delta ** 2 * k)
@@ -470,13 +461,13 @@ def short_interval_log_bounds(
     if variant == "T21":
         if norm2 is None or c is None or k is None:
             raise InvalidParameterError("T21 needs norm2, C and K")
-        _check("norm2", norm2)
+        check("norm2", norm2)
         k0, k1 = theorem21_constants(c, k, delta)
         return k0 + k1 * math.log(norm2), None
     if variant == "T22":
         if norm1 is None or c is None or k is None:
             raise InvalidParameterError("T22 needs norm1, C and K")
-        _check("norm1", norm1)
+        check("norm1", norm1)
         k0, _ = theorem21_constants(c, k, delta)
         return k0 * (LOG2 + math.log(norm1)), None
     raise InvalidParameterError(f"unknown variant {variant!r}")
@@ -499,31 +490,31 @@ def supnorm_lp_lower_bound(
     window sup or the normalized L^p mean (delta^-1 int |L|^p)^(1/p), as its
     ``CATALOG`` statement reads; the bound does not depend on p, and T19 reads
     the L^1 norm its derivation rests on."""
-    _check("delta", delta)
+    check("delta", delta)
     if variant in ("T17", "T19"):
         if norm1 is None or lambda1 is None:
             raise InvalidParameterError(f"{variant} needs norm1 and lambda1")
-        _check("norm1", norm1)
-        _check("lambda1", lambda1)
+        check("norm1", norm1)
+        check("lambda1", lambda1)
         return -math.pi * (
             (math.log(norm1) + LOG2) ** 2 / (lambda1 * delta) + delta * lambda1
         )
     if variant in ("T18", "T20"):
         if norm2 is None or k is None:
             raise InvalidParameterError(f"{variant} needs norm2 and K")
-        _check("norm2", norm2)
-        _check("K", k)
+        check("norm2", norm2)
+        check("K", k)
         return -math.pi * ((math.log(norm2) + 1.0) ** 2 / (k * delta) + k * delta)
     if variant in ("T23", "T25"):
         if norm2 is None or c is None or k is None:
             raise InvalidParameterError(f"{variant} needs norm2, C and K")
-        _check("norm2", norm2)
+        check("norm2", norm2)
         k0, _ = theorem21_constants(c, k, delta)
         return -(k0 / delta) * math.log(24.0 * norm2)
     if variant in ("T24", "T26"):
         if norm1 is None or c is None or k is None:
             raise InvalidParameterError(f"{variant} needs norm1, C and K")
-        _check("norm1", norm1)
+        check("norm1", norm1)
         k0, _ = theorem21_constants(c, k, delta)
         return -(k0 / delta) * math.log(2.0 * norm1)
     raise InvalidParameterError(f"unknown variant {variant!r}")
@@ -563,7 +554,7 @@ def hurwitz_lower_bound(
     if variant == "DirichletL14":
         if coeff_sum is None:
             raise InvalidParameterError("DirichletL14 needs coeff_sum")
-        _check("coeff_sum", coeff_sum, inclusive=True)
+        check("coeff_sum", coeff_sum, inclusive=True)
         return (
             -math.log(alpha)
             - 29.0 / (25.0 * delta) * math.log(1.0 + alpha * coeff_sum)

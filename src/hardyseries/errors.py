@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``check``, its one test
+of a numeric argument."""
+
+import math
 
 
 class HardySeriesError(Exception):
@@ -31,3 +34,14 @@ class PoleError(HardySeriesError):
 
 class NearZeroAnchorError(HardySeriesError):
     """Anchor value |L(sigma+D)| too close to zero for a log-based bound."""
+
+
+def check(name: str, value, low: float = 0.0, inclusive: bool = False) -> float:
+    """``value`` as a float, refused unless it is finite and above ``low`` (or
+    equal to it, with ``inclusive``), naming it; a bare sign test such as
+    ``x <= 0`` lets NaN through.  ``low=-math.inf`` asks for finiteness only."""
+    value = float(value)
+    if not math.isfinite(value) or value < low or (value == low and not inclusive):
+        raise InvalidParameterError(
+            f"{name} must be finite and {'>=' if inclusive else '>'} {low:g}, got {value}")
+    return value

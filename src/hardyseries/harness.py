@@ -136,6 +136,10 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"config field 'orders' must lie in [1, {_MAX_ORDER}]")
         if self.experiment in _SCAN_EXPERIMENTS:
+            # below this the slack of _scan_ordinates reaches half a step
+            if self.t_step <= 8 * np.finfo(float).eps * (abs(self.t_start) + abs(self.t_stop)):
+                raise InvalidParameterError(
+                    "config field 't_step' must exceed 8 eps (|t_start| + |t_stop|)")
             if max(self.deltas) > 0.05:
                 raise InvalidParameterError("config field 'deltas' must lie in (0, 0.05] "
                                             "for a scan")
@@ -157,7 +161,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits
+            raise InvalidParameterError(f"config document is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise InvalidParameterError("config document must be an object")
         known = {f for f in cls.__dataclass_fields__}

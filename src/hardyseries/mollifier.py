@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from . import special as sp
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check
 
 __all__ = [
     "BUMP",
@@ -167,8 +167,7 @@ def weighted_square_sum(alpha: float, delta: float, n_head: int = 20000) -> dict
     """
     if not 0 < alpha <= 1:
         raise InvalidParameterError("alpha must lie in (0, 1]")
-    if not 0 < delta < math.inf:
-        raise InvalidParameterError(f"delta must be finite and > 0, got {delta}")
+    delta = check("delta", delta)
     scale = ANGULAR_SCALE * delta
     n = np.arange(1, n_head + 1)
     u_head = scale * (np.log(n + alpha) - math.log(alpha))

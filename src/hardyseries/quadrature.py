@@ -32,9 +32,11 @@ value is a sampled |L|, so the result is a *lower* bound for the true
 supremum, which is the sound direction for every inequality checked by this
 package.  It also takes a stacked evaluator of K functions
 (``series.classical_stack_evaluator`` builds one): points of shape (n,) or
-(K, n) in, the (K, n) values out, row k those of function k.  Then it returns the K sups from the same 1 + 4 calls, the grid
-shared by every row and each zoom round a (K, 33) array of per-row
-windows; no row's result depends on another row.
+(K, n) in, the (K, n) values out, row k those of function k.  Then it
+returns the K sups from the same 1 + 4 calls, the grid shared by every row
+and each zoom round a (K, 33) array of per-row windows from one
+``np.linspace``; no row's result depends on another row but in the
+subnormal case that ``interval_sup`` names.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameterError, QuadratureError
+from .errors import InvalidParameterError, QuadratureError, check
 
 __all__ = [
     "IntegralResult",
@@ -158,27 +160,6 @@ def _integrate(f, segments):
     return value, err, count, flagged
 
 
-def _finite(name: str, value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _check_tol(tol) -> float:
-    tol = _finite("tol", tol)
-    if not tol > 0:
-        raise InvalidParameterError(f"tol must be positive, got {tol!r}")
-    return tol
-
-
-def _check_interval(interval) -> tuple[float, float]:
-    a, b = _finite("interval", interval[0]), _finite("interval", interval[1])
-    if not b > a:
-        raise InvalidParameterError("interval must satisfy b > a")
-    return a, b
-
-
 def integrate_abs_pow(
     evaluator: Evaluator,
     sigma: float,
@@ -187,10 +168,10 @@ def integrate_abs_pow(
     tol: float,
 ) -> IntegralResult:
     """Adaptive value of int_a^b |L(sigma + i t)|^p dt."""
-    a, b = _check_interval(interval)
-    tol = _check_tol(tol)
-    if not _finite("p", p) >= 1:
-        raise InvalidParameterError("p must be >= 1")
+    a, b = (float(x) for x in interval)
+    check("interval", b - a)
+    tol = check("tol", tol)
+    check("p", p, 1.0, inclusive=True)
     modulus = _modulus(evaluator, sigma)
     value, err, count, flagged = _integrate(lambda t: modulus(t) ** p,
                                             [(a, b, tol, _unit_panels(a, b))])
@@ -228,8 +209,9 @@ def integrate_log(
     sample a modulus below the 1e-300 floor contribute through the clamped
     value (<= panel_width * 690.8) and mark the result as flagged.
     """
-    a, b = _check_interval(interval)
-    tol = _check_tol(tol)
+    a, b = (float(x) for x in interval)
+    check("interval", b - a)
+    tol = check("tol", tol)
     f, hit_floor = _log_integrand(evaluator, sigma, sign)
     value, err, count, flagged = _integrate(f, [(a, b, tol, _unit_panels(a, b))])
     return IntegralResult(value, err, count, flagged=flagged or hit_floor[0])
@@ -262,13 +244,11 @@ def poisson_log_integral(
     over the segments of 1 + splits, and the 2^20 panel cap counts the
     whole pass.
     """
-    if not _finite("d", d) > 0:
-        raise InvalidParameterError(f"d must be positive, got {d!r}")
-    tol = _check_tol(tol)
-    if not _finite("l1_norm", l1_norm) >= 0:
-        raise InvalidParameterError(f"l1_norm must be >= 0, got {l1_norm!r}")
+    check("d", d)
+    tol = check("tol", tol)
+    check("l1_norm", l1_norm, inclusive=True)
     if minus_tail_bound is not None:
-        _finite("minus_tail_bound", minus_tail_bound)
+        check("minus_tail_bound", minus_tail_bound, -math.inf)
     log_part, hit_floor = _log_integrand(evaluator, sigma, sign)
     if sign == "minus" and minus_tail_bound is None:
         raise InvalidParameterError(
@@ -312,19 +292,6 @@ def poisson_log_integral(
     )
 
 
-def _zoom_windows(lo, hi) -> np.ndarray:
-    """33 evenly spaced ordinates from each lo to its hi, in a trailing axis:
-    ``np.linspace(lo, hi, 33)`` for each pair on its own, with its formula."""
-    div = _ZOOM_POINTS - 1
-    lo, hi = lo[..., None], hi[..., None]
-    y = np.arange(_ZOOM_POINTS, dtype=float)
-    step = (hi - lo) / div
-    # linspace's branch for a step that underflows to 0, taken per window
-    ts = np.where(step == 0, y / div * (hi - lo), y * step) + lo
-    ts[..., -1] = hi[..., 0]
-    return ts
-
-
 def interval_sup(
     evaluator: Evaluator,
     sigma: float,
@@ -346,11 +313,15 @@ def interval_sup(
     (K, n) values of K functions, row k those of function k, gives the (K,)
     array of their sups in the same 1 + 4 calls: the grid goes out as one
     (n,) array, and each zoom round as a (K, 33) array of per-row windows.
-    Entry k is the bits of the sup of function k alone.
+    Entry k is the bits of the sup of function k alone, unless in one zoom
+    round the step (hi - lo) / 32 of some row is 0 and that of another is
+    subnormal, which needs b - a below about 3e-303 grid_n: then
+    ``np.linspace`` takes its zero-step branch for the whole array and
+    spaces every row's window as (j / 32) (hi - lo), not j ((hi - lo) / 32).
     """
-    a, b = _check_interval(interval)
-    if grid_n < 16:
-        raise InvalidParameterError("grid_n must be >= 16")
+    a, b = (float(x) for x in interval)
+    check("interval", b - a)
+    check("grid_n", grid_n, 16.0, inclusive=True)
     modulus = _modulus(evaluator, sigma)
     h = (b - a) / grid_n
     grid = modulus(a + np.arange(grid_n + 1) * h)
@@ -358,7 +329,8 @@ def interval_sup(
     best_t, best = a + np.argmax(grid, axis=-1) * h, np.max(grid, axis=-1)
     w = h
     for _ in range(_ZOOM_ROUNDS):
-        ts = _zoom_windows(np.maximum(a, best_t - w), np.minimum(b, best_t + w))
+        ts = np.linspace(np.maximum(a, best_t - w), np.minimum(b, best_t + w),
+                         _ZOOM_POINTS, axis=-1)
         values = modulus(ts)
         j = np.argmax(values, axis=-1)[..., None]
         top = np.max(values, axis=-1)

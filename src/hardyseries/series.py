@@ -410,7 +410,10 @@ def series_from_json(text: str) -> DirichletSeries:
     Unknown fields anywhere in the document are rejected, and so are
     non-finite numbers (JSON NaN / Infinity), with the field named.
     """
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits
+        raise InvalidSeriesError(f"series document is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidSeriesError("series document must be an object")
     unknown = set(obj) - {"exponents", "coefficients", "sigma"}

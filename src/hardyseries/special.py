@@ -92,6 +92,7 @@ from .errors import (
     InvalidParameterError,
     PoleError,
     PrecisionError,
+    check,
 )
 
 __all__ = [
@@ -116,6 +117,7 @@ _PHASE_ROWS = 64  # most points per 2-d progression row; half the least 1-d prog
 _PHASE_TERMS = 4096  # terms per piece of a head sum, a 64-row phase table at 4 MiB
 _NUFFT_SPREAD = 16  # half-width of the NUFFT's Gaussian, in grid cells
 _BOOLE_TERMS = 30  # Euler-Boole coefficients K in every twisted Lerch closure
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # the largest x with exp(x) finite
 
 
 def _bernoulli_even(count: int) -> tuple[float, ...]:
@@ -160,8 +162,7 @@ def lambert_w0(x: float) -> float:
     quadratically, and the iteration stops at a step of at most 4 ulp of w,
     or at a step no smaller than the one before it (the rounding floor).
     """
-    if not 0 <= x < math.inf:
-        raise InvalidParameterError(f"lambert_w0 requires finite x >= 0, got {x}")
+    x = check("x", x, inclusive=True)
     if x == 0.0:
         return 0.0
     w = math.log1p(x)
@@ -191,7 +192,12 @@ def _em_bound(worst: complex, alpha: float, m_terms: int = _EM_TERMS):
     power = worst.real + 2 * k - 1
     log_c = math.log(abs(_B2K_OVER_FACT[k - 1]) * abs(worst + 2 * k - 1) / power)
     log_c += sum(math.log(abs(worst + j)) for j in range(2 * k - 1))
-    return lambda n_cutoff: math.exp(log_c - power * math.log(n_cutoff + alpha))
+    return lambda n_cutoff: _exp(log_c - power * math.log(n_cutoff + alpha))
+
+
+def _exp(x: float) -> float:
+    """e^x, or +inf where it passes the float range (exp raises there)."""
+    return math.inf if x > _LOG_FLOAT_MAX else math.exp(x)
 
 
 def _em_cutoff(bound, tol: float, start: int = 0) -> int:
@@ -478,7 +484,7 @@ def _boole_bound(worst: complex, alpha: float, beta: float):
                  for x in (alpha, 1 - alpha))
     log_c = math.log(scaled / power) - k * math.log(2 * math.pi * near)
     log_c += sum(math.log(abs(worst + j)) for j in range(k))
-    return lambda n_cutoff: math.exp(log_c - power * math.log(n_cutoff + beta))
+    return lambda n_cutoff: _exp(log_c - power * math.log(n_cutoff + beta))
 
 
 def _boole_closure(sv: np.ndarray, n_cutoff: int, beta: float, alpha: float) -> np.ndarray:

@@ -588,6 +588,7 @@ _NON_FINITE_CALLS = {
     "hurwitz_lower_bound alpha": lambda v: bd.hurwitz_lower_bound(v, 0.05, "HurwitzLerch"),
     "hurwitz_lower_bound coeff_sum":
         lambda v: bd.hurwitz_lower_bound(1.0, 0.05, "DirichletL14", coeff_sum=v),
+    "lambert_w0 x": lambda v: sp.lambert_w0(v),
     "weighted_square_sum alpha": lambda v: mo.weighted_square_sum(v, 0.05),
     "weighted_square_sum delta": lambda v: mo.weighted_square_sum(0.5, v),
     "ExponentSequence c": lambda v: se.ExponentSequence.linear(v),

@@ -275,6 +275,17 @@ def test_public_names_resolve(capsys):
                       "integrate", "verify"]
 
 
+def test_package_import_loads_no_module():
+    # the package exports its modules; importing it alone loads none of them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hardyseries.__file__)))
+    code = ("import sys, hardyseries; print(sorted(m for m in sys.modules "
+            "if m == 'numpy' or m.startswith('hardyseries.')))")
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 def test_module_entry_point_runs_from_source():
     # python -m hardyseries needs no install, only src on the path
     src = os.path.dirname(os.path.dirname(os.path.abspath(hardyseries.__file__)))
@@ -343,6 +354,31 @@ def test_nonfinite_input_names_field(tmp_path, capsys, command, field, doc):
     assert f"'{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("norms", json.dumps(_SERIES)[:-1]),  # no closing brace
+    ("verify", "[1,2"),
+    # json's int parser refuses more than 4300 digits with a bare ValueError
+    ("verify", '{"experiment": "constants", "tolerance": ' + "9" * 5001 + "}"),
+], ids=["series-unclosed", "config-unclosed", "config-5001-digits"])
+def test_unreadable_document_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    flag = "--series" if command == "norms" else "--config"
+    assert cli.main([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "document is not valid JSON" in err and "Traceback" not in err
+
+
+def test_remainder_bound_past_float_range_exits_3(tmp_path, capsys):
+    # at alpha = 1e-20 the log of the Euler-Boole bound passes 709.8, where
+    # exp overflows: a precision failure, as at alpha = 1e-15
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"experiment": "lerch_scan", "alphas": [1e-20],
+                                "betas": [0.5], "t_stop": 1}))
+    assert cli.main(["verify", "--config", str(path)]) == 3
+    assert "remainder bound inf > target" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("argv, flag", [
     (["norms"], "--sigma"),
@@ -405,6 +441,9 @@ def test_wrong_json_type_names_field(tmp_path, capsys, field, value):
     ({"experiment": "nonvanishing_sweep", "xis": [-0.5]}, "xis"),
     # the search runs at one delta, so a second would be dropped unchecked
     ({"experiment": "minmax", "deltas": [0.05, 0.1]}, "deltas"),
+    # a step below the rounding of the ordinates: refused before any array
+    ({"experiment": "hurwitz_scan", "alphas": [1.0], "t_start": 1e200, "t_stop": 1e200},
+     "t_step"),
 ])
 def test_degenerate_config_names_field(tmp_path, capsys, doc, field):
     # no series, term, restart or grid value to check is no verdict to pass

@@ -3,8 +3,7 @@ every module-level private function or constant of the package is read
 somewhere in the package outside its own definition, and every exception
 class of the package is raised in it or is a base of one that is.
 
-Re-exports in ``__init__.py``, names listed in ``__all__`` and
-``from __future__`` imports are exempt.
+Names listed in ``__all__`` and ``from __future__`` imports are exempt.
 """
 
 import ast
@@ -37,8 +36,7 @@ def _unused_imports(path: Path) -> list[str]:
             if name not in read and name not in exported]
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
-                         ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
 

@@ -233,6 +233,17 @@ nan, inf = math.nan, math.inf
     ("interval", lambda: qd.integrate_log(_const(2.0), 0.0, (-inf, 0.0), "plus", 1e-6)),
     ("interval", lambda: qd.interval_sup(_const(1.0), 0.0, (0.0, inf))),
     ("p", lambda: qd.integrate_abs_pow(_const(1.0), 0.0, (0.0, 1.0), nan, 1e-6)),
+    # at the edge of each domain: > for the interval, tol and d, >= 1 for p
+    pytest.param("interval", lambda: qd.integrate_abs_pow(_const(1.0), 0.0, (1.0, 1.0), 1,
+                                                          1e-6), id="interval-empty"),
+    pytest.param("tol", lambda: qd.integrate_log(_const(2.0), 0.0, (0.0, 1.0), "plus", 0.0),
+                 id="tol-zero"),
+    pytest.param("d", lambda: qd.poisson_log_integral(_const(2.0), 0.0, 0.0, "plus", 1e-6,
+                                                      l1_norm=2.0), id="d-zero"),
+    pytest.param("p", lambda: qd.integrate_abs_pow(_const(1.0), 0.0, (0.0, 1.0), 0.5, 1e-6),
+                 id="p-below-one"),
+    pytest.param("grid_n", lambda: qd.interval_sup(_const(1.0), 0.0, (0.0, 1.0), grid_n=8),
+                 id="grid_n-below-16"),
 ])
 def test_non_finite_parameters_refused(field, call):
     # each would otherwise pass a silent zero tail, run to the panel cap or

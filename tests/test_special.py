@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardyseries import special as sp
-from hardyseries.errors import InvalidParameterError, PoleError
+from hardyseries.errors import InvalidParameterError, PoleError, PrecisionError
 
 
 # ---------------------------------------------------------------------------
@@ -816,6 +816,16 @@ def test_boole_coefficients_match_polylog():
             for k, c in enumerate(coeffs):
                 ref = (k == 0) + mpmath.polylog(-k, mpmath.mpc(z)) / mpmath.factorial(k)
                 assert abs(c - complex(ref)) <= 1e-14 * pole ** (-k - 1)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: sp.hurwitz_zeta(1 + 1e20j, 0.5, 1e-9),  # EM bound, log past 709.8 by |t|
+    lambda: sp.lerch_phi(1e-20, 0.5, 1 + 10j, 1e-9),  # Euler-Boole bound, by the twist
+], ids=["hurwitz-t1e20", "lerch-alpha1e-20"])
+def test_remainder_bound_past_float_range_is_a_precision_error(evaluate):
+    # exp of the bound's log overflows there: +inf, refused as at t = 1e13
+    with pytest.raises(PrecisionError, match="remainder bound inf"):
+        evaluate()
 
 
 def test_boole_bound_matches_its_formula():
