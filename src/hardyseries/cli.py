@@ -246,7 +246,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", choices=hn.EXPERIMENTS)
     p.add_argument("--config", help="ExperimentConfig JSON path")
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--seed", type=int, help="overrides the config's seed (default 42)")
+    p.add_argument("--seed", type=int, help="overrides the config's seed (default 42); read by "
+                   + ", ".join(e for e, entry in hn.EXPERIMENT_TABLE.items()
+                               if "seed" in entry.reads))
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -30,8 +30,12 @@ NUFFT head, and a band of 444 windows of 9 nodes each, one window per
 row, joins the blocked loop as rows of 9 spread from their first node by
 one phase table per piece of terms.
 
-Experiments are deterministic functions of (seed, config): reruns produce
-bit-identical CSV files (runtime lives only in the JSON summary).
+``EXPERIMENT_TABLE`` names each experiment's row builder and the config
+fields it reads, and a config that sets any other field away from its
+default is refused.  Experiments are deterministic functions of their
+config, the sweeps and ``minmax`` through its seed (the scans and
+``constants`` read none): reruns produce bit-identical CSV files (runtime
+lives only in the JSON summary).
 """
 
 from __future__ import annotations
@@ -54,26 +58,17 @@ from .errors import InvalidParameterError
 
 __all__ = [
     "EXPERIMENTS",
+    "EXPERIMENT_TABLE",
     "ExperimentConfig",
     "ExperimentResult",
     "dispatch",
     "named_constants",
 ]
 
-EXPERIMENTS = (
-    "constants",
-    "local_l2_sweep",
-    "nonvanishing_sweep",
-    "log_bound_sweep",
-    "hurwitz_scan",
-    "lerch_scan",
-    "minmax",
-)
-
-_SCAN_EXPERIMENTS = ("hurwitz_scan", "lerch_scan")
 _SCAN_SUBDIV = 8  # grid intervals of a scan window
 _SCAN_BAND = 4000  # scan nodes per evaluator call
 _MAX_ORDER = 20  # minmax witness order: 2^20 coefficients, 16 MiB
+_MAX_TERMS = 1024  # series.window_l2 holds four n x n float64 arrays: 32 MiB
 
 
 @dataclass(frozen=True)
@@ -100,14 +95,26 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in EXPERIMENT_TABLE:
             raise InvalidParameterError(
-                f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}"
-            )
-        for name in ("alphas", "betas", "deltas", "d_values", "xis", "p_values",
-                     "orders"):
-            if not getattr(self, name):
-                raise InvalidParameterError(f"config field {name!r} must be non-empty")
+                f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
+        # dispatch reads experiment and out; no experiment reads threads
+        reads = ("experiment", "out", *EXPERIMENT_TABLE[self.experiment].reads)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in reads and value != f.default:
+                raise InvalidParameterError(
+                    f"{self.experiment} reads no config field {f.name!r}: leave it "
+                    f"out or at its default {f.default!r}")
+            values = value if isinstance(value, tuple) else (value,)
+            if not values:  # an empty grid
+                raise InvalidParameterError(f"config field {f.name!r} must be non-empty")
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise InvalidParameterError(f"config field {f.name!r} must be finite")
+            # checked here, not where an integral or a bound would refuse them
+            # with a message about its own parameter
+            if f.name in ("deltas", "d_values", "t_step", "tolerance") and min(values) <= 0:
+                raise InvalidParameterError(f"config field {f.name!r} must be positive")
         # a sweep over no series passes vacuously; a series needs a term
         # beyond a_0 to draw, a search a coordinate to move, and numpy a
         # non-negative seed
@@ -115,41 +122,31 @@ class ExperimentConfig:
                             ("restarts", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise InvalidParameterError(f"config field {name!r} must be >= {least}")
-        if self.threads != 1:  # kept only so that older config documents load
-            raise InvalidParameterError("config field 'threads' must be 1")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if any(isinstance(v, float) and not math.isfinite(v)
-                   for v in (value if isinstance(value, tuple) else (value,))):
-                raise InvalidParameterError(f"config field {f.name!r} must be finite")
-        if self.t_step <= 0 or self.t_stop < self.t_start:
-            raise InvalidParameterError("bad T range")
-        # checked here, not where an integral or a bound would refuse them
-        # with a message about its own parameter
-        for name in ("deltas", "d_values"):
-            if min(getattr(self, name)) <= 0:
-                raise InvalidParameterError(f"config field {name!r} must be positive")
+        if self.n_terms > _MAX_TERMS:
+            raise InvalidParameterError(f"config field 'n_terms' must be <= {_MAX_TERMS}")
+        if self.t_stop < self.t_start:
+            raise InvalidParameterError("config field 't_stop' must be >= t_start")
         if not all(0 < xi < 1 for xi in self.xis):
             raise InvalidParameterError("config field 'xis' must lie in (0, 1)")
         # one_minus_two_power_series holds 2^order coefficients
         if not all(1 <= order <= _MAX_ORDER for order in self.orders):
             raise InvalidParameterError(
                 f"config field 'orders' must lie in [1, {_MAX_ORDER}]")
-        if self.experiment in _SCAN_EXPERIMENTS:
+        if "t_step" in reads:  # a scan
+            eps = np.finfo(float).eps
             # below this the slack of _scan_ordinates reaches half a step
-            if self.t_step <= 8 * np.finfo(float).eps * (abs(self.t_start) + abs(self.t_stop)):
+            if self.t_step <= 8 * eps * (abs(self.t_start) + abs(self.t_stop)):
                 raise InvalidParameterError(
                     "config field 't_step' must exceed 8 eps (|t_start| + |t_stop|)")
             if max(self.deltas) > 0.05:
                 raise InvalidParameterError("config field 'deltas' must lie in (0, 0.05] "
                                             "for a scan")
             for h in (d / _SCAN_SUBDIV for d in self.deltas):
-                if abs(max(1, round(self.t_step / h)) * h - self.t_step) > 1e-12:
+                # k h and t_step each round to within eps of the exact step
+                if abs(max(1, round(self.t_step / h)) * h - self.t_step) > 4 * eps * self.t_step:
                     raise InvalidParameterError(
-                        f"{self.experiment} t_step {self.t_step:g} must be a whole "
-                        f"multiple of delta/{_SCAN_SUBDIV} = {h:g}")
-        if self.tolerance <= 0:
-            raise InvalidParameterError("tolerance must be positive")
+                        f"config field 't_step' must be a whole multiple of "
+                        f"delta/{_SCAN_SUBDIV} = {h!r}, got {self.t_step!r}")
         if min(self.p_values) < 1:
             raise InvalidParameterError("config field 'p_values' must be >= 1")
         if self.m_norm < 1:
@@ -765,18 +762,28 @@ def _minmax_rows(config: ExperimentConfig):
 # dispatch
 # ---------------------------------------------------------------------------
 
-# experiment -> row builder: (columns, blocks of rows, summary entries of its
-# own, the one summary-level check the rows cannot carry); "pass" is the last
-# column
-_RUNNERS = {
-    "constants": _constants_rows,
-    "local_l2_sweep": _local_l2_rows,
-    "nonvanishing_sweep": _nonvanishing_rows,
-    "log_bound_sweep": _log_bound_rows,
-    "hurwitz_scan": _hurwitz_scan_rows,
-    "lerch_scan": _lerch_scan_rows,
-    "minmax": _minmax_rows,
+class _Experiment(typing.NamedTuple):
+    """A row builder, returning (columns, blocks, summary entries of its own, the one
+    summary-level check the rows cannot carry) with "pass" last, and the fields it reads."""
+
+    rows: typing.Callable
+    reads: tuple[str, ...]
+
+
+_SWEEP_FIELDS = ("seed", "n_series", "n_terms")
+_SCAN_FIELDS = ("alphas", "deltas", "t_start", "t_stop", "t_step", "tolerance")
+EXPERIMENT_TABLE = {
+    "constants": _Experiment(_constants_rows, ()),
+    "local_l2_sweep": _Experiment(_local_l2_rows, (*_SWEEP_FIELDS, "d_values")),
+    "nonvanishing_sweep": _Experiment(_nonvanishing_rows, (*_SWEEP_FIELDS, "xis")),
+    "log_bound_sweep": _Experiment(_log_bound_rows,
+                                   (*_SWEEP_FIELDS, "deltas", "p_values", "tolerance")),
+    "hurwitz_scan": _Experiment(_hurwitz_scan_rows, _SCAN_FIELDS),
+    "lerch_scan": _Experiment(_lerch_scan_rows, (*_SCAN_FIELDS, "betas")),
+    "minmax": _Experiment(_minmax_rows, ("seed", "deltas", "m_norm", "orders", "restarts",
+                                         "search_terms", "tolerance")),
 }
+EXPERIMENTS = tuple(EXPERIMENT_TABLE)
 
 
 def dispatch(config: ExperimentConfig) -> ExperimentResult:
@@ -784,7 +791,7 @@ def dispatch(config: ExperimentConfig) -> ExperimentResult:
     check holds.  With ``config.out`` set, the CSV goes there and the JSON
     summary next to it.  ``min_margin`` is nan when any margin is."""
     t0 = time.perf_counter()
-    columns, blocks, extra, check = _RUNNERS[config.experiment](config)
+    columns, blocks, extra, check = EXPERIMENT_TABLE[config.experiment].rows(config)
     margin = columns.index("margin")
     n_rows = failures = 0
     min_margin = math.inf

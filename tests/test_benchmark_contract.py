@@ -65,3 +65,28 @@ def test_lerch_scan_meets_twisted_references(bench):
                "t_start": ref["t"], "t_stop": ref["t"]}
         (row,) = hn.dispatch(hn.ExperimentConfig.from_json(json.dumps(doc))).rows
         assert abs(row[4] - ref["value"]) <= ref["tol"], ref["label"]
+
+
+def test_every_benchmark_config_loads(tmp_path, bench, monkeypatch):
+    # a config document that the package refuses would fail a benchmark run
+    _, workloads = bench
+    docs = []
+
+    def capture(work_dir, warmup_docs):  # the warm-up documents, written but not run
+        for doc in warmup_docs:
+            with open(workloads._write_config(work_dir, "warmup", doc), encoding="utf-8") as fh:
+                docs.append(json.load(fh))
+
+    monkeypatch.setattr(workloads, "_cli_warmup", capture)
+    for warmup in (workloads.catalog_warmup, workloads.hurwitz_warmup,
+                   workloads.twisted_warmup):
+        warmup(str(tmp_path))
+    assert len(docs) == 6
+    items = (workloads.catalog_items(1701, str(tmp_path))
+             + workloads.hurwitz_items(1701, str(tmp_path))
+             + [workloads.hurwitz_full(str(tmp_path))]
+             + workloads.twisted_items(1701, str(tmp_path)))
+    docs += [json.loads((tmp_path / f"{item.name}.json").read_text()) for item in items]
+    for doc in docs:
+        assert doc["threads"] == 1
+        hn.ExperimentConfig.from_json(json.dumps(doc))

@@ -1,5 +1,6 @@
 """CLI: exit codes, output formatting, reproducibility."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -332,7 +333,7 @@ _SERIES = {"exponents": {"kind": "classical"}, "coefficients": [[1.0, 0.0], [0.5
     ("norms", "values", {**_SERIES, "exponents": {"kind": "explicit",
                                                   "values": [0.0, _INF]}}),
     ("norms", "coefficients", {**_SERIES, "coefficients": [[1.0, 0.0], [_NAN, 0.0]]}),
-    ("verify", "tolerance", {"experiment": "constants", "tolerance": _NAN}),
+    ("verify", "tolerance", {"experiment": "minmax", "tolerance": _NAN}),
     ("verify", "t_step", {"experiment": "lerch_scan", "t_step": _NAN}),
     ("verify", "t_stop", {"experiment": "lerch_scan", "t_stop": _INF}),
     ("verify", "alphas", {"experiment": "hurwitz_scan", "alphas": [0.5, _NAN]}),
@@ -341,7 +342,7 @@ _SERIES = {"exponents": {"kind": "classical"}, "coefficients": [[1.0, 0.0], [0.5
     ("norms", "coefficients", {**_SERIES, "coefficients": [[True, 0], [0.5, 0.0]]}),
     ("norms", "c", {**_SERIES, "exponents": {"kind": "linear", "c": "2"}}),
     ("norms", "sigma", {**_SERIES, "sigma": 10 ** 400}),
-    ("verify", "tolerance", {"experiment": "constants", "tolerance": 10 ** 400}),
+    ("verify", "tolerance", {"experiment": "minmax", "tolerance": 10 ** 400}),
     ("verify", "t_stop", {"experiment": "lerch_scan", "t_stop": 10 ** 400}),
 ])
 def test_nonfinite_input_names_field(tmp_path, capsys, command, field, doc):
@@ -407,8 +408,11 @@ def test_nonfinite_flag_names_flag(capsys, series_file, argv, flag, value):
     ("experiment", 3),
 ])
 def test_wrong_json_type_names_field(tmp_path, capsys, field, value):
+    # on an experiment that reads the field, so that its type is what is refused
+    experiment = next((name for name, entry in harness.EXPERIMENT_TABLE.items()
+                       if field in entry.reads), "local_l2_sweep")
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps({"experiment": "local_l2_sweep", field: value}))
+    path.write_text(json.dumps({"experiment": experiment, field: value}))
     assert cli.main(["verify", "--config", str(path)]) == 2
     assert f"'{field}'" in capsys.readouterr().err
 
@@ -444,6 +448,11 @@ def test_wrong_json_type_names_field(tmp_path, capsys, field, value):
     # a step below the rounding of the ordinates: refused before any array
     ({"experiment": "hurwitz_scan", "alphas": [1.0], "t_start": 1e200, "t_stop": 1e200},
      "t_step"),
+    # window_l2 memory grows as n_terms^2: 32 MiB at the ceiling of 1024
+    ({"experiment": "local_l2_sweep", "n_series": 1, "n_terms": 1025}, "n_terms"),
+    ({"experiment": "hurwitz_scan", "t_stop": -1}, "t_stop"),
+    ({"experiment": "hurwitz_scan", "t_step": 0}, "t_step"),
+    ({"experiment": "minmax", "tolerance": 0}, "tolerance"),
 ])
 def test_degenerate_config_names_field(tmp_path, capsys, doc, field):
     # no series, term, restart or grid value to check is no verdict to pass
@@ -486,3 +495,53 @@ def test_hurwitz_scan_step_must_align(tmp_path, capsys, experiment):
     assert "t_step" in capsys.readouterr().err
     cfg_path.write_text(json.dumps(doc))  # default delta 0.05, t_step 0.025
     assert cli.main(["verify", "--config", str(cfg_path)]) == 0
+
+
+def test_scan_step_slack_is_relative(tmp_path, capsys):
+    # 8192.01875 is 1310723 steps of 0.05/8, but k h and the float t_step
+    # differ by more than 1e-12 there; a step off the grid is refused with
+    # the value given
+    step = 8192.01875
+    cfg = harness.ExperimentConfig.from_json(json.dumps(
+        {"experiment": "hurwitz_scan", "t_step": step, "t_stop": step}))
+    assert harness._scan_ordinates(cfg).tolist() == [0.0, step]
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps({"experiment": "hurwitz_scan", "t_step": 8200.33,
+                                "t_stop": 8200.33}))
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    assert "'t_step' must be a whole multiple of delta/8 = 0.00625, got 8200.33" in (
+        capsys.readouterr().err)
+
+
+# a value off each field's default that every experiment reading the field
+# accepts; dispatch reads experiment and out for every experiment
+_OFF_DEFAULT = {"seed": 7, "alphas": [0.5], "betas": [0.5], "deltas": [0.025],
+                "t_start": 1.0, "t_stop": 10.0, "t_step": 0.05, "tolerance": 1e-3,
+                "n_series": 3, "n_terms": 5, "d_values": [2.0], "xis": [0.75],
+                "p_values": [3.0], "m_norm": 2.0, "search_terms": 4, "orders": [2],
+                "restarts": 2, "threads": 2}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(harness.ExperimentConfig)
+                                   if f.name not in ("experiment", "out")])
+@pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+def test_config_refuses_a_field_its_experiment_does_not_read(tmp_path, capsys, experiment,
+                                                              field):
+    # builds configs only: a refused document runs nothing
+    doc = {"experiment": experiment, field: _OFF_DEFAULT[field]}
+    if field in harness.EXPERIMENT_TABLE[experiment].reads:
+        cfg = harness.ExperimentConfig.from_json(json.dumps(doc))
+        assert getattr(cfg, field) == (tuple(doc[field]) if isinstance(doc[field], list)
+                                       else doc[field])
+        return
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    assert f"{experiment} reads no config field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", [name for name, entry in harness.EXPERIMENT_TABLE.items()
+                                        if "seed" not in entry.reads])
+def test_seed_flag_is_refused_where_no_seed_is_read(capsys, experiment):
+    assert cli.main(["verify", "--experiment", experiment, "--seed", "3"]) == 2
+    assert f"{experiment} reads no config field 'seed'" in capsys.readouterr().err

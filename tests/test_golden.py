@@ -165,6 +165,10 @@ def _bound_outputs(series: dict, ids, tmp: pathlib.Path) -> dict:
     return docs
 
 
+def test_every_experiment_has_a_golden():
+    assert set(EXPERIMENTS) == set(hn.EXPERIMENTS)
+
+
 @pytest.mark.parametrize("name", EXPERIMENTS[:2])
 def test_scan_verdicts_match_golden(name, tmp_path):
     _check(name, tmp_path)

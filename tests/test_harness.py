@@ -27,12 +27,12 @@ def test_config_validation():
         hn.ExperimentConfig("bogus")
     with pytest.raises(InvalidParameterError):
         hn.ExperimentConfig("hurwitz_scan", deltas=(0.1,))  # above validity window
-    with pytest.raises(InvalidParameterError):
-        hn.ExperimentConfig("constants", deltas=())
-    with pytest.raises(InvalidParameterError):
-        hn.ExperimentConfig("constants", tolerance=0.0)
-    for threads in (0, 2):  # the field loads only with its one value
-        with pytest.raises(InvalidParameterError, match="'threads'"):
+    with pytest.raises(InvalidParameterError, match="'deltas' must be non-empty"):
+        hn.ExperimentConfig("log_bound_sweep", deltas=())
+    with pytest.raises(InvalidParameterError, match="'tolerance' must be positive"):
+        hn.ExperimentConfig("minmax", tolerance=0.0)
+    for threads in (0, 2):  # no experiment reads it, so it loads only at its default
+        with pytest.raises(InvalidParameterError, match="reads no config field 'threads'"):
             hn.ExperimentConfig("constants", threads=threads)
 
 
@@ -504,8 +504,9 @@ def test_min_margin_is_nan_when_any_margin_is(tmp_path, monkeypatch, nan_first, 
         blocks = [("x", np.array(margins), np.array([False, True]))]
     else:
         blocks = [hn._block([("x", m, m == m)]) for m in margins]
-    monkeypatch.setitem(hn._RUNNERS, "constants",
-                        lambda config: (["check", "margin", "pass"], blocks, {}, True))
+    entry = hn.EXPERIMENT_TABLE["constants"]._replace(
+        rows=lambda config: (["check", "margin", "pass"], blocks, {}, True))
+    monkeypatch.setitem(hn.EXPERIMENT_TABLE, "constants", entry)
     out = tmp_path / "nan.csv"
     result = hn.dispatch(_small("constants", out=str(out)))
     assert math.isnan(result.summary["min_margin"])
@@ -622,13 +623,28 @@ def test_scan_result_memory_per_row():
     assert held <= 64 * 10001, f"{held / 10001:.0f} bytes per row"
 
 
+class _Recording:
+    """A config that records the name of every field read from it."""
+
+    def __init__(self, config):
+        self._config, self.read = config, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._config, name)
+
+
 def test_every_runner_returns_array_blocks():
     # one block kind: every block's pass column is a bool array, and every
-    # per-row column an array of its length
+    # per-row column an array of its length; and each builder reads exactly
+    # the fields its table entry lists
     small = {"n_series": 1, "restarts": 1, "search_terms": 2, "orders": (1,),
              "alphas": (1.0,), "betas": (0.7,), "t_stop": 0.5, "t_step": 0.25}
-    for experiment in hn.EXPERIMENTS:
-        columns, blocks, _, _ = hn._RUNNERS[experiment](_small(experiment, **small))
+    for experiment, entry in hn.EXPERIMENT_TABLE.items():
+        config = _Recording(_small(experiment, **{name: value for name, value in small.items()
+                                                  if name in entry.reads}))
+        columns, blocks, _, _ = entry.rows(config)
+        assert config.read == set(entry.reads), experiment
         assert blocks and columns[-1] == "pass"
         for block in blocks:
             ok = block[-1]
