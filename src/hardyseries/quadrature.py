@@ -11,13 +11,19 @@ per pass.  One pass integrates a list of segments, each pre-split into equal
 base panels with its own tolerance; ``poisson_log_integral`` passes all of
 its octave segments at once, the other integrals one segment.  The base
 points of every segment go out together, and one stack refines the panels
-of every segment depth-first in entries of at most 512 panels, so the cap
+of every segment depth-first in entries of at most 2048 panels, so the cap
 counts the splits of the whole pass.  Each panel keeps its segment's
 tolerance share and its own depth, so it is accepted or split as in a pass
 of its segment alone; only the order in which panel values are summed
-depends on the other segments.  Every point list (base points, the two
-quarter points of each panel of an entry, the sup grid) goes to the
-evaluator in one call; the evaluator bounds its own memory.
+depends on the other segments and on the entry size.  Every point list
+(base points, the two quarter points of each panel of an entry, the sup
+grid) goes to the evaluator in one call; the evaluator bounds its own
+memory.  An evaluator call costs tens of microseconds of fixed overhead
+before its first exponential, so wide entries pay it per few thousand
+points, not per few hundred.  On the widest Poisson pass the 2^13-entry
+blocks of the per-point head sum (``special._head_sum``) hold back most of
+the memory that wide entries add: a traced peak of 1.07 MB, against 1.50
+MB with 2^16-entry blocks and 0.70 MB with entries of 512 panels.
 
 The integrands are analytic except for isolated log singularities at zeros of
 L; there |L| itself stays continuous, so only the log needs a floor:
@@ -34,9 +40,8 @@ package.  It also takes a stacked evaluator of K functions
 (``series.classical_stack_evaluator`` builds one): points of shape (n,) or
 (K, n) in, the (K, n) values out, row k those of function k.  Then it
 returns the K sups from the same 1 + 4 calls, the grid shared by every row
-and each zoom round a (K, 33) array of per-row windows from one
-``np.linspace``; no row's result depends on another row but in the
-subnormal case that ``interval_sup`` names.
+and each zoom round a (K, 33) array of per-row windows, each spaced on its
+own; no row's result depends on another row.
 """
 
 from __future__ import annotations
@@ -60,12 +65,13 @@ __all__ = [
 _MODULUS_FLOOR = 1e-300
 _MAX_DEPTH = 20
 _PANEL_LIMIT = 2 ** 20
-_BATCH_PANELS = 512  # panels of one stack entry
+_BATCH_PANELS = 2048  # panels of one stack entry
 # rows of a split's children, as (left, right) indices into the stacked
 # (pa, m, pb, fa, flm, fm, frm, fb, left, right, ptol / 2) of its parents
 _CHILD_ROWS = np.array([[0, 1], [1, 2], [3, 5], [4, 6], [5, 7], [8, 9], [10, 10]])
 _ZOOM_ROUNDS = 4  # interval_sup refinement calls after the grid
 _ZOOM_POINTS = 33  # points per refinement call
+_ZOOM_STEPS = np.arange(float(_ZOOM_POINTS))  # j of a round's points j step + lo
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -107,7 +113,7 @@ def _integrate(f, segments):
 
     A segment starts as min_panels equal panels, each with the tolerance
     share tol (hi - lo) / (b - a), halved at each split.  One stack holds
-    the panels of every segment in entries of at most 512, the panels of an
+    the panels of every segment in entries of at most 2048, the panels of an
     entry at one depth.  The base points of every segment go to f in one
     call, and so do the quarter points of each entry."""
     edges = [np.linspace(a, b, n + 1) for a, b, _, n in segments]
@@ -122,6 +128,7 @@ def _integrate(f, segments):
         columns.append(np.stack([lo, hi, fa, fm, fb, _simpson(fa, fm, fb, hi - lo),
                                  tol * (hi - lo) / (b - a)]))
     panels = np.concatenate(columns, axis=1)
+    del edges, fs, columns, lo, hi  # the entries below view panels alone
     stack = [(0, panels[:, i:i + _BATCH_PANELS])
              for i in reversed(range(0, panels.shape[1], _BATCH_PANELS))]
     value = err = 0.0
@@ -243,6 +250,13 @@ def poisson_log_integral(
     of them are refined in one adaptive pass: ``subdivisions`` is the sum
     over the segments of 1 + splits, and the 2^20 panel cap counts the
     whole pass.
+
+    ``error_estimate`` is Simpson's own estimate, the sum of the accepted
+    panels' |Richardson corrections|, and not a bound: a far-octave panel
+    holds many periods of |L| and can alias, pass the acceptance test and
+    still be wrong by more than its share.  On 1 + w 2^-s, |w| = 2/3, at
+    sigma = 1/2 and tol 1e-5, the D = 10 log+ value is 1.5e-4 off the exact
+    one while the estimate reads 2e-6.
     """
     check("d", d)
     tol = check("tol", tol)
@@ -292,6 +306,15 @@ def poisson_log_integral(
     )
 
 
+def _top(values: np.ndarray, ts: np.ndarray):
+    """The entry at the argmax along the last axis of the (n,) or (K, n)
+    ``values`` (their maximum, or their first nan) and its point of ``ts``,
+    of the same shape or one (n,) row for all."""
+    j = np.argmax(values, axis=-1)
+    at = j if values.ndim == 1 else (np.arange(j.size), j)
+    return values[at], ts[at] if ts.ndim == values.ndim else ts[j]
+
+
 def interval_sup(
     evaluator: Evaluator,
     sigma: float,
@@ -309,33 +332,34 @@ def interval_sup(
     the grid maximum and, being a sampled value, a lower bound for the true
     supremum.  A float for an evaluator of the module contract.
 
+    A round's window [lo, hi] is sampled at j step + lo, j < 32, step =
+    (hi - lo) / 32, and at hi: the points of ``np.linspace(lo, hi, 33)``
+    whenever the step is not 0.
+
     A stacked evaluator, which maps points of shape (n,) or (K, n) to the
     (K, n) values of K functions, row k those of function k, gives the (K,)
     array of their sups in the same 1 + 4 calls: the grid goes out as one
-    (n,) array, and each zoom round as a (K, 33) array of per-row windows.
-    Entry k is the bits of the sup of function k alone, unless in one zoom
-    round the step (hi - lo) / 32 of some row is 0 and that of another is
-    subnormal, which needs b - a below about 3e-303 grid_n: then
-    ``np.linspace`` takes its zero-step branch for the whole array and
-    spaces every row's window as (j / 32) (hi - lo), not j ((hi - lo) / 32).
+    (n,) array, and each zoom round as a (K, 33) array of per-row windows,
+    each with its own step.  Entry k is the bits of the sup of function k
+    alone.
     """
     a, b = (float(x) for x in interval)
     check("interval", b - a)
     check("grid_n", grid_n, 16.0, inclusive=True)
     modulus = _modulus(evaluator, sigma)
     h = (b - a) / grid_n
-    grid = modulus(a + np.arange(grid_n + 1) * h)
-    # max along the last axis is the entry at argmax, a nan included
-    best_t, best = a + np.argmax(grid, axis=-1) * h, np.max(grid, axis=-1)
+    ts = a + np.arange(grid_n + 1) * h
+    best, best_t = _top(modulus(ts), ts)
     w = h
     for _ in range(_ZOOM_ROUNDS):
-        ts = np.linspace(np.maximum(a, best_t - w), np.minimum(b, best_t + w),
-                         _ZOOM_POINTS, axis=-1)
-        values = modulus(ts)
-        j = np.argmax(values, axis=-1)[..., None]
-        top = np.max(values, axis=-1)
+        lo, hi = np.maximum(a, best_t - w), np.minimum(b, best_t + w)
+        # np.linspace's points j step + lo, the last one hi, for each row
+        ts = np.multiply.outer((hi - lo) / (_ZOOM_POINTS - 1), _ZOOM_STEPS)
+        ts += lo[..., None]
+        ts[..., -1] = hi
+        top, top_t = _top(modulus(ts), ts)
         better = top > best
         best = np.where(better, top, best)
-        best_t = np.where(better, np.take_along_axis(ts, j, axis=-1)[..., 0], best_t)
+        best_t = np.where(better, top_t, best_t)
         w /= (_ZOOM_POINTS - 1) // 2
     return float(best) if best.ndim == 0 else best

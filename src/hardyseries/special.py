@@ -22,8 +22,8 @@ import time from the integer recurrence.  The twisted Lerch tail
 sum_{n>=N} z^n (n+beta)^-s, z = e^(2 pi i alpha) != 1, is closed the
 same way by Euler-Boole summation: K = 30 terms c_k (-1)^k (s)_k
 (N+beta)^-k, with c_k the Taylor coefficients of 1/(1 - z e^u) computed
-per call, nested as acc = c_k - (s+k)/(N+beta) acc, under a remainder
-bound of the same shape.
+once per twist, nested as acc = c_k - (s+k)/(N+beta) acc, under a
+remainder bound of the same shape.
 
 Every zeta value, twisted or not, comes from one kernel, ``_zeta_sum``,
 of which each public evaluator is a view; ``hurwitz_tail_sum``,
@@ -63,9 +63,10 @@ head is one blocked loop.
   at ulp(T) x_n.  ``numpy.fft`` is imported by numpy on the first NUFFT
   call, not with this module.
 * blocked loop: pieces of at most 4096 terms, and within a piece blocks
-  of rows of at most 2^16 entries (rows x terms).  A row is one point,
-  with one complex exp per (point, term) summed in term order, or one row
-  of 2 to 64 points of a 2-d progression, such as the 9 nodes of each
+  of rows of at most 2^13 entries (rows x terms) when a row is one point
+  and 2^16 for progression rows.  A row is one point, with one complex
+  exp per (point, term) summed in term order, or one row of 2 to 64
+  points of a 2-d progression, such as the 9 nodes of each
   disjoint scan window: the anchor row w_n e^(-s_b x_n) at its first
   point times the piece's phase table e^(-i r h x_n), summed by einsum,
   so a term's phase moves by at most 16 ulp(T) max x_n and the bits never
@@ -81,6 +82,7 @@ neither the rounding of the head nor the NUFFT's kernel error is in it.
 from __future__ import annotations
 
 import cmath
+import functools
 import logging
 import math
 from fractions import Fraction
@@ -113,6 +115,7 @@ _EM_TERMS = 14  # Bernoulli corrections M in every Euler-Maclaurin closure
 _MIN_CUTOFF = 16
 _MAX_CUTOFF = 2 ** 21
 _HEAD_BLOCK = 1 << 16  # head-sum matrix entries per block (points x terms), 1 MiB
+_ROW_BLOCK = 1 << 13  # the same for one point per row, 128 KiB
 _PHASE_ROWS = 64  # most points per 2-d progression row; half the least 1-d progression
 _PHASE_TERMS = 4096  # terms per piece of a head sum, a 64-row phase table at 4 MiB
 _NUFFT_SPREAD = 16  # half-width of the NUFFT's Gaussian, in grid cells
@@ -269,20 +272,23 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
     e^(pi 16 / (4 R (R - 1/2))), 66 at R = 2.
 
     Every other array is one loop over pieces of at most 4096 terms, and
-    within a piece over blocks of rows of at most 2^16 entries (rows x
-    terms), each block in the same buffer.  A row is one point, whose
-    weights * exp(-s x), the weights first, is summed in term order, or
-    one row of a 2-d progression of R = 2 to 64 points.  There the anchor
-    V[b, n] = weights[n] exp(-s_b x[n]) at the row's first point s_b times
-    the piece's phase table E[r, n] = exp(-i r h x[n]), r < R, built in
-    place once per piece, gives the row's points.  A 2-d array of scan
-    windows, one window of 9 nodes per row, thus pays one exp per (window,
-    term) and 9 per term for E, in place of 9 per (window, term).  Point
-    s_b + i r h gets the phase (t_b + r h) x[n] in place of t x[n]: with
-    both ordinates within 8 ulp of the progression, at most 16 ulp(T)
-    max|x| apart per term, the order of the rounding of t x itself.  A
-    head of one piece is the bits of one sum per row; a longer one adds
-    the pieces' sums.
+    within a piece over blocks of rows, each block in the same buffer: at
+    most 2^13 entries (rows x terms, 128 KiB) for one point per row, so a
+    quadrature call of 4096 points of an 8-term series holds a 128 KiB block
+    where 2^16 would hold 512 KiB, and at most 2^16 entries (1 MiB) for
+    progression rows.  A row's sum does not depend on its block.  A row is
+    one point, whose weights * exp(-s x), the weights first, is summed in
+    term order, or one row of a 2-d progression of R = 2 to 64 points.
+    There the anchor V[b, n] = weights[n] exp(-s_b x[n]) at the row's first
+    point s_b times the piece's phase table E[r, n] = exp(-i r h x[n]), r <
+    R, built in place once per piece, gives the row's points.  A 2-d array
+    of scan windows, one window of 9 nodes per row, thus pays one exp per
+    (window, term) and 9 per term for E, in place of 9 per (window, term).
+    Point s_b + i r h gets the phase (t_b + r h) x[n] in place of t x[n]:
+    with both ordinates within 8 ulp of the progression, at most 16 ulp(T)
+    max|x| apart per term, the order of the rounding of t x itself.  A head
+    of one piece is the bits of one sum per row; a longer one adds the
+    pieces' sums.
 
     A (K, terms) weight stack goes with (K, n) points, weight row k with
     point row k, such as K candidate series sampled on their windows.  A
@@ -321,7 +327,7 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
     anchors = sv.ravel() if step is None else sv[:, 0]
     head = np.zeros((anchors.size, width), dtype=complex)
     piece = min(x.size, _PHASE_TERMS)
-    rows = max(1, _HEAD_BLOCK // max(piece, 1))
+    rows = max(1, (_ROW_BLOCK if step is None else _HEAD_BLOCK) // max(piece, 1))
     # one buffer per table, filled in place piece by piece and block by
     # block, so a block's matrix is never alive beside the one that
     # replaces it; a table is a contiguous view, so the einsum loop does
@@ -446,16 +452,17 @@ def _em_closure(sv: np.ndarray, n_cutoff: int, alpha: float, m_terms: int) -> np
 # Euler-Boole closure of the twisted tail
 # ---------------------------------------------------------------------------
 
-def _boole_coefficients(z: complex) -> list:
+@functools.lru_cache(maxsize=64)
+def _boole_coefficients(z: complex) -> tuple:
     """c_0 .. c_{K-1} of 1/(1 - z e^u) = sum_k c_k u^k for z != 1, from
     c_0 = 1/(1-z) and c_n = z/(1-z) sum_{j=1..n} c_{n-j}/j!; c_k equals
-    Li_{-k}(z)/k!."""
+    Li_{-k}(z)/k!.  Kept per z: a twist's calls share one build."""
     ratio = z / (1 - z)
     inv_fact = [1 / math.factorial(j) for j in range(1, _BOOLE_TERMS)]  # j >= 1
     coeffs = [1 / (1 - z)]
     for _ in range(1, _BOOLE_TERMS):
         coeffs.append(ratio * sum(c * f for c, f in zip(reversed(coeffs), inv_fact)))
-    return coeffs
+    return tuple(coeffs)
 
 
 def _boole_bound(worst: complex, alpha: float, beta: float):

@@ -1,6 +1,7 @@
 """Quadrature: closed-form integrals, log singularities, Poisson weighting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,16 @@ def _const(c):
 def _two_term_eval():
     # L(s) = 1 + 2^-s on sigma = 0: values 1 + e^(-i t log 2)
     return lambda s: 1.0 + 2.0 ** (-s)
+
+
+def _seeded_series(seed, terms):
+    # a classical series with a_1 = 1 and the other coefficients of modulus
+    # 2/3 and seeded phases, on sigma = 1/2, as the poisson_log benchmark
+    # draws them
+    rng = np.random.default_rng(seed)
+    coeffs = 2.0 / 3.0 * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, terms))
+    coeffs[0] = 1.0
+    return se.classical_polynomial(coeffs, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +144,27 @@ def test_poisson_zero_l1_norm():
     assert r.value == 0.0 and r.truncation_tail == 0.0 and r.flagged
 
 
+@pytest.mark.parametrize("d", [1.0, 10.0])
+def test_poisson_log_plus_meets_closed_form(d):
+    # L = 1 + w 2^-s, |w| = 2/3 (the first series of the poisson_log
+    # benchmark at its seed 3201, generator seed 3201 * 100): |L(1/2 + it)|
+    # is periodic in theta = t log 2,
+    # and the kernel maps e^(i k theta) to 2^(-D |k|), so the integral is
+    # sum_k g_k 2^(-D |k|) over the Fourier coefficients g_k of
+    # log+|1 + w 2^(-1/2) e^(-i theta)| (0.1063035 at D = 1, 0.1504628 at
+    # D = 10).  At tol 1e-4 the value is 2.3e-5 and 3.5e-5 off; at tol 1e-5
+    # it is 2.2e-5 and 1.5e-4 off, beyond tol (see poisson_log_integral)
+    s = _seeded_series(320100, 2)
+    theta = 2 * math.pi * np.arange(1 << 14) / (1 << 14)
+    log_plus = np.maximum(0.0, np.log(np.abs(1 + s.coefficients[1] / math.sqrt(2.0)
+                                             * np.exp(-1j * theta))))
+    k = np.fft.fftfreq(theta.size, 1.0 / theta.size)
+    exact = np.sum(np.fft.fft(log_plus) / theta.size * np.exp(-d * np.abs(k) * math.log(2))).real
+    r = qd.poisson_log_integral(se.line_evaluator(s, 0.5), 0.5, d, "plus", 1e-4,
+                                l1_norm=se.l1_norm_at(s, 0.5))
+    assert abs(r.value - exact) <= 1e-4
+
+
 def _per_segment_poisson(ev, sigma, d, sign, tol, l1_norm, minus_tail_bound):
     """poisson_log_integral with one adaptive pass per octave segment and
     side, as it was before the segments shared one pass: (value, error
@@ -176,10 +208,7 @@ def test_one_pass_poisson_matches_per_segment_passes(terms, monkeypatch):
     # seeded classical series with tail moduli 2/3 on sigma = 1/2: the one
     # pass over all octave segments splits the same panels, samples the same
     # points and sums to the same value as a pass per segment, in fewer calls
-    rng = np.random.default_rng(1500 + terms)
-    coeffs = 2.0 / 3.0 * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, terms))
-    coeffs[0] = 1.0
-    s = se.classical_polynomial(coeffs, 0.5)
+    s = _seeded_series(1500 + terms, terms)
     line = se.line_evaluator(s, 0.5)
     l1 = se.l1_norm_at(s, 0.5)
     for d in (1.0, 10.0):
@@ -207,6 +236,31 @@ def test_one_pass_poisson_matches_per_segment_passes(terms, monkeypatch):
             assert points[0].tobytes() == points[1].tobytes()
             if d == 10.0 and sign == "plus":
                 assert len(calls["pass"]) <= 0.6 * len(calls["oracle"])
+
+
+def test_widest_poisson_pass_calls_and_memory():
+    # the 8-term D = 10 log+ integral, the widest pass of the poisson_log
+    # benchmark: 89 evaluator calls of up to 4096 points in entries of
+    # 2048 panels (307 in entries of 512), and a traced peak of 1.07 MB
+    # with the per-row head sum blocked at 2^13 entries (1.49 MB at 2^16)
+    s = _seeded_series(1508, 8)
+    line = se.line_evaluator(s, 0.5)
+    l1 = se.l1_norm_at(s, 0.5)
+    sizes = []
+
+    def ev(points):
+        sizes.append(points.size)
+        return line(points)
+
+    qd.poisson_log_integral(ev, 0.5, 10.0, "plus", 1e-5, l1_norm=l1)
+    assert len(sizes) <= 100
+    tracemalloc.start()
+    try:
+        qd.poisson_log_integral(line, 0.5, 10.0, "plus", 1e-5, l1_norm=l1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35e6
 
 
 nan, inf = math.nan, math.inf
@@ -467,3 +521,32 @@ def test_stacked_interval_sup_is_each_row_bit_for_bit(grid_n):
                 ev = lambda points, row=row: row(points)[0]
             one = qd.interval_sup(ev, 0.5, window, grid_n=grid_n)
             assert isinstance(one, float) and sups[k] == one
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["1-d", "stacked"])
+def test_interval_sup_zoom_rounds_are_linspace(stacked):
+    # every zoom round samples np.linspace(lo, hi, 33) of its window bit for
+    # bit, each row of a stacked round on its own; windows are wide enough
+    # that no round's window collapses to one float
+    rng = np.random.default_rng(3202 + stacked)
+    coeffs = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
+    if stacked:
+        line = se.classical_stack_evaluator(coeffs, 0.5)
+    else:
+        line = se.line_evaluator(se.classical_polynomial(coeffs[0], 0.5), 0.5)
+    for _ in range(40):
+        a = rng.uniform(-1e3, 1e3)
+        b = a + 10.0 ** rng.uniform(-3.0, 2.0)
+        calls = []
+
+        def ev(points):
+            calls.append(points.imag.copy())
+            return line(points)
+
+        qd.interval_sup(ev, 0.5, (a, b), grid_n=int(rng.integers(16, 200)))
+        assert len(calls) == 5
+        for ts in calls[1:]:
+            assert ts.shape == ((5, 33) if stacked else (33,))
+            for row in np.atleast_2d(ts):
+                assert a <= row[0] < row[-1] <= b
+                assert row.tobytes() == np.linspace(row[0], row[-1], 33).tobytes()

@@ -818,6 +818,22 @@ def test_boole_coefficients_match_polylog():
                 assert abs(c - complex(ref)) <= 1e-14 * pole ** (-k - 1)
 
 
+def test_boole_coefficients_are_built_once_per_twist():
+    # the cached coefficients are the bits of a fresh build, and lerch_phi
+    # calls at one twist share one build
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+        z = complex(np.exp(2j * np.pi * alpha))
+        cached = sp._boole_coefficients(z)
+        assert isinstance(cached, tuple) and sp._boole_coefficients(z) is cached
+        fresh = sp._boole_coefficients.__wrapped__(z)
+        assert np.array(cached).tobytes() == np.array(fresh).tobytes()
+    sp._boole_coefficients.cache_clear()
+    for t in (10.0, 200.0, np.array([30.0, 31.0])):
+        sp.lerch_phi(0.3, 0.7, 1.0 + 1j * t, 1e-9)
+    info = sp._boole_coefficients.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 @pytest.mark.parametrize("evaluate", [
     lambda: sp.hurwitz_zeta(1 + 1e20j, 0.5, 1e-9),  # EM bound, log past 709.8 by |t|
     lambda: sp.lerch_phi(1e-20, 0.5, 1 + 10j, 1e-9),  # Euler-Boole bound, by the twist
