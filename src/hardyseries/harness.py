@@ -21,14 +21,14 @@ measure: an exact identity of ``constants`` carries +inf when it holds and
 -inf when it does not, and a scan window holding the pole at t = 0 measures
 +inf.
 
-Both zeta scans measure a window the same way, since phi(1, beta; s) is
-zeta(s, beta): 9-node Simpson on a grid of step delta/8 over the window,
-the nodes evaluated in bands of whole windows by ``hurwitz_zeta_grid``
-(``hurwitz_scan``) or ``lerch_phi`` (``lerch_scan``), whose head sums use
-that the nodes are evenly spaced: a band of 4000 shared nodes takes the
-NUFFT head, and a band of 444 windows of 9 nodes each, one window per
-row, joins the blocked loop as rows of 9 spread from their first node by
-one phase table per piece of terms.
+Both zeta scans are presets of one row builder over (twist, shift, delta),
+phi(1, alpha; s) being zeta(s, alpha): ``hurwitz_scan`` is twist 1 at each
+shift of ``alphas``, ``lerch_scan`` each twist of ``alphas`` at each shift
+of ``betas``.  A window is 9-node Simpson on a grid of step delta/8, its nodes
+evaluated by ``lerch_phi`` in bands of whole windows: a band of 4000 shared
+nodes takes the NUFFT head, and a band of 444 windows of 9 nodes each, one
+window per row, joins the blocked loop as rows of 9 spread from their first
+node by one phase table per piece of terms.
 
 ``EXPERIMENT_TABLE`` names each experiment's row builder and the config
 fields it reads, and a config that sets any other field away from its
@@ -40,6 +40,7 @@ lives only in the JSON summary).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -111,10 +112,14 @@ class ExperimentConfig:
                 raise InvalidParameterError(f"config field {f.name!r} must be non-empty")
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise InvalidParameterError(f"config field {f.name!r} must be finite")
+            if len(set(values)) < len(values):  # a grid point twice is one block twice
+                raise InvalidParameterError(f"config field {f.name!r} repeats a value")
             # checked here, not where an integral or a bound would refuse them
             # with a message about its own parameter
             if f.name in ("deltas", "d_values", "t_step", "tolerance") and min(values) <= 0:
                 raise InvalidParameterError(f"config field {f.name!r} must be positive")
+            if f.name in ("alphas", "betas") and not all(0 < v <= 1 for v in values):
+                raise InvalidParameterError(f"config field {f.name!r} must lie in (0, 1]")
         # a sweep over no series passes vacuously; a series needs a term
         # beyond a_0 to draw, a search a coordinate to move, and numpy a
         # non-negative seed
@@ -526,21 +531,20 @@ def _scan_ordinates(config: ExperimentConfig) -> np.ndarray:
     return start + step * np.arange(count)
 
 
-def _scan_windows(values, delta: float, config: ExperimentConfig, pole: bool):
+def _scan_windows(twist: float, shift: float, delta: float, config: ExperimentConfig):
     """(t_values, integrals): at each window start t of the scan, the
-    9-node Simpson integral of |values| over [t, t + delta].
+    9-node Simpson integral of |phi(twist, shift; 1+it)| over [t, t + delta].
 
-    ``values`` maps an array of ordinates to the complex values on Re s = 1,
-    in the same shape.  The nodes lie on the grid t_start + h j,
-    h = delta/8.  Windows at most 8 grid steps apart share one run of
-    contiguous nodes, evaluated in bands of 4000.  Windows further apart get
-    9 nodes each, so no node between windows is evaluated: a (windows, 9)
-    array, evaluated in bands of 4000 // 9 = 444 whole windows, whose rows
-    the head sum takes as progressions of one step h.  With ``pole`` the
-    line holds the pole at t = 0: a window whose closed interval holds it
-    measures +inf, and only so that its band can be evaluated, a shared
-    node at t = 0 is moved to 1e-9, and a row of 9 nodes holding t = 0 is
-    moved by 1e-9 as a whole."""
+    The nodes lie on the grid t_start + h j, h = delta/8.  Windows at most 8
+    grid steps apart share one run of contiguous nodes, evaluated in bands
+    of 4000.  Windows further apart get 9 nodes each, so no node between
+    windows is evaluated: a (windows, 9) array, evaluated in bands of
+    4000 // 9 = 444 whole windows, whose rows the head sum takes as
+    progressions of one step h.  At twist 1, zeta(s, shift), the line holds
+    the pole at t = 0: a window whose closed interval holds it measures
+    +inf, and only so that its band can be evaluated, a shared node at
+    t = 0 is moved to 1e-9, and a row of 9 nodes holding t = 0 is moved by
+    1e-9 as a whole."""
     h = delta / _SCAN_SUBDIV
     stride = int(round(config.t_step / h))  # whole, checked with the config
     nodes = _SCAN_SUBDIV + 1
@@ -554,14 +558,15 @@ def _scan_windows(values, delta: float, config: ExperimentConfig, pole: bool):
         steps = np.add.outer(stride * np.arange(n_windows), np.arange(nodes))
         band = _SCAN_BAND // nodes
     ts = config.t_start + h * steps
-    if pole:
+    if twist == 1:  # the line holds the pole
         # a row of 9 nodes moves as a whole, so it stays a progression of
         # step h and its band keeps its phase-table rows
         zero = ts == 0.0
         ts[zero if shared else zero.any(axis=1)] += 1e-9
     mods = np.empty(ts.shape)
     for lo in range(0, len(ts), band):
-        mods[lo:lo + band] = np.abs(values(ts[lo:lo + band]))
+        mods[lo:lo + band] = np.abs(
+            sp.lerch_phi(twist, shift, 1 + 1j * ts[lo:lo + band], 1e-9))
     if shared:
         windows = np.lib.stride_tricks.sliding_window_view(mods, nodes)[::stride]
     else:
@@ -571,9 +576,9 @@ def _scan_windows(values, delta: float, config: ExperimentConfig, pole: bool):
     weights[2:-1:2] = 2.0
     weights *= h / 3.0
     integrals = windows @ weights
-    if pole:
-        # |values| ~ 1/|t| near the pole, so the window diverges and meets
-        # every lower bound
+    if twist == 1:
+        # |zeta(1+it, shift)| ~ 1/|t| near the pole, so the window diverges
+        # and meets every lower bound
         integrals[(t_values <= 0.0) & (t_values + delta >= 0.0)] = math.inf
     return t_values, integrals
 
@@ -584,64 +589,51 @@ def _log_measured(integrals: np.ndarray) -> np.ndarray:
     return np.log(integrals, out=np.full(integrals.shape, -np.inf), where=integrals > 0)
 
 
-def _hurwitz_scan_rows(config: ExperimentConfig):
-    """Sliding-window integrals of |zeta(1+it, alpha)| against the log-space
-    lower bounds, one block of rows per (alpha, delta), with the running
-    minimum tracked per alpha; the alpha = 1, delta = 0.05 running minimum
-    must also land in its expected window."""
+def _scan_rows(config: ExperimentConfig, twisted: bool):
+    """Sliding-window integrals of |phi(twist, shift; 1+it)| against the
+    fixed (T27, twisted T28) and uniform (T29, twisted T30) log-space lower
+    bounds at the shift, one block and one summary entry with its running
+    minimum per (twist, shift, delta); at twist 1, shift 1 the delta = 0.05
+    running minimum must also land in its expected window.  ``twisted``
+    picks the preset: ``lerch_scan`` (alphas x betas) or ``hurwitz_scan``
+    (twist 1, the alphas as shifts, no twist column)."""
+    pairs = (itertools.product(config.alphas, config.betas) if twisted
+             else [(1.0, alpha) for alpha in config.alphas])
+    names = ("alpha", "beta", "delta") if twisted else ("alpha", "delta")
     blocks = []
     summary: dict = {}
     in_windows = True
-    for alpha in config.alphas:
+    for twist, shift in pairs:
         for delta in config.deltas:
-            t_values, integrals = _scan_windows(
-                lambda ts: sp.hurwitz_zeta_grid(alpha, ts, 1.0, 1e-9), delta, config,
-                pole=True)
-            lb_fixed = bd.hurwitz_lower_bound(alpha, delta, "HurwitzLerch")
-            lb_uniform = bd.hurwitz_lower_bound(alpha, delta, "Uniform")
+            t_values, integrals = _scan_windows(twist, shift, delta, config)
+            lb_fixed = bd.hurwitz_lower_bound(shift, delta, "HurwitzLerch")
+            lb_uniform = bd.hurwitz_lower_bound(shift, delta, "Uniform")
             log_meas = _log_measured(integrals)
-            m27 = log_meas - lb_fixed
-            m29 = log_meas - lb_uniform
-            ok = (m27 >= -config.tolerance) & (m29 >= -config.tolerance)
-            blocks.append((alpha, delta, t_values, integrals, lb_fixed, lb_uniform,
-                           m27, m29, ok))
+            margin = log_meas - lb_fixed
+            margin_uniform = log_meas - lb_uniform
+            ok = (margin >= -config.tolerance) & (margin_uniform >= -config.tolerance)
+            labels = (twist, shift, delta) if twisted else (shift, delta)
+            blocks.append((*labels, t_values, integrals, lb_fixed, lb_uniform,
+                           margin, margin_uniform, ok))
             running = np.min(integrals)
-            key = f"alpha_{alpha:g}_delta_{delta:g}"
-            summary[key] = {
+            # repr tells floats apart and no grid repeats one: a key per block
+            key = "_".join(f"{name}_{repr(v).removesuffix('.0')}"
+                           for name, v in zip(names, labels))
+            summary[key] = entry = {
                 "running_min": float(running),
                 "log_bound_fixed": lb_fixed,
                 "log_bound_uniform": lb_uniform,
             }
-            if alpha == 1.0:
+            if twist == 1 and shift == 1:
                 target = bd.riemann_window_asymptotic(delta)
-                summary[key]["asymptotic_target"] = target
-                summary[key]["min_over_target"] = float(running / target)
+                entry["asymptotic_target"] = target
+                entry["min_over_target"] = float(running / target)
                 in_window = bool(5.77e-4 <= running <= 1.0) if delta == 0.05 else True
-                summary[key]["min_in_expected_window"] = in_window
+                entry["min_in_expected_window"] = in_window
                 in_windows = in_windows and in_window
-    columns = ["alpha", "delta", "t", "measured", "log_bound_fixed",
-               "log_bound_uniform", "margin", "margin_uniform", "pass"]
+    columns = [*names, "t", "measured", "log_bound_fixed", "log_bound_uniform",
+               "margin", "margin_uniform", "pass"]
     return columns, blocks, summary, in_windows
-
-
-def _lerch_scan_rows(config: ExperimentConfig):
-    """Sliding-window integrals of |phi(alpha, beta; 1+it)| against the
-    shifted-parameter lower bound (the bound depends on the shift beta
-    only), one block of rows per (alpha, beta, delta); twist alpha = 1 is
-    zeta(s, beta), with its pole at t = 0."""
-    blocks = []
-    for alpha in config.alphas:
-        for beta in config.betas:
-            for delta in config.deltas:
-                t_values, integrals = _scan_windows(
-                    lambda ts: sp.lerch_phi(alpha, beta, 1 + 1j * ts, 1e-9), delta,
-                    config, pole=alpha == 1.0)
-                lb = bd.hurwitz_lower_bound(beta, delta, "HurwitzLerch")
-                margin = _log_measured(integrals) - lb
-                blocks.append((alpha, beta, delta, t_values, integrals, lb, margin,
-                               margin >= -config.tolerance))
-    columns = ["alpha", "beta", "delta", "t", "measured", "log_bound", "margin", "pass"]
-    return columns, blocks, {}, True
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +770,9 @@ EXPERIMENT_TABLE = {
     "nonvanishing_sweep": _Experiment(_nonvanishing_rows, (*_SWEEP_FIELDS, "xis")),
     "log_bound_sweep": _Experiment(_log_bound_rows,
                                    (*_SWEEP_FIELDS, "deltas", "p_values", "tolerance")),
-    "hurwitz_scan": _Experiment(_hurwitz_scan_rows, _SCAN_FIELDS),
-    "lerch_scan": _Experiment(_lerch_scan_rows, (*_SCAN_FIELDS, "betas")),
+    "hurwitz_scan": _Experiment(functools.partial(_scan_rows, twisted=False), _SCAN_FIELDS),
+    "lerch_scan": _Experiment(functools.partial(_scan_rows, twisted=True),
+                              (*_SCAN_FIELDS, "betas")),
     "minmax": _Experiment(_minmax_rows, ("seed", "deltas", "m_norm", "orders", "restarts",
                                          "search_terms", "tolerance")),
 }

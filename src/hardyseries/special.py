@@ -616,11 +616,13 @@ def hurwitz_zeta_grid(
     """Vectorized zeta(sigma + i t, alpha) on an array of ordinates.
 
     One cutoff, sized for the worst |t| in the block, serves every point;
-    inputs with sigma + i t == 1 are rejected.  Used by the scan harness
-    where millions of values are needed.  With debug logging on, each call
-    logs two lines: one from ``_zeta_sum`` (point count, cutoff N, order M,
-    bound) and one from ``_head_sum`` (point count, N as the head's term
-    count, head path).
+    inputs with sigma + i t == 1 are rejected.  On Re s = 1 it gives the
+    bits of ``lerch_phi(1, alpha, 1 + 1j * ts)``, which the scans call, so
+    no function of the package calls it; it stays because ``perfbench``
+    checks scan values with it and its tracer wraps it by name.  With debug
+    logging on, each call logs two lines: one from ``_zeta_sum`` (point
+    count, cutoff N, order M, bound) and one from ``_head_sum`` (point
+    count, N as the head's term count, head path).
     """
     return _zeta_sum(sigma + 1j * np.asarray(ts, dtype=float), alpha, target_error)[0]
 

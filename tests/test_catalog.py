@@ -14,10 +14,11 @@ from hardyseries.errors import InvalidParameterError
 # ids that no command evaluates yet; closing the catalog gives them rows
 NO_COMMAND = {"T6", "T7", "T9", "T10", "L8", "T11", "T12"}
 # ids that no verify experiment checks yet
-NO_VERIFY = NO_COMMAND | {"T30"}
-# scan columns do not name ids: hurwitz_scan's margin is T27 and its
-# margin_uniform T29, lerch_scan's margin T28 (the bound at the shift beta)
-SCAN_IDS = {"hurwitz_scan": {"T27", "T29"}, "lerch_scan": {"T28"}}
+NO_VERIFY = NO_COMMAND
+# scan columns do not name ids: margin is the fixed bound at the shift and
+# margin_uniform the uniform one, T27 and T29 in hurwitz_scan, and for the
+# twisted family in lerch_scan T28 and T30
+SCAN_IDS = {"hurwitz_scan": {"T27", "T29"}, "lerch_scan": {"T28", "T30"}}
 SMALL = {
     "constants": {},
     "local_l2_sweep": {"n_series": 1, "d_values": [1.0]},

@@ -453,6 +453,15 @@ def test_wrong_json_type_names_field(tmp_path, capsys, field, value):
     ({"experiment": "hurwitz_scan", "t_stop": -1}, "t_stop"),
     ({"experiment": "hurwitz_scan", "t_step": 0}, "t_step"),
     ({"experiment": "minmax", "tolerance": 0}, "tolerance"),
+    # twists and shifts outside (0, 1], named before lerch_phi refuses them
+    ({"experiment": "hurwitz_scan", "alphas": [1.5]}, "alphas"),
+    ({"experiment": "lerch_scan", "alphas": [1.5]}, "alphas"),
+    ({"experiment": "lerch_scan", "betas": [2]}, "betas"),
+    ({"experiment": "lerch_scan", "betas": [0.7, 0.0]}, "betas"),
+    # a value twice would be one block twice under one summary key
+    ({"experiment": "hurwitz_scan", "alphas": [0.5, 0.5]}, "alphas"),
+    ({"experiment": "lerch_scan", "betas": [1, 1.0]}, "betas"),
+    ({"experiment": "log_bound_sweep", "deltas": [0.05, 0.05]}, "deltas"),
 ])
 def test_degenerate_config_names_field(tmp_path, capsys, doc, field):
     # no series, term, restart or grid value to check is no verdict to pass

@@ -216,13 +216,9 @@ def test_disjoint_pole_band_matches_per_row(alpha, monkeypatch):
     # t 0-1000 at t_step 8 is one band of 126 windows holding the pole row;
     # its phase-matrix windows sit within 2e-13 of the per-row head sum
     cfg = _small("hurwitz_scan", alphas=(alpha,), t_start=0.0, t_stop=1000.0, t_step=8.0)
-
-    def grid(ts):
-        return sp.hurwitz_zeta_grid(alpha, ts, 1.0, 1e-9)
-
-    t, band = hn._scan_windows(grid, 0.05, cfg, pole=True)
+    t, band = hn._scan_windows(1.0, alpha, 0.05, cfg)
     monkeypatch.setattr(sp, "_progression_step", lambda ts: None)
-    _, rows = hn._scan_windows(grid, 0.05, cfg, pole=True)
+    _, rows = hn._scan_windows(1.0, alpha, 0.05, cfg)
     assert t.size == 126 and band[0] == rows[0] == math.inf
     np.testing.assert_allclose(band[1:], rows[1:], rtol=2e-13, atol=0)
 
@@ -267,19 +263,35 @@ def test_scans_end_at_t_stop(t_stop):
     (0.0, 50.0, 0.1, 1),  # 501 windows of 9 nodes: two bands of whole windows
 ])
 def test_twist_one_lerch_scan_is_hurwitz_scan(t_start, t_stop, t_step, poles):
-    # phi(1, beta; s) = zeta(s, beta), and both scans measure it on one path
+    # phi(1, beta; s) = zeta(s, beta), and both scans measure it on one path:
+    # a twist-1 lerch_scan block less its twist column is the hurwitz_scan
+    # block, every column to the bit, and both summary entries agree, the
+    # asymptotic entries at shift 1 included
     common = dict(t_start=t_start, t_stop=t_stop, t_step=t_step)
     for shift in (0.3, 1.0):
         hurwitz = hn.dispatch(_small("hurwitz_scan", alphas=(shift,), **common))
         lerch = hn.dispatch(_small("lerch_scan", alphas=(1.0,), betas=(shift,), **common))
-        (_, _, t_hurwitz, m_hurwitz, *_), = hurwitz.blocks
-        (_, _, _, t_lerch, m_lerch, *_), = lerch.blocks
-        assert t_hurwitz.tobytes() == t_lerch.tobytes()
-        assert m_hurwitz.tobytes() == m_lerch.tobytes()
-        assert lerch.passed and all(row[-1] for row in hurwitz.rows)
+        assert lerch.columns == ["alpha", "beta", *hurwitz.columns[1:]]
+        (hurwitz_block,), ((twist, *lerch_block),) = hurwitz.blocks, lerch.blocks
+        assert twist == 1.0
+        for h_cell, l_cell in zip(hurwitz_block, lerch_block, strict=True):
+            assert np.asarray(h_cell).tobytes() == np.asarray(l_cell).tobytes()
+        entry = hurwitz.summary[f"alpha_{shift:g}_delta_0.05"]
+        assert lerch.summary[f"alpha_1_beta_{shift:g}_delta_0.05"] == entry
+        assert ("asymptotic_target" in entry) == (shift == 1.0)
+        assert lerch.passed == hurwitz.passed and all(row[-1] for row in lerch.rows)
+        t_lerch, m_lerch = lerch_block[2:4]
         pole = (t_lerch <= 0.0) & (t_lerch + 0.05 >= 0.0)
         assert np.isinf(m_lerch[pole]).all() and np.isfinite(m_lerch[~pole]).all()
         assert np.count_nonzero(pole) == poles
+
+
+def test_scan_summary_keys_tell_close_shifts_apart():
+    # 0.3 and 0.3000001 are one value under :g; each block keeps its entry
+    result = hn.dispatch(_small("hurwitz_scan", alphas=(0.3, 0.3000001), t_stop=1.0))
+    assert len(result.blocks) == 2
+    assert [key for key in result.summary if key.startswith("alpha_")] == [
+        "alpha_0.3_delta_0.05", "alpha_0.3000001_delta_0.05"]
 
 
 def test_scan_ordinates_slack_is_float_rounding():
