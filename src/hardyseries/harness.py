@@ -12,7 +12,12 @@ tolerance: these pass when margin >= 0.  The ``witness_norm`` margin is the
 gap to the quoted 3^order, which its pass does not read.  T4 and the
 ``_lp2`` rows measure int |L|^2 as the closed Hermitian form of
 ``series.window_l2``, with roundoff-only error and no flag; every other
-integral comes from quadrature, and a flagged one fails its row.  A
+integral comes from quadrature, and a flagged one fails its row.
+``log_bound_sweep`` draws all its series first, then measures every
+log-, log+ and |L|^p (p != 2) window integral of every series in one
+adaptive pass (``quadrature.integrate_stack``) and the window sups in one
+stacked ``interval_sup`` per delta, each result the bits of the same
+measurement of its series alone; L14 is a pass of its own.  A
 ``nonvanishing_sweep`` row reads the l1 bracket 1 -+ tail of |L|, which
 holds for every real t, and checks its upper end, residual and cap.
 Comparisons against astronomically small lower bounds happen in
@@ -432,22 +437,6 @@ def _nonvanishing_rows(config: ExperimentConfig):
     return columns, [_block(rows)], {}, True
 
 
-def _measurements_for(series, delta, tol, p_values):
-    ev = se.line_evaluator(series, 0.5)
-    window = (0.0, delta)
-    log_minus = qd.integrate_log(ev, 0.5, window, "minus", tol)
-    log_plus = qd.integrate_log(ev, 0.5, window, "plus", tol)
-    sup = qd.interval_sup(ev, 0.5, window, grid_n=64)
-
-    def power_integral(p):  # (int_0^delta |L|^p dt, flagged); p = 2 is a closed form
-        if p == 2:
-            return se.window_l2(series, 0.5, 0.0, delta), False
-        r = qd.integrate_abs_pow(ev, 0.5, window, p, tol * delta)
-        return r.value, r.flagged
-
-    return log_minus, log_plus, sup, {p: power_integral(p) for p in p_values}
-
-
 # coefficient class -> ids of kinds log, sup and lp, in catalog order; each
 # bound function picks the class parameters its id needs
 _SWEEP_IDS = {c: [[tid for tid, e in bd.CATALOG.items() if (e.coeffs, e.kind) == (c, kind)]
@@ -455,24 +444,47 @@ _SWEEP_IDS = {c: [[tid for tid, e in bd.CATALOG.items() if (e.coeffs, e.kind) ==
 
 
 def _log_bound_rows(config: ExperimentConfig):
+    """Every series is drawn first, in the order of one general and one
+    bounded series per index.  Then one adaptive pass measures log-, log+
+    and each |L|^p, p != 2, of every series on every window [0, delta],
+    and one stacked ``interval_sup`` per delta its window sups; each result
+    is the bits of the same measurement of its series alone.  The p = 2
+    rows read the closed form ``se.window_l2``."""
     rng = np.random.default_rng(config.seed)
+    stack = []  # general and bounded series of index idx at 2 idx and 2 idx + 1
+    for _ in range(config.n_series):
+        stack.append(_random_classical(rng, config.n_terms))
+        stack.append(_random_classical(rng, config.n_terms, bounded=True, unit_tail=True))
+    ev = se.classical_stack_evaluator([s.coefficients for s in stack], 0.5)
+    tol = 1e-5
+    kinds = ("minus", "plus", *(p for p in config.p_values if p != 2))
+    windows = [(k, (0.0, delta), kind, tol if isinstance(kind, str) else tol * delta)
+               for delta in config.deltas for k in range(len(stack)) for kind in kinds]
+    measured = iter(qd.integrate_stack(ev, 0.5, windows))
+    integrals = {(delta, k): {kind: next(measured) for kind in kinds}
+                 for delta in config.deltas for k in range(len(stack))}
+    sups = {delta: qd.interval_sup(ev, 0.5, (0.0, delta), grid_n=64)
+            for delta in config.deltas}
     rows = []
     kc_tol = 1e-3  # stated tolerance for the upper log-integral comparisons
     for idx in range(config.n_series):
-        general = _random_classical(rng, config.n_terms)
-        bounded = _random_classical(rng, config.n_terms, bounded=True, unit_tail=True)
         for delta in config.deltas:
-            for family, s in (("general", general), ("bounded", bounded)):
+            for k, family in ((2 * idx, "general"), (2 * idx + 1, "bounded")):
+                s = stack[k]
                 p = bd.class_params(s)
                 params = dict(norm1=se.l1_norm_at(s, 0.5), norm2=se.l2_norm(s),
                               c=p.c, k=p.k, lambda1=p.lambda1)
-                log_minus, log_plus, sup, lp = _measurements_for(s, delta, 1e-5,
-                                                                  config.p_values)
+                measures = integrals[delta, k]
+                sup = float(sups[delta][k])
+                # (int_0^delta |L|^p dt, flagged); p = 2 is a closed form
+                lp = {p_exp: (se.window_l2(s, 0.5, 0.0, delta), False) if p_exp == 2
+                      else (measures[p_exp].value, measures[p_exp].flagged)
+                      for p_exp in config.p_values}
                 log_ids, sup_ids, lp_ids = _SWEEP_IDS[family]
                 for tid in log_ids:
                     minus_b, plus_b = bd.short_interval_log_bounds(tid, delta, **params)
-                    for side, r, b in (("minus", log_minus, minus_b),
-                                       ("plus", log_plus, plus_b)):
+                    for side, b in (("minus", minus_b), ("plus", plus_b)):
+                        r = measures[side]
                         if b is not None:
                             rows.append((f"{tid}_{side}", idx, delta, r.value, b,
                                          b + kc_tol - r.value,

@@ -341,27 +341,40 @@ def window_l2(series: DirichletSeries, sigma1: float, a: float, b: float) -> flo
     return (b - a) * float(np.sum(sinc * form))
 
 
-def classical_stack_evaluator(
-    coefficients, sigma1: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Evaluator of K finite classical series at once, one per row of the
-    (K, terms) ``coefficients``, on the line Re(s) = sigma1.
+def classical_stack_evaluator(coefficients, sigma1: float) -> Callable[..., np.ndarray]:
+    """Evaluator of K finite classical series at once, of any lengths, on
+    the line Re(s) = sigma1: ``coefficients`` holds one coefficient list per
+    series, as the rows of a (K, terms) array, each row summing all of its
+    terms, or as a sequence of K 1-d arrays, each summing its own.
 
-    The returned function maps points of shape (n,), shared by every series,
-    or (K, n), row k for series k, to the (K, n) values, row k those of
-    series k; points off the line are refused.  Row k holds the bits of
-    ``line_evaluator(classical_polynomial(coefficients[k]), sigma1)`` on a
-    1-d array of fewer than 128 points: ``special._head_sum`` with a weight
-    stack, where rows of equal points share one exponential table.  No
-    ``DirichletSeries`` is built.
+    The returned function ``ev(s, rows=None)`` maps points of shape (n,),
+    shared by every series, or (K, n), row k for series k, to the (K, n)
+    values, row k those of series k; given the int array ``rows`` of shape
+    (m,), it maps (m, n) points, row j for series ``rows[j]``, to their
+    (m, n) values.  Points off the line are refused.  Each row holds the
+    bits of ``line_evaluator(classical_polynomial(coefficients[k]),
+    sigma1)`` on a 1-d array of fewer than 128 points: ``special._head_sum``
+    with one weight stack and the term count of each row, so that no row
+    sums the zeros that fill it out to the longest series (they would change
+    the pairwise summation), and rows of equal points share one exponential
+    table.  No ``DirichletSeries`` is built.
     """
-    coeffs = np.asarray(coefficients, dtype=complex)
+    if isinstance(coefficients, np.ndarray):  # every row sums every term
+        coeffs, lengths = np.asarray(coefficients, dtype=complex), None
+    else:
+        series = [np.asarray(c, dtype=complex) for c in coefficients]
+        lengths = np.array([c.size for c in series])
+        coeffs = np.zeros((len(series), int(lengths.max())), dtype=complex)
+        for k, c in enumerate(series):
+            coeffs[k, :c.size] = c
     lam = ExponentSequence.classical().lambdas(coeffs.shape[1])
     weights = coeffs * np.exp(-lam * sigma1)
 
-    def ev(s: np.ndarray) -> np.ndarray:
-        t = np.broadcast_to(_ordinates(s, sigma1), (len(weights), np.shape(s)[-1]))
-        return special._head_sum(1j * t, lam, weights)
+    def ev(s: np.ndarray, rows=None) -> np.ndarray:
+        t = _ordinates(s, sigma1)
+        if rows is None:
+            t = np.broadcast_to(t, (len(weights), t.shape[-1]))
+        return special._head_sum(1j * t, lam, weights, rows, lengths)
 
     return ev
 

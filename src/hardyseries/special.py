@@ -71,9 +71,9 @@ head is one blocked loop.
   point times the piece's phase table e^(-i r h x_n), summed by einsum,
   so a term's phase moves by at most 16 ulp(T) max x_n and the bits never
   depend on BLAS; a grid for those rows would hold far more nodes than
-  the windows need.  A (K, terms) weight stack, one weight row per row of
-  points, takes one unblocked table, where rows of equal points share
-  their exponentials.
+  the windows need.  A (K, terms) weight stack, one weight row named per
+  row of points, takes blocks of the same sizes, where rows of equal
+  points share their exponentials.
 
 The bound ``_zeta_sum`` returns counts the truncation of the tail only:
 neither the rounding of the head nor the NUFFT's kernel error is in it.
@@ -258,7 +258,8 @@ def _progression_step(ts: np.ndarray) -> float | None:
     return float(h)
 
 
-def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
+def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None, rows=None,
+              lengths=None) -> np.ndarray:
     """sum_n weights[n] exp(-s x[n]) for each s of the array ``sv`` (the
     weights 1 when omitted), in the shape of ``sv``; every exponential sum
     of the package goes through it.  x[n] = log(n + alpha) gives the
@@ -290,13 +291,19 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
     of one piece is the bits of one sum per row; a longer one adds the
     pieces' sums.
 
-    A (K, terms) weight stack goes with (K, n) points, weight row k with
-    point row k, such as K candidate series sampled on their windows.  A
-    stack always takes the per-row path, with no blocking: point rows with
-    equal bytes share one (n, terms) exponential table, which each of their
-    weight rows multiplies.  Every (point, term) entry, and so every sum, is
-    then the bits the per-row path gives a 1-d call with that point row and
-    weight row.  The stack holds K n terms complex entries at once.
+    A (K, terms) weight stack goes with (m, n) points, point row j with
+    weight row ``rows[j]`` (row j when ``rows`` is omitted, so m = K), such
+    as K candidate series sampled on their windows or one point per row,
+    each of its own series.  Weight row k sums its first ``lengths[k]``
+    terms (all of them when ``lengths`` is omitted): series of several
+    lengths share one stack, and no row sums a zero term it does not hold,
+    which would change the pairwise summation.  A stack always takes the
+    per-row path, in blocks of at most 2^16 entries (point rows x n x
+    terms), 2^13 for one point per row: within a block, point rows with
+    equal bytes share one (n, terms) exponential table, which each of
+    their weight rows multiplies, one term count at a time.  Every (point,
+    term) entry, and so every sum, is then the bits the per-row path gives
+    a 1-d call with that point row and weight row.
 
     With debug logging on, each call logs its point count, term count and
     path (``nufft``, with its grid size and the Gaussian's half-width in
@@ -315,13 +322,7 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
     if nufft:
         return _nufft_head(sv, x, weights, step, cells)
     if stacked:
-        slot: dict = {}
-        shared = np.array([slot.setdefault(row.tobytes(), len(slot)) for row in sv])
-        distinct = np.empty(len(slot), dtype=int)
-        distinct[shared] = np.arange(shared.size)  # any row of a slot: same bytes
-        terms = np.exp(np.multiply.outer(-sv[distinct], x))[shared]
-        np.multiply(weights[:, None, :], terms, out=terms)
-        return terms.sum(axis=-1)
+        return _stack_head(sv, x, weights, rows, lengths)
     # a row is one point, or one row of a 2-d progression led by its anchor
     width = 1 if step is None else sv.shape[1]
     anchors = sv.ravel() if step is None else sv[:, 0]
@@ -359,6 +360,56 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None) -> np.ndarray:
             else:
                 head[b:b + rows] = sums
     return head.reshape(sv.shape)
+
+
+def _stack_head(sv: np.ndarray, x: np.ndarray, weights: np.ndarray, rows, lengths) -> np.ndarray:
+    """The stack path of ``_head_sum``, in blocks of at most 2^16 entries
+    (point rows x n x terms), 2^13 for one point per row as on the per-row
+    path; see ``_stack_block``."""
+    if sv.size == 0:
+        return np.empty(sv.shape, dtype=complex)
+    block = max(1, (_ROW_BLOCK if sv.shape[1] == 1 else _HEAD_BLOCK) // (sv.shape[1] * x.size))
+    if len(sv) <= block:
+        return _stack_block(sv, x, weights, rows, lengths)
+    if rows is None:
+        rows = np.arange(len(sv))
+    head = np.empty(sv.shape, dtype=complex)
+    for b in range(0, len(sv), block):
+        head[b:b + block] = _stack_block(sv[b:b + block], x, weights, rows[b:b + block], lengths)
+    return head
+
+
+def _stack_block(sv: np.ndarray, x: np.ndarray, weights: np.ndarray, rows, lengths) -> np.ndarray:
+    """Point row j of the (m, n) ``sv`` summed with weight row ``rows[j]``
+    (row j when ``rows`` is None) over its first ``lengths[rows[j]]`` terms
+    (all of them when ``lengths`` is None): one exponential table of the
+    distinct point rows, then one gather, product and sum per term count."""
+    points = np.ascontiguousarray(sv)
+    # one slot per distinct row of bytes, in order of first sight
+    keys = points.view(f"V{points.itemsize * points.shape[1]}").ravel().tolist()
+    slot = dict.fromkeys(keys)
+    for j, row in enumerate(slot):
+        slot[row] = j
+    shared = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
+    distinct = np.empty(len(slot), dtype=np.intp)
+    distinct[shared] = np.arange(shared.size)  # any row of a slot: same bytes
+    table = np.exp(np.multiply.outer(-points[distinct], x))
+    # weights first, as the per-row path multiplies: numpy's complex multiply
+    # may fuse one product into the rounding of the other, so terms * weights
+    # can differ from it in the last bit
+    if lengths is None:
+        terms = table[shared]
+        np.multiply((weights if rows is None else weights[rows])[:, None, :], terms, out=terms)
+        return terms.sum(axis=-1)
+    counts = lengths if rows is None else lengths[rows]
+    head = np.empty(sv.shape, dtype=complex)
+    by_count = np.bincount(counts)
+    for n in np.flatnonzero(by_count).tolist():
+        group = slice(None) if by_count[n] == counts.size else np.flatnonzero(counts == n)
+        terms = table[shared[group], :, :n]
+        np.multiply(weights[group if rows is None else rows[group], None, :n], terms, out=terms)
+        head[group] = terms.sum(axis=-1)
+    return head
 
 
 def _fft_size(n: int) -> int:
@@ -675,7 +726,9 @@ class KappaConstants(NamedTuple):
     c0: float
 
 
+@functools.cache
 def kappa_constants() -> KappaConstants:
+    """The constants, computed once: every T15/T16/T21/T22 bound reads them."""
     kappa_half = 0.5 * math.log(math.tanh(math.pi) + 1.0 / math.pi)
     kappa_printed = math.log(math.tanh(math.pi) + 1.0 / math.pi)
     kappa_alt = math.log(1.0 / math.tanh(math.pi) + 1.0 / math.pi)

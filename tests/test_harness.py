@@ -449,7 +449,9 @@ def test_sweep_flagged_integral_fails_row(monkeypatch):
     before = [hn.dispatch(cfg) for cfg in configs]
     assert all(result.passed for result in before)
     integrate = qd._integrate
-    monkeypatch.setattr(qd, "_integrate", lambda *a, **k: (*integrate(*a, **k)[:3], True))
+    # every integral of a pass comes back flagged
+    monkeypatch.setattr(qd, "_integrate",
+                        lambda *a, **k: [(*r[:3], True) for r in integrate(*a, **k)])
     for cfg, old in zip(configs, before):
         result = hn.dispatch(cfg)
         # every row resting on an integral (log-, log+, _lp1, L14) fails
@@ -464,16 +466,52 @@ def test_sweep_flagged_integral_fails_row(monkeypatch):
 
 def test_sweeps_integrate_no_quadratic_form(monkeypatch):
     # local_l2_sweep integrates nothing; log_bound_sweep integrates log-, log+
-    # and |L| once per (series, family, delta), and |L| once per L14 delta
-    calls = []
+    # and |L| once per (series, family, delta), all in one pass, and |L|
+    # once per L14 delta
+    calls = []  # the integrals of each pass
     integrate = qd._integrate
-    monkeypatch.setattr(qd, "_integrate", lambda *a, **k: calls.append(a) or integrate(*a, **k))
+
+    def counted(*a, **k):
+        results = integrate(*a, **k)
+        calls.append(len(results))
+        return results
+
+    monkeypatch.setattr(qd, "_integrate", counted)
     assert hn.dispatch(_small("local_l2_sweep", n_series=3)).passed
     assert calls == []
     cfg = _small("log_bound_sweep", n_series=2, deltas=(0.05, 0.2))
     assert hn.dispatch(cfg).passed
     l14 = sum(delta <= 0.05 for delta in cfg.deltas)
-    assert len(calls) == 3 * cfg.n_series * 2 * len(cfg.deltas) + l14 == 25
+    assert calls == [3 * cfg.n_series * 2 * len(cfg.deltas)] + [1] * l14 == [24, 1]
+
+
+def test_log_bound_sweep_part_calls_and_memory(monkeypatch):
+    # one benchmark part (5 series, delta 0.05 and 0.1): one adaptive pass
+    # of its 60 window integrals (2 calls), one stacked sup per delta (5
+    # calls each) and L14 (2 calls), 14 evaluator calls where a pass and a
+    # sup per (series, family, delta) made 222; a traced peak of 0.48 MB,
+    # against 0.45 MB for those 222 calls
+    cfg = _small("log_bound_sweep", seed=100, n_series=5, deltas=(0.05, 0.1))
+    calls = []
+
+    def counting(make):
+        def made(*args, **kwargs):
+            ev = make(*args, **kwargs)
+            return lambda *a, **k: calls.append(1) or ev(*a, **k)
+        return made
+
+    with monkeypatch.context() as m:
+        for name in ("line_evaluator", "classical_stack_evaluator"):
+            m.setattr(se, name, counting(getattr(se, name)))
+        assert hn.dispatch(cfg).passed
+    assert len(calls) <= 16
+    tracemalloc.start()
+    try:
+        hn.dispatch(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.56e6
 
 
 def test_lerch_scan_pole_window_diverges(tmp_path, monkeypatch, capsys):

@@ -172,8 +172,8 @@ def _per_segment_poisson(ev, sigma, d, sign, tol, l1_norm, minus_tail_bound):
     256 panels, so that each entry's quarter points are one call."""
     log_part, hit_floor = qd._log_integrand(ev, sigma, sign)
 
-    def f(t):
-        return d / math.pi * log_part(t) / (d * d + t * t)
+    def f(t, runs):
+        return d / math.pi * log_part(t, runs) / (d * d + t * t)
 
     log_plus_norm = max(0.0, math.log(l1_norm)) if l1_norm > 0 else 0.0
     t_max = 8.0 * d
@@ -193,7 +193,8 @@ def _per_segment_poisson(ev, sigma, d, sign, tol, l1_norm, minus_tail_bound):
         mass = (math.atan(hi / d) - math.atan(lo / d)) / math.pi
         base = max(8, min(512, int(math.ceil(hi - lo)), int(math.ceil(3000.0 * mass))))
         for a, b in ((lo, hi), (-hi, -lo)):
-            v, e, count, seg_flagged = qd._integrate(f, [(a, b, tol / (2 * len(cuts)), base)])
+            ((v, e, count, seg_flagged),) = qd._integrate(
+                f, [(0, a, b, tol / (2 * len(cuts)), base)])
             value += v
             err += e
             subdivisions += count
@@ -468,6 +469,106 @@ def test_panel_limit():
     # one Poisson pass counts the splits of all its segments against the cap
     with pytest.raises(QuadratureError):
         qd.poisson_log_integral(fast, 0.0, 1.0, "plus", 1e-6, l1_norm=3.0)
+
+
+# ---------------------------------------------------------------------------
+# one pass of many integrals
+# ---------------------------------------------------------------------------
+
+def _stack_series(seed, count):
+    """``count`` seeded coefficient lists of 1 to 20 terms, then the zero
+    series, whose log integrands floor at every point."""
+    rng = np.random.default_rng(seed)
+    coeffs = [rng.normal(size=n) + 1j * rng.normal(size=n)
+              for n in rng.integers(1, 21, count)]
+    return coeffs + [np.zeros(3, dtype=complex)]
+
+
+def _window_integrals(n_series, deltas, kinds, tol=1e-5):
+    # the sweep's integrals: (row, window, kind, tol), tol * delta for |L|^p
+    return [(k, (0.0, delta), kind, tol if isinstance(kind, str) else tol * delta)
+            for delta in deltas for k in range(n_series) for kind in kinds]
+
+
+def _alone(coeffs, interval, kind, tol):
+    ev = se.line_evaluator(se.classical_polynomial(coeffs, 0.5), 0.5)
+    if isinstance(kind, str):
+        return qd.integrate_log(ev, 0.5, interval, kind, tol)
+    return qd.integrate_abs_pow(ev, 0.5, interval, kind, tol)
+
+
+def _bits(r):
+    return (r.value.hex(), r.error_estimate.hex(), r.subdivisions, r.flagged)
+
+
+def _stacked(coeffs, integrals):
+    return qd.integrate_stack(se.classical_stack_evaluator(coeffs, 0.5), 0.5, integrals)
+
+
+@pytest.mark.parametrize("seed", [3400, 3401, 3402])
+def test_stacked_pass_is_each_integral_alone(seed):
+    # log-, log+, |L| and |L|^3.5 of seeded series of 1 to 20 terms on
+    # windows of 0.01, 0.05 and 0.2, all in one pass: each result is the
+    # bits of its integral alone, and only the zero series' log integrals
+    # hit the modulus floor and flag
+    coeffs = _stack_series(seed, 8)
+    integrals = _window_integrals(len(coeffs), (0.01, 0.05, 0.2), ("minus", "plus", 1.0, 3.5))
+    results = _stacked(coeffs, integrals)
+    assert len(results) == len(integrals)
+    for (k, window, kind, tol), r in zip(integrals, results):
+        assert _bits(r) == _bits(_alone(coeffs[k], window, kind, tol))
+        assert r.flagged == (k == len(coeffs) - 1 and isinstance(kind, str))
+
+
+def test_stacked_pass_depth_flag_and_panel_cap(monkeypatch):
+    # at tol 1e-13 the integrals refine: with the depth limit at 2 some of
+    # them flag and some do not, each as it does alone; the panel cap is each
+    # integral's own, so a pass raises exactly where one integral alone would
+    coeffs = _stack_series(3410, 6)[:-1]
+    integrals = _window_integrals(len(coeffs), (0.05, 0.2), ("minus", "plus", 1.0), 1e-13)
+    with monkeypatch.context() as m:
+        m.setattr(qd, "_MAX_DEPTH", 2)
+        results = _stacked(coeffs, integrals)
+        alone = [_alone(coeffs[k], w, kind, tol) for k, w, kind, tol in integrals]
+        assert [_bits(r) for r in results] == [_bits(r) for r in alone]
+        assert {r.flagged for r in results} == {True, False}
+    counts = [r.subdivisions for r in _stacked(coeffs, integrals)]
+    assert sum(counts) > max(counts)
+    with monkeypatch.context() as m:
+        m.setattr(qd, "_PANEL_LIMIT", max(counts))  # no integral alone exceeds it
+        assert [r.subdivisions for r in _stacked(coeffs, integrals)] == counts
+        m.setattr(qd, "_PANEL_LIMIT", max(counts) - 1)  # the largest one alone does
+        k, window, kind, tol = integrals[counts.index(max(counts))]
+        with pytest.raises(QuadratureError):
+            _alone(coeffs[k], window, kind, tol)
+        with pytest.raises(QuadratureError):
+            _stacked(coeffs, integrals)
+
+
+@pytest.mark.parametrize("batch", [16, 2048])
+def test_stacked_pass_cuts_only_large_runs(batch, monkeypatch):
+    # windows of 2100 and 3000 unit base panels, more than 2048 each at one
+    # depth, beside short windows of 8: entries cut the long runs into pieces
+    # as a pass of each alone cuts them, and pack the short ones whole; with
+    # entries of 16 panels both happen at every depth
+    monkeypatch.setattr(qd, "_BATCH_PANELS", batch)
+    coeffs = _stack_series(3420, 5)[:-1]
+    integrals = [(0, (0.0, 2100.0), 1.0, 1e-2), (1, (0.0, 0.05), "minus", 1e-9),
+                 (2, (0.0, 0.05), 1.0, 1e-9), (3, (5.0, 3005.0), "plus", 1e-2),
+                 (4, (0.0, 0.2), "plus", 1e-9), (2, (0.0, 0.2), 3.5, 1e-9)]
+    sizes = []
+    line = se.classical_stack_evaluator(coeffs, 0.5)
+
+    def ev(points, rows=None):
+        sizes.append(points.shape[0])
+        return line(points, rows)
+
+    results = qd.integrate_stack(ev, 0.5, integrals)
+    for (k, window, kind, tol), r in zip(integrals, results):
+        assert _bits(r) == _bits(_alone(coeffs[k], window, kind, tol))
+    # base points, then two quarter points per panel of an entry
+    assert max(sizes[1:]) <= 2 * batch
+    assert sizes[0] == sum(2 * qd._unit_panels(*w) + 1 for _, w, _, _ in integrals)
 
 
 @pytest.mark.parametrize("grid_n", [16, 64, 511, 3000])

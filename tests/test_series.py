@@ -312,11 +312,13 @@ def test_line_evaluator_on_even_grid_matches_the_term_sum():
 
 def test_classical_stack_evaluator_rows_are_line_evaluators():
     # row k of a stack is series k on the line, bit for bit, for points
-    # shared by every row or one row of points per series
+    # shared by every row, one row of points per series, or one row of
+    # points per named series
     rng = np.random.default_rng(1405)
     coeffs = rng.normal(size=(6, 16)) + 1j * rng.normal(size=(6, 16))
     coeffs[4] = coeffs[1]
     ev = se.classical_stack_evaluator(coeffs, 0.5)
+    lines = [se.line_evaluator(se.classical_polynomial(c, 0.5), 0.5) for c in coeffs]
     shared = rng.uniform(0.0, 50.0, 33)
     rows = rng.uniform(0.0, 50.0, (6, 33))
     rows[3] = rows[0]
@@ -324,10 +326,49 @@ def test_classical_stack_evaluator_rows_are_line_evaluators():
         values = ev(0.5 + 1j * ts)
         assert values.shape == (6, 33)
         for k in range(6):
-            one = se.line_evaluator(se.classical_polynomial(coeffs[k], 0.5), 0.5)
-            assert np.array_equal(values[k], one(0.5 + 1j * np.broadcast_to(ts, (6, 33))[k]))
+            assert np.array_equal(values[k], lines[k](0.5 + 1j * np.broadcast_to(ts, (6, 33))[k]))
+    which = np.array([5, 0, 0, 2, 4, 1, 3])
+    values = ev(0.5 + 1j * rows[which], rows=which)
+    for j, k in enumerate(which):
+        assert values[j].tobytes() == lines[k](0.5 + 1j * rows[k]).tobytes()
     with pytest.raises(InvalidParameterError):
         ev(0.25 + 1j * shared)
+
+
+def test_classical_stack_evaluator_of_any_lengths_is_each_line_evaluator():
+    # series of 1 to 20 terms in one stack, two of them alike: every row is
+    # its series' line_evaluator bit for bit, for points shared by every
+    # row, one row of points per series, and one point per row named by
+    # ``rows``, repeated points and series included.  Each row sums only its
+    # own terms, and the weights multiply the exponentials (weights first,
+    # as the per-row path does): numpy's complex multiply may fuse one
+    # product into the rounding of the other, so terms * weights can differ
+    # from weights * terms in the last bit
+    rng = np.random.default_rng(3300)
+    coeffs = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in range(1, 21)]
+    coeffs.append(coeffs[6].copy())
+    k_rows = len(coeffs)
+    lines = [se.line_evaluator(se.classical_polynomial(c, 0.5), 0.5) for c in coeffs]
+    ev = se.classical_stack_evaluator(coeffs, 0.5)
+    shared = rng.uniform(0.0, 50.0, 33)
+    rows = rng.uniform(0.0, 50.0, (k_rows, 33))
+    rows[3] = rows[0]
+    for ts in (shared, rows):
+        values = ev(0.5 + 1j * ts)
+        assert values.shape == (k_rows, 33)
+        for k in range(k_rows):
+            expected = lines[k](0.5 + 1j * np.broadcast_to(ts, (k_rows, 33))[k])
+            assert values[k].tobytes() == expected.tobytes()
+    # 4000 one-point rows of up to 20 terms fill ten 2^13-entry blocks
+    which = rng.integers(0, k_rows, 4000)
+    points = rng.choice(rng.uniform(0.0, 5.0, 40), size=(4000, 1))
+    values = ev(0.5 + 1j * points, rows=which)
+    assert values.shape == (4000, 1)
+    for j in range(4000):
+        expected = lines[which[j]](0.5 + 1j * points[j])
+        assert values[j].tobytes() == expected.tobytes()
+    with pytest.raises(InvalidParameterError):
+        ev(0.25 + 1j * points, rows=which)
 
 
 # ---------------------------------------------------------------------------
