@@ -33,7 +33,10 @@ of ``betas``.  A window is 9-node Simpson on a grid of step delta/8, its nodes
 evaluated by ``lerch_phi`` in bands of whole windows: a band of 4000 shared
 nodes takes the NUFFT head, and a band of 444 windows of 9 nodes each, one
 window per row, joins the blocked loop as rows of 9 spread from their first
-node by one phase table per piece of terms.
+node by one phase table per piece of terms, their first nodes recurring
+from one direct exponential per 64 windows.  A last band of fewer than 128
+nodes joins the band before it.  ``minmax`` zooms only the window sups that
+might beat its running best.
 
 ``EXPERIMENT_TABLE`` names each experiment's row builder and the config
 fields it reads, and a config that sets any other field away from its
@@ -552,7 +555,9 @@ def _scan_windows(twist: float, shift: float, delta: float, config: ExperimentCo
     of 4000.  Windows further apart get 9 nodes each, so no node between
     windows is evaluated: a (windows, 9) array, evaluated in bands of
     4000 // 9 = 444 whole windows, whose rows the head sum takes as
-    progressions of one step h.  At twist 1, zeta(s, shift), the line holds
+    progressions of one step h and their first nodes as one of step t_step.
+    A last band of fewer than 128 nodes, the least NUFFT band, joins the
+    band before it.  At twist 1, zeta(s, shift), the line holds
     the pole at t = 0: a window whose closed interval holds it measures
     +inf, and only so that its band can be evaluated, a shared node at
     t = 0 is moved to 1e-9, and a row of 9 nodes holding t = 0 is moved by
@@ -576,9 +581,13 @@ def _scan_windows(twist: float, shift: float, delta: float, config: ExperimentCo
         zero = ts == 0.0
         ts[zero if shared else zero.any(axis=1)] += 1e-9
     mods = np.empty(ts.shape)
-    for lo in range(0, len(ts), band):
-        mods[lo:lo + band] = np.abs(
-            sp.lerch_phi(twist, shift, 1 + 1j * ts[lo:lo + band], 1e-9))
+    cuts = list(range(0, len(ts), band))
+    # a last band of fewer nodes than the least NUFFT band joins the one
+    # before it, rather than pay a per-point head and a kernel call of its own
+    if len(cuts) > 1 and ts[cuts[-1]:].size < 2 * sp._PHASE_ROWS:
+        cuts.pop()
+    for lo, hi in zip(cuts, [*cuts[1:], len(ts)]):
+        mods[lo:hi] = np.abs(sp.lerch_phi(twist, shift, 1 + 1j * ts[lo:hi], 1e-9))
     if shared:
         windows = np.lib.stride_tricks.sliding_window_view(mods, nodes)[::stride]
     else:
@@ -681,11 +690,12 @@ def _project(coeffs: np.ndarray, m_norm: float) -> np.ndarray:
 _SEARCH_GROUP = 12  # candidate moves measured by one stacked interval_sup pass
 
 
-def _window_sups(coeffs: np.ndarray, delta: float) -> np.ndarray:
+def _window_sups(coeffs: np.ndarray, delta: float, level: float | None = None) -> np.ndarray:
     """interval_sup over [0, delta] of each row's classical series on
-    Re s = 1/2, every row in one stacked pass."""
+    Re s = 1/2, every row in one stacked pass; rows whose grid maximum
+    reaches ``level`` are not refined."""
     ev = se.classical_stack_evaluator(coeffs, 0.5)
-    return qd.interval_sup(ev, 0.5, (0.0, delta), grid_n=32)
+    return qd.interval_sup(ev, 0.5, (0.0, delta), grid_n=32, level=level)
 
 
 def _search_min_sup(config: ExperimentConfig, rng, delta: float) -> list:
@@ -696,7 +706,9 @@ def _search_min_sup(config: ExperimentConfig, rng, delta: float) -> list:
     measured together, all from the current coefficients; the first that
     beats the best is taken, and the moves after it are measured again from
     the new coefficients.  So every move is judged as the one-at-a-time
-    search judges it, and the result is that search's result."""
+    search judges it, and the result is that search's result.  A candidate
+    whose grid maximum already reaches the best is not refined: refining
+    never lowers a sup, so it could not be taken either way."""
     # move m changes coordinate js[m] by directions[m] times the step
     js = np.repeat(np.arange(1, config.search_terms), 4)
     directions = np.tile([1.0, -1.0, 1.0j, -1.0j], config.search_terms - 1)
@@ -717,7 +729,7 @@ def _search_min_sup(config: ExperimentConfig, rng, delta: float) -> list:
                 rows = np.arange(js[group].size)
                 cands[rows, js[group]] += directions[group] * step
                 cands = _project(cands, config.m_norm)
-                sups = _window_sups(cands, delta)
+                sups = _window_sups(cands, delta, level=best)
                 better = np.flatnonzero(sups < best)
                 if better.size:
                     k = int(better[0])

@@ -56,7 +56,8 @@ package.  It also takes a stacked evaluator of K functions
 (K, n) in, the (K, n) values out, row k those of function k.  Then it
 returns the K sups from the same 1 + 4 calls, the grid shared by every row
 and each zoom round a (K, 33) array of per-row windows, each spaced on its
-own; no row's result depends on another row.
+own; no row's result depends on another row.  Rows whose grid maximum
+reaches a given ``level`` are not refined.
 """
 
 from __future__ import annotations
@@ -107,8 +108,9 @@ class IntegralResult:
 
 
 def _modulus(evaluator: Evaluator, sigma: float):
-    """t-array -> |L(sigma + i t)|."""
-    return lambda t: np.abs(evaluator(sigma + 1j * t))
+    """t-array -> |L(sigma + i t)|, passing keywords such as a stacked
+    evaluator's ``rows`` on."""
+    return lambda t, **kw: np.abs(evaluator(sigma + 1j * t, **kw))
 
 
 def _simpson(fa, fm, fb, h):
@@ -488,6 +490,7 @@ def interval_sup(
     sigma: float,
     interval,
     grid_n: int = 64,
+    level: float | None = None,
 ) -> float | np.ndarray:
     """Grid maximum of |L(sigma+it)| on [a, b], refined around the argmax.
 
@@ -510,6 +513,10 @@ def interval_sup(
     (n,) array, and each zoom round as a (K, 33) array of per-row windows,
     each with its own step.  Entry k is the bits of the sup of function k
     alone.
+
+    Given a ``level``, a function whose grid maximum reaches it is returned
+    as that maximum, unrefined (refining never lowers a sup); the rows of a
+    stacked evaluator below it zoom as an (m, 33) array, named by ``rows``.
     """
     a, b = (float(x) for x in interval)
     check("interval", b - a)
@@ -518,6 +525,21 @@ def interval_sup(
     h = (b - a) / grid_n
     ts = a + np.arange(grid_n + 1) * h
     best, best_t = _top(modulus(ts), ts)
+    if level is None:
+        return _zoom(modulus, (a, b), h, best, best_t)
+    if best.ndim == 0:
+        return float(best) if best >= level else _zoom(modulus, (a, b), h, best, best_t)
+    live = np.flatnonzero(~(best >= level))  # below the level, or nan
+    if live.size:
+        best[live] = _zoom(lambda t: modulus(t, rows=live), (a, b), h, best[live],
+                           best_t[live])
+    return best
+
+
+def _zoom(modulus, interval, h: float, best, best_t) -> float | np.ndarray:
+    """The 4 zoom rounds of ``interval_sup`` from the grid maximum ``best`` at
+    ``best_t`` (one value, or one per row) and the grid step h."""
+    a, b = interval
     w = h
     for _ in range(_ZOOM_ROUNDS):
         lo, hi = np.maximum(a, best_t - w), np.minimum(b, best_t + w)

@@ -69,11 +69,12 @@ head is one blocked loop.
   points of a 2-d progression, such as the 9 nodes of each
   disjoint scan window: the anchor row w_n e^(-s_b x_n) at its first
   point times the piece's phase table e^(-i r h x_n), summed by einsum,
-  so a term's phase moves by at most 16 ulp(T) max x_n and the bits never
-  depend on BLAS; a grid for those rows would hold far more nodes than
-  the windows need.  A (K, terms) weight stack, one weight row named per
-  row of points, takes blocks of the same sizes, where rows of equal
-  points share their exponentials.
+  so the bits never depend on BLAS; a grid for those rows would hold far
+  more nodes than the windows need.  The table and, where they lie on a
+  progression, the anchors recur from one direct exp row per 64 rows:
+  ceil(rows/64) + 2 exp rows per piece, not rows + R.  A (K, terms)
+  weight stack, one weight row named per row of points, takes blocks of
+  the same sizes, where rows of equal points share their exponentials.
 
 The bound ``_zeta_sum`` returns counts the truncation of the tail only:
 neither the rounding of the head nor the NUFFT's kernel error is in it.
@@ -118,6 +119,7 @@ _HEAD_BLOCK = 1 << 16  # head-sum matrix entries per block (points x terms), 1 M
 _ROW_BLOCK = 1 << 13  # the same for one point per row, 128 KiB
 _PHASE_ROWS = 64  # most points per 2-d progression row; half the least 1-d progression
 _PHASE_TERMS = 4096  # terms per piece of a head sum, a 64-row phase table at 4 MiB
+_ANCHOR_RUN = 64  # recurrent anchor rows per direct one: at most 63 products apart
 _NUFFT_SPREAD = 16  # half-width of the NUFFT's Gaussian, in grid cells
 _BOOLE_TERMS = 30  # Euler-Boole coefficients K in every twisted Lerch closure
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # the largest x with exp(x) finite
@@ -241,14 +243,14 @@ def _line_worst(sv: np.ndarray) -> complex:
     return complex(sigma, np.max(np.abs(sv.imag)))
 
 
-def _progression_step(ts: np.ndarray) -> float | None:
+def _progression_step(ts: np.ndarray, least: int = 2 * _PHASE_ROWS) -> float | None:
     """The common step h when every row of the ordinates ``ts`` lies within
     8 ulp of max|t| of its first ordinate plus j h; otherwise None.  The
     rows of a 2-d array count when 2 to 64 long; any other array is one
-    row, which counts when at least 2 x 64 long."""
+    row, which counts when at least ``least`` long, 2 x 64 unless given."""
     rows = ts if ts.ndim == 2 else ts.reshape(1, -1)
     width = rows.shape[1]
-    least, most = (2, _PHASE_ROWS) if ts.ndim == 2 else (2 * _PHASE_ROWS, width)
+    least, most = (2, _PHASE_ROWS) if ts.ndim == 2 else (least, width)
     if not least <= width <= most or rows.size == 0:
         return None
     h = (rows[0, -1] - rows[0, 0]) / (width - 1)
@@ -282,14 +284,20 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None, rows=None,
     term order, or one row of a 2-d progression of R = 2 to 64 points.
     There the anchor V[b, n] = weights[n] exp(-s_b x[n]) at the row's first
     point s_b times the piece's phase table E[r, n] = exp(-i r h x[n]), r <
-    R, built in place once per piece, gives the row's points.  A 2-d array
-    of scan windows, one window of 9 nodes per row, thus pays one exp per
-    (window, term) and 9 per term for E, in place of 9 per (window, term).
-    Point s_b + i r h gets the phase (t_b + r h) x[n] in place of t x[n]:
-    with both ordinates within 8 ulp of the progression, at most 16 ulp(T)
-    max|x| apart per term, the order of the rounding of t x itself.  A head
-    of one piece is the bits of one sum per row; a longer one adds the
-    pieces' sums.
+    R, gives the row's points: point 0 is the plain sum of V[b], the others
+    one einsum.  Both recur in place, once per piece: E[1] is one exp row,
+    E[r] = E[r - 1] E[1], and the slot of E[0] = 1 holds e^(-i H x[n]).
+    Where the first column lies within 8 ulp of a progression of step H,
+    V[b] is a direct exp only where 64 divides b, and otherwise V[b - 1]
+    e^(-i H x[n]); otherwise, as on the scan band whose t = 0 row is
+    nudged, every V[b] is direct.  A band of 444 windows of 9 nodes thus
+    pays 9 exp rows per piece, not 453.  Against the per-point sums of the
+    same points a term's phase moves by at most 32 ulp(T) |x[n]|, T =
+    max|t|, 16 with direct anchors (8 off the row's progression, 16 off the
+    anchors', 4 from the rounded phases, raised to powers j < 64 and r <
+    R), and its value takes at most 64 + R more roundings of a product,
+    each within 4 u, u = 2^-53.  A head of one piece is the bits of one
+    sum per row; a longer one adds the pieces' sums.
 
     A (K, terms) weight stack goes with (m, n) points, point row j with
     weight row ``rows[j]`` (row j when ``rows`` is omitted, so m = K), such
@@ -307,18 +315,29 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None, rows=None,
 
     With debug logging on, each call logs its point count, term count and
     path (``nufft``, with its grid size and the Gaussian's half-width in
-    cells, ``phase-matrix`` for 2-d progression rows, or ``per-row``).
+    cells, ``phase-matrix`` for 2-d progression rows, or ``per-row``).  A
+    ``phase-matrix`` call logs a second line: its rows and points per row,
+    its anchor rule (``anchors by recurrence of step H`` or ``direct
+    anchors``) and its exp rows per piece.
     """
     stacked = weights is not None and weights.ndim == 2
     step = None if stacked else _progression_step(sv.imag)
     nufft = step is not None and sv.ndim == 1
     cells = _fft_size(2 * sv.size) if nufft else 0
+    # the step H of the anchors of 2-d progression rows, where they recur
+    anchor_step = None if step is None or nufft else _progression_step(sv.imag[:, 0], 2)
     if logger.isEnabledFor(logging.DEBUG):
         if nufft:
             path = f"nufft, grid {cells}, half-width {_NUFFT_SPREAD}"
         else:
             path = "per-row" if step is None else "phase-matrix"
         logger.debug("head sum: %d points, %d terms, %s", sv.size, x.size, path)
+        if step is not None and not nufft:
+            count = len(sv)
+            logger.debug("phase-matrix: %d rows of %d, %s, %d exp rows per piece",
+                         count, sv.shape[1], "direct anchors" if anchor_step is None
+                         else f"anchors by recurrence of step {anchor_step:.6g}",
+                         count + 1 if anchor_step is None else math.ceil(count / _ANCHOR_RUN) + 2)
     if nufft:
         return _nufft_head(sv, x, weights, step, cells)
     if stacked:
@@ -337,24 +356,45 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None, rows=None,
     table = np.empty(width * piece if step is not None else 0, dtype=complex)
     for lo in range(0, x.size, _PHASE_TERMS):
         part = x[lo:lo + _PHASE_TERMS]
+        piece_weights = None if weights is None else weights[lo:lo + _PHASE_TERMS]
         if step is not None:
+            # E[r] = E[r - 1] E[1], one exp row; slot 0 (E[0] = 1) holds
+            # the anchors' step row e^(-i H x) instead
             phases = table[:width * part.size].reshape(width, part.size)
-            np.multiply.outer(-1j * (step * np.arange(width)), part, out=phases)
-            np.exp(phases, out=phases)
+            np.exp(np.multiply(-1j * step, part, out=phases[1]), out=phases[1])
+            for r in range(2, width):
+                np.multiply(phases[r - 1], phases[1], out=phases[r])
+            if anchor_step is not None:
+                np.exp(np.multiply(-1j * anchor_step, part, out=phases[0]), out=phases[0])
         for b in range(0, anchors.size, rows):
             first = anchors[b:b + rows]
             terms = block[:first.size * part.size].reshape(first.size, part.size)
-            np.multiply.outer(-first, part, out=terms)
-            np.exp(terms, out=terms)
-            if weights is not None:
-                np.multiply(weights[lo:lo + _PHASE_TERMS], terms, out=terms)
+            if anchor_step is None:
+                np.multiply.outer(-first, part, out=terms)
+                np.exp(terms, out=terms)
+                if piece_weights is not None:
+                    np.multiply(piece_weights, terms, out=terms)
+            else:
+                # anchor row g is direct where 64 divides g, and
+                # otherwise row g - 1 times e^(-i H x); the row before a
+                # block's first is the buffer's last, left by the block before
+                before = block[(rows - 1) * part.size:rows * part.size]
+                for i in range(first.size):
+                    if (b + i) % _ANCHOR_RUN:
+                        np.multiply(terms[i - 1] if i else before, phases[0], out=terms[i])
+                        continue
+                    np.exp(np.multiply(-first[i], part, out=terms[i]), out=terms[i])
+                    if piece_weights is not None:
+                        np.multiply(piece_weights, terms[i], out=terms[i])
             if step is None:
                 sums = terms.sum(axis=1)[:, None]
             else:
-                # einsum (without optimize) sums in its own loop, never in
-                # BLAS, so the bits do not depend on the BLAS library or
-                # its thread count
-                sums = np.einsum("bn,rn->br", terms, phases)
+                # point 0 of a row is its anchor; einsum (without optimize)
+                # sums in its own loop, never in BLAS, so the bits do not
+                # depend on the BLAS library or its thread count
+                sums = np.empty((first.size, width), dtype=complex)
+                sums[:, 0] = terms.sum(axis=1)
+                np.einsum("bn,rn->br", terms, phases[1:], out=sums[:, 1:])
             if lo:  # the first piece is stored, so a -0.0 sum keeps its sign
                 head[b:b + rows] += sums
             else:

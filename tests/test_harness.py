@@ -192,6 +192,19 @@ def test_hurwitz_scan_nufft_bands_reproducible(tmp_path, caplog):
     assert csvs[0] == csvs[1]
 
 
+def test_short_last_scan_band_joins_the_one_before(caplog):
+    # t 100-125 is 4009 shared nodes: the 9 past the first 4000 are fewer
+    # than the least NUFFT band of 128, so they join it as one band of 4009;
+    # t 100-126 leaves 169, which stay a band of their own
+    caplog.set_level("DEBUG", logger="hardyseries.special")
+    for t_stop, points in ((125.0, [4009]), (126.0, [4000, 169])):
+        caplog.clear()
+        hn.dispatch(_small("hurwitz_scan", alphas=(0.3,), t_start=100.0, t_stop=t_stop))
+        lines = _head_sum_lines(caplog)
+        assert [int(line.split()[2]) for line in lines] == points
+        assert [line.split(", ")[2] for line in lines] == ["nufft"] * len(points)
+
+
 def test_disjoint_scan_bands_log_phase_matrix(caplog):
     # t 0-100 at t_step 0.1 is 1001 windows of 9 nodes: bands of 444, 444
     # and 113 windows, each one (windows, 9) array; on a pole line the row
@@ -398,6 +411,35 @@ def test_batched_search_is_the_one_move_search(search_terms, m_norm, delta):
         one = _search_one_move_at_a_time(cfg, np.random.default_rng(seed), delta)
         assert batched == one
         assert all(isinstance(best, float) for _, best in batched)
+
+
+def test_search_zooms_only_candidates_below_the_best(monkeypatch):
+    # a candidate whose grid maximum already reaches the running best cannot
+    # be taken, so its sup is not refined: over the default search at two
+    # seeds (1944 and 2070 candidates) at most a quarter of the candidates
+    # reach a zoom round, where each of them took four
+    made = se.classical_stack_evaluator
+    counts = {"candidates": 0, "zoomed": 0}
+
+    def counting(coeffs, sigma1):
+        ev = made(coeffs, sigma1)
+
+        def call(s, rows=None):
+            if s.ndim == 1:  # the grid, shared by every candidate
+                counts["candidates"] += len(coeffs)
+            else:
+                counts["zoomed"] += len(s)
+            return ev(s, rows)
+
+        return call
+
+    monkeypatch.setattr(se, "classical_stack_evaluator", counting)
+    for seed in (42, 7):
+        counts.update(candidates=0, zoomed=0)
+        cfg = hn.ExperimentConfig("minmax", seed=seed)
+        hn._search_min_sup(cfg, np.random.default_rng(seed), cfg.deltas[0])
+        assert counts["candidates"] > 1900
+        assert counts["zoomed"] <= counts["candidates"], counts  # 4 rounds each
 
 
 def test_project_rows_are_the_one_series_projection():

@@ -597,6 +597,36 @@ def test_interval_sup_call_budget(grid_n):
     assert shapes == [(grid_n + 1,)] + [(12, 33)] * 4
 
 
+def test_interval_sup_level_skips_rows_that_reach_it():
+    # rows whose grid maximum reaches the level come back as that maximum,
+    # with no zoom; the others zoom as a stack of their own rows, each the
+    # bits of its sup without a level
+    rng = np.random.default_rng(35)
+    coeffs = rng.normal(size=(12, 8)) + 1j * rng.normal(size=(12, 8))
+    stack = se.classical_stack_evaluator(coeffs, 0.5)
+    shapes = []
+
+    def stacked(points, rows=None):
+        shapes.append(points.shape if rows is None else (points.shape, tuple(rows)))
+        return stack(points, rows)
+
+    window = (2.0, 4.0)
+    grid = np.abs(stack(0.5 + 1j * (2.0 + np.arange(33) * 2.0 / 32))).max(axis=1)
+    full = qd.interval_sup(stack, 0.5, window, grid_n=32)
+    level = float(np.median(grid))
+    sups = qd.interval_sup(stacked, 0.5, window, grid_n=32, level=level)
+    below = tuple(np.flatnonzero(grid < level).tolist())
+    assert 0 < len(below) < 12
+    assert shapes == [(33,)] + [((len(below), 33), below)] * 4
+    assert np.array_equal(sups, np.where(grid >= level, grid, full))
+    # one function, whose zoom beats its grid: a level at or below its grid
+    # maximum ends at the grid
+    k = int(np.flatnonzero(full > grid)[0])
+    line = se.line_evaluator(se.classical_polynomial(coeffs[k], 0.5), 0.5)
+    assert qd.interval_sup(line, 0.5, window, grid_n=32, level=grid[k]) == grid[k]
+    assert qd.interval_sup(line, 0.5, window, grid_n=32, level=full[k]) == full[k]
+
+
 @pytest.mark.parametrize("grid_n", [32, 64, 600])
 def test_stacked_interval_sup_is_each_row_bit_for_bit(grid_n):
     # each entry of a stacked sup is the 1-d sup of its row alone, with rows

@@ -408,6 +408,123 @@ def test_row_phase_head_matches_per_row_and_mpmath(width):
             assert abs(phi[b, r] - _lerch_mpmath(alpha, beta, ts[b, r])) <= 1e-9 + 1e-11
 
 
+def _recurrence_bound(sv, log_n, weights=None) -> float:
+    """The bound of ``_head_sum`` on a 2-d progression head against the
+    per-point sums of the same points: each term's phase moves by at most
+    32 ulp(T) |x_n|, T = max|t|, and its value by at most 64 + R further
+    products of 4 u each, u = 2^-53, plus the rounding of two sums of N
+    terms."""
+    u = 2.0 ** -53
+    size = np.exp(-sv.real.flat[0] * log_n) * (1.0 if weights is None else np.abs(weights))
+    phase = 32 * np.spacing(np.max(np.abs(sv.imag))) * np.abs(log_n)
+    return float(np.sum(size * phase)
+                 + (4 * (64 + sv.shape[1]) + 2 * log_n.size) * u * np.sum(size))
+
+
+def test_recurrent_anchor_bands_meet_mpmath():
+    # (444, 9) bands of disjoint windows, whose anchors recur from one direct
+    # row in 64, at nodes of rows 0 and 64 (direct anchors) and 63 and 443
+    # (63 and 59 products from one): zeta(s, 1/2) = (2^s - 1) zeta(s) at
+    # t ~ 1e4, and on the twisted path phi(1/2, 1; s) = (1 - 2^(1-s)) zeta(s)
+    # at t ~ 1e5, whose mpmath zeta takes milliseconds (mpmath.lerchphi
+    # overflows at these heights); each within 1e-9, and no further from
+    # mpmath than the same nodes summed per point, with the band's cutoff,
+    # plus the bound of the recurrences
+    mpmath = pytest.importorskip("mpmath")
+    nodes = ((0, 0), (63, 8), (64, 0), (443, 8))
+    for t0, twist, shift, factor in ((1e4, 1.0, 0.5, lambda s: 2 ** s - 1),
+                                     (1e5, 0.5, 1.0, lambda s: 1 - 2 ** (1 - s))):
+        ts = t0 + np.add.outer(0.1 * np.arange(444), _SCAN_H * np.arange(9))
+        sv = 1.0 + 1j * ts
+        band = sp.lerch_phi(twist, shift, sv, 1e-9)
+        worst = complex(1.0, ts.max())
+        n = np.arange(sp._em_cutoff(sp._em_bound(worst, shift) if twist == 1
+                                    else sp._boole_bound(worst, twist, shift), 1e-9))
+        points = np.array([[sv[b, r]] for b, r in nodes])  # one point per row
+        alone, _ = sp._zeta_sum(points, shift, 1e-9, twist, cutoff=n.size)
+        weights = None if twist == 1 else np.exp(2j * np.pi * twist * n)
+        slack = _recurrence_bound(sv, np.log(n + shift), weights)
+        for (b, r), one in zip(nodes, alone[:, 0]):
+            with mpmath.workdps(20):
+                s = mpmath.mpc(1.0, ts[b, r])
+                ref = complex(factor(s) * mpmath.zeta(s))
+            assert abs(band[b, r] - ref) <= 1e-9
+            assert abs(band[b, r] - ref) <= abs(one - ref) + slack
+
+
+def test_recurrent_rows_match_per_point_within_bound(caplog):
+    # random 2-d progressions up to t = 1e6, anchors a progression of their
+    # own; the first, 100 rows of 9 points and 5000 terms, has blocks of 16
+    # rows that cut the anchor runs, and restarts them in its second piece
+    rng = np.random.default_rng(35)
+    caplog.set_level("DEBUG", logger="hardyseries.special")
+    for case in range(8):
+        width = 9 if case == 0 else int(rng.integers(2, sp._PHASE_ROWS + 1))
+        rows = 100 if case == 0 else int(rng.integers(2, 1000 // width + 1))
+        h = rng.uniform(1e-3, 0.1)
+        ts = 10 ** rng.uniform(1.0, 6.0) + np.add.outer(
+            rng.uniform(width * h, 100.0) * np.arange(rows), h * np.arange(width))
+        sv = rng.uniform(0.5, 1.0) + 1j * ts
+        n = np.arange(5000 if case == 0 else int(rng.integers(50, 700)))
+        log_n = np.log(n + rng.uniform(0.05, 1.0))
+        weights = np.exp(2j * np.pi * rng.uniform() * n) if case % 2 else None
+        caplog.clear()
+        head = sp._head_sum(sv, log_n, weights)
+        assert "anchors by recurrence" in caplog.records[-1].getMessage()
+        per_point = sp._head_sum(sv.reshape(-1, 1), log_n, weights).reshape(sv.shape)
+        assert np.max(np.abs(head - per_point)) <= _recurrence_bound(sv, log_n, weights)
+
+
+class _CountingNumpy:
+    """numpy, with the elements of every ``exp`` call counted."""
+
+    def __init__(self):
+        self.exps = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.exps += np.size(x)
+        return np.exp(x, *args, **kwargs)
+
+
+def test_recurrent_band_exps_and_memory(monkeypatch, caplog):
+    # a (444, 9) band of 700 Lerch terms: the anchors of rows 0, 64, ..., 384
+    # are direct, every other anchor and the table recur, so the head takes
+    # (7 + 2) N exponentials where one per (row, term) and per (offset,
+    # term) took 453 N; its peak stays within its block, table and head,
+    # and the band of a scan from t = 0, its first row nudged, keeps direct
+    # anchors
+    n = np.arange(700)
+    log_n, weights = np.log(n + 0.7), np.exp(2j * np.pi * 0.3 * n)
+    windows = np.add.outer(0.1 * np.arange(444), _SCAN_H * np.arange(9))
+    nudged = windows.copy()
+    nudged[0] += 1e-9
+    caplog.set_level("DEBUG", logger="hardyseries.special")
+    counting = _CountingNumpy()
+    for ts, exp_rows, rule in ((500.0 + windows, 9, "anchors by recurrence of step 0.1"),
+                               (nudged, 445, "direct anchors")):
+        sv = 1.0 + 1j * ts
+        counting.exps = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(sp, "np", counting)
+            head = sp._head_sum(sv, log_n, weights)
+        assert counting.exps <= exp_rows * n.size
+        assert caplog.records[-1].getMessage() == (
+            f"phase-matrix: 444 rows of 9, {rule}, {exp_rows} exp rows per piece")
+        tracemalloc.start()
+        try:
+            again = sp._head_sum(sv, log_n, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(again, head)
+        if exp_rows == 9:
+            block = sp._HEAD_BLOCK // n.size * n.size
+            assert peak <= 16 * (block + 9 * n.size + ts.size) + 64 * 1024, peak
+
+
 def test_per_row_head_builds_one_block_at_a_time():
     # 300 points off any progression times 1000 terms: five blocks of 65
     # rows, so the peak is one block of 2^16 complex entries, not two; and
