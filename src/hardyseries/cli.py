@@ -19,7 +19,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
 
 from . import bounds as bd
 from . import harness as hn
@@ -164,7 +163,7 @@ def _cmd_verify(args) -> int:
                  if getattr(args, name) is not None}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = replace(hn.ExperimentConfig.from_json(fh.read()), **overrides)
+            cfg = hn.ExperimentConfig.from_json(fh.read(), **overrides)
     elif args.experiment:
         cfg = hn.ExperimentConfig(**overrides)
     else:

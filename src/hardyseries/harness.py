@@ -170,7 +170,9 @@ class ExperimentConfig:
                                         "for minmax")
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
+    def from_json(cls, text: str, **overrides) -> "ExperimentConfig":
+        """The config of a JSON document, with the fields in ``overrides``
+        replacing the document's: built, and so checked, once."""
         try:
             obj = json.loads(text)
         except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits
@@ -183,7 +185,7 @@ class ExperimentConfig:
             raise InvalidParameterError(f"unknown config fields: {sorted(unknown)}")
         for key in obj:
             obj[key] = _json_value(key, obj[key], _CONFIG_TYPES[key])
-        return cls(**obj)
+        return cls(**{**obj, **overrides})
 
 
 _CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)  # field name -> annotation

@@ -9,7 +9,7 @@ is taken.  Every series is a finite coefficient list.  The built-in family
 ``hurwitz_family`` (coefficients (alpha/(n+alpha))^(1/2), the unit
 abscissa object written at the sigma = 1/2 normalization) is the first n
 terms of alpha^(s+1/2) zeta(s + 1/2, alpha); the terms beyond them are
-alpha^w ``special.hurwitz_tail_sum(w, alpha, n)`` with w = s + 1/2.
+alpha^w times the Hurwitz tail sum_{k >= n} (k + alpha)^-w, w = s + 1/2.
 
 All values are immutable after construction and every operation is pure.
 """
@@ -170,8 +170,8 @@ def hurwitz_family(alpha: float, n_terms: int = 64) -> DirichletSeries:
 
     Coefficients (alpha/(n+alpha))^(1/2) over exponents log(n+alpha) -
     log(alpha); the whole family at s is alpha^w zeta(w, alpha), w = s + 1/2,
-    and the terms n >= ``n_terms`` it omits are alpha^w
-    ``special.hurwitz_tail_sum(w, alpha, n_terms)``.
+    and the terms n >= ``n_terms`` it omits are alpha^w times the Hurwitz
+    tail sum_{n >= n_terms} (n + alpha)^-w.
     """
     exponents = ExponentSequence.hurwitz(alpha)  # checks alpha before it is divided by
     if not isinstance(n_terms, (int, np.integer)) or n_terms < 1:
@@ -294,7 +294,10 @@ def line_evaluator(series: DirichletSeries, sigma1: float) -> Callable[[np.ndarr
     is one NUFFT, a 2-d array whose rows of 2 to 64 points are progressions
     of one step takes a phase table per row, and at any other array the
     terms of each point are added in index order exactly as a one-point sum
-    would add them.
+    would add them.  There a classical series of at most 4096 terms takes
+    its terms by the Euler product: exp(-i t log p) at the primes, and row
+    p times row m at n = p m, p the least prime factor of n, so a point
+    pays pi(N) complex exps, not N; every other series one exp per term.
     """
     lam = series.lambdas
     weights = series.coefficients * np.exp(-lam * sigma1)
@@ -354,10 +357,12 @@ def classical_stack_evaluator(coefficients, sigma1: float) -> Callable[..., np.n
     (m, n) values.  Points off the line are refused.  Each row holds the
     bits of ``line_evaluator(classical_polynomial(coefficients[k]),
     sigma1)`` on a 1-d array of fewer than 128 points: ``special._head_sum``
-    with one weight stack and the term count of each row, so that no row
-    sums the zeros that fill it out to the longest series (they would change
-    the pairwise summation), and rows of equal points share one exponential
-    table.  No ``DirichletSeries`` is built.
+    with one weight stack and the term count of each row, which builds one
+    Euler-product table of the distinct point rows and weights and sums
+    each row in index order as the line evaluator does, so that no row
+    sums the zeros that fill it out to the longest series, and rows of
+    equal points share one table.  Points shared by every series go to it
+    as one broadcast row.  No ``DirichletSeries`` is built.
     """
     if isinstance(coefficients, np.ndarray):  # every row sums every term
         coeffs, lengths = np.asarray(coefficients, dtype=complex), None
@@ -371,10 +376,10 @@ def classical_stack_evaluator(coefficients, sigma1: float) -> Callable[..., np.n
     weights = coeffs * np.exp(-lam * sigma1)
 
     def ev(s: np.ndarray, rows=None) -> np.ndarray:
-        t = _ordinates(s, sigma1)
-        if rows is None:
-            t = np.broadcast_to(t, (len(weights), t.shape[-1]))
-        return special._head_sum(1j * t, lam, weights, rows, lengths)
+        points = 1j * _ordinates(s, sigma1)
+        if rows is None:  # shared points stay one broadcast row
+            points = np.broadcast_to(points, (len(weights), points.shape[-1]))
+        return special._head_sum(points, lam, weights, rows, lengths)
 
     return ev
 

@@ -65,7 +65,9 @@ head is one blocked loop.
 * blocked loop: pieces of at most 4096 terms, and within a piece blocks
   of rows of at most 2^13 entries (rows x terms) when a row is one point
   and 2^16 for progression rows.  A row is one point, with one complex
-  exp per (point, term) summed in term order, or one row of 2 to 64
+  exp per (point, term) summed in term order, or, for a classical head
+  (x = log(1 .. N), N <= 4096), one per prime: n^-s by the Euler
+  product, row p times row m at n = p m; or one row of 2 to 64
   points of a 2-d progression, such as the 9 nodes of each
   disjoint scan window: the anchor row w_n e^(-s_b x_n) at its first
   point times the piece's phase table e^(-i r h x_n), summed by einsum,
@@ -299,13 +301,40 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None, rows=None,
     each within 4 u, u = 2^-53.  A head of one piece is the bits of one
     sum per row; a longer one adds the pieces' sums.
 
+    The exp(-s x) of a point, or of a direct anchor, fills the real and
+    imaginary planes of its block in place: -sigma x is one row for every
+    point of the line (points off one line are refused), and -t x one
+    einsum, where a broadcast product would have numpy buffer both
+    operands (2 x 128 KiB); the weights' product still buffers its
+    broadcast weights, 128 KiB, which only a second block-sized array or
+    another order of the products would avoid.
+
+    A classical head, x bit-equal to log(1 .. N) with N <= 4096 (one
+    piece), as a classical series or the zeta head at shift 1 holds it,
+    takes its per-point terms from ``_euler_table``, the Euler product
+    n^-s = prod p^-ks of the Bohr lift (Hedenmalm, Lindqvist & Seip, Duke
+    Math. J. 1997): row n = 1 is exactly 1, a prime row is exp(-s log p)
+    with the bits above, and a composite row, n = p m with p the least
+    prime factor of n, is row p times row m, level by level over Omega(n)
+    <= log2 N.  A point pays pi(N) complex exps in place of N (8 -> 4, 16
+    -> 6, 20 -> 8, 512 -> 97), in blocks of the same 2^13 table entries;
+    the weighted terms (the weights first) are added one at a time in term
+    order (``_euler_sum``), so a head of N terms is within u sum_n |w_n|
+    n^-sigma (2 (|t| + |sigma|) log n + 6 Omega(n) + N) of the exact sum,
+    u = 2^-53: a composite's phase error is the sum of its factors', about
+    2 u |t| log n as for a direct exp, plus Omega(n) - 1 complex-product
+    roundings, and the sum adds N - 1 more.  A stack builds one such table
+    of its distinct point rows and sums each row as a 1-d call would.  A
+    head of more than one piece, 2-d progression rows and the NUFFT take
+    no Euler product.
+
     A (K, terms) weight stack goes with (m, n) points, point row j with
     weight row ``rows[j]`` (row j when ``rows`` is omitted, so m = K), such
     as K candidate series sampled on their windows or one point per row,
     each of its own series.  Weight row k sums its first ``lengths[k]``
     terms (all of them when ``lengths`` is omitted): series of several
     lengths share one stack, and no row sums a zero term it does not hold,
-    which would change the pairwise summation.  A stack always takes the
+    which would change the summation.  A stack always takes the
     per-row path, in blocks of at most 2^16 entries (point rows x n x
     terms), 2^13 for one point per row: within a block, point rows with
     equal bytes share one (n, terms) exponential table, which each of
@@ -315,7 +344,8 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None, rows=None,
 
     With debug logging on, each call logs its point count, term count and
     path (``nufft``, with its grid size and the Gaussian's half-width in
-    cells, ``phase-matrix`` for 2-d progression rows, or ``per-row``).  A
+    cells, ``phase-matrix`` for 2-d progression rows, ``euler-product``
+    with its exps per point, or ``per-row``).  A
     ``phase-matrix`` call logs a second line: its rows and points per row,
     its anchor rule (``anchors by recurrence of step H`` or ``direct
     anchors``) and its exp rows per piece.
@@ -326,11 +356,17 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None, rows=None,
     cells = _fft_size(2 * sv.size) if nufft else 0
     # the step H of the anchors of 2-d progression rows, where they recur
     anchor_step = None if step is None or nufft else _progression_step(sv.imag[:, 0], 2)
+    # a classical head on the per-row path takes its terms by Euler product
+    plan = _euler_plan(x) if step is None else None
     if logger.isEnabledFor(logging.DEBUG):
         if nufft:
             path = f"nufft, grid {cells}, half-width {_NUFFT_SPREAD}"
+        elif step is not None:
+            path = "phase-matrix"
+        elif plan is not None:
+            path = f"euler-product, {plan.prime_logs.size} exps per point"
         else:
-            path = "per-row" if step is None else "phase-matrix"
+            path = "per-row"
         logger.debug("head sum: %d points, %d terms, %s", sv.size, x.size, path)
         if step is not None and not nufft:
             count = len(sv)
@@ -341,10 +377,17 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None, rows=None,
     if nufft:
         return _nufft_head(sv, x, weights, step, cells)
     if stacked:
-        return _stack_head(sv, x, weights, rows, lengths)
+        return _stack_head(sv, x, weights, rows, lengths, plan)
+    if plan is not None:
+        return _euler_head(sv, weights, plan)
+    if sv.size == 0:
+        return np.zeros(sv.shape, dtype=complex)
     # a row is one point, or one row of a 2-d progression led by its anchor
     width = 1 if step is None else sv.shape[1]
     anchors = sv.ravel() if step is None else sv[:, 0]
+    sigma = anchors.real[:1]
+    if np.any(anchors.real != sigma):
+        raise InvalidParameterError("head sum points must lie on one vertical line")
     head = np.zeros((anchors.size, width), dtype=complex)
     piece = min(x.size, _PHASE_TERMS)
     rows = max(1, (_ROW_BLOCK if step is None else _HEAD_BLOCK) // max(piece, 1))
@@ -356,8 +399,12 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None, rows=None,
     table = np.empty(width * piece if step is not None else 0, dtype=complex)
     for lo in range(0, x.size, _PHASE_TERMS):
         part = x[lo:lo + _PHASE_TERMS]
+        real_row = np.multiply(-sigma, part)  # the real plane of -s x at every point
         piece_weights = None if weights is None else weights[lo:lo + _PHASE_TERMS]
         if step is not None:
+            # complex, as the products below take it: numpy casts a float
+            # operand through buffers of up to 128 KiB
+            part = part.astype(complex)
             # E[r] = E[r - 1] E[1], one exp row; slot 0 (E[0] = 1) holds
             # the anchors' step row e^(-i H x) instead
             phases = table[:width * part.size].reshape(width, part.size)
@@ -370,7 +417,11 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None, rows=None,
             first = anchors[b:b + rows]
             terms = block[:first.size * part.size].reshape(first.size, part.size)
             if anchor_step is None:
-                np.multiply.outer(-first, part, out=terms)
+                # -s x filled plane by plane: a broadcast product, as
+                # np.multiply.outer(-first, part), buffers both operands,
+                # 2 x 128 KiB; the assignment and the einsum buffer nothing
+                terms.real[...] = real_row
+                np.einsum("b,n->bn", -first.imag, part.real, out=terms.imag)
                 np.exp(terms, out=terms)
                 if piece_weights is not None:
                     np.multiply(piece_weights, terms, out=terms)
@@ -402,7 +453,129 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None, rows=None,
     return head.reshape(sv.shape)
 
 
-def _stack_head(sv: np.ndarray, x: np.ndarray, weights: np.ndarray, rows, lengths) -> np.ndarray:
+class _EulerPlan(NamedTuple):
+    """How ``_euler_table`` builds the term table of a classical head of N
+    terms.  It builds the table with n = 1 first, then the primes, then the
+    composites by Omega(n) (the prime factors counted with multiplicity),
+    each group in increasing n, and returns it in term order."""
+
+    key: bytes  # the bytes of log(1 .. N) as ``ExponentSequence.lambdas`` gives it
+    rows: np.ndarray  # the built row of each term n - 1
+    prime_logs: np.ndarray  # -log p - 0j of the prime rows 1 .. pi(N)
+    # per Omega >= 2: its first row and the rows of p then of m, n = p m;
+    # a level of one composite holds the two rows as ints
+    levels: tuple
+
+
+def _euler_plan(x: np.ndarray) -> _EulerPlan | None:
+    """The plan of ``_euler_table`` when the exponents ``x`` are bit-equal
+    to log(1 .. N), N <= 4096 (one piece), as a classical series or the
+    Euler-Maclaurin head at shift 1 holds them; otherwise None."""
+    if not 0 < x.size <= _PHASE_TERMS or x[0] != 0.0:
+        return None
+    plan = _euler_plan_of(x.size)
+    return plan if x.tobytes() == plan.key else None
+
+
+@functools.lru_cache(maxsize=64)
+def _euler_plan_of(count: int) -> _EulerPlan:
+    """The plan for n = 1 .. count, built on first use from a sieve of the
+    least prime factors, n = p m with p the least prime factor of n, in
+    plain Python: the numpy calls a sieve would take cost more resident
+    pages than the plan does."""
+    least = list(range(count + 1))
+    for p in range(2, math.isqrt(count) + 1):
+        if least[p] == p:
+            for q in range(p * p, count + 1, p):
+                least[q] = min(least[q], p)
+    omega = [0] * (count + 1)
+    for n in range(2, count + 1):
+        omega[n] = omega[n // least[n]] + 1
+    order = sorted(range(1, count + 1), key=lambda n: (omega[n], n))  # the built rows
+    row = [0] * (count + 1)
+    for r, n in enumerate(order):
+        row[n] = r
+    primes = [n for n in order if omega[n] == 1]
+    levels = []
+    lo = 1 + len(primes)
+    while lo < count:
+        hi = lo
+        while hi < count and omega[order[hi]] == omega[order[lo]]:
+            hi += 1
+        level = order[lo:hi]
+        factors = [row[least[n]] for n in level] + [row[n // least[n]] for n in level]
+        levels.append((lo, *factors) if hi - lo == 1 else (lo, np.array(factors)))
+        lo = hi
+    logs = np.log(np.arange(count) + 1.0)
+    # (-log p - 0j) s holds the bits of (-s) (log p + 0j), the product the
+    # per-row path takes: the same real products, added in either order
+    prime_logs = -logs[[p - 1 for p in primes]].astype(complex)
+    return _EulerPlan(logs.tobytes(), np.array(row[1:]), prime_logs, tuple(levels))
+
+
+def _euler_table(points: np.ndarray, plan: _EulerPlan, out=None) -> np.ndarray:
+    """The (terms, points) table of n^-s for the 1-d ``points`` s, row n - 1
+    for term n, built in the buffer ``out`` when given: row n = 1 is exactly
+    1, a prime row is exp(-s log p), the bits of the per-row path's exp,
+    and a composite row, n = p m with p the least prime factor of n, is row
+    p times row m, one gather and one product per level Omega(n), the
+    levels in increasing Omega.  So a point pays pi(N) complex exps, not N:
+    4 for N = 8, 97 for N = 512.  The phase of a composite term carries the
+    sum of its factors' rounding, about 2 u |t| log n as the direct exp's
+    does, u = 2^-53, and its value Omega(n) - 1 more roundings of a complex
+    product."""
+    count = plan.rows.size
+    built = np.empty((count, points.size), dtype=complex) if out is None else out
+    built[0] = 1.0
+    primes = built[1:1 + plan.prime_logs.size]
+    np.multiply.outer(plan.prime_logs, points, out=primes)
+    np.exp(primes, out=primes)
+    for lo, *factors in plan.levels:
+        if len(factors) == 2:
+            np.multiply(built[factors[0]], built[factors[1]], out=built[lo])
+            continue
+        size = factors[0].size // 2
+        pairs = built[factors[0]]
+        np.multiply(pairs[:size], pairs[size:], out=built[lo:lo + size])
+    return built[plan.rows]
+
+
+def _euler_sum(terms: np.ndarray, weights=None) -> np.ndarray:
+    """The sum over the rows (axis 0) of ``terms``, each row first
+    multiplied in place by its entry of the given ``weights`` (the weights
+    first), the rows added one at a time in order, whatever the shape and
+    layout.  numpy's sum adds so along axis 0 of a C-contiguous array with
+    at least two entries per row; one entry per row it sums pairwise, so
+    that case accumulates."""
+    if weights is not None:
+        np.multiply(weights, terms, out=terms)
+    if terms.size == len(terms):
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.ascontiguousarray(terms).sum(axis=0)
+
+
+def _euler_head(sv: np.ndarray, weights, plan: _EulerPlan) -> np.ndarray:
+    """The per-row path of ``_head_sum`` for a classical head: blocks of at
+    most 2^13 table entries (terms x points), each one ``_euler_table``,
+    weighted (the weights first) and summed in term order by
+    ``_euler_sum``."""
+    points = sv.ravel()
+    count = plan.rows.size
+    rows = max(1, _ROW_BLOCK // count)
+    column = None if weights is None else weights[:, None]
+    if points.size <= rows:  # one block
+        return _euler_sum(_euler_table(points, plan), column).reshape(sv.shape)
+    head = np.empty(points.size, dtype=complex)
+    block = np.empty(rows * count, dtype=complex)  # one build buffer, reused
+    for b in range(0, points.size, rows):
+        part = points[b:b + rows]
+        built = block[:count * part.size].reshape(count, part.size)
+        head[b:b + rows] = _euler_sum(_euler_table(part, plan, built), column)
+    return head.reshape(sv.shape)
+
+
+def _stack_head(sv: np.ndarray, x: np.ndarray, weights: np.ndarray, rows, lengths,
+                plan) -> np.ndarray:
     """The stack path of ``_head_sum``, in blocks of at most 2^16 entries
     (point rows x n x terms), 2^13 for one point per row as on the per-row
     path; see ``_stack_block``."""
@@ -410,30 +583,40 @@ def _stack_head(sv: np.ndarray, x: np.ndarray, weights: np.ndarray, rows, length
         return np.empty(sv.shape, dtype=complex)
     block = max(1, (_ROW_BLOCK if sv.shape[1] == 1 else _HEAD_BLOCK) // (sv.shape[1] * x.size))
     if len(sv) <= block:
-        return _stack_block(sv, x, weights, rows, lengths)
+        return _stack_block(sv, x, weights, rows, lengths, plan)
     if rows is None:
         rows = np.arange(len(sv))
     head = np.empty(sv.shape, dtype=complex)
     for b in range(0, len(sv), block):
-        head[b:b + block] = _stack_block(sv[b:b + block], x, weights, rows[b:b + block], lengths)
+        head[b:b + block] = _stack_block(sv[b:b + block], x, weights, rows[b:b + block],
+                                         lengths, plan)
     return head
 
 
-def _stack_block(sv: np.ndarray, x: np.ndarray, weights: np.ndarray, rows, lengths) -> np.ndarray:
+def _stack_block(sv: np.ndarray, x: np.ndarray, weights: np.ndarray, rows, lengths,
+                 plan) -> np.ndarray:
     """Point row j of the (m, n) ``sv`` summed with weight row ``rows[j]``
     (row j when ``rows`` is None) over its first ``lengths[rows[j]]`` terms
     (all of them when ``lengths`` is None): one exponential table of the
-    distinct point rows, then one gather, product and sum per term count."""
-    points = np.ascontiguousarray(sv)
-    # one slot per distinct row of bytes, in order of first sight
-    keys = points.view(f"V{points.itemsize * points.shape[1]}").ravel().tolist()
-    slot = dict.fromkeys(keys)
-    for j, row in enumerate(slot):
-        slot[row] = j
-    shared = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
-    distinct = np.empty(len(slot), dtype=np.intp)
-    distinct[shared] = np.arange(shared.size)  # any row of a slot: same bytes
-    table = np.exp(np.multiply.outer(-points[distinct], x))
+    distinct point rows, then one gather, product and sum per term count.
+    With a ``plan`` the table is ``_euler_table``'s, weighted and summed as
+    ``_euler_head`` does it."""
+    if sv.strides[0] == 0:  # one row of points broadcast to every weight row
+        points = sv
+        shared, distinct = np.zeros(len(sv), dtype=np.intp), np.zeros(1, dtype=np.intp)
+    else:
+        points = np.ascontiguousarray(sv)
+        # one slot per distinct row of bytes, in order of first sight
+        keys = points.view(f"V{points.itemsize * points.shape[1]}").ravel().tolist()
+        slot = dict.fromkeys(keys)
+        for j, row in enumerate(slot):
+            slot[row] = j
+        shared = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
+        distinct = np.empty(len(slot), dtype=np.intp)
+        distinct[shared] = np.arange(shared.size)  # any row of a slot: same bytes
+    if plan is not None:
+        return _euler_stack(points, weights, rows, lengths, plan, shared, distinct)
+    table = np.exp(np.multiply.outer(-points[distinct], x.astype(complex)))
     # weights first, as the per-row path multiplies: numpy's complex multiply
     # may fuse one product into the rounding of the other, so terms * weights
     # can differ from it in the last bit
@@ -449,6 +632,39 @@ def _stack_block(sv: np.ndarray, x: np.ndarray, weights: np.ndarray, rows, lengt
         terms = table[shared[group], :, :n]
         np.multiply(weights[group if rows is None else rows[group], None, :n], terms, out=terms)
         head[group] = terms.sum(axis=-1)
+    return head
+
+
+def _euler_stack(points: np.ndarray, weights: np.ndarray, rows, lengths, plan: _EulerPlan,
+                 shared: np.ndarray, distinct: np.ndarray) -> np.ndarray:
+    """``_stack_block`` on a classical head: one ``_euler_table`` of the
+    distinct point rows, one product of every weight row with its point
+    row's table (the weights first), and per term count n one
+    ``_euler_sum`` of the first n terms, in term order as ``_euler_head``
+    sums a head of n terms."""
+    count, width = plan.rows.size, points.shape[1]
+    table = _euler_table(points[distinct].ravel(), plan).reshape(count, distinct.size, width)
+    # the weights as C-contiguous (terms, rows): numpy buffers a strided operand
+    weighted = (np.ascontiguousarray(weights.T) if rows is None
+                else np.take(weights.T, rows, axis=1))[:, :, None]
+    if distinct.size == 1:  # one row of points, broadcast to every weight row
+        terms = np.multiply(weighted, table)
+    else:
+        # np.take keeps the table C-contiguous, as _euler_sum adds it best;
+        # distinct rows are the point rows in order, and need no copy
+        terms = table if distinct.size == len(points) else np.take(table, shared, axis=1)
+        np.multiply(weighted, terms, out=terms)
+    del table, weighted
+    if lengths is None:
+        return _euler_sum(terms)
+    counts = lengths if rows is None else lengths[rows]
+    by_count = np.bincount(counts)
+    head = np.empty(points.shape, dtype=complex)
+    for n in np.flatnonzero(by_count).tolist():
+        if by_count[n] == counts.size:
+            return _euler_sum(terms[:n])
+        group = np.flatnonzero(counts == n)
+        head[group] = _euler_sum(np.take(terms[:n], group, axis=1))
     return head
 
 

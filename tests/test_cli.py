@@ -321,6 +321,22 @@ def test_verify_flags_override_config(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(cfg_path), "--threads", "1"]) == 2  # no such flag
 
 
+def test_verify_config_is_checked_once(tmp_path, monkeypatch):
+    # the document and the flags make one config, checked once; a flag the
+    # experiment does not read is refused all the same
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"experiment": "constants"}))
+    checks = []
+    check = harness.ExperimentConfig.__post_init__
+    monkeypatch.setattr(harness.ExperimentConfig, "__post_init__",
+                        lambda self: checks.append(self) or check(self))
+    out = tmp_path / "out.csv"
+    assert cli.main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert len(checks) == 1 and checks[0].out == str(out)
+    assert cli.main(["verify", "--config", str(cfg_path), "--seed", "3"]) == 2  # constants reads no seed
+    assert len(checks) == 2
+
+
 _NAN, _INF = float("nan"), float("inf")
 _SERIES = {"exponents": {"kind": "classical"}, "coefficients": [[1.0, 0.0], [0.5, 0.0]],
            "sigma": 0.5}

@@ -304,6 +304,34 @@ def _per_row_head(sv, log_n, weights=None):
     return (terms if weights is None else weights * terms).sum(axis=1)
 
 
+def _least_factors(count: int) -> list:
+    # least[n] is the least prime factor of n >= 2
+    least = list(range(count + 1))
+    for n in range(2, count + 1):
+        least[n] = next(p for p in range(2, n + 1) if n % p == 0)
+    return least
+
+
+def _euler_reference(sv, log_n, weights=None):
+    # the classical head as its Euler product builds it, one term at a time
+    # in increasing n: exp(-s log p) at a prime p, row p times row m at a
+    # composite n = p m, p its least prime factor; weighted (the weights
+    # first) and added one term at a time in term order
+    least = _least_factors(log_n.size)
+    rows = {1: np.ones(sv.shape, dtype=complex)}
+    total = rows[1] if weights is None else weights[0] * rows[1]
+    for n in range(2, log_n.size + 1):
+        p = least[n]
+        rows[n] = np.exp(-sv * log_n[n - 1]) if p == n else rows[p] * rows[n // p]
+        total = total + (rows[n] if weights is None else weights[n - 1] * rows[n])
+    return total
+
+
+def _primes_below(count: int) -> int:
+    least = _least_factors(count)
+    return sum(least[n] == n for n in range(2, count + 1))
+
+
 def test_nufft_band_head_matches_per_row_and_mpmath():
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(1988)
@@ -552,24 +580,120 @@ def test_per_row_head_builds_one_block_at_a_time():
 def test_stacked_head_is_the_one_row_calls_bit_for_bit():
     # a (K, terms) weight stack, one weight row per row of points: rows
     # repeat (they share one exponential table), K = 1 included, and rows
-    # of 200 evenly spaced points stay per-row where a 1-d call would not
+    # of 200 evenly spaced points stay per-row where a 1-d call would not.
+    # Classical exponents take the Euler product, others one exp per
+    # (point, term)
     rng = np.random.default_rng(1405)
-    log_n = np.log(np.arange(16) + 1.0)
     window = 0.05 * np.arange(33) / 32
-    for k_rows, width, spaced in ((12, 33, False), (1, 33, False), (5, 200, True)):
-        ts = (window[None] if width == 33 else np.linspace(0.0, 3.0, width)[None]) \
-            + rng.choice([0.0, 0.5, 9.0], size=(k_rows, 1))
-        if not spaced:
-            ts[::4, 7] += 1e-3  # some rows off the progression
-        weights = rng.normal(size=(k_rows, 16)) + 1j * rng.normal(size=(k_rows, 16))
-        sv = 1j * ts
-        head = sp._head_sum(sv, log_n, weights)
-        assert head.shape == ts.shape
-        for k in range(k_rows):
-            expected = _per_row_head(sv[k], log_n, weights[k])
-            assert np.array_equal(head[k], expected)
+    for log_n, reference in ((np.log(np.arange(16) + 1.0), _euler_reference),
+                             (np.log(np.arange(16) + 0.5), _per_row_head)):
+        for k_rows, width, spaced in ((12, 33, False), (1, 33, False), (5, 200, True)):
+            ts = (window[None] if width == 33 else np.linspace(0.0, 3.0, width)[None]) \
+                + rng.choice([0.0, 0.5, 9.0], size=(k_rows, 1))
             if not spaced:
-                assert np.array_equal(head[k], sp._head_sum(sv[k], log_n, weights[k]))
+                ts[::4, 7] += 1e-3  # some rows off the progression
+            weights = rng.normal(size=(k_rows, 16)) + 1j * rng.normal(size=(k_rows, 16))
+            sv = 1j * ts
+            head = sp._head_sum(sv, log_n, weights)
+            assert head.shape == ts.shape
+            for k in range(k_rows):
+                expected = reference(sv[k], log_n, weights[k])
+                assert np.array_equal(head[k], expected)
+                if not spaced:
+                    assert np.array_equal(head[k], sp._head_sum(sv[k], log_n, weights[k]))
+
+
+def test_classical_head_is_the_euler_product_bit_for_bit(monkeypatch, caplog):
+    # x = log(1 .. N), N <= 4096, on the per-row path: pi(N) exps per point,
+    # each prime row the bits of the direct exp, and the head the bits of
+    # the Euler reference, for one point, a few, and more than one block;
+    # one ulp off log(1 .. N), or N > 4096, is a head of one exp per term
+    rng = np.random.default_rng(36)
+    caplog.set_level("DEBUG", logger="hardyseries.special")
+    counting = _CountingNumpy()
+    for count in (1, 2, 8, 20, 512):
+        log_n = np.log(np.arange(count) + 1.0)
+        weights = rng.normal(size=count) + 1j * rng.normal(size=count)
+        plan = sp._euler_plan(log_n)
+        for points in (1, 2, 33, sp._ROW_BLOCK // count + 5):
+            sv = 0.5 + 1j * np.sort(rng.uniform(-50.0, 1e3, points))
+            counting.exps = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(sp, "np", counting)
+                head = sp._head_sum(sv, log_n, weights)
+            assert counting.exps == _primes_below(count) * points
+            assert np.array_equal(head, _euler_reference(sv, log_n, weights))
+            assert np.array_equal(sp._head_sum(sv, log_n), _euler_reference(sv, log_n))
+            table = sp._euler_table(sv, plan)
+            direct = np.exp(np.multiply.outer(-sv, log_n)).T
+            primes = [n - 1 for n in range(2, count + 1) if _least_factors(n)[n] == n]
+            assert table[0].tobytes() == np.ones(points, dtype=complex).tobytes()
+            assert table[primes].tobytes() == direct[primes].tobytes()
+        assert caplog.records[-1].getMessage() == (
+            f"head sum: {points} points, {count} terms, euler-product, "
+            f"{_primes_below(count)} exps per point")
+    sv = 0.5 + 1j * rng.uniform(0.0, 100.0, 40)
+    log_n = np.log(np.arange(20) + 1.0)
+    nudged = log_n.copy()
+    nudged[5] = np.nextafter(nudged[5], 2.0)
+    assert sp._euler_plan(nudged) is None
+    assert np.array_equal(sp._head_sum(sv, nudged), _per_row_head(sv, nudged))
+    long = np.log(np.arange(sp._PHASE_TERMS + 1) + 1.0)
+    assert sp._euler_plan(long) is None
+    counting.exps = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(sp, "np", counting)
+        sp._head_sum(sv, long)
+    assert counting.exps == long.size * sv.size
+
+
+@pytest.mark.parametrize("t", [10.0, 1e3, 1e5, 2.6e6])
+def test_classical_head_meets_its_bound_against_mpmath(t):
+    # |head - sum w_n n^-s| <= u sum |w_n| n^-sigma (2 (|t| + |sigma|) log n
+    # + 6 Omega(n) + N), u = 2^-53, the bound of the _euler_table docstring
+    # with the sum's N - 1 roundings added; 2.6e6 is the widest ordinate
+    # of the Poisson integrals
+    mpmath = pytest.importorskip("mpmath")
+    u = 2.0 ** -53
+    rng = np.random.default_rng(int(t))
+    for count, sigma in ((8, 0.5), (20, 0.0), (512, 1.0)):
+        log_n = np.log(np.arange(count) + 1.0)
+        weights = rng.normal(size=count) + 1j * rng.normal(size=count)
+        ts = t + rng.uniform(-1.0, 1.0, 3)
+        head = sp._head_sum(sigma + 1j * ts, log_n, weights)
+        least = _least_factors(count)
+        omega = [0, 0]
+        for n in range(2, count + 1):
+            omega.append(omega[n // least[n]] + 1)
+        n = np.arange(1, count + 1)
+        size = np.abs(weights) * n ** -sigma
+        for j, tj in enumerate(ts):
+            bound = u * np.sum(size * (2 * (abs(tj) + sigma) * np.log(n)
+                                       + 6 * np.array(omega[1:]) + count))
+            with mpmath.workdps(30):
+                s = mpmath.mpc(sigma, tj)
+                exact = mpmath.fsum(mpmath.mpc(w.real, w.imag) * mpmath.exp(-s * mpmath.log(k))
+                                    for k, w in zip(range(1, count + 1), weights))
+                error = float(abs(exact - mpmath.mpc(head[j].real, head[j].imag)))
+            assert error <= bound, (count, tj, error, bound)
+
+
+def test_per_row_head_fills_its_planes_without_buffers():
+    # a non-classical per-point head fills the real and imaginary planes of
+    # its block in place, so its peak is its head and one block, with no
+    # numpy buffer beside them; its bits are the exp per (point, term)
+    rng = np.random.default_rng(3601)
+    sv = 1.0 + 1j * np.sort(rng.uniform(900.0, 1000.0, 4096))
+    log_n = np.log(np.arange(16) + 0.5)
+    sp._head_sum(sv, log_n)
+    tracemalloc.start()
+    try:
+        head = sp._head_sum(sv, log_n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (sv.size + sp._ROW_BLOCK) + 32 * 1024, peak
+    assert np.array_equal(head, _per_row_head(sv, log_n))
 
 
 @pytest.mark.parametrize("evaluate", [
@@ -600,8 +724,12 @@ def test_zeta_grid_logs_its_head_path(caplog):
         _em_line(4000, n_band, band(n_band)),
         f"head sum: 4000 points, {n_band} terms, nufft, grid 8000, half-width 16",
         _em_line(2, n_pair, pair(n_pair)),
-        f"head sum: 2 points, {n_pair} terms, per-row",
+        f"head sum: 2 points, {n_pair} terms, euler-product, "
+        f"{_primes_below(n_pair)} exps per point",
     ]
+    caplog.clear()
+    sp.hurwitz_zeta_grid(0.5, np.array([10.0, 20.0]))
+    assert caplog.records[-1].getMessage() == f"head sum: 2 points, {n_pair} terms, per-row"
 
 
 def _em_line(points: int, n_cutoff: int, bound: float) -> str:
