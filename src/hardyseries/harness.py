@@ -32,11 +32,13 @@ shift of ``alphas``, ``lerch_scan`` each twist of ``alphas`` at each shift
 of ``betas``.  A window is 9-node Simpson on a grid of step delta/8, its nodes
 evaluated by ``lerch_phi`` in bands of whole windows: a band of 4000 shared
 nodes takes the NUFFT head, and a band of 444 windows of 9 nodes each, one
-window per row, joins the blocked loop as rows of 9 spread from their first
+window per row, the phase-table head, as rows of 9 spread from their first
 node by one phase table per piece of terms, their first nodes recurring
 from one direct exponential per 64 windows.  A last band of fewer than 128
-nodes joins the band before it.  ``minmax`` zooms only the window sups that
-might beat its running best.
+nodes joins the band before it.  At twist 1 the node t = 0, or the window
+row holding it, is the pole: it is not evaluated, and its band is cut
+around it, so every band is a progression.  ``minmax`` zooms only the
+window sups that might beat its running best.
 
 ``EXPERIMENT_TABLE`` names each experiment's row builder and the config
 fields it reads, and a config that sets any other field away from its
@@ -77,7 +79,9 @@ __all__ = [
 _SCAN_SUBDIV = 8  # grid intervals of a scan window
 _SCAN_BAND = 4000  # scan nodes per evaluator call
 _MAX_ORDER = 20  # minmax witness order: 2^20 coefficients, 16 MiB
-_MAX_TERMS = 1024  # series.window_l2 holds four n x n float64 arrays: 32 MiB
+# the most terms of a drawn series: series.window_l2 holds four n x n
+# float64 arrays (32 MiB), and a minmax window sup 12 x n weights
+_MAX_TERMS = 1024
 
 
 @dataclass(frozen=True)
@@ -135,8 +139,9 @@ class ExperimentConfig:
                             ("restarts", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise InvalidParameterError(f"config field {name!r} must be >= {least}")
-        if self.n_terms > _MAX_TERMS:
-            raise InvalidParameterError(f"config field 'n_terms' must be <= {_MAX_TERMS}")
+        for name in ("n_terms", "search_terms"):
+            if getattr(self, name) > _MAX_TERMS:
+                raise InvalidParameterError(f"config field {name!r} must be <= {_MAX_TERMS}")
         if self.t_stop < self.t_start:
             raise InvalidParameterError("config field 't_stop' must be >= t_start")
         if not all(0 < xi < 1 for xi in self.xis):
@@ -559,11 +564,11 @@ def _scan_windows(twist: float, shift: float, delta: float, config: ExperimentCo
     4000 // 9 = 444 whole windows, whose rows the head sum takes as
     progressions of one step h and their first nodes as one of step t_step.
     A last band of fewer than 128 nodes, the least NUFFT band, joins the
-    band before it.  At twist 1, zeta(s, shift), the line holds
-    the pole at t = 0: a window whose closed interval holds it measures
-    +inf, and only so that its band can be evaluated, a shared node at
-    t = 0 is moved to 1e-9, and a row of 9 nodes holding t = 0 is moved by
-    1e-9 as a whole."""
+    band before it.  At twist 1, zeta(s, shift), the line holds the pole
+    at t = 0: a window whose closed interval holds it measures +inf.  The
+    shared node t = 0, or the row of 9 nodes holding it, is not evaluated
+    but set to +inf, and its band is evaluated in the parts before and
+    after it, so every part stays a progression."""
     h = delta / _SCAN_SUBDIV
     stride = int(round(config.t_step / h))  # whole, checked with the config
     nodes = _SCAN_SUBDIV + 1
@@ -577,19 +582,21 @@ def _scan_windows(twist: float, shift: float, delta: float, config: ExperimentCo
         steps = np.add.outer(stride * np.arange(n_windows), np.arange(nodes))
         band = _SCAN_BAND // nodes
     ts = config.t_start + h * steps
-    if twist == 1:  # the line holds the pole
-        # a row of 9 nodes moves as a whole, so it stays a progression of
-        # step h and its band keeps its phase-table rows
-        zero = ts == 0.0
-        ts[zero if shared else zero.any(axis=1)] += 1e-9
-    mods = np.empty(ts.shape)
+    # at twist 1 the node t = 0, or the row of 9 that holds it, is the pole:
+    # it stays +inf, and its band is cut around it
+    zero = (ts == 0.0).reshape(len(ts), -1).any(axis=1)
+    poles = np.flatnonzero(zero).tolist() if twist == 1 else []
+    mods = np.full(ts.shape, math.inf)
     cuts = list(range(0, len(ts), band))
     # a last band of fewer nodes than the least NUFFT band joins the one
     # before it, rather than pay a per-point head and a kernel call of its own
     if len(cuts) > 1 and ts[cuts[-1]:].size < 2 * sp._PHASE_ROWS:
         cuts.pop()
     for lo, hi in zip(cuts, [*cuts[1:], len(ts)]):
-        mods[lo:hi] = np.abs(sp.lerch_phi(twist, shift, 1 + 1j * ts[lo:hi], 1e-9))
+        inside = [p for p in poles if lo <= p < hi]
+        for a, b in zip([lo] + [p + 1 for p in inside], inside + [hi]):
+            if a < b:
+                mods[a:b] = np.abs(sp.lerch_phi(twist, shift, 1 + 1j * ts[a:b], 1e-9))
     if shared:
         windows = np.lib.stride_tricks.sliding_window_view(mods, nodes)[::stride]
     else:

@@ -291,13 +291,14 @@ def line_evaluator(series: DirichletSeries, sigma1: float) -> Callable[[np.ndarr
     array of values L(s), of the same shape; points off the line are refused.
     The sum_n a_n e^(-lambda_n sigma1) e^(-i t lambda_n) goes through
     ``special._head_sum``: a 1-d evenly spaced grid of at least 128 points
-    is one NUFFT, a 2-d array whose rows of 2 to 64 points are progressions
-    of one step takes a phase table per row, and at any other array the
-    terms of each point are added in index order exactly as a one-point sum
-    would add them.  There a classical series of at most 4096 terms takes
-    its terms by the Euler product: exp(-i t log p) at the primes, and row
-    p times row m at n = p m, p the least prime factor of n, so a point
-    pays pi(N) complex exps, not N; every other series one exp per term.
+    is one NUFFT, a 2-d array whose rows of 2 to 64 points and whose first
+    points are progressions takes a phase table per piece of terms, and
+    any other array a term table, whose terms of each point are added one
+    at a time in index order exactly as a one-point sum adds them.  There
+    a classical series of at most 4096 terms takes its terms by the Euler
+    product: exp(-i t log p) at the primes, and row p times row m at
+    n = p m, p the least prime factor of n, so a point pays pi(N) complex
+    exps, not N; every other series one exp per term.
     """
     lam = series.lambdas
     weights = series.coefficients * np.exp(-lam * sigma1)
@@ -357,15 +358,17 @@ def classical_stack_evaluator(coefficients, sigma1: float) -> Callable[..., np.n
     (m, n) values.  Points off the line are refused.  Each row holds the
     bits of ``line_evaluator(classical_polynomial(coefficients[k]),
     sigma1)`` on a 1-d array of fewer than 128 points: ``special._head_sum``
-    with one weight stack and the term count of each row, which builds one
-    Euler-product table of the distinct point rows and weights and sums
-    each row in index order as the line evaluator does, so that no row
-    sums the zeros that fill it out to the longest series, and rows of
-    equal points share one table.  Points shared by every series go to it
-    as one broadcast row.  No ``DirichletSeries`` is built.
+    with one weight stack, the series of each point row and the term count
+    of each series, always all three.  Its term table, the Euler product
+    of the distinct point rows, is weighted and summed row by row in index
+    order as the line evaluator sums, so that no row sums the zeros that
+    fill it out to the longest series, and rows of equal points share one
+    table.  Points shared by every series go to it as one broadcast row.
+    No ``DirichletSeries`` is built.
     """
     if isinstance(coefficients, np.ndarray):  # every row sums every term
-        coeffs, lengths = np.asarray(coefficients, dtype=complex), None
+        coeffs = np.asarray(coefficients, dtype=complex)
+        lengths = np.full(len(coeffs), coeffs.shape[1])
     else:
         series = [np.asarray(c, dtype=complex) for c in coefficients]
         lengths = np.array([c.size for c in series])
@@ -374,11 +377,12 @@ def classical_stack_evaluator(coefficients, sigma1: float) -> Callable[..., np.n
             coeffs[k, :c.size] = c
     lam = ExponentSequence.classical().lambdas(coeffs.shape[1])
     weights = coeffs * np.exp(-lam * sigma1)
+    every = np.arange(len(weights))
 
     def ev(s: np.ndarray, rows=None) -> np.ndarray:
         points = 1j * _ordinates(s, sigma1)
-        if rows is None:  # shared points stay one broadcast row
-            points = np.broadcast_to(points, (len(weights), points.shape[-1]))
+        if rows is None:  # row k for series k; shared points stay one broadcast row
+            points, rows = np.broadcast_to(points, (len(weights), points.shape[-1])), every
         return special._head_sum(points, lam, weights, rows, lengths)
 
     return ev

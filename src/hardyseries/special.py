@@ -42,11 +42,10 @@ Every finite exponential sum sum_n w_n e^(-s x_n) of the package goes
 through one kernel, ``_head_sum``: the zeta heads (x_n = log(n + alpha);
 for Lerch, the weight w_n = e^(2 pi i n alpha)), the head of
 ``series.line_evaluator`` and the edge layers of ``mollifier.bump_hat``.
-A 1-d array whose ordinates lie within 8 ulp of max|t| of one progression
-t_0 + j h, and which is at least 128 points long, is one NUFFT; every other
-head is one blocked loop.
+It takes one of three paths.
 
-* NUFFT: a 1-d progression of M points, such as a scan band of 4000
+* NUFFT: a 1-d progression of M points, its ordinates within 8 ulp of
+  max|t| of t_0 + j h and at least 128 long, such as a scan band of 4000
   shared nodes, is one type-1 non-uniform FFT (Dutt & Rokhlin; Greengard
   & Lee, SIAM Rev. 2004), the many-values-from-one-transform idea of
   Odlyzko and Schoenhage: the terms w_n e^(-s_c x_n), anchored at the
@@ -62,21 +61,23 @@ head is one blocked loop.
   ||w||_1 of the phase table at t ~ 1e5, where both round their phases
   at ulp(T) x_n.  ``numpy.fft`` is imported by numpy on the first NUFFT
   call, not with this module.
-* blocked loop: pieces of at most 4096 terms, and within a piece blocks
-  of rows of at most 2^13 entries (rows x terms) when a row is one point
-  and 2^16 for progression rows.  A row is one point, with one complex
-  exp per (point, term) summed in term order, or, for a classical head
-  (x = log(1 .. N), N <= 4096), one per prime: n^-s by the Euler
-  product, row p times row m at n = p m; or one row of 2 to 64
-  points of a 2-d progression, such as the 9 nodes of each
-  disjoint scan window: the anchor row w_n e^(-s_b x_n) at its first
-  point times the piece's phase table e^(-i r h x_n), summed by einsum,
-  so the bits never depend on BLAS; a grid for those rows would hold far
-  more nodes than the windows need.  The table and, where they lie on a
-  progression, the anchors recur from one direct exp row per 64 rows:
-  ceil(rows/64) + 2 exp rows per piece, not rows + R.  A (K, terms)
-  weight stack, one weight row named per row of points, takes blocks of
-  the same sizes, where rows of equal points share their exponentials.
+* phase table: rows of 2 to 64 points of a 2-d progression whose first
+  points form a progression too, such as the 9 nodes of each disjoint
+  scan window: the anchor row w_n e^(-s_b x_n) at its first point times
+  the piece's phase table e^(-i r h x_n), summed by einsum, so the bits
+  never depend on BLAS; a grid for those rows would hold far more nodes
+  than the windows need.  The table and the anchors recur from one
+  direct exp row per 64 rows: ceil(rows/64) + 2 exp rows per piece of
+  4096 terms, not rows + R.
+* term table: every other array, one point per row, and every (K, terms)
+  weight stack, one weight row and term count named per row of points.
+  The (terms, points) table of e^(-s x_n) is one complex exp per entry,
+  or, for a classical head (x = log(1 .. N), N <= 4096), one per prime:
+  n^-s by the Euler product, row p times row m at n = p m.  The weights
+  multiply it, the weights first, and each row's terms are added one at
+  a time in term order, so every row is a plain term-order loop.  Blocks
+  hold at most 2^13 table entries for one point per row and 2^16 for
+  longer rows; in a stack, rows of equal points share their table.
 
 The bound ``_zeta_sum`` returns counts the truncation of the tail only:
 neither the rounding of the head nor the NUFFT's kernel error is in it.
@@ -267,190 +268,146 @@ def _head_sum(sv: np.ndarray, x: np.ndarray, weights=None, rows=None,
     """sum_n weights[n] exp(-s x[n]) for each s of the array ``sv`` (the
     weights 1 when omitted), in the shape of ``sv``; every exponential sum
     of the package goes through it.  x[n] = log(n + alpha) gives the
-    Euler-Maclaurin head.
+    Euler-Maclaurin head.  It takes one of three paths:
 
-    A 1-d progression (``_progression_step``) is one type-1 NUFFT,
-    ``_nufft_head``: O(32 N + M log M) for M points and N terms, with no
-    BLAS product.  Its Gaussian is cut at 16 cells, where it has fallen to
-    e^(-pi 16 (1 - 1/(2R))), 4e-17 at the oversampling R = 2, and its
-    deconvolution magnifies the rounding of the grid by at most
-    e^(pi 16 / (4 R (R - 1/2))), 66 at R = 2.
+    * a 1-d progression (``_progression_step``) is one type-1 NUFFT,
+      ``_nufft_head``: O(32 N + M log M) for M points and N terms, with no
+      BLAS product.  Its Gaussian is cut at 16 cells, where it has fallen
+      to e^(-pi 16 (1 - 1/(2R))), 4e-17 at the oversampling R = 2, and its
+      deconvolution magnifies the rounding of the grid by at most
+      e^(pi 16 / (4 R (R - 1/2))), 66 at R = 2;
+    * the rows of a 2-d progression of R = 2 to 64 points whose first
+      points form a progression of their own, such as the disjoint
+      windows of a scan band, take ``_phase_head``: one anchor row per row
+      times one phase table per piece of terms, both by recurrence;
+    * every other array, one point per row with the one weight row, and
+      every weight stack go through the term-table kernel
+      ``_table_head``, which adds each row's terms in term order.
 
-    Every other array is one loop over pieces of at most 4096 terms, and
-    within a piece over blocks of rows, each block in the same buffer: at
-    most 2^13 entries (rows x terms, 128 KiB) for one point per row, so a
-    quadrature call of 4096 points of an 8-term series holds a 128 KiB block
-    where 2^16 would hold 512 KiB, and at most 2^16 entries (1 MiB) for
-    progression rows.  A row's sum does not depend on its block.  A row is
-    one point, whose weights * exp(-s x), the weights first, is summed in
-    term order, or one row of a 2-d progression of R = 2 to 64 points.
-    There the anchor V[b, n] = weights[n] exp(-s_b x[n]) at the row's first
-    point s_b times the piece's phase table E[r, n] = exp(-i r h x[n]), r <
-    R, gives the row's points: point 0 is the plain sum of V[b], the others
-    one einsum.  Both recur in place, once per piece: E[1] is one exp row,
-    E[r] = E[r - 1] E[1], and the slot of E[0] = 1 holds e^(-i H x[n]).
-    Where the first column lies within 8 ulp of a progression of step H,
-    V[b] is a direct exp only where 64 divides b, and otherwise V[b - 1]
-    e^(-i H x[n]); otherwise, as on the scan band whose t = 0 row is
-    nudged, every V[b] is direct.  A band of 444 windows of 9 nodes thus
-    pays 9 exp rows per piece, not 453.  Against the per-point sums of the
-    same points a term's phase moves by at most 32 ulp(T) |x[n]|, T =
-    max|t|, 16 with direct anchors (8 off the row's progression, 16 off the
-    anchors', 4 from the rounded phases, raised to powers j < 64 and r <
-    R), and its value takes at most 64 + R more roundings of a product,
-    each within 4 u, u = 2^-53.  A head of one piece is the bits of one
-    sum per row; a longer one adds the pieces' sums.
-
-    The exp(-s x) of a point, or of a direct anchor, fills the real and
-    imaginary planes of its block in place: -sigma x is one row for every
-    point of the line (points off one line are refused), and -t x one
-    einsum, where a broadcast product would have numpy buffer both
-    operands (2 x 128 KiB); the weights' product still buffers its
-    broadcast weights, 128 KiB, which only a second block-sized array or
-    another order of the products would avoid.
-
-    A classical head, x bit-equal to log(1 .. N) with N <= 4096 (one
-    piece), as a classical series or the zeta head at shift 1 holds it,
-    takes its per-point terms from ``_euler_table``, the Euler product
-    n^-s = prod p^-ks of the Bohr lift (Hedenmalm, Lindqvist & Seip, Duke
-    Math. J. 1997): row n = 1 is exactly 1, a prime row is exp(-s log p)
-    with the bits above, and a composite row, n = p m with p the least
-    prime factor of n, is row p times row m, level by level over Omega(n)
-    <= log2 N.  A point pays pi(N) complex exps in place of N (8 -> 4, 16
-    -> 6, 20 -> 8, 512 -> 97), in blocks of the same 2^13 table entries;
-    the weighted terms (the weights first) are added one at a time in term
-    order (``_euler_sum``), so a head of N terms is within u sum_n |w_n|
-    n^-sigma (2 (|t| + |sigma|) log n + 6 Omega(n) + N) of the exact sum,
-    u = 2^-53: a composite's phase error is the sum of its factors', about
-    2 u |t| log n as for a direct exp, plus Omega(n) - 1 complex-product
-    roundings, and the sum adds N - 1 more.  A stack builds one such table
-    of its distinct point rows and sums each row as a 1-d call would.  A
-    head of more than one piece, 2-d progression rows and the NUFFT take
-    no Euler product.
-
-    A (K, terms) weight stack goes with (m, n) points, point row j with
-    weight row ``rows[j]`` (row j when ``rows`` is omitted, so m = K), such
-    as K candidate series sampled on their windows or one point per row,
-    each of its own series.  Weight row k sums its first ``lengths[k]``
-    terms (all of them when ``lengths`` is omitted): series of several
-    lengths share one stack, and no row sums a zero term it does not hold,
-    which would change the summation.  A stack always takes the
-    per-row path, in blocks of at most 2^16 entries (point rows x n x
-    terms), 2^13 for one point per row: within a block, point rows with
-    equal bytes share one (n, terms) exponential table, which each of
-    their weight rows multiplies, one term count at a time.  Every (point,
-    term) entry, and so every sum, is then the bits the per-row path gives
-    a 1-d call with that point row and weight row.
+    A (K, terms) weight stack goes with (m, n) points, the int array
+    ``rows`` of shape (m,) and the int array ``lengths`` of shape (K,):
+    point row j is summed with weight row ``rows[j]`` over its first
+    ``lengths[rows[j]]`` terms, such as K candidate series sampled on
+    their windows or one point per row, each of its own series.  Series
+    of several lengths share one stack, and no row sums a zero term it
+    does not hold, which would change the summation.  Every row is then
+    the bits of the per-point call with that point row and the first
+    ``lengths[rows[j]]`` terms of its weight row.
 
     With debug logging on, each call logs its point count, term count and
     path (``nufft``, with its grid size and the Gaussian's half-width in
     cells, ``phase-matrix`` for 2-d progression rows, ``euler-product``
-    with its exps per point, or ``per-row``).  A
-    ``phase-matrix`` call logs a second line: its rows and points per row,
-    its anchor rule (``anchors by recurrence of step H`` or ``direct
-    anchors``) and its exp rows per piece.
+    with its exps per point for a classical term table, or ``per-row``).
+    A ``phase-matrix`` call logs a second line: its rows and points per
+    row, its anchors' step H (``anchors by recurrence of step H``) and its
+    exp rows per piece.
     """
     stacked = weights is not None and weights.ndim == 2
     step = None if stacked else _progression_step(sv.imag)
     nufft = step is not None and sv.ndim == 1
     cells = _fft_size(2 * sv.size) if nufft else 0
-    # the step H of the anchors of 2-d progression rows, where they recur
+    # the step H of the first points of 2-d progression rows, where they
+    # form a progression; other 2-d arrays go to the term table
     anchor_step = None if step is None or nufft else _progression_step(sv.imag[:, 0], 2)
-    # a classical head on the per-row path takes its terms by Euler product
-    plan = _euler_plan(x) if step is None else None
+    plan = None if nufft or anchor_step is not None else _euler_plan(x)
     if logger.isEnabledFor(logging.DEBUG):
         if nufft:
             path = f"nufft, grid {cells}, half-width {_NUFFT_SPREAD}"
-        elif step is not None:
+        elif anchor_step is not None:
             path = "phase-matrix"
         elif plan is not None:
             path = f"euler-product, {plan.prime_logs.size} exps per point"
         else:
             path = "per-row"
         logger.debug("head sum: %d points, %d terms, %s", sv.size, x.size, path)
-        if step is not None and not nufft:
-            count = len(sv)
-            logger.debug("phase-matrix: %d rows of %d, %s, %d exp rows per piece",
-                         count, sv.shape[1], "direct anchors" if anchor_step is None
-                         else f"anchors by recurrence of step {anchor_step:.6g}",
-                         count + 1 if anchor_step is None else math.ceil(count / _ANCHOR_RUN) + 2)
+        if anchor_step is not None:
+            logger.debug("phase-matrix: %d rows of %d, anchors by recurrence of step %.6g, "
+                         "%d exp rows per piece", len(sv), sv.shape[1], anchor_step,
+                         math.ceil(len(sv) / _ANCHOR_RUN) + 2)
     if nufft:
         return _nufft_head(sv, x, weights, step, cells)
+    if anchor_step is not None:
+        return _phase_head(sv, x, weights, step, anchor_step)
     if stacked:
-        return _stack_head(sv, x, weights, rows, lengths, plan)
-    if plan is not None:
-        return _euler_head(sv, weights, plan)
-    if sv.size == 0:
-        return np.zeros(sv.shape, dtype=complex)
-    # a row is one point, or one row of a 2-d progression led by its anchor
-    width = 1 if step is None else sv.shape[1]
-    anchors = sv.ravel() if step is None else sv[:, 0]
-    sigma = anchors.real[:1]
-    if np.any(anchors.real != sigma):
+        return _table_head(sv, x, weights, rows, lengths, plan)
+    # one point per row, each summed with weight row 0 over all terms (the
+    # row indices as bytes: one per point beside the head's sixteen)
+    points = sv.reshape(-1, 1)
+    head = _table_head(points, x, None if weights is None else weights[None],
+                       np.zeros(len(points), dtype=np.int8), np.array([x.size]), plan)
+    return head.reshape(sv.shape)
+
+
+def _phase_head(sv: np.ndarray, x: np.ndarray, weights, step: float,
+                anchor_step: float) -> np.ndarray:
+    """The head sum of ``_head_sum`` on (rows, R) points whose rows are
+    progressions s_b + i r h, r < R <= 64, of one step h, and whose first
+    points s_b are a progression of step H.
+
+    One loop over pieces of at most 4096 terms, and within a piece over
+    blocks of at most 2^16 entries (rows x terms, 1 MiB), each block in the
+    same buffer.  The anchor V[b, n] = weights[n] exp(-s_b x[n]) times the
+    piece's phase table E[r, n] = exp(-i r h x[n]) gives the row's points:
+    point 0 is the plain sum of V[b], the others one einsum, which sums in
+    its own loop, never in BLAS, so the bits do not depend on the BLAS
+    library or its thread count.  Both recur in place, once per piece:
+    E[1] is one exp row, E[r] = E[r - 1] E[1], and the slot of E[0] = 1
+    holds e^(-i H x[n]); V[b] is a direct exp only where 64 divides b, and
+    otherwise V[b - 1] e^(-i H x[n]).  A band of 444 windows of 9 nodes
+    thus pays 9 exp rows per piece, not 453.  Against the per-point sums
+    of the same points a term's phase moves by at most 32 ulp(T) |x[n]|,
+    T = max|t| (8 off the row's progression, 16 off the anchors', 4 from
+    the rounded phases, raised to powers j < 64 and r < R), and its value
+    takes at most 64 + R more roundings of a product, each within 4 u,
+    u = 2^-53.  A head of one piece is the bits of one sum per row; a
+    longer one adds the pieces' sums."""
+    anchors = sv[:, 0]
+    width = sv.shape[1]
+    if np.any(anchors.real != anchors.real[0]):
         raise InvalidParameterError("head sum points must lie on one vertical line")
-    head = np.zeros((anchors.size, width), dtype=complex)
+    head = np.zeros(sv.shape, dtype=complex)
     piece = min(x.size, _PHASE_TERMS)
-    rows = max(1, (_ROW_BLOCK if step is None else _HEAD_BLOCK) // max(piece, 1))
+    rows = max(1, _HEAD_BLOCK // max(piece, 1))
     # one buffer per table, filled in place piece by piece and block by
     # block, so a block's matrix is never alive beside the one that
     # replaces it; a table is a contiguous view, so the einsum loop does
     # not depend on the piece
     block = np.empty(min(rows, anchors.size) * piece, dtype=complex)
-    table = np.empty(width * piece if step is not None else 0, dtype=complex)
+    table = np.empty(width * piece, dtype=complex)
     for lo in range(0, x.size, _PHASE_TERMS):
-        part = x[lo:lo + _PHASE_TERMS]
-        real_row = np.multiply(-sigma, part)  # the real plane of -s x at every point
+        # complex, as the products below take it: numpy casts a float
+        # operand through buffers of up to 128 KiB
+        part = x[lo:lo + _PHASE_TERMS].astype(complex)
         piece_weights = None if weights is None else weights[lo:lo + _PHASE_TERMS]
-        if step is not None:
-            # complex, as the products below take it: numpy casts a float
-            # operand through buffers of up to 128 KiB
-            part = part.astype(complex)
-            # E[r] = E[r - 1] E[1], one exp row; slot 0 (E[0] = 1) holds
-            # the anchors' step row e^(-i H x) instead
-            phases = table[:width * part.size].reshape(width, part.size)
-            np.exp(np.multiply(-1j * step, part, out=phases[1]), out=phases[1])
-            for r in range(2, width):
-                np.multiply(phases[r - 1], phases[1], out=phases[r])
-            if anchor_step is not None:
-                np.exp(np.multiply(-1j * anchor_step, part, out=phases[0]), out=phases[0])
+        # E[r] = E[r - 1] E[1], one exp row; slot 0 (E[0] = 1) holds the
+        # anchors' step row e^(-i H x) instead
+        phases = table[:width * part.size].reshape(width, part.size)
+        np.exp(np.multiply(-1j * step, part, out=phases[1]), out=phases[1])
+        for r in range(2, width):
+            np.multiply(phases[r - 1], phases[1], out=phases[r])
+        np.exp(np.multiply(-1j * anchor_step, part, out=phases[0]), out=phases[0])
         for b in range(0, anchors.size, rows):
             first = anchors[b:b + rows]
             terms = block[:first.size * part.size].reshape(first.size, part.size)
-            if anchor_step is None:
-                # -s x filled plane by plane: a broadcast product, as
-                # np.multiply.outer(-first, part), buffers both operands,
-                # 2 x 128 KiB; the assignment and the einsum buffer nothing
-                terms.real[...] = real_row
-                np.einsum("b,n->bn", -first.imag, part.real, out=terms.imag)
-                np.exp(terms, out=terms)
+            # anchor row g is direct where 64 divides g, and otherwise row
+            # g - 1 times e^(-i H x); the row before a block's first is the
+            # buffer's last, left by the block before
+            before = block[(rows - 1) * part.size:rows * part.size]
+            for i in range(first.size):
+                if (b + i) % _ANCHOR_RUN:
+                    np.multiply(terms[i - 1] if i else before, phases[0], out=terms[i])
+                    continue
+                np.exp(np.multiply(-first[i], part, out=terms[i]), out=terms[i])
                 if piece_weights is not None:
-                    np.multiply(piece_weights, terms, out=terms)
-            else:
-                # anchor row g is direct where 64 divides g, and
-                # otherwise row g - 1 times e^(-i H x); the row before a
-                # block's first is the buffer's last, left by the block before
-                before = block[(rows - 1) * part.size:rows * part.size]
-                for i in range(first.size):
-                    if (b + i) % _ANCHOR_RUN:
-                        np.multiply(terms[i - 1] if i else before, phases[0], out=terms[i])
-                        continue
-                    np.exp(np.multiply(-first[i], part, out=terms[i]), out=terms[i])
-                    if piece_weights is not None:
-                        np.multiply(piece_weights, terms[i], out=terms[i])
-            if step is None:
-                sums = terms.sum(axis=1)[:, None]
-            else:
-                # point 0 of a row is its anchor; einsum (without optimize)
-                # sums in its own loop, never in BLAS, so the bits do not
-                # depend on the BLAS library or its thread count
-                sums = np.empty((first.size, width), dtype=complex)
-                sums[:, 0] = terms.sum(axis=1)
-                np.einsum("bn,rn->br", terms, phases[1:], out=sums[:, 1:])
+                    np.multiply(piece_weights, terms[i], out=terms[i])
+            sums = np.empty((first.size, width), dtype=complex)
+            sums[:, 0] = terms.sum(axis=1)
+            np.einsum("bn,rn->br", terms, phases[1:], out=sums[:, 1:])
             if lo:  # the first piece is stored, so a -0.0 sum keeps its sign
                 head[b:b + rows] += sums
             else:
                 head[b:b + rows] = sums
-    return head.reshape(sv.shape)
+    return head
 
 
 class _EulerPlan(NamedTuple):
@@ -507,25 +464,25 @@ def _euler_plan_of(count: int) -> _EulerPlan:
         levels.append((lo, *factors) if hi - lo == 1 else (lo, np.array(factors)))
         lo = hi
     logs = np.log(np.arange(count) + 1.0)
-    # (-log p - 0j) s holds the bits of (-s) (log p + 0j), the product the
-    # per-row path takes: the same real products, added in either order
+    # (-log p - 0j) s holds -sigma log p and -t log p, the planes that
+    # ``_term_table`` fills for one exp per entry (up to a zero's sign,
+    # which exp does not read)
     prime_logs = -logs[[p - 1 for p in primes]].astype(complex)
     return _EulerPlan(logs.tobytes(), np.array(row[1:]), prime_logs, tuple(levels))
 
 
-def _euler_table(points: np.ndarray, plan: _EulerPlan, out=None) -> np.ndarray:
+def _euler_table(points: np.ndarray, plan: _EulerPlan) -> np.ndarray:
     """The (terms, points) table of n^-s for the 1-d ``points`` s, row n - 1
-    for term n, built in the buffer ``out`` when given: row n = 1 is exactly
-    1, a prime row is exp(-s log p), the bits of the per-row path's exp,
-    and a composite row, n = p m with p the least prime factor of n, is row
-    p times row m, one gather and one product per level Omega(n), the
-    levels in increasing Omega.  So a point pays pi(N) complex exps, not N:
-    4 for N = 8, 97 for N = 512.  The phase of a composite term carries the
-    sum of its factors' rounding, about 2 u |t| log n as the direct exp's
-    does, u = 2^-53, and its value Omega(n) - 1 more roundings of a complex
+    for term n: row n = 1 is exactly 1, a prime row is exp(-s log p), the
+    bits of the exp ``_term_table`` takes elsewhere, and a composite row,
+    n = p m with p the least prime factor of n, is row p times row m, one
+    gather and one product per level Omega(n), the levels in increasing
+    Omega.  So a point pays pi(N) complex exps, not N: 4 for N = 8, 97 for
+    N = 512.  The phase of a composite term carries the sum of its
+    factors' rounding, about 2 u |t| log n as the direct exp's does,
+    u = 2^-53, and its value Omega(n) - 1 more roundings of a complex
     product."""
-    count = plan.rows.size
-    built = np.empty((count, points.size), dtype=complex) if out is None else out
+    built = np.empty((plan.rows.size, points.size), dtype=complex)
     built[0] = 1.0
     primes = built[1:1 + plan.prime_logs.size]
     np.multiply.outer(plan.prime_logs, points, out=primes)
@@ -540,132 +497,121 @@ def _euler_table(points: np.ndarray, plan: _EulerPlan, out=None) -> np.ndarray:
     return built[plan.rows]
 
 
-def _euler_sum(terms: np.ndarray, weights=None) -> np.ndarray:
-    """The sum over the rows (axis 0) of ``terms``, each row first
-    multiplied in place by its entry of the given ``weights`` (the weights
-    first), the rows added one at a time in order, whatever the shape and
-    layout.  numpy's sum adds so along axis 0 of a C-contiguous array with
-    at least two entries per row; one entry per row it sums pairwise, so
-    that case accumulates."""
-    if weights is not None:
-        np.multiply(weights, terms, out=terms)
+def _euler_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum over the rows (axis 0) of ``terms``, the rows added one at a
+    time in order, whatever the shape and layout.  numpy's sum adds so
+    along axis 0 of a C-contiguous array with at least two entries per
+    row; one entry per row it sums in halves, so that case accumulates."""
     if terms.size == len(terms):
         return np.add.accumulate(terms, axis=0)[-1]
     return np.ascontiguousarray(terms).sum(axis=0)
 
 
-def _euler_head(sv: np.ndarray, weights, plan: _EulerPlan) -> np.ndarray:
-    """The per-row path of ``_head_sum`` for a classical head: blocks of at
-    most 2^13 table entries (terms x points), each one ``_euler_table``,
-    weighted (the weights first) and summed in term order by
-    ``_euler_sum``."""
-    points = sv.ravel()
-    count = plan.rows.size
-    rows = max(1, _ROW_BLOCK // count)
-    column = None if weights is None else weights[:, None]
-    if points.size <= rows:  # one block
-        return _euler_sum(_euler_table(points, plan), column).reshape(sv.shape)
-    head = np.empty(points.size, dtype=complex)
-    block = np.empty(rows * count, dtype=complex)  # one build buffer, reused
-    for b in range(0, points.size, rows):
-        part = points[b:b + rows]
-        built = block[:count * part.size].reshape(count, part.size)
-        head[b:b + rows] = _euler_sum(_euler_table(part, plan, built), column)
-    return head.reshape(sv.shape)
+def _table_head(sv: np.ndarray, x: np.ndarray, weights, rows: np.ndarray,
+                lengths: np.ndarray, plan) -> np.ndarray:
+    """The term-table kernel of ``_head_sum``: point row j of the (m, n)
+    ``sv`` summed with weight row ``rows[j]`` of the (K, terms)
+    ``weights`` (every weight 1 when None) over its first
+    ``lengths[rows[j]]`` terms.
 
-
-def _stack_head(sv: np.ndarray, x: np.ndarray, weights: np.ndarray, rows, lengths,
-                plan) -> np.ndarray:
-    """The stack path of ``_head_sum``, in blocks of at most 2^16 entries
-    (point rows x n x terms), 2^13 for one point per row as on the per-row
-    path; see ``_stack_block``."""
-    if sv.size == 0:
-        return np.empty(sv.shape, dtype=complex)
-    block = max(1, (_ROW_BLOCK if sv.shape[1] == 1 else _HEAD_BLOCK) // (sv.shape[1] * x.size))
-    if len(sv) <= block:
-        return _stack_block(sv, x, weights, rows, lengths, plan)
-    if rows is None:
-        rows = np.arange(len(sv))
-    head = np.empty(sv.shape, dtype=complex)
+    Blocks of point rows hold at most 2^13 table entries (terms x points,
+    128 KiB) for one point per row, so a quadrature call of 4096 points of
+    an 8-term series holds a 128 KiB table, and 2^16 (1 MiB) for longer
+    rows; with more than one weight row, point rows of equal bytes share
+    one table column.  Per piece of at most 4096 terms, ``_term_table``
+    builds the (terms, points) table of exp(-s x[n]) of the block's
+    distinct points, and each row's weights multiply its terms, the
+    weights first.  ``_euler_sum`` then adds each row's terms one at a
+    time in term order, its first term the sum of the pieces before.  So
+    every entry is the bits of its exp, or of its Euler product, wherever
+    it sits, and every row's sum is a plain term-order loop over them.
+    For a classical table a head of N terms is within u sum_n |w_n|
+    n^-sigma (2 (|t| + |sigma|) log n + 6 Omega(n) + N) of the exact sum,
+    u = 2^-53: a composite's phase error is the sum of its factors', about
+    2 u |t| log n as for a direct exp, plus Omega(n) - 1 complex-product
+    roundings, and the sum adds N - 1 more."""
+    head = np.zeros(sv.shape, dtype=complex)
+    if sv.size == 0 or x.size == 0:
+        return head
+    width = sv.shape[1]
+    counts = lengths.tolist()
+    longest = max(counts)
+    uniform = min(counts) == longest  # every row sums the same terms
+    block = max(1, (_ROW_BLOCK if width == 1 else _HEAD_BLOCK)
+                // (width * min(x.size, _PHASE_TERMS)))
     for b in range(0, len(sv), block):
-        head[b:b + block] = _stack_block(sv[b:b + block], x, weights, rows[b:b + block],
-                                         lengths, plan)
+        part, part_rows = sv[b:b + block], rows[b:b + block]
+        points, shared = _distinct_rows(part, weights)
+        for lo in range(0, longest, _PHASE_TERMS):
+            piece = x[lo:lo + _PHASE_TERMS]
+            table = _term_table(points.ravel(), piece, plan).reshape(piece.size, *points.shape)
+            terms = table if shared is None else np.take(table, shared, axis=1)
+            del table
+            if weights is not None:
+                # each row's weights as C-contiguous (terms, rows), multiplied
+                # first: numpy's complex multiply fuses one product into the
+                # rounding of the other, so the other order can differ in the
+                # last bit; in place except on one entry, which numpy
+                # multiplies in place without the fused step
+                row_weights = weights.T[lo:lo + piece.size]
+                if len(weights) > 1:
+                    row_weights = np.take(row_weights, part_rows, axis=1)
+                terms = np.multiply(row_weights[:, :, None], terms,
+                                    out=terms if terms.size > 1 else None)
+                del row_weights
+            if lo:  # each row's sum so far leads its next piece
+                terms[0] += head[b:b + block]
+            if uniform:
+                head[b:b + block] = _euler_sum(terms[:longest - lo])
+            else:
+                # each row's terms in the piece; a row of at most lo terms is done
+                ends = np.minimum(lengths[part_rows] - lo, piece.size)
+                for n in np.flatnonzero(np.bincount(ends[ends > 0])).tolist():
+                    group = np.flatnonzero(ends == n)
+                    head[b + group] = _euler_sum(np.take(terms[:n], group, axis=1))
+            del terms  # before the next block's table
     return head
 
 
-def _stack_block(sv: np.ndarray, x: np.ndarray, weights: np.ndarray, rows, lengths,
-                 plan) -> np.ndarray:
-    """Point row j of the (m, n) ``sv`` summed with weight row ``rows[j]``
-    (row j when ``rows`` is None) over its first ``lengths[rows[j]]`` terms
-    (all of them when ``lengths`` is None): one exponential table of the
-    distinct point rows, then one gather, product and sum per term count.
-    With a ``plan`` the table is ``_euler_table``'s, weighted and summed as
-    ``_euler_head`` does it."""
-    if sv.strides[0] == 0:  # one row of points broadcast to every weight row
-        points = sv
-        shared, distinct = np.zeros(len(sv), dtype=np.intp), np.zeros(1, dtype=np.intp)
-    else:
-        points = np.ascontiguousarray(sv)
-        # one slot per distinct row of bytes, in order of first sight
-        keys = points.view(f"V{points.itemsize * points.shape[1]}").ravel().tolist()
-        slot = dict.fromkeys(keys)
-        for j, row in enumerate(slot):
-            slot[row] = j
-        shared = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
-        distinct = np.empty(len(slot), dtype=np.intp)
-        distinct[shared] = np.arange(shared.size)  # any row of a slot: same bytes
+def _distinct_rows(points: np.ndarray, weights) -> tuple:
+    """(distinct, shared) of the (m, n) ``points``: ``distinct`` holds its
+    distinct rows in order of first sight, and row j is
+    ``distinct[shared[j]]``; shared is None where every row is its own,
+    and rows are not compared under one weight row, where equal rows are
+    rare."""
+    if points.strides[0] == 0 and len(points) > 1:  # one row broadcast to every row
+        return points[:1], np.zeros(len(points), dtype=np.intp)
+    if weights is None or len(weights) == 1:
+        return points, None
+    points = np.ascontiguousarray(points)
+    keys = points.view(f"V{points.itemsize * points.shape[1]}").ravel().tolist()
+    slot = dict.fromkeys(keys)
+    if len(slot) == len(keys):
+        return points, None
+    for j, row in enumerate(slot):
+        slot[row] = j
+    shared = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
+    first = np.empty(len(slot), dtype=np.intp)
+    first[shared] = np.arange(shared.size)  # any row of a slot: same bytes
+    return points[first], shared
+
+
+def _term_table(points: np.ndarray, x: np.ndarray, plan) -> np.ndarray:
+    """The (terms, points) table of exp(-s x[n]) at the 1-d ``points``:
+    ``_euler_table`` with a ``plan``, and otherwise one complex exp per
+    entry, its real and imaginary planes filled in place: -sigma x is one
+    column for every point of the line (points off one line are refused),
+    and -t x one einsum, where a broadcast product would have numpy buffer
+    both operands (2 x 128 KiB)."""
     if plan is not None:
-        return _euler_stack(points, weights, rows, lengths, plan, shared, distinct)
-    table = np.exp(np.multiply.outer(-points[distinct], x.astype(complex)))
-    # weights first, as the per-row path multiplies: numpy's complex multiply
-    # may fuse one product into the rounding of the other, so terms * weights
-    # can differ from it in the last bit
-    if lengths is None:
-        terms = table[shared]
-        np.multiply((weights if rows is None else weights[rows])[:, None, :], terms, out=terms)
-        return terms.sum(axis=-1)
-    counts = lengths if rows is None else lengths[rows]
-    head = np.empty(sv.shape, dtype=complex)
-    by_count = np.bincount(counts)
-    for n in np.flatnonzero(by_count).tolist():
-        group = slice(None) if by_count[n] == counts.size else np.flatnonzero(counts == n)
-        terms = table[shared[group], :, :n]
-        np.multiply(weights[group if rows is None else rows[group], None, :n], terms, out=terms)
-        head[group] = terms.sum(axis=-1)
-    return head
-
-
-def _euler_stack(points: np.ndarray, weights: np.ndarray, rows, lengths, plan: _EulerPlan,
-                 shared: np.ndarray, distinct: np.ndarray) -> np.ndarray:
-    """``_stack_block`` on a classical head: one ``_euler_table`` of the
-    distinct point rows, one product of every weight row with its point
-    row's table (the weights first), and per term count n one
-    ``_euler_sum`` of the first n terms, in term order as ``_euler_head``
-    sums a head of n terms."""
-    count, width = plan.rows.size, points.shape[1]
-    table = _euler_table(points[distinct].ravel(), plan).reshape(count, distinct.size, width)
-    # the weights as C-contiguous (terms, rows): numpy buffers a strided operand
-    weighted = (np.ascontiguousarray(weights.T) if rows is None
-                else np.take(weights.T, rows, axis=1))[:, :, None]
-    if distinct.size == 1:  # one row of points, broadcast to every weight row
-        terms = np.multiply(weighted, table)
-    else:
-        # np.take keeps the table C-contiguous, as _euler_sum adds it best;
-        # distinct rows are the point rows in order, and need no copy
-        terms = table if distinct.size == len(points) else np.take(table, shared, axis=1)
-        np.multiply(weighted, terms, out=terms)
-    del table, weighted
-    if lengths is None:
-        return _euler_sum(terms)
-    counts = lengths if rows is None else lengths[rows]
-    by_count = np.bincount(counts)
-    head = np.empty(points.shape, dtype=complex)
-    for n in np.flatnonzero(by_count).tolist():
-        if by_count[n] == counts.size:
-            return _euler_sum(terms[:n])
-        group = np.flatnonzero(counts == n)
-        head[group] = _euler_sum(np.take(terms[:n], group, axis=1))
-    return head
+        return _euler_table(points, plan)
+    sigma = points.real[:1]
+    if np.any(points.real != sigma):
+        raise InvalidParameterError("head sum points must lie on one vertical line")
+    table = np.empty((x.size, points.size), dtype=complex)
+    table.real[...] = np.multiply(-sigma, x)[:, None]
+    np.einsum("n,p->np", x, -points.imag, out=table.imag)
+    return np.exp(table, out=table)
 
 
 def _fft_size(n: int) -> int:

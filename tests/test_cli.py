@@ -478,6 +478,10 @@ def test_wrong_json_type_names_field(tmp_path, capsys, field, value):
     ({"experiment": "hurwitz_scan", "alphas": [0.5, 0.5]}, "alphas"),
     ({"experiment": "lerch_scan", "betas": [1, 1.0]}, "betas"),
     ({"experiment": "log_bound_sweep", "deltas": [0.05, 0.05]}, "deltas"),
+    # a minmax window sup stacks 12 candidates of search_terms terms:
+    # refused here, before any is drawn
+    ({"experiment": "minmax", "search_terms": 1025}, "search_terms"),
+    ({"experiment": "minmax", "search_terms": 1000000}, "search_terms"),
 ])
 def test_degenerate_config_names_field(tmp_path, capsys, doc, field):
     # no series, term, restart or grid value to check is no verdict to pass

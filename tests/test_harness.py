@@ -207,21 +207,58 @@ def test_short_last_scan_band_joins_the_one_before(caplog):
 
 def test_disjoint_scan_bands_log_phase_matrix(caplog):
     # t 0-100 at t_step 0.1 is 1001 windows of 9 nodes: bands of 444, 444
-    # and 113 windows, each one (windows, 9) array; on a pole line the row
-    # holding t = 0 moves by 1e-9 as a whole, so its band stays on the
-    # progression too
+    # and 113 windows, each one (windows, 9) array whose rows and first
+    # nodes are progressions of steps h and 0.1; on a pole line the row
+    # holding t = 0 is not evaluated, so the first band sums its other 443
     caplog.set_level("DEBUG", logger="hardyseries.special")
     common = dict(t_start=0.0, t_stop=100.0, t_step=0.1)
-    for cfg in (
-        _small("hurwitz_scan", alphas=(0.3,), **common),
-        _small("lerch_scan", alphas=(1.0,), betas=(0.3,), **common),
-        _small("lerch_scan", alphas=(0.3,), betas=(0.7,), **common),
+    for cfg, first in (
+        (_small("hurwitz_scan", alphas=(0.3,), **common), 443),
+        (_small("lerch_scan", alphas=(1.0,), betas=(0.3,), **common), 443),
+        (_small("lerch_scan", alphas=(0.3,), betas=(0.7,), **common), 444),
     ):
         caplog.clear()
         assert hn.dispatch(cfg).passed
         lines = _head_sum_lines(caplog)
         assert [line.rsplit(", ", 1)[1] for line in lines] == ["phase-matrix"] * 3
-        assert [int(line.split()[2]) for line in lines] == [444 * 9, 444 * 9, 113 * 9]
+        assert [int(line.split()[2]) for line in lines] == [first * 9, 444 * 9, 113 * 9]
+        anchors = [r.getMessage() for r in caplog.records
+                   if r.getMessage().startswith("phase-matrix")]
+        assert anchors == [f"phase-matrix: {rows} rows of 9, anchors by recurrence of "
+                           f"step 0.1, {-(-rows // 64) + 2} exp rows per piece"
+                           for rows in (first, 444, 113)]
+
+
+@pytest.mark.parametrize("t_start", [0.0, -0.1])
+@pytest.mark.parametrize("t_step", [0.025, 0.1])
+@pytest.mark.parametrize("experiment", ["hurwitz_scan", "lerch_scan"])
+def test_scans_skip_the_pole(experiment, t_step, t_start, caplog, monkeypatch):
+    # at twist 1 the node t = 0 (shared nodes, t_step 0.025) or the row of 9
+    # holding it (disjoint windows, t_step 0.1) is not evaluated: its band
+    # is cut around it, from t_start 0 at its first node or row, from -0.1
+    # inside.  So no band of 128 nodes or more takes a term-table head;
+    # exactly the windows whose interval holds t = 0 read +inf, and every
+    # other window is its nodes summed one point at a time, within 1e-12
+    presets = {"hurwitz_scan": dict(alphas=(0.3, 1.0)),
+               "lerch_scan": dict(alphas=(1.0,), betas=(0.7,))}
+    cfg = _small(experiment, t_start=t_start, t_stop=1.0 if t_step < 0.1 else 20.0,
+                 t_step=t_step, **presets[experiment])
+    caplog.set_level("DEBUG", logger="hardyseries.special")
+    result = hn.dispatch(cfg)
+    lines = _head_sum_lines(caplog)
+    assert any(int(line.split()[2]) >= 128 for line in lines)
+    for line in lines:
+        if int(line.split()[2]) >= 128:
+            assert line.split(", ")[2] in ("nufft", "phase-matrix"), line
+    monkeypatch.setattr(sp, "_progression_step", lambda ts, least=None: None)
+    alone = hn.dispatch(cfg)
+    for block, again in zip(result.blocks, alone.blocks):
+        delta, t, measured = block[-8:-5]
+        pole = (t <= 0.0) & (t + delta >= 0.0)
+        assert pole.any()
+        assert np.array_equal(np.isinf(measured), pole)
+        assert np.array_equal(np.isinf(again[-6]), pole)
+        np.testing.assert_allclose(measured[~pole], again[-6][~pole], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 1.0])
@@ -681,7 +718,7 @@ def test_block_writer_matches_per_row_rendering(tmp_path_factory, data, n_column
 
 
 def test_hurwitz_scan_bytes_and_margins(tmp_path, monkeypatch):
-    # t = 0 holds the nudged pole node
+    # t = 0 holds the pole node, which is not evaluated and reads +inf
     cfg = _small("hurwitz_scan", alphas=(0.3, 1.0), deltas=(0.05, 0.025),
                  t_step=0.025, t_start=0.0, t_stop=50.0, out=str(tmp_path / "scan.csv"))
     result = hn.dispatch(cfg)

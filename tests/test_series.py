@@ -269,10 +269,15 @@ def test_line_evaluator_matches_term_sum():
 
 
 def _head_reference(s: se.DirichletSeries, sigma1: float, ts: np.ndarray) -> np.ndarray:
-    # one complex exp per (point, term), weights first, summed per row
+    # one complex exp per (point, term), weighted (weights first, of the
+    # terms' rank) and added one term at a time in term order
     lam = s.lambdas
     weights = s.coefficients * np.exp(-lam * sigma1)
-    return np.sum(weights * np.exp(-1j * np.outer(ts, lam)), axis=1)
+    terms = weights[None] * np.exp(-1j * np.outer(ts, lam))
+    total = terms[:, 0]
+    for n in range(1, lam.size):
+        total = total + terms[:, n]
+    return total
 
 
 def _euler_head_reference(s: se.DirichletSeries, sigma1: float, ts: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hardyseries import series as se
 from hardyseries import special as sp
 from hardyseries.errors import InvalidParameterError, PoleError, PrecisionError
 
@@ -299,9 +300,17 @@ _SCAN_H = 0.05 / 8  # grid step of a hurwitz_scan band at delta = 0.05
 
 
 def _per_row_head(sv, log_n, weights=None):
-    # one complex exp per (point, term), weighted and summed per row
+    # one complex exp per (point, term), weighted (weights first, of the
+    # terms' rank: numpy multiplies a lone entry of another rank without the
+    # fused multiply-add of its other products) and added one term at a time
+    # in term order
     terms = np.exp(np.multiply.outer(-sv, log_n))
-    return (terms if weights is None else weights * terms).sum(axis=1)
+    if weights is not None:
+        terms = weights.reshape((1,) * np.ndim(sv) + (-1,)) * terms
+    total = terms[..., 0]
+    for n in range(1, log_n.size):
+        total = total + terms[..., n]
+    return total
 
 
 def _least_factors(count: int) -> list:
@@ -377,19 +386,19 @@ def test_off_progression_head_is_per_row_bit_for_bit():
     off[1234] += 1e-6
     near = ts.copy()  # off by 64 ulp of max|t|, beyond the 8-ulp slack
     near[1234] += 64 * np.spacing(ts[-1])
-    # the first scan band, whose t = 0 node is nudged to 1e-9
-    nudged = _SCAN_H * np.arange(4000)
-    nudged[0] = 1e-9
-    # rows of 9 window nodes: one row off the progression, the first band
-    # of a scan from t = 0 with its nudged node, and rows of one point
+    # a band from t = 0 with its first node moved by 1e-9
+    moved = _SCAN_H * np.arange(4000)
+    moved[0] = 1e-9
+    # rows of 9 window nodes: one row off the progression, a band from
+    # t = 0 with its first node moved, and rows of one point
     windows = np.add.outer(0.1 * np.arange(444), _SCAN_H * np.arange(9))
     off_row = 500.0 + windows
     off_row[123, 4] += 1e-6
-    nudged_row = windows.copy()
-    nudged_row[0, 0] = 1e-9
+    moved_row = windows.copy()
+    moved_row[0, 0] = 1e-9
     # rows of 65 points on one progression: longer than a phase-table row
     wide = 500.0 + np.add.outer(0.5 * np.arange(20), _SCAN_H * np.arange(65))
-    grids = (off, near, nudged, ts[:2 * 64 - 1], off_row, nudged_row,
+    grids = (off, near, moved, ts[:2 * 64 - 1], off_row, moved_row,
              500.0 + windows[:, :1], wide)
     for grid in grids:
         assert sp._progression_step(grid) is None
@@ -521,26 +530,35 @@ def test_recurrent_band_exps_and_memory(monkeypatch, caplog):
     # a (444, 9) band of 700 Lerch terms: the anchors of rows 0, 64, ..., 384
     # are direct, every other anchor and the table recur, so the head takes
     # (7 + 2) N exponentials where one per (row, term) and per (offset,
-    # term) took 453 N; its peak stays within its block, table and head,
-    # and the band of a scan from t = 0, its first row nudged, keeps direct
-    # anchors
+    # term) took 453 N; its peak stays within its block, table and head.
+    # A band whose first nodes are off a progression, here its first row
+    # moved by 1e-9, is no phase-matrix band: the term table takes it, one
+    # exp per (node, term), each node the bits of its own per-point sum
     n = np.arange(700)
     log_n, weights = np.log(n + 0.7), np.exp(2j * np.pi * 0.3 * n)
     windows = np.add.outer(0.1 * np.arange(444), _SCAN_H * np.arange(9))
-    nudged = windows.copy()
-    nudged[0] += 1e-9
+    moved = windows.copy()
+    moved[0] += 1e-9
     caplog.set_level("DEBUG", logger="hardyseries.special")
     counting = _CountingNumpy()
-    for ts, exp_rows, rule in ((500.0 + windows, 9, "anchors by recurrence of step 0.1"),
-                               (nudged, 445, "direct anchors")):
+    for ts, exps in ((500.0 + windows, 9 * n.size), (moved, windows.size * n.size)):
         sv = 1.0 + 1j * ts
         counting.exps = 0
+        caplog.clear()
         with monkeypatch.context() as patch:
             patch.setattr(sp, "np", counting)
             head = sp._head_sum(sv, log_n, weights)
-        assert counting.exps <= exp_rows * n.size
-        assert caplog.records[-1].getMessage() == (
-            f"phase-matrix: 444 rows of 9, {rule}, {exp_rows} exp rows per piece")
+        assert counting.exps == exps
+        lines = [r.getMessage() for r in caplog.records]
+        if ts is moved:
+            assert lines == [f"head sum: {ts.size} points, {n.size} terms, per-row"]
+            per_point = [sp._head_sum(sv[b, r:r + 1], log_n, weights)[0]
+                         for b, r in ((0, 0), (0, 8), (1, 0), (443, 8))]
+            assert np.array_equal([head[0, 0], head[0, 8], head[1, 0], head[443, 8]],
+                                  per_point)
+            continue
+        assert lines[-1] == ("phase-matrix: 444 rows of 9, anchors by recurrence of "
+                             "step 0.1, 9 exp rows per piece")
         tracemalloc.start()
         try:
             again = sp._head_sum(sv, log_n, weights)
@@ -548,16 +566,17 @@ def test_recurrent_band_exps_and_memory(monkeypatch, caplog):
         finally:
             tracemalloc.stop()
         assert np.array_equal(again, head)
-        if exp_rows == 9:
-            block = sp._HEAD_BLOCK // n.size * n.size
-            assert peak <= 16 * (block + 9 * n.size + ts.size) + 64 * 1024, peak
+        block = sp._HEAD_BLOCK // n.size * n.size
+        assert peak <= 16 * (block + 9 * n.size + ts.size) + 64 * 1024, peak
 
 
 def test_per_row_head_builds_one_block_at_a_time():
-    # 300 points off any progression times 1000 terms: five blocks of 65
-    # rows, so the peak is one block of 2^16 complex entries, not two; and
-    # 3 points times 200 000 terms, whose pieces of 4096 terms keep a block
-    # at 3 x 4096 entries where one row of 200 000 would exceed 2^16
+    # 300 points off any progression times 1000 terms: blocks of 8 points,
+    # one table of at most 2^13 entries at a time; and 3 points times
+    # 200 000 terms, whose pieces of 4096 terms keep a table at 4096 x 3
+    # entries where one of 200 000 x 3 would exceed 2^16.  Each piece's
+    # first term carries the sum so far, so both heads are the term-order
+    # loop bit for bit
     rng = np.random.default_rng(16)
     for points, terms in ((300, 1000), (3, 200_000)):
         sv = 1.0 + 1j * np.sort(rng.uniform(900.0, 1000.0, points))
@@ -570,11 +589,7 @@ def test_per_row_head_builds_one_block_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * sp._HEAD_BLOCK * 16, f"peak {peak} bytes"
-        if terms <= sp._PHASE_TERMS:
-            assert np.array_equal(head, _per_row_head(sv, log_n))
-        else:  # the pieces' sums added: within rounding of one sum per row
-            scale = np.sum(np.exp(-log_n))
-            assert np.max(np.abs(head - _per_row_head(sv, log_n))) <= 1e-14 * scale
+        assert np.array_equal(head, _per_row_head(sv, log_n))
 
 
 def test_stacked_head_is_the_one_row_calls_bit_for_bit():
@@ -594,13 +609,52 @@ def test_stacked_head_is_the_one_row_calls_bit_for_bit():
                 ts[::4, 7] += 1e-3  # some rows off the progression
             weights = rng.normal(size=(k_rows, 16)) + 1j * rng.normal(size=(k_rows, 16))
             sv = 1j * ts
-            head = sp._head_sum(sv, log_n, weights)
+            head = sp._head_sum(sv, log_n, weights, np.arange(k_rows), np.full(k_rows, 16))
             assert head.shape == ts.shape
             for k in range(k_rows):
                 expected = reference(sv[k], log_n, weights[k])
                 assert np.array_equal(head[k], expected)
                 if not spaced:
                     assert np.array_equal(head[k], sp._head_sum(sv[k], log_n, weights[k]))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), classical=st.booleans(),
+       count=st.integers(1, 40), k_rows=st.integers(1, 6), m_rows=st.integers(1, 12),
+       width=st.integers(1, 9), layout=st.sampled_from(["rows", "repeated", "broadcast"]),
+       sigma=st.sampled_from([0.0, 0.5, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_term_table_heads_are_term_order_loops(seed, classical, count, k_rows, m_rows,
+                                               width, layout, sigma):
+    # random points on one line, x = log(1 .. N) (the Euler table) or
+    # log(n + 1/2) (one exp per entry), random weights, rows and lengths:
+    # every row of an (m, n) stack, its point rows distinct, some repeated
+    # or one row broadcast, is the 1-d head of its point row with the first
+    # lengths[rows[j]] terms of its weight row, bit for bit; so is a 1-d
+    # array off any progression, of up to 300 points in blocks of 2^13
+    # entries; and both are a plain term-order loop
+    rng = np.random.default_rng(seed)
+    log_n = np.log(np.arange(count) + (1.0 if classical else 0.5))
+    reference = _euler_reference if classical else _per_row_head
+    weights = rng.normal(size=(k_rows, count)) + 1j * rng.normal(size=(k_rows, count))
+    rows = rng.integers(0, k_rows, m_rows)
+    lengths = rng.integers(1, count + 1, k_rows)
+    ts = rng.uniform(-100.0, 1e3, (m_rows, width))
+    if layout == "repeated":
+        ts[rng.random(m_rows) < 0.5] = ts[0]
+    elif layout == "broadcast":
+        ts = np.broadcast_to(ts[0], ts.shape)
+    sv = sigma + 1j * ts
+    head = sp._head_sum(sv, log_n, weights, rows, lengths)
+    assert head.shape == ts.shape
+    for j, k in enumerate(rows):
+        n = lengths[k]
+        one = sp._head_sum(sv[j], log_n[:n], weights[k, :n])
+        assert head[j].tobytes() == one.tobytes()
+        assert np.array_equal(one, reference(sv[j], log_n[:n], weights[k, :n]))
+    points = sigma + 1j * rng.uniform(-100.0, 1e3, int(rng.integers(1, 300)))
+    assert sp._progression_step(points.imag) is None
+    assert np.array_equal(sp._head_sum(points, log_n, weights[0]),
+                          reference(points, log_n, weights[0]))
 
 
 def test_classical_head_is_the_euler_product_bit_for_bit(monkeypatch, caplog):
@@ -678,22 +732,47 @@ def test_classical_head_meets_its_bound_against_mpmath(t):
             assert error <= bound, (count, tj, error, bound)
 
 
+def _traced_peak(call) -> int:
+    call()  # once untraced, so no first-use cache counts
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_per_row_head_fills_its_planes_without_buffers():
     # a non-classical per-point head fills the real and imaginary planes of
-    # its block in place, so its peak is its head and one block, with no
-    # numpy buffer beside them; its bits are the exp per (point, term)
+    # its table in place, so its peak is its head and one table block, with
+    # no numpy buffer beside them; its bits are the exp per (point, term)
+    # added in term order.  Weighted, a head holds one more array of its
+    # block's size, each point's weights (numpy would buffer broadcast
+    # weights as much): 512 classical terms, whose Euler table is built and
+    # then gathered into term order, and 300 terms of hurwitz_family(0.3).
+    # A stack shaped as log_bound_sweep's, 100 series of 20 terms at one
+    # point per row, 41 panel points shared by every series, holds its
+    # table and terms arrays within the same slack
     rng = np.random.default_rng(3601)
     sv = 1.0 + 1j * np.sort(rng.uniform(900.0, 1000.0, 4096))
     log_n = np.log(np.arange(16) + 0.5)
-    sp._head_sum(sv, log_n)
-    tracemalloc.start()
-    try:
-        head = sp._head_sum(sv, log_n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    head = sp._head_sum(sv, log_n)
+    peak = _traced_peak(lambda: sp._head_sum(sv, log_n))
     assert peak <= 16 * (sv.size + sp._ROW_BLOCK) + 32 * 1024, peak
     assert np.array_equal(head, _per_row_head(sv, log_n))
+    for x in (np.log(np.arange(512) + 1.0), se.hurwitz_family(0.3, 300).lambdas):
+        weights = rng.normal(size=x.size) + 1j * rng.normal(size=x.size)
+        peak = _traced_peak(lambda: sp._head_sum(sv, x, weights))
+        assert peak <= 16 * (sv.size + sp._ROW_BLOCK) + 128 * 1024 + 32 * 1024, peak
+    log_n = np.log(np.arange(20) + 1.0)
+    weights = rng.normal(size=(100, 20)) + 1j * rng.normal(size=(100, 20))
+    panels = rng.uniform(0.0, 0.05, 41)
+    points = 0.5 + 1j * np.tile(panels, 100)[:, None]
+    rows = np.repeat(np.arange(100), 41)
+    lengths = np.full(100, 20)
+    peak = _traced_peak(lambda: sp._head_sum(points, log_n, weights, rows, lengths))
+    table = terms = sp._ROW_BLOCK // 20 * 20  # entries of each, per block
+    assert peak <= 16 * (points.size + table + terms) + 128 * 1024 + 32 * 1024, peak
 
 
 @pytest.mark.parametrize("evaluate", [
