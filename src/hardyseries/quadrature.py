@@ -15,16 +15,19 @@ integral, ``integrate_log`` and ``integrate_abs_pow`` one segment, and
 segment each, such as every log-, log+ and |L|^p integral of a
 ``log_bound_sweep``.  The base points of every segment go out together,
 and one stack refines the panels depth-first in entries of at most 2048
-panels of one depth.  An entry holds whole runs of each integral's panels
-and cuts them only where one integral alone holds more than 2048, into
-the pieces a pass of that integral alone cuts.  Each panel keeps its
-segment's tolerance share and its own depth, so every integral's panels
-are accepted or split, in the same entries and order, as in a pass of
-that integral alone, and its accepted panels are summed with ``np.sum``
-entry by entry: each result is the bits of its integral's own pass
-(one ``np.add.reduceat`` over many runs would not be: it differed from
-``np.sum`` on 220 of 300 random arrays of 8 to 300 entries).  The cap,
-the depth flag and the modulus-floor flag are each integral's own.
+panels of one depth.  Each panel is a column, beside it the index of its
+integral (its owner), and a split panel's two children sit side by side,
+so each integral's panels of one depth stay one run, in the order a pass
+of that integral alone holds them.  An entry holds whole runs and cuts
+them only where one integral alone holds more than 2048, into the pieces
+a pass of that integral alone cuts.  Each panel keeps its segment's
+tolerance share and its own depth, so every integral's panels are
+accepted or split, in the same entries and order, as in a pass of that
+integral alone, and ``np.bincount`` over the owners adds each integral's
+accepted panels of an entry one at a time in column order, as that pass
+adds them: each result is the bits of its integral's own pass, wherever
+the integral stands in the pass and whichever integrals share it.  The
+cap, the depth flag and the modulus-floor flag are each integral's own.
 Within one integral, only the order in which panel values are summed
 depends on its other segments and on the entry size.  Every point list
 (base points, the two quarter points of each panel of an entry, the sup
@@ -35,10 +38,10 @@ points, not per few hundred, and a sweep of many short windows pays it
 twice in all where a pass per integral paid it twice per integral.  On
 the widest Poisson pass the 2^13-entry blocks of the per-point head sum
 (``special._head_sum``) hold back most of the memory that wide entries
-add: a traced peak of 1.07 MB, against 1.50 MB with 2^16-entry blocks and
-0.70 MB with entries of 512 panels.  A pass of one integral keeps no
-per-panel record of its integral: an entry names its integrals as a short
-list of runs.
+add: a traced peak of 1.05 MB, against 0.61 MB with entries of 512
+panels.  With debug logging on, each pass logs one line: its integrals,
+evaluator calls, panels tested, deepest depth and the integrals flagged
+at the depth limit.
 
 The integrands are analytic except for isolated log singularities at zeros of
 L; there |L| itself stays continuous, so only the log needs a floor:
@@ -62,7 +65,7 @@ reaches a given ``level`` are not refined.
 
 from __future__ import annotations
 
-import itertools
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -79,6 +82,8 @@ __all__ = [
     "interval_sup",
     "poisson_log_integral",
 ]
+
+logger = logging.getLogger(__name__)
 
 _MODULUS_FLOOR = 1e-300
 _MAX_DEPTH = 20
@@ -128,159 +133,115 @@ def _integrate(f, segments):
     """Adaptive Simpson of one or more integrals of the integrand f, all
     refined in one pass.  Each segment ``(integral, a, b, tol, min_panels)``
     names its integral, an index 0, 1, ...: the segments of an integral
-    are consecutive, and the integrals come in order.  ``f(t, runs)`` maps
-    a t-array to the integrand values, ``runs`` naming the integral of each
-    stretch of t as consecutive ``(integral, count)`` pairs.  Returns one
-    (value, error estimate, panel count = sum over its segments of 1 +
-    number of splits, flagged at the depth limit) per integral.
+    are consecutive, and the integrals come in order.  ``f(t, owner)`` maps
+    a t-array to the integrand values, the int array ``owner`` naming the
+    integral of each t.  Returns one (value, error estimate, panel count =
+    sum over its segments of 1 + number of splits, flagged at the depth
+    limit) per integral.
 
     A segment starts as min_panels equal panels, each with the tolerance
-    share tol (hi - lo) / (b - a), halved at each split.  One stack holds
-    the panels of every integral in entries of at most 2048 panels of one
-    depth, each entry a list of runs: an integral's panels of that depth
-    from one parent entry, whole, or, where they alone number more than
-    2048, in 2048-panel pieces from their start.  The base points of every
-    segment go to f in one call, and so do the quarter points of each
-    entry.  So each integral's panels meet the same tests, in the same
-    entries and the same order, as in a pass of that integral alone, and
-    its accepted panels are summed with ``np.sum`` entry by entry: its
+    share tol (hi - lo) / (b - a), halved at each split.  Each panel is a
+    column of ``panels``, and the same column of ``owner`` names its
+    integral.  A split panel's two children sit side by side, so the
+    panels of one integral and depth stay one run, in the order a pass of
+    that integral alone holds them.  One stack holds the panels in entries
+    of at most 2048 panels of one depth (``_push``).  The base points of
+    every segment go to f in one call, and so do the quarter points of
+    each entry.  So each integral's panels meet the same tests, in the
+    same entries and the same order, as in a pass of that integral alone,
+    and ``np.bincount`` adds its accepted values and corrections of each
+    entry one at a time in column order, as that pass adds them: its
     result is the bits of its own pass.  The panel cap and the depth flag
     are each integral's own, so a pass raises exactly where one of its
-    integrals alone would."""
-    runs: list = []  # (integral, base panels)
-    counts: list = []  # segments, then 1 + splits, of each integral
-    for i, _, _, _, n in segments:
-        if runs and runs[-1][0] == i:
-            runs[-1] = (i, runs[-1][1] + n)
-            counts[-1] += 1
-        else:
-            runs.append((i, n))
-            counts.append(1)
-    if [i for i, _ in runs] != list(range(len(runs))):
+    integrals alone would.  With debug logging on, each pass logs its
+    integrals, evaluator calls, panels tested, deepest depth and the
+    integrals flagged at the depth limit."""
+    if not segments:
+        return []
+    ids, a, b, tol, n = (np.array(x) for x in zip(*segments))
+    if ids[0] != 0 or not np.isin(np.diff(ids), (0, 1)).all():
         raise InvalidParameterError("segments must name integrals 0, 1, ... in order")
-    # edges and midpoints by (a, b, n), shared by equal segments; keyed by
-    # the floats' hex, which tells -0.0 from 0.0
-    grids: dict = {}
-    keys = [(a.hex(), b.hex(), n) for _, a, b, _, n in segments]
-    for (_, a, b, _, n), key in zip(segments, keys):
-        if key not in grids:
-            e = np.linspace(a, b, n + 1)
-            grids[key] = e, 0.5 * (e[:-1] + e[1:])
-    # each segment's n + 1 edges, then its n midpoints, in one call
-    fs = f(np.concatenate([x for key in keys for x in grids[key]]),
-           [(i, 2 * n + 1) for i, _, _, _, n in segments])
-    columns = []
-    at = 0
-    for n, group in itertools.groupby(zip(segments, keys), key=lambda pair: pair[0][4]):
-        # consecutive segments of n base panels each, one row per segment
-        group, group_keys = zip(*group)
-        edges = np.array([grids[key][0] for key in group_keys])
-        lo, hi = edges[:, :-1], edges[:, 1:]
-        f_at = fs[at:at + len(group) * (2 * n + 1)].reshape(len(group), 2 * n + 1)
-        at += f_at.size
-        fa, fb, fm = f_at[:, :n], f_at[:, 1:n + 1], f_at[:, n + 1:]
-        tol = np.array([[t] for _, _, _, t, _ in group])
-        width = np.array([[b - a] for _, a, b, _, _ in group])
-        # one column per panel: ends, f at the ends and midpoint, Simpson
-        # value, tolerance
-        columns.append(np.stack([lo, hi, fa, fm, fb, _simpson(fa, fm, fb, hi - lo),
-                                 tol * (hi - lo) / width]).reshape(7, -1))
-    panels = np.concatenate(columns, axis=1)
-    del grids, keys, fs, columns, edges, lo, hi, f_at  # the entries below view panels alone
+    k = int(ids[-1]) + 1
+    seg = np.repeat(np.arange(n.size), n + 1)  # the segment of each edge
+    j = np.arange(seg.size) - np.repeat(np.cumsum(n + 1) - n - 1, n + 1)
+    # np.linspace(a, b, n + 1) of each segment: j (b - a) / n + a, the last b
+    edges = np.where(j == n[seg], b[seg], j * ((b - a) / n)[seg] + a[seg])
+    starts, ends = j < n[seg], j > 0  # the edges that start or end a panel
+    lo, hi = edges[starts], edges[ends]
+    owner = np.repeat(ids, n)
+    # every edge, then every midpoint, in one call
+    fs = f(np.concatenate([edges, 0.5 * (lo + hi)]), np.concatenate([ids[seg], owner]))
+    fa, fb, fm = fs[:seg.size][starts], fs[:seg.size][ends], fs[seg.size:]
+    # one column per panel: ends, f at the ends and midpoint, Simpson value,
+    # tolerance
+    panels = np.stack([lo, hi, fa, fm, fb, _simpson(fa, fm, fb, hi - lo),
+                       np.repeat(tol, n) * (hi - lo) / np.repeat(b - a, n)])
+    del seg, j, edges, starts, ends, lo, hi, fs, fa, fb, fm  # the entries view panels alone
     stack: list = []
-    _push(stack, 0, panels, runs, copy=False)
-    values, errs = [0.0] * len(runs), [0.0] * len(runs)
-    flagged = [False] * len(runs)
+    _push(stack, 0, panels, owner, copy=False)
+    values, errs = np.zeros(k), np.zeros(k)
+    counts = np.bincount(ids, minlength=k)  # segments, then 1 + splits, of each integral
+    flagged = np.zeros(k, dtype=bool)
+    calls = deepest = 0
     while stack:
-        depth, (pa, pb, fa, fm, fb, whole, ptol), runs = stack.pop()
+        depth, (pa, pb, fa, fm, fb, whole, ptol), owner = stack.pop()
+        calls, deepest = calls + 1, max(deepest, depth)
         m = 0.5 * (pa + pb)
-        quarter = f(np.concatenate([0.5 * (pa + m), 0.5 * (m + pb)]), runs + runs)
+        quarter = f(np.concatenate([0.5 * (pa + m), 0.5 * (m + pb)]),
+                    np.concatenate([owner, owner]))
         flm, frm = quarter[:m.size], quarter[m.size:]
         left = _simpson(fa, flm, fm, m - pa)
         right = _simpson(fm, frm, fb, pb - m)
         delta = left + right - whole
         done = np.abs(delta) <= 15.0 * ptol
         if depth >= _MAX_DEPTH:
-            lo = 0
-            for i, n in runs:
-                flagged[i] = flagged[i] or not done[lo:lo + n].all()
-                lo += n
+            flagged[owner[~done]] = True
             done[:] = True
-        value = left + right + delta / 15.0
-        corr = np.abs(delta) / 15.0
-        splits = []  # (integral, children) of each run with a split
-        lo = 0
-        for i, n in runs:
-            ok = done[lo:lo + n]
-            s = n - int(np.count_nonzero(ok))
-            if s:
-                values[i] += float(value[lo:lo + n][ok].sum())
-                errs[i] += float(corr[lo:lo + n][ok].sum())
-                counts[i] += s
-                if counts[i] > _PANEL_LIMIT:
-                    raise QuadratureError("adaptive Simpson exceeded the panel limit")
-                splits.append((i, 2 * s))
-            else:  # every panel accepted: the sum of the same values
-                values[i] += float(value[lo:lo + n].sum())
-                errs[i] += float(corr[lo:lo + n].sum())
-            lo += n
-        if splits:
+        values += np.bincount(owner[done], (left + right + delta / 15.0)[done], k)
+        errs += np.bincount(owner[done], np.abs(delta[done]) / 15.0, k)
+        split = ~done
+        counts += np.bincount(owner[split], minlength=k)
+        if counts.max() > _PANEL_LIMIT:
+            raise QuadratureError("adaptive Simpson exceeded the panel limit")
+        if split.any():
             # the split columns of the 11 distinct rows, then each child row
-            # as [left half | right half]; unnamed, so that no intermediate
-            # outlives this pass
-            halves = np.stack([pa, m, pb, fa, flm, fm, frm, fb, left, right, ptol / 2.0])[
-                :, ~done][_CHILD_ROWS].reshape(7, -1)
-            if len(splits) > 1:
-                halves = halves[:, _run_order(splits)]
-            _push(stack, depth + 1, halves, splits, copy=True)
-            del halves
+            # as the (left, right) pair of each parent; assigned to strided
+            # halves, as np.stack on a last axis copies one entry at a time
+            parents = np.stack([pa, m, pb, fa, flm, fm, frm, fb, left, right,
+                                ptol / 2.0])[:, split]
+            children = np.empty((7, 2 * parents.shape[1]))
+            children[:, 0::2] = parents[_CHILD_ROWS[:, 0]]
+            children[:, 1::2] = parents[_CHILD_ROWS[:, 1]]
+            _push(stack, depth + 1, children, np.repeat(owner[split], 2), True)
+            del parents, children
         # released here, not when the next pass rebinds them after its f call
-        del m, quarter, flm, frm, left, right, delta, done, value, corr
-    return list(zip(values, errs, counts, flagged))
+        del m, quarter, flm, frm, left, right, delta, done, split
+    logger.debug("adaptive Simpson: %d integrals, %d evaluator calls, %d panels, depth %d, "
+                 "%d flagged at the depth limit", k, calls + 1,
+                 n.sum() + 2 * (counts.sum() - n.size), deepest, flagged.sum())
+    return list(zip(values.tolist(), errs.tolist(), counts.tolist(), flagged.tolist()))
 
 
-def _push(stack: list, depth: int, panels: np.ndarray, runs: list, copy: bool) -> None:
-    """Push the panels of one depth, whose columns are the consecutive
-    ``runs`` (integral, count), as entries of at most 2048 panels, the first
-    entry on top: whole runs side by side, and a run of more than 2048 cut
-    into pieces of 2048 from its start, each an entry of its own.  With
-    ``copy``, a cut entry is a copy, so that a waiting entry does not keep
-    all of panels alive."""
-    if panels.shape[1] <= _BATCH_PANELS:
-        stack.append((depth, panels, runs))
+def _push(stack: list, depth: int, panels: np.ndarray, owner: np.ndarray, copy: bool) -> None:
+    """Push the panels of one depth, column j that of integral ``owner[j]``
+    and each integral's panels one run, as entries of at most 2048 panels,
+    the first entry on top: whole runs side by side, and a run of more than
+    2048 cut into pieces of 2048 from its start, each an entry of its own.
+    With ``copy``, a cut entry is a copy, so that a waiting entry does not
+    keep all of panels alive."""
+    if owner.size <= _BATCH_PANELS:
+        stack.append((depth, panels, owner))
         return
-    entries = []  # (first column, end column, runs)
-    current: list = []
-    lo = width = 0
-    for i, n in runs:
-        if current and width + n > _BATCH_PANELS:
-            entries.append((lo - width, lo, current))
-            current, width = [], 0
-        if n > _BATCH_PANELS:
-            entries.extend((lo + j, lo + min(n, j + _BATCH_PANELS),
-                            [(i, min(_BATCH_PANELS, n - j))])
-                           for j in range(0, n, _BATCH_PANELS))
-        else:
-            current.append((i, n))
-            width += n
-        lo += n
-    if current:
-        entries.append((lo - width, lo, current))
-    stack.extend((depth, panels[:, a:b].copy() if copy else panels[:, a:b], part)
-                 for a, b, part in reversed(entries))
-
-
-def _run_order(runs: list) -> np.ndarray:
-    """The column order that takes the children of an entry's split panels,
-    [left halves | right halves], to each run's own [left | right], as a
-    pass of its integral alone lays them out; ``runs`` are (integral, number
-    of children)."""
-    sizes = np.array([n // 2 for _, n in runs])
-    total = int(sizes.sum())
-    first = np.repeat(np.cumsum(sizes) - sizes, 2 * sizes)  # the run's first split
-    size = np.repeat(sizes, 2 * sizes)
-    j = np.arange(2 * total) - 2 * first  # column within the run
-    return first + j + np.where(j < size, 0, total - size)
+    starts = (np.flatnonzero(np.diff(owner)) + 1).tolist()
+    cuts = [0]  # the first column of each entry, and repeats
+    for lo, hi in zip([0, *starts], [*starts, owner.size]):
+        if hi - cuts[-1] > _BATCH_PANELS:  # the run does not fit beside the entry's
+            cuts.append(lo)
+            if hi - lo > _BATCH_PANELS:
+                cuts += [*range(lo + _BATCH_PANELS, hi, _BATCH_PANELS), hi]
+    cuts.append(owner.size)
+    stack.extend((depth, panels[:, a:b].copy() if copy else panels[:, a:b], owner[a:b])
+                 for a, b in reversed(list(zip(cuts, cuts[1:]))) if a < b)
 
 
 def integrate_abs_pow(
@@ -291,32 +252,8 @@ def integrate_abs_pow(
     tol: float,
 ) -> IntegralResult:
     """Adaptive value of int_a^b |L(sigma + i t)|^p dt."""
-    a, b = (float(x) for x in interval)
-    check("interval", b - a)
-    tol = check("tol", tol)
-    check("p", p, 1.0, inclusive=True)
-    modulus = _modulus(evaluator, sigma)
-    ((value, err, count, flagged),) = _integrate(lambda t, _: modulus(t) ** p,
-                                                 [(0, a, b, tol, _unit_panels(a, b))])
-    return IntegralResult(value, err, count, flagged=flagged)
-
-
-def _log_integrand(evaluator: Evaluator, sigma: float, sign: str):
-    """t-array -> log+|L| or log-|L| = max(0, -log|L|), the modulus floored at
-    1e-300; the returned one-element list turns True once the floor is hit."""
-    if sign not in ("plus", "minus"):
-        raise InvalidParameterError("sign must be 'plus' or 'minus'")
-    modulus = _modulus(evaluator, sigma)
-    hit_floor = [False]
-
-    def f(t: np.ndarray, _runs) -> np.ndarray:
-        mod = modulus(t)
-        if np.any(mod < _MODULUS_FLOOR):
-            hit_floor[0] = True
-        lg = np.log(np.maximum(mod, _MODULUS_FLOOR))
-        return np.maximum(0.0, lg if sign == "plus" else -lg)
-
-    return f, hit_floor
+    # a float, so that no sign is taken for a power
+    return _windows(evaluator, sigma, [(interval, float(p), tol)])[0]
 
 
 def integrate_log(
@@ -332,12 +269,8 @@ def integrate_log(
     sample a modulus below the 1e-300 floor contribute through the clamped
     value (<= panel_width * 690.8) and mark the result as flagged.
     """
-    a, b = (float(x) for x in interval)
-    check("interval", b - a)
-    tol = check("tol", tol)
-    f, hit_floor = _log_integrand(evaluator, sigma, sign)
-    ((value, err, count, flagged),) = _integrate(f, [(0, a, b, tol, _unit_panels(a, b))])
-    return IntegralResult(value, err, count, flagged=flagged or hit_floor[0])
+    # a str, so that no power is taken for a sign
+    return _windows(evaluator, sigma, [(interval, str(sign), tol)])[0]
 
 
 def integrate_stack(evaluator, sigma: float, integrals) -> list[IntegralResult]:
@@ -345,53 +278,72 @@ def integrate_stack(evaluator, sigma: float, integrals) -> list[IntegralResult]:
     in one adaptive pass: one ``IntegralResult`` per entry ``(row,
     interval, kind, tol)`` of ``integrals``, kind "plus" or "minus" for the
     integral of log+ or log- of |L_row| as ``integrate_log`` takes it, or a
-    power p >= 1 for that of |L_row|^p as ``integrate_abs_pow`` takes it.
+    power p >= 1 (not a bool) for that of |L_row|^p as
+    ``integrate_abs_pow`` takes it.  No integrals give no results.
 
     The evaluator maps (m, n) points with the int array ``rows`` of shape
     (m,) to the (m, n) values, row j those of function ``rows[j]``
     (``series.classical_stack_evaluator`` builds one); each call evaluates
-    one point per row.  Where each row gives the bits of a one-function
-    evaluator, result i is the bits of ``integrate_log`` or
-    ``integrate_abs_pow`` of integral i alone with that evaluator, its
+    one point per row.  Each integral's panels are one run of the pass
+    (``_integrate``), and the integrand is the one ``integrate_log`` and
+    ``integrate_abs_pow`` use.  So where each row gives the bits of a
+    one-function evaluator, result i is the bits of ``integrate_log`` or
+    ``integrate_abs_pow`` of integral i alone with that evaluator, wherever
+    it stands in ``integrals`` and whichever integrals share its pass, its
     modulus-floor flag included: a floor hit flags only its own integral.
     """
-    rows, kinds, segments = [], [], []
-    for i, (row, interval, kind, tol) in enumerate(integrals):
+    rows = np.array([row for row, *_ in integrals], dtype=np.intp)
+    return _windows(evaluator, sigma, [window for _, *window in integrals], rows)
+
+
+def _windows(evaluator, sigma: float, integrals, rows=None) -> list[IntegralResult]:
+    """One ``IntegralResult`` per window integral ``(interval, kind, tol)``,
+    each checked, all refined in one pass of the ``_integrand`` of their
+    kinds."""
+    f, hit_floor = _integrand(evaluator, sigma, [kind for _, kind, _ in integrals], rows)
+    segments = []
+    for i, (interval, _, tol) in enumerate(integrals):
         a, b = (float(x) for x in interval)
         check("interval", b - a)
-        tol = check("tol", tol)
-        if isinstance(kind, str):
+        segments.append((i, a, b, check("tol", tol), _unit_panels(a, b)))
+    return [IntegralResult(value, err, count, flagged=flagged or bool(hit))
+            for (value, err, count, flagged), hit in zip(_integrate(f, segments), hit_floor)]
+
+
+def _integrand(evaluator, sigma: float, kinds, rows=None):
+    """The integrand ``f(t, owner)`` of integrals of the given kinds, and the
+    bool array that marks each integral whose log hit the modulus floor.
+    A kind is "plus" or "minus", for log+|L| or log-|L| = max(0, -log|L|)
+    with |L| floored at 1e-300, or a power p >= 1, not a bool, for |L|^p.
+    At each t, L is the evaluator's function, or with ``rows``, that of the
+    row ``rows[owner]`` of a stacked evaluator, one point per row."""
+    for kind in kinds:
+        if isinstance(kind, (str, bool, np.bool_)):
             if kind not in ("plus", "minus"):
-                raise InvalidParameterError("sign must be 'plus' or 'minus'")
+                raise InvalidParameterError(f"sign must be 'plus' or 'minus', got {kind!r}")
         else:
             check("p", kind, 1.0, inclusive=True)
-        rows.append(row)
-        kinds.append(kind)
-        segments.append((i, a, b, tol, _unit_panels(a, b)))
-    rows = np.array(rows, dtype=np.intp)
-    logs = np.array([isinstance(k, str) for k in kinds])
-    plus = np.array([k == "plus" for k in kinds])
+    modulus = _modulus(evaluator, sigma)
+    logs = np.array([isinstance(kind, str) for kind in kinds])
+    sign = np.array([-1.0 if kind == "minus" else 1.0 for kind in kinds])
     # each power p and the integrals of |L|^p
-    powers = {p: np.array([k == p for k in kinds]) for p in kinds if not isinstance(p, str)}
+    powers = {p: np.array([kind == p for kind in kinds]) for p in kinds if not isinstance(p, str)}
     hit_floor = np.zeros(len(kinds), dtype=bool)
 
-    def f(t: np.ndarray, runs) -> np.ndarray:
-        owner = np.repeat(*zip(*runs))
-        mod = np.abs(evaluator(sigma + 1j * t[:, None], rows=rows[owner]))[:, 0]
+    def f(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        mod = modulus(t) if rows is None else modulus(t[:, None], rows=rows[owner])[:, 0]
         floor = mod < _MODULUS_FLOOR
         if floor.any():
             hit_floor[owner[floor & logs[owner]]] = True
-        # log+ and log- as _log_integrand takes them, -lg being exact
-        lg = np.log(np.maximum(mod, _MODULUS_FLOOR))
-        out = np.maximum(0.0, np.where(plus[owner], lg, -lg))
+        # log+ and log-, the product by -1 being exact
+        out = np.maximum(0.0, np.log(np.maximum(mod, _MODULUS_FLOOR)) * sign[owner])
         for p, of_p in powers.items():
             sel = of_p[owner]
             if sel.any():
                 out[sel] = mod[sel] ** p
         return out
 
-    return [IntegralResult(value, err, count, flagged=flagged or bool(hit))
-            for (value, err, count, flagged), hit in zip(_integrate(f, segments), hit_floor)]
+    return f, hit_floor
 
 
 def poisson_log_integral(
@@ -433,14 +385,14 @@ def poisson_log_integral(
     check("l1_norm", l1_norm, inclusive=True)
     if minus_tail_bound is not None:
         check("minus_tail_bound", minus_tail_bound, -math.inf)
-    log_part, hit_floor = _log_integrand(evaluator, sigma, sign)
+    log_part, hit_floor = _integrand(evaluator, sigma, [str(sign)])
     if sign == "minus" and minus_tail_bound is None:
         raise InvalidParameterError(
             "minus sign needs minus_tail_bound (an anchor-based total bound)"
         )
 
-    def f(t: np.ndarray, runs) -> np.ndarray:
-        return d / math.pi * log_part(t, runs) / (d * d + t * t)
+    def f(t: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return d / math.pi * log_part(t, owner) / (d * d + t * t)
 
     log_plus_norm = max(0.0, math.log(l1_norm)) if l1_norm > 0 else 0.0
     t_max = 8.0 * d

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyseries import bounds as bd
 from hardyseries import quadrature as qd
@@ -170,10 +172,10 @@ def _per_segment_poisson(ev, sigma, d, sign, tol, l1_norm, minus_tail_bound):
     side, as it was before the segments shared one pass: (value, error
     estimate, subdivisions, flagged, tail).  Run it with stack entries of
     256 panels, so that each entry's quarter points are one call."""
-    log_part, hit_floor = qd._log_integrand(ev, sigma, sign)
+    log_part, hit_floor = qd._integrand(ev, sigma, [sign])
 
-    def f(t, runs):
-        return d / math.pi * log_part(t, runs) / (d * d + t * t)
+    def f(t, owner):
+        return d / math.pi * log_part(t, owner) / (d * d + t * t)
 
     log_plus_norm = max(0.0, math.log(l1_norm)) if l1_norm > 0 else 0.0
     t_max = 8.0 * d
@@ -569,6 +571,83 @@ def test_stacked_pass_cuts_only_large_runs(batch, monkeypatch):
     # base points, then two quarter points per panel of an entry
     assert max(sizes[1:]) <= 2 * batch
     assert sizes[0] == sum(2 * qd._unit_panels(*w) + 1 for _, w, _, _ in integrals)
+
+
+# (log10 of a window's width, log10 of its tolerance per unit width): short
+# windows at tolerances that refine deep, long ones at coarse tolerances
+_WIDTHS = st.one_of(st.tuples(st.floats(-2.0, 2.0), st.floats(-10.0, -5.0)),
+                    st.tuples(st.floats(2.0, 3.5), st.floats(-5.0, -3.0)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       integrals=st.lists(st.tuples(st.integers(0, 3), st.floats(-50.0, 50.0), _WIDTHS,
+                                    st.sampled_from(["minus", "plus", 1.0, 3.5])),
+                          min_size=2, max_size=12),
+       batch=st.sampled_from([16, 64, 2048]), data=st.data())
+def test_stacked_results_do_not_depend_on_layout(seed, integrals, batch, data):
+    # up to 12 integrals of mixed kinds, on windows of 0.01 to 3000 units,
+    # of three seeded series of 1 to 8 terms and the zero series: stacked in
+    # a random order, beside a random subset of the others, each result is
+    # the bits of its place in the full stack in the original order and of
+    # its pass alone
+    rng = np.random.default_rng(seed)
+    coeffs = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in rng.integers(1, 9, 3)]
+    coeffs.append(np.zeros(2, dtype=complex))
+    windows = [(k, (a, a + 10.0 ** u), kind, 10.0 ** (u + e))
+               for k, a, (u, e), kind in integrals]
+    order = data.draw(st.permutations(range(len(windows))))
+    shared = order[:data.draw(st.integers(1, len(order)))]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(qd, "_BATCH_PANELS", batch)
+        full = _stacked(coeffs, windows)
+        for i, r in zip(shared, _stacked(coeffs, [windows[i] for i in shared])):
+            assert _bits(r) == _bits(full[i])
+        for (k, window, kind, tol), r in zip(windows, full):
+            assert _bits(r) == _bits(_alone(coeffs[k], window, kind, tol))
+
+
+def test_empty_stack_and_bool_kinds():
+    # no integrals give no results and no evaluator call; a bool is neither
+    # a sign nor a power, though True == 1
+    def ev(points, rows=None):
+        raise AssertionError("no call expected")
+
+    assert qd.integrate_stack(ev, 0.5, []) == []
+    line = se.classical_stack_evaluator([np.ones(3)], 0.5)
+    for kind in (True, False, np.bool_(True)):
+        with pytest.raises(InvalidParameterError, match=f"got {kind!r}"):
+            qd.integrate_stack(line, 0.5, [(0, (0.0, 0.05), kind, 1e-5)])
+
+
+def test_pass_logs_one_debug_line(caplog, monkeypatch):
+    # one line per pass: its integrals, evaluator calls, panels tested (two
+    # quarter points each, base panels and children alike), deepest depth
+    # and integrals flagged at the depth limit, here 2
+    caplog.set_level("DEBUG", logger="hardyseries.quadrature")
+    monkeypatch.setattr(qd, "_MAX_DEPTH", 2)
+    coeffs = _stack_series(3410, 6)[:-1]
+    integrals = _window_integrals(len(coeffs), (0.05, 0.2), ("minus", "plus", 1.0), 1e-13)
+    sizes = []
+    line = se.classical_stack_evaluator(coeffs, 0.5)
+
+    def ev(points, rows=None):
+        sizes.append(points.shape[0])
+        return line(points, rows)
+
+    results = qd.integrate_stack(ev, 0.5, integrals)
+    base = sum(qd._unit_panels(*window) for _, window, _, _ in integrals)
+    panels = base + 2 * sum(r.subdivisions - 1 for r in results)
+    assert panels == sum(sizes[1:]) // 2
+    flagged = sum(r.flagged for r in results)
+    assert 0 < flagged < len(results)
+    assert caplog.messages == [
+        f"adaptive Simpson: {len(integrals)} integrals, {len(sizes)} evaluator calls, "
+        f"{panels} panels, depth 2, {flagged} flagged at the depth limit"]
+    caplog.clear()
+    qd.poisson_log_integral(_const(2.0), 0.0, 1.0, "plus", 1e-6, l1_norm=2.0)
+    assert len(caplog.messages) == 1 and caplog.messages[0].startswith(
+        "adaptive Simpson: 1 integrals, ")
 
 
 @pytest.mark.parametrize("grid_n", [16, 64, 511, 3000])
